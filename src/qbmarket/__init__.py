@@ -20,7 +20,6 @@ from .dynamics import (
     evolve_moments,
     evolve_wigner_pde,
     grid_moments,
-    kurtosis_trajectory,
     moment_derivative,
     simulate_sde_markov,
 )

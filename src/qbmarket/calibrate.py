@@ -25,7 +25,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .market import AcfEstimate
+from .market import AcfEstimate, _ols_line
 from .model import NonMarkovParams, acf_model
 
 __all__ = [
@@ -247,23 +247,8 @@ def fit_power_law(taus, values) -> PowerLawFit:
         raise InsufficientDataError("power-law fit needs at least 3 points")
     if np.any(x <= 0) or np.any(y <= 0):
         raise DegenerateDataError("power-law fit requires positive taus and values")
-    lx, ly = np.log(x), np.log(y)
-    a = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    resid = ly - a @ coef
-    sse = float(resid @ resid)
-    n = len(x)
-    if n > 2:
-        sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = math.sqrt(sse / (n - 2) / sxx) if sxx > 0 else float("inf")
-    else:
-        stderr = float("nan")
-    return PowerLawFit(
-        exponent=float(coef[0]),
-        prefactor=float(math.exp(coef[1])),
-        exponent_stderr=stderr,
-        residual=sse,
-    )
+    slope, intercept, stderr, sse = _ols_line(np.log(x), np.log(y))
+    return PowerLawFit(exponent=slope, prefactor=math.exp(intercept), exponent_stderr=stderr, residual=sse)
 
 
 def fit_kurtosis_decay(taus, kappas) -> DecayFit:
@@ -283,17 +268,13 @@ def fit_kurtosis_decay(taus, kappas) -> DecayFit:
             f"kurtosis decay fit needs at least 5 positive points, got {len(x)} "
             f"({n_excluded} non-positive excluded)"
         )
-    ly = np.log(y)
-    a = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    resid = ly - a @ coef
-    rate = -float(coef[0])
-    amplitude = float(math.exp(coef[1]))
+    slope, intercept, _, sse = _ols_line(x, np.log(y))
+    rate = -slope
     converged = rate > 0
     return DecayFit(
-        amplitude=amplitude,
+        amplitude=math.exp(intercept),
         rate=rate,
-        residual=float(resid @ resid),
+        residual=sse,
         converged=converged,
         n_used=len(x),
         n_excluded=n_excluded,

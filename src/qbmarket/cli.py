@@ -4,9 +4,10 @@ price files, fit estimator output, and generate synthetic data.
 Commands: eval, simulate, analyze, fit, synth. Every run resolves its
 configuration from flags over an optional flat `key = value` config file
 (flags win), records the resolved configuration in a JSON manifest next to the
-outputs, and writes files atomically (temp file, rename on success), so a
-failed run leaves no partial output. Outputs carry no timestamps: a rerun from
-the same manifest is bit-identical.
+outputs, computes every result before it writes any file, and writes each file
+atomically (unique temp file, rename on success), so a failed run leaves no
+partial output. Outputs carry no timestamps: a rerun from the same manifest is
+bit-identical.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Unconverged fits exit 0 with converged=false in the report (scriptable).
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .market import (
     return_histogram,
     synth_colored,
     synth_gbm,
-    SYNTH_START_MINUTE,
 )
 from .model import (
     BathSpectrum,
@@ -79,10 +80,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -100,21 +97,34 @@ def _sha256_config(config: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temp file of this write's own and rename it over
+    path on success, so concurrent runs and leftovers of killed runs never
+    collide and a failed write leaves nothing behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_csv(path: Path, digest: str, columns: dict[str, np.ndarray]) -> None:
-    names = list(columns)
-    rows = len(next(iter(columns.values())))
-    lines = [f"# qbmarket {__version__}; input sha256={digest}"]
-    lines.append(",".join(names))
-    for i in range(rows):
-        lines.append(",".join(_fmt(float(columns[name][i])) for name in names))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Numeric columns are written with 17 significant digits, string columns
+    as they are. Rows are streamed, so the whole text is never held."""
+    cells = [
+        col if col.dtype.kind == "U" else map("{:.17g}".format, col.astype(float).tolist())
+        for col in columns.values()
+    ]
+    header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
+    _atomic_write(path, itertools.chain([header], (",".join(row) + "\n" for row in zip(*cells))))
 
 
 def _write_manifest(path: Path, command: str, config: dict, digest: str, outputs: list[str]) -> None:
@@ -126,7 +136,7 @@ def _write_manifest(path: Path, command: str, config: dict, digest: str, outputs
         "input_sha256": digest,
         "outputs": outputs,
     }
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(path, manifest)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -489,67 +499,41 @@ def cmd_analyze(cfg: dict) -> int:
     if len(taus) < 3:
         raise DataError("fewer than 3 usable horizons at this base resolution")
 
-    prefix = Path(cfg["out_prefix"])
-    outputs = []
-
     scaling = drift_vol_scaling(series, taus, policy=policy)
-    path = Path(str(prefix) + ".scaling.csv")
-    _write_csv(
-        path,
-        digest,
-        {
-            "tau": scaling.taus.astype(float),
+    return_tau = int(cfg["return_tau"]) if cfg.get("return_tau") is not None else series.base_minutes
+    returns = log_returns(series, return_tau, policy=policy, remove_drift=True)
+    hist = return_histogram(returns, bins=cfg.get("bins"))
+    acf = empirical_acf(returns, int(cfg["max_lag"]))
+    kurt = empirical_kurtosis(series, taus, policy=policy)
+
+    tables = {
+        "scaling": {
+            "tau": scaling.taus,
             "mean_increment": scaling.mean_increment,
             "sigma": scaling.sigma,
             "mu": scaling.mu,
-            "count": scaling.counts.astype(float),
+            "count": scaling.counts,
         },
-    )
-    outputs.append(path.name)
-
-    return_tau = int(cfg["return_tau"]) if cfg.get("return_tau") is not None else series.base_minutes
-    returns = log_returns(series, return_tau, policy=policy, remove_drift=True)
-
-    hist = return_histogram(returns, bins=cfg.get("bins"))
-    path = Path(str(prefix) + ".histogram.csv")
-    _write_csv(
-        path,
-        digest,
-        {
+        "histogram": {
             "center": hist.centers,
             "density": hist.density,
             "gaussian_ref": hist.gaussian_ref,
-            "count": hist.counts.astype(float),
+            "count": hist.counts,
         },
-    )
-    outputs.append(path.name)
-
-    acf = empirical_acf(returns, int(cfg["max_lag"]))
-    path = Path(str(prefix) + ".acf.csv")
-    _write_csv(
-        path,
-        digest,
-        {
-            "lag": acf.lags.astype(float),
+        "acf": {
+            "lag": acf.lags,
             "acf": acf.values,
-            "count": acf.counts.astype(float),
+            "count": acf.counts,
             "stderr": acf.stderr,
         },
-    )
-    outputs.append(path.name)
-
-    kurt = empirical_kurtosis(series, taus, policy=policy)
-    path = Path(str(prefix) + ".kurtosis.csv")
-    _write_csv(
-        path,
-        digest,
-        {
-            "tau": kurt.taus.astype(float),
-            "kurtosis": kurt.kappa,
-            "n": kurt.counts.astype(float),
-        },
-    )
-    outputs.append(path.name)
+        "kurtosis": {"tau": kurt.taus, "kurtosis": kurt.kappa, "n": kurt.counts},
+    }
+    prefix = Path(cfg["out_prefix"])
+    outputs = []
+    for name, columns in tables.items():
+        path = Path(f"{prefix}.{name}.csv")
+        _write_csv(path, digest, columns)
+        outputs.append(path.name)
 
     _write_manifest(Path(str(prefix) + ".manifest.json"), "analyze", cfg, digest, outputs)
     print(f"wrote {len(outputs)} statistics files with prefix {prefix}")
@@ -635,7 +619,7 @@ def cmd_fit(cfg: dict) -> int:
         }
 
     out = Path(cfg["out"])
-    _atomic_write(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(out, report)
     _write_manifest(Path(str(out) + ".manifest.json"), "fit", cfg, digest, [out.name])
     print(f"wrote {out} (converged={report['converged']})")
     return 0
@@ -663,21 +647,10 @@ def cmd_synth(cfg: dict) -> int:
         # integrate tau-normalized returns into a price path so the output is
         # a prices CSV the analyze command can consume directly
         log_price = math.log(cfg["s0"]) + np.concatenate([[0.0], np.cumsum(returns.values * dt)])
-        times = SYNTH_START_MINUTE + np.arange(n + 1, dtype=np.int64) * dt
-        series = PriceSeries(
-            times=times,
-            close=np.exp(log_price),
-            sessions=((int(times[0]), int(times[-1])),),
-            session_idx=np.zeros(n + 1, dtype=np.int64),
-            base_minutes=dt,
-        )
+        series = PriceSeries.synthetic(log_price, dt)
 
-    lines = [f"# qbmarket {__version__}; input sha256={digest}"]
-    lines.append("timestamp,close")
-    for minute, price in zip(series.times, series.close):
-        stamp = datetime.fromtimestamp(int(minute) * 60, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M")
-        lines.append(f"{stamp},{_fmt(float(price))}")
-    _atomic_write(out, "\n".join(lines) + "\n")
+    stamps = np.datetime_as_string(series.times.astype("datetime64[m]"), unit="m")
+    _write_csv(out, digest, {"timestamp": stamps, "close": series.close})
     _write_manifest(Path(str(out) + ".manifest.json"), "synth", cfg, digest, [out.name])
     print(f"wrote {out}")
     return 0

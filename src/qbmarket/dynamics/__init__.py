@@ -7,7 +7,6 @@ from .moments import (
     MomentState,
     MomentTrajectory,
     evolve_moments,
-    kurtosis_trajectory,
     moment_derivative,
 )
 from .montecarlo import EnsembleMoments, simulate_sde_markov
@@ -26,7 +25,6 @@ __all__ = [
     "MomentState",
     "MomentTrajectory",
     "evolve_moments",
-    "kurtosis_trajectory",
     "moment_derivative",
     "EnsembleMoments",
     "simulate_sde_markov",

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from ..errors import IntegrationError
-from ..model import ModelParams, NonMarkovParams, SecondMomentInit, delta_coefficient, lambda_coefficient
+from ..model import ModelParams, NonMarkovParams, SecondMomentInit, _markov_delta, delta_coefficient, lambda_coefficient
 
 __all__ = [
     "MOMENT_KEYS",
@@ -26,7 +26,6 @@ __all__ = [
     "MomentTrajectory",
     "moment_derivative",
     "evolve_moments",
-    "kurtosis_trajectory",
 ]
 
 # Canonical ordering of the moment map (x-power j, p-power k), total order <= 4.
@@ -144,10 +143,9 @@ class KernelSchedule:
         return cls("non-markov", params, nm)
 
     def delta(self, t: float) -> float:
-        p = self.params
         if self.kind == "markov":
-            return 2.0 * p.M * p.gamma * p.kT / p.hbar**2
-        return float(delta_coefficient(p, self.nm, t))
+            return _markov_delta(self.params)
+        return float(delta_coefficient(self.params, self.nm, t))
 
     def lam(self, t: float) -> float:
         if self.kind == "markov":
@@ -166,22 +164,13 @@ def moment_derivative(
     dm(j,k)/dt = (j/M) m(j-1,k+1) - 2 gamma k m(j,k)
                  + hbar^2 delta k(k-1) m(j,k-2) - hbar^2 lam j k m(j-1,k-1)
 
-    with out-of-range indices contributing zero.
+    with out-of-range indices contributing zero. Evaluated with the structure
+    matrices :func:`evolve_moments` integrates.
     """
-    m = state.m
-    g = params.gamma
+    a_mat, b_mat, c_mat = _generator_matrices(params.M, params.gamma)
     hb2 = params.hbar**2
-    out: dict[tuple[int, int], float] = {}
-    for (j, k) in MOMENT_KEYS:
-        val = -2.0 * g * k * m[(j, k)]
-        if j >= 1:
-            val += (j / params.M) * m[(j - 1, k + 1)]
-        if k >= 2:
-            val += hb2 * delta * k * (k - 1) * m[(j, k - 2)]
-        if j >= 1 and k >= 1:
-            val += -hb2 * lam * j * k * m[(j - 1, k - 1)]
-        out[(j, k)] = val
-    return out
+    rates = (a_mat + (hb2 * delta) * b_mat + (hb2 * lam) * c_mat) @ state.vector()
+    return dict(zip(MOMENT_KEYS, map(float, rates)))
 
 
 def _generator_matrices(M: float, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,7 +269,3 @@ def evolve_moments(
     states = tuple(MomentState.from_vector(sol.y[:, i] * scale) for i in range(sol.y.shape[1]))
     return MomentTrajectory(times=t.copy(), states=states)
 
-
-def kurtosis_trajectory(traj: MomentTrajectory) -> np.ndarray:
-    """Pointwise excess coordinate kurtosis m(4,0)/m(2,0)^2 - 3."""
-    return traj.kurtosis_x()

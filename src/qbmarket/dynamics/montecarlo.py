@@ -41,12 +41,6 @@ class EnsembleMoments:
     seed: int
     dt: float
 
-    def moment(self, j: int, k: int) -> np.ndarray:
-        return self.mean[(j, k)]
-
-    def error(self, j: int, k: int) -> np.ndarray:
-        return self.stderr[(j, k)]
-
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)

@@ -179,7 +179,6 @@ class WignerEvolution:
     masses: np.ndarray
     eps_neg: float
     final: PhaseSpaceGrid
-    grids: tuple[PhaseSpaceGrid, ...] | None
     dt: float
     n_steps: int
 
@@ -225,13 +224,12 @@ def evolve_wigner_pde(
     t_end: float = 1.0,
     dt: float | None = None,
     sample_times: Sequence[float] | None = None,
-    keep_grids: bool = False,
 ) -> WignerEvolution:
     """Advance the phase-space density to t_end and record diagnostics.
 
     dt defaults to the stability bound; a user-supplied dt above the bound is
-    rejected. Aborts with a diagnostic if the density blows up or substantial
-    mass reaches the grid boundary.
+    rejected. Aborts with a StabilityError if the density blows up, leaks
+    mass, or substantial mass reaches the grid boundary.
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -260,7 +258,6 @@ def evolve_wigner_pde(
     x = grid.x
     p = grid.p
     dx, dp = grid.dx, grid.dp
-    area = grid.cell_area
     half = 0.5 * dt
 
     # x-advection backtrace (half step): row i, column j samples x_i - p_j dt/(2M)
@@ -292,22 +289,25 @@ def evolve_wigner_pde(
     times: list[float] = []
     masses: list[float] = []
     moments: list[MomentState] = []
-    grids: list[PhaseSpaceGrid] = []
     eps_neg = 0.0
+
+    def snapshot(step: int, w_now: np.ndarray) -> PhaseSpaceGrid:
+        if not np.isfinite(w_now).all():
+            raise StabilityError(f"density blew up at t = {step * dt:.6g}")
+        try:
+            return PhaseSpaceGrid(
+                grid.x_min, grid.x_max, grid.n_x, grid.p_min, grid.p_max, grid.n_p, w_now, norm_tol=1e-3
+            )
+        except ValueError as exc:
+            raise StabilityError(f"mass leak at t = {step * dt:.6g}: {exc}") from exc
 
     def record(step: int, w_now: np.ndarray) -> None:
         nonlocal eps_neg
-        if not np.isfinite(w_now).all():
-            raise StabilityError(f"density blew up at t = {step * dt:.6g}")
-        snap = PhaseSpaceGrid(
-            grid.x_min, grid.x_max, grid.n_x, grid.p_min, grid.p_max, grid.n_p, w_now, norm_tol=1e-3
-        )
+        snap = snapshot(step, w_now)
         times.append(step * dt)
         masses.append(snap.mass())
         moments.append(grid_moments(snap))
         eps_neg = max(eps_neg, snap.negative_fraction())
-        if keep_grids:
-            grids.append(snap)
         if snap.boundary_fraction() > BOUNDARY_ABORT_FRACTION:
             raise StabilityError(
                 f"boundary-mass overflow at t = {step * dt:.6g}: fraction "
@@ -338,9 +338,7 @@ def evolve_wigner_pde(
         w = drift_p(w)
         w = advect_x(w)
 
-    final = PhaseSpaceGrid(
-        grid.x_min, grid.x_max, grid.n_x, grid.p_min, grid.p_max, grid.n_p, w, norm_tol=1e-3
-    )
+    final = snapshot(n_steps, w)
     t_arr = np.asarray(times)
     t_arr.setflags(write=False)
     return WignerEvolution(
@@ -349,7 +347,6 @@ def evolve_wigner_pde(
         masses=np.asarray(masses),
         eps_neg=eps_neg,
         final=final,
-        grids=tuple(grids) if keep_grids else None,
         dt=dt,
         n_steps=n_steps,
     )

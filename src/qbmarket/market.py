@@ -90,6 +90,18 @@ class PriceSeries:
     def log_price(self) -> np.ndarray:
         return np.log(self.close)
 
+    @classmethod
+    def synthetic(cls, log_price: np.ndarray, dt_minutes: int) -> "PriceSeries":
+        """One-session series of bars dt_minutes apart from SYNTH_START_MINUTE."""
+        times = SYNTH_START_MINUTE + np.arange(len(log_price), dtype=np.int64) * dt_minutes
+        return cls(
+            times=times,
+            close=np.exp(log_price),
+            sessions=((int(times[0]), int(times[-1])),),
+            session_idx=np.zeros(len(times), dtype=np.int64),
+            base_minutes=int(dt_minutes),
+        )
+
 
 @dataclass(frozen=True)
 class ReturnSeries:
@@ -265,19 +277,20 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
     )
 
 
-def _pair_indices(series: PriceSeries, tau: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (anchor, partner) of samples tau minutes apart under a policy."""
-    t = series.times
-    target = t + tau
-    pos = np.searchsorted(t, target)
-    ok = pos < len(t)
+def _pair_indices(
+    times: np.ndarray, session_idx: np.ndarray, lag: int, policy: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (anchor, partner) of samples lag minutes apart under a policy."""
+    target = times + lag
+    pos = np.searchsorted(times, target)
+    ok = pos < len(times)
     anchors = np.nonzero(ok)[0]
     pos = pos[ok]
-    hit = t[pos] == target[anchors]
+    hit = times[pos] == target[anchors]
     anchors = anchors[hit]
     partners = pos[hit]
     if policy == "intraday-only":
-        same = series.session_idx[anchors] == series.session_idx[partners]
+        same = session_idx[anchors] == session_idx[partners]
         anchors, partners = anchors[same], partners[same]
     return anchors, partners
 
@@ -296,7 +309,7 @@ def log_returns(
         raise ValueError(
             f"tau must be a positive multiple of the base resolution ({series.base_minutes} min)"
         )
-    anchors, partners = _pair_indices(series, tau_minutes, policy)
+    anchors, partners = _pair_indices(series.times, series.session_idx, tau_minutes, policy)
     if len(anchors) == 0:
         if policy == "intraday-only":
             raise DataError(
@@ -345,19 +358,17 @@ class ScalingResult:
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope/intercept and the slope standard error."""
+def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line through at least 3 points: slope, intercept, slope
+    standard error and the residual sum of squares."""
     n = len(x)
     a = np.vstack([x, np.ones(n)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
-    if n > 2:
-        s2 = float(resid @ resid) / (n - 2)
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        stderr = math.sqrt(s2 / sxx) if sxx > 0 else float("inf")
-    else:
-        stderr = float("nan")
-    return float(coef[0]), float(coef[1]), stderr
+    sse = float(resid @ resid)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    stderr = math.sqrt(sse / (n - 2) / sxx) if sxx > 0 else float("inf")
+    return float(coef[0]), float(coef[1]), stderr, sse
 
 
 def drift_vol_scaling(
@@ -371,7 +382,7 @@ def drift_vol_scaling(
         raise InsufficientDataError("drift/vol scaling needs at least 3 horizons")
     means, sigmas, counts = [], [], []
     for tau in taus:
-        anchors, partners = _pair_indices(series, tau, policy)
+        anchors, partners = _pair_indices(series.times, series.session_idx, tau, policy)
         if len(anchors) < 2:
             raise InsufficientDataError(f"fewer than 2 increments at tau = {tau} min")
         lp = series.log_price()
@@ -386,9 +397,9 @@ def drift_vol_scaling(
         raise DegenerateDataError(
             "zero volatility at some horizon: power-law fit refused (deterministic price path?)"
         )
-    sig_slope, sig_icept, sig_err = _ols_line(np.log(taus_arr), np.log(sigma_arr))
+    sig_slope, sig_icept, sig_err, _ = _ols_line(np.log(taus_arr), np.log(sigma_arr))
     mu_arr = mean_arr + sigma_arr**2 / 2.0
-    mu_slope, mu_icept, mu_err = _ols_line(taus_arr, mu_arr)
+    mu_slope, mu_icept, mu_err, _ = _ols_line(taus_arr, mu_arr)
     return ScalingResult(
         taus=np.asarray(taus, dtype=np.int64),
         mean_increment=mean_arr,
@@ -500,17 +511,7 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
     lags, values, counts, stderrs = [], [], [], []
     omitted: list[int] = []
     for lag in range(0, max_lag + 1, base):
-        target = t + lag
-        pos = np.searchsorted(t, target)
-        ok = pos < len(t)
-        anchors = np.nonzero(ok)[0]
-        pos = pos[ok]
-        hit = t[pos] == target[anchors]
-        anchors = anchors[hit]
-        partners = pos[hit]
-        if returns.policy == "intraday-only":
-            same = returns.session_idx[anchors] == returns.session_idx[partners]
-            anchors, partners = anchors[same], partners[same]
+        anchors, partners = _pair_indices(t, returns.session_idx, lag, returns.policy)
         if len(anchors) == 0:
             omitted.append(lag)
             continue
@@ -607,14 +608,7 @@ def synth_gbm(
     dt = float(dt_minutes)
     increments = (mu - sigma**2 / 2.0) * dt + sigma * math.sqrt(dt) * rng.standard_normal(n - 1)
     log_price = math.log(s0) + np.concatenate([[0.0], np.cumsum(increments)])
-    times = SYNTH_START_MINUTE + np.arange(n, dtype=np.int64) * dt_minutes
-    return PriceSeries(
-        times=times,
-        close=np.exp(log_price),
-        sessions=((int(times[0]), int(times[-1])),),
-        session_idx=np.zeros(n, dtype=np.int64),
-        base_minutes=int(dt_minutes),
-    )
+    return PriceSeries.synthetic(log_price, dt_minutes)
 
 
 def synth_colored(

@@ -14,7 +14,7 @@ to be one minute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -57,6 +57,12 @@ def _as_nonnegative(value, name: str) -> np.ndarray:
     return arr
 
 
+def _require_finite(params) -> None:
+    for field in fields(params):
+        if not math.isfinite(getattr(params, field.name)):
+            raise ValueError(f"{field.name} must be finite")
+
+
 def _like_input(out: np.ndarray, value) -> float | np.ndarray:
     if np.isscalar(value) or getattr(value, "ndim", 0) == 0:
         return float(out)
@@ -79,6 +85,7 @@ class ModelParams:
     hbar: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.M > 0:
             raise ValueError("M must be positive")
         if not self.gamma > 0:
@@ -99,6 +106,7 @@ class SecondMomentInit:
     spx_0: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.sx2_0 > 0:
             raise ValueError("sx2_0 must be positive")
         if not self.sp2_0 > 0:
@@ -124,6 +132,7 @@ class NonMarkovParams:
     omega: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
         if not self.eta > 0:

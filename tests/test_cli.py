@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qbmarket import cli
 from qbmarket.cli import main
 
 
@@ -73,6 +74,26 @@ class TestEval:
         assert manifest["command"] == "eval"
         assert manifest["config"]["formula"] == "classical"
 
+    def test_non_finite_parameter_is_usage_error(self, tmp_path):
+        assert run(["eval", "--formula", "classical", "--kT", "nan", "--start", 0, "--end", 1,
+                    "--out", tmp_path / "nan.csv"]) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_leftover_temp_directory_does_not_block_write(self, tmp_path):
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.tmp").mkdir()
+        assert run(["eval", "--formula", "classical", "--start", 0, "--end", 1, "--out", out]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json", "out.csv.tmp"]
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        def chunks():
+            yield "partial\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError):
+            cli._atomic_write(tmp_path / "x.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_moments_kurtosis_column_decays_from_197(self, tmp_path):
@@ -133,6 +154,13 @@ class TestSimulate:
                     "--dt", 0.25, "--out-prefix", tmp_path / "bad"])
         assert code == 3
         assert not (tmp_path / "bad.csv").exists()
+
+    def test_pde_mass_leak_is_numerical_failure(self, tmp_path):
+        code = run(["simulate", "--mode", "pde", "--gamma", 0.01, "--kT", 0, "--x2", 1, "--p2", 1,
+                    "--x-width", 8, "--p-width", 8, "--nx", 32, "--np", 32, "--t-end", 10,
+                    "--points", 3, "--out-prefix", tmp_path / "leak"])
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSynthAndAnalyze:
@@ -197,6 +225,13 @@ class TestSynthAndAnalyze:
             row = rows[rows[:, lag_c] == lag][0]
             target = float(acf_model(nm, float(lag)))
             assert abs(row[val_c] - target) <= 3.0 * row[se_c], lag
+
+    def test_failed_analyze_leaves_no_partial_output(self, tmp_path):
+        prices = tmp_path / "short.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 60, "--seed", 1, "--out", prices]) == 0
+        # the scaling statistics succeed at these horizons; the histogram needs 100 returns
+        assert run(["analyze", "--input", prices, "--taus", "5:20:5", "--out-prefix", tmp_path / "run"]) == 2
+        assert list(tmp_path.glob("run*")) == []
 
     def test_analyze_empty_file_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.csv"

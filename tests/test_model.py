@@ -1,10 +1,13 @@
 """Closed-form model functions: values frozen from independent high-precision
 evaluation, plus quadrature cross-checks of the diffusion coefficients."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qbmarket import (
@@ -50,6 +53,18 @@ class TestParamTypes:
         init = SecondMomentInit(sx2_0=1e-7, sp2_0=250.0)
         assert init.is_quantum_admissible(hbar=0.01)
         assert not SecondMomentInit(sx2_0=1e-7, sp2_0=1.0).is_quantum_admissible(hbar=0.01)
+
+    @pytest.mark.parametrize("cls", [ModelParams, NonMarkovParams, SecondMomentInit])
+    @given(data=st.data())
+    def test_non_finite_fields_rejected(self, cls, data):
+        names = [field.name for field in dataclasses.fields(cls)]
+        # every field of the three types accepts any finite positive value
+        values = {name: data.draw(st.floats(min_value=1e-300, max_value=1e300), label=name) for name in names}
+        cls(**values)
+        bad = data.draw(st.sampled_from(names), label="bad field")
+        values[bad] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad value")
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(**values)
 
     def test_bath_spectrum_validation(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from qbmarket.dynamics import (
     KernelSchedule,
     MomentState,
     evolve_moments,
-    kurtosis_trajectory,
     moment_derivative,
 )
 
@@ -112,7 +111,7 @@ class TestEvolveMoments:
     def test_fig2c_kurtosis_decays_monotonically(self, kurtosis_params):
         t = np.linspace(0.0, 12.0, 49)
         traj = evolve_moments(fig2c_init(), KernelSchedule.markov(kurtosis_params), t)
-        kappa = kurtosis_trajectory(traj)
+        kappa = traj.kurtosis_x()
         assert kappa[0] == pytest.approx(197.0, rel=1e-12)
         assert np.all(np.diff(kappa) < 0.0)
         assert np.all(kappa > 0.0)
@@ -126,7 +125,7 @@ class TestEvolveMoments:
         init = MomentState.gaussian(1.2, 2.1, -0.4)
         t = np.linspace(0.0, 6.0, 25)
         traj = evolve_moments(init, KernelSchedule.markov(params), t, atol=1e-13)
-        assert np.max(np.abs(kurtosis_trajectory(traj))) < 1e-8
+        assert np.max(np.abs(traj.kurtosis_x())) < 1e-8
         # all fourth moments keep their Gaussian relation to the second moments
         for state in traj.states[:: len(traj.states) // 4]:
             ref = MomentState.gaussian(state[(2, 0)], state[(0, 2)], state[(1, 1)])
