@@ -153,16 +153,21 @@ def _load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple[object, type]]) -> dict:
+# dest -> (default, type, flag) of each option of one command
+_Spec = dict[str, tuple[object, type, str]]
+
+
+def _resolve(args: argparse.Namespace, spec: _Spec) -> dict:
     """Merge flag values over config-file values over builtin defaults.
 
     Flags parse with default None so an unset flag is distinguishable; the
-    resolved mapping is what the run uses and what the manifest records.
+    resolved mapping is what the run uses and what the manifest records. A
+    float option must be finite, wherever its value came from.
     """
     config_file = getattr(args, "config", None)
     file_values = _load_config_file(config_file) if config_file else {}
     resolved: dict[str, object] = {}
-    for dest, (default, caster) in spec.items():
+    for dest, (default, caster, flag) in spec.items():
         flag_value = getattr(args, dest, None)
         if flag_value is not None:
             resolved[dest] = flag_value
@@ -173,6 +178,8 @@ def _resolve(args: argparse.Namespace, spec: dict[str, tuple[object, type]]) -> 
                 raise _UsageError(f"config value for {dest}: {exc}") from exc
         else:
             resolved[dest] = default
+        if caster is float and resolved[dest] is not None and not math.isfinite(resolved[dest]):
+            raise _UsageError(f"{flag} must be finite")
     for key in file_values:
         if key not in spec:
             raise _UsageError(f"config key {key!r} is not a flag of this command")
@@ -238,24 +245,24 @@ _NM_OPTS = [
 ]
 
 
-def _add_opts(sub: argparse.ArgumentParser, opts: list[tuple]) -> dict[str, tuple[object, type]]:
-    spec: dict[str, tuple[object, type]] = {}
+def _add_opts(sub: argparse.ArgumentParser, opts: list[tuple]) -> _Spec:
+    spec: _Spec = {}
     for flag, dest, typ, default, help_text in opts:
         if typ is str and isinstance(default, tuple):
             choices, default = default
             sub.add_argument(flag, dest=dest, choices=choices, default=None, help=help_text)
-            spec[dest] = (default, str)
+            spec[dest] = (default, str, flag)
         else:
             sub.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
-            spec[dest] = (default, typ)
+            spec[dest] = (default, typ, flag)
     return spec
 
 
-def build_parser() -> tuple[_Parser, dict[str, dict[str, tuple[object, type]]]]:
+def build_parser() -> tuple[_Parser, dict[str, _Spec]]:
     parser = _Parser(prog="qbm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"qbmarket {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, dict[str, tuple[object, type]]] = {}
+    registry: dict[str, _Spec] = {}
 
     common = [("--config", "config", str, None, "flat key = value config file; flags override")]
 

@@ -6,23 +6,29 @@ transport generated by the kernel schedule, with all Kramers-Moyal terms of
 order three and higher identically zero.
 
 Scheme: Strang splitting. The x-transport and the p drift/damping substeps are
-semi-Lagrangian (cubic-spline backtrace, exact characteristics, analytic
-Jacobian for the damping compression); the normal and mixed diffusion terms
-are explicit central differences. The mixed term is not positivity preserving,
-so small negative densities are expected; they are tracked and reported, never
-clipped, because clipping would corrupt the moments.
+semi-Lagrangian (exact characteristics, analytic Jacobian for the damping
+compression). Each is a shift along one axis whose departure points do not
+change from step to step, so its cubic B-spline interpolation is built once
+per run: the 4-tap weights and the tap indices of every cell. A substep then
+prefilters the density along that axis (mirror-extended spline coefficients)
+and applies the 4-tap operator; departure points outside the grid give 0. The
+normal and mixed diffusion terms are explicit central differences. The mixed
+term is not positivity preserving, so small negative densities are expected;
+they are tracked and reported, never clipped, because clipping would corrupt
+the moments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import spline_filter1d
 
 from ..errors import StabilityError
+from ..model import ModelParams
 from .moments import MomentState, KernelSchedule
 
 __all__ = [
@@ -53,6 +59,12 @@ class HarmonicPotential:
     def __post_init__(self) -> None:
         if not self.omega0 > 0:
             raise ValueError("omega0 must be positive")
+
+
+def _boundary_fraction(w: np.ndarray, total: float) -> float:
+    """Share of ``total`` (the sum of w) carried by the outermost cell ring."""
+    ring = w[0, :].sum() + w[-1, :].sum() + w[1:-1, 0].sum() + w[1:-1, -1].sum()
+    return float(ring / total) if total > 0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -118,10 +130,7 @@ class PhaseSpaceGrid:
 
     def boundary_fraction(self) -> float:
         """Mass fraction carried by the outermost cell ring."""
-        w = self.w
-        ring = w[0, :].sum() + w[-1, :].sum() + w[1:-1, 0].sum() + w[1:-1, -1].sum()
-        total = w.sum()
-        return float(ring / total) if total > 0 else 0.0
+        return _boundary_fraction(self.w, self.w.sum())
 
     @classmethod
     def gaussian(
@@ -217,6 +226,72 @@ def _mixed_xp(w: np.ndarray, dx: float, dp: float) -> np.ndarray:
     return (padded[2:, 2:] - padded[2:, :-2] - padded[:-2, 2:] + padded[:-2, :-2]) / (4.0 * dx * dp)
 
 
+def _cubic_shift(
+    offset: np.ndarray, axis: int, shape: tuple[int, int], scale: float = 1.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Precomputed semi-Lagrangian substep along one axis.
+
+    Cell k (counted along ``axis``) takes the cubic B-spline interpolant of the
+    density at the departure point k + offset, times ``scale``; ``offset``
+    broadcasts to ``shape``. Spline coefficients are mirror-extended past the
+    edges and departure points outside [0, n-1] give 0: the result of
+    ``map_coordinates(order=3, mode="constant", cval=0.0, prefilter=True)`` when
+    the other coordinate is the cell's own index, to roundoff.
+    """
+    n = shape[axis]
+    base = np.floor(offset)
+    t = offset - base
+    s = 1.0 - t
+    # weights of the taps at floor - 1 .. floor + 2; they broadcast like offset
+    weights = (scale / 6.0) * np.stack([s**3, 4.0 - 6.0 * t**2 + 3.0 * t**3, 4.0 - 6.0 * s**2 + 3.0 * s**3, t**3])
+    rows, cols = np.indices(shape, sparse=True)
+    index = rows if axis == 0 else cols
+    first = index + base.astype(np.intp) - 1
+    outside = (index + offset < 0) | (index + offset > n - 1)
+    size = shape[0] * shape[1]
+    # flat indices of the four taps; outside points read the zero slot at `size`
+    flat = np.empty((4,) + shape, dtype=np.int32)
+    for k in range(4):
+        # taps of departure points inside the grid reach one cell past either edge
+        tap = np.abs(first + k)
+        tap = np.where(tap < n, tap, 2 * n - 2 - tap)
+        flat[k] = np.where(outside, size, tap * shape[1] + cols if axis == 0 else rows * shape[1] + tap)
+    # spline coefficients, then the zero slot
+    coeffs = np.zeros(size + 1)
+    grid_coeffs = coeffs[:size].reshape(shape)
+
+    def apply(w: np.ndarray) -> np.ndarray:
+        spline_filter1d(w, 3, axis=axis, output=grid_coeffs, mode="mirror")
+        out = weights[0] * coeffs.take(flat[0])
+        for k in range(1, 4):
+            out += weights[k] * coeffs.take(flat[k])
+        return out
+
+    return apply
+
+
+def _transport_substeps(
+    grid: PhaseSpaceGrid, params: ModelParams, potential: HarmonicPotential | None, h: float
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The x-advection and p drift/damping substeps of length h.
+
+    x-advection: cell (i, j) departs from x_i - p_j h / M. p drift/damping:
+    the backtrace along the characteristics is p e^{2 gamma h} + V'(x)
+    expm1(2 gamma h) / (2 gamma) (cancellation-free), and the damping
+    compression multiplies the density by the Jacobian e^{2 gamma h}.
+    """
+    shape = (grid.n_x, grid.n_p)
+    p = grid.p
+    advect_x = _cubic_shift(-(p * h / (params.M * grid.dx))[None, :], 0, shape)
+    rate = 2.0 * params.gamma * h
+    shift_p = p[None, :] * math.expm1(rate)
+    if potential is not None:
+        kick = math.expm1(rate) / (2.0 * params.gamma)
+        shift_p = shift_p + (params.M * potential.omega0**2 * grid.x * kick)[:, None]
+    drift_p = _cubic_shift(shift_p / grid.dp, 1, shape, scale=math.exp(rate))
+    return advect_x, drift_p
+
+
 def evolve_wigner_pde(
     grid: PhaseSpaceGrid,
     schedule: KernelSchedule,
@@ -228,8 +303,9 @@ def evolve_wigner_pde(
     """Advance the phase-space density to t_end and record diagnostics.
 
     dt defaults to the stability bound; a user-supplied dt above the bound is
-    rejected. Aborts with a StabilityError if the density blows up, leaks
-    mass, or substantial mass reaches the grid boundary.
+    rejected. Aborts with a StabilityError if the density blows up or
+    substantial mass reaches the grid boundary (both checked after every
+    step), or if it leaks mass (checked at sample times and at the end).
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -255,35 +331,9 @@ def evolve_wigner_pde(
         sample_times = np.linspace(0.0, t_end, 9)
     sample_idx = np.unique(np.clip(np.round(np.asarray(sample_times, dtype=float) / dt).astype(int), 0, n_steps))
 
-    x = grid.x
-    p = grid.p
     dx, dp = grid.dx, grid.dp
-    half = 0.5 * dt
-
-    # x-advection backtrace (half step): row i, column j samples x_i - p_j dt/(2M)
-    col_idx = np.broadcast_to(np.arange(grid.n_p, dtype=float), (grid.n_x, grid.n_p))
-    shift_x = p * half / (params.M * dx)
-    row_back = np.arange(grid.n_x, dtype=float)[:, None] - shift_x[None, :]
-    coords_x = np.stack([row_back, np.broadcast_to(col_idx, row_back.shape)])
-
-    # p drift/damping backtrace (half step) along characteristics, in the
-    # cancellation-free form p*e^{2g s} + V' * expm1(2g s)/(2g)
-    force = np.zeros_like(x) if potential is None else params.M * potential.omega0**2 * x
-    growth = math.exp(2.0 * params.gamma * half)
-    kick_factor = math.expm1(2.0 * params.gamma * half) / (2.0 * params.gamma) if params.gamma > 0 else half
-    p_back = p[None, :] * growth + force[:, None] * kick_factor
-    jac = growth
-    col_back = (p_back - grid.p_min) / dp - 0.5
-    row_idx = np.broadcast_to(np.arange(grid.n_x, dtype=float)[:, None], col_back.shape)
-    coords_p = np.stack([np.ascontiguousarray(row_idx), col_back])
-
+    advect_x, drift_p = _transport_substeps(grid, params, potential, 0.5 * dt)
     hb2 = params.hbar**2
-
-    def advect_x(w: np.ndarray) -> np.ndarray:
-        return map_coordinates(w, coords_x, order=3, mode="constant", cval=0.0, prefilter=True)
-
-    def drift_p(w: np.ndarray) -> np.ndarray:
-        return jac * map_coordinates(w, coords_p, order=3, mode="constant", cval=0.0, prefilter=True)
 
     w = grid.w.copy()
     times: list[float] = []
@@ -291,9 +341,18 @@ def evolve_wigner_pde(
     moments: list[MomentState] = []
     eps_neg = 0.0
 
-    def snapshot(step: int, w_now: np.ndarray) -> PhaseSpaceGrid:
-        if not np.isfinite(w_now).all():
+    def check(step: int, w_now: np.ndarray) -> None:
+        total = w_now.sum()  # any non-finite cell makes the sum non-finite
+        if not math.isfinite(total):
             raise StabilityError(f"density blew up at t = {step * dt:.6g}")
+        fraction = _boundary_fraction(w_now, total)
+        if fraction > BOUNDARY_ABORT_FRACTION:
+            raise StabilityError(
+                f"boundary-mass overflow at t = {step * dt:.6g}: fraction "
+                f"{fraction:.3g} exceeds {BOUNDARY_ABORT_FRACTION:g}"
+            )
+
+    def snapshot(step: int, w_now: np.ndarray) -> PhaseSpaceGrid:
         try:
             return PhaseSpaceGrid(
                 grid.x_min, grid.x_max, grid.n_x, grid.p_min, grid.p_max, grid.n_p, w_now, norm_tol=1e-3
@@ -308,14 +367,10 @@ def evolve_wigner_pde(
         masses.append(snap.mass())
         moments.append(grid_moments(snap))
         eps_neg = max(eps_neg, snap.negative_fraction())
-        if snap.boundary_fraction() > BOUNDARY_ABORT_FRACTION:
-            raise StabilityError(
-                f"boundary-mass overflow at t = {step * dt:.6g}: fraction "
-                f"{snap.boundary_fraction():.3g} exceeds {BOUNDARY_ABORT_FRACTION:g}"
-            )
 
     rec_pos = 0
     for step in range(n_steps + 1):
+        check(step, w)
         while rec_pos < len(sample_idx) and sample_idx[rec_pos] == step:
             record(step, w)
             rec_pos += 1

@@ -308,13 +308,23 @@ def variance_closed_form(params: ModelParams, init: SecondMomentInit, t) -> floa
     Reduces to the initial value at t = 0; for gamma*t >> 1 the variance grows
     at the classical rate kT/(M gamma) per unit time on top of the floor set
     by the initial momentum spread.
+
+    The thermal term is kT/(2 M gamma^2) (x - u - u^2/2) with x = 2 gamma t and
+    u = 1 - e^{-x}. That bracket equals sum_{n>=3} u^n / n, which is summed
+    directly below u = 0.1, where the difference of the three terms would lose
+    most of its digits (and could turn negative).
     """
     tt = _as_nonnegative(t, "t")
     g, M, kT = params.gamma, params.M, params.kT
-    u = -np.expm1(-2.0 * g * tt)
+    x = 2.0 * g * tt
+    u = -np.expm1(-x)
     relax = u / (2.0 * M * g)
-    bracket = tt + np.exp(-2.0 * g * tt) / g - (np.exp(-4.0 * g * tt) + 3.0) / (4.0 * g)
-    out = init.sx2_0 + relax**2 * init.sp2_0 + relax * init.spx_0 + (kT / (M * g)) * bracket
+    series = np.zeros_like(u)
+    for n in range(20, 2, -1):  # Horner form of sum_{n=3}^{20} u^n / n; u^18 < 1e-18
+        series = u * (series + 1.0 / n)
+    series *= u**2
+    bracket = np.where(u < 0.1, series, x - u - 0.5 * u**2)
+    out = init.sx2_0 + relax**2 * init.sp2_0 + relax * init.spx_0 + (kT / (2.0 * M * g**2)) * bracket
     return _like_input(out, t)
 
 

@@ -3,6 +3,10 @@ merging, seeding, and reproducibility."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,19 @@ class TestSimulate:
         assert code == 3
         assert not (tmp_path / "bad.csv").exists()
 
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path):
+        # a NaN rtol that reached the moment integrator would never return,
+        # so the run gets its own process and a deadline
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qbmarket.cli", "simulate", "--mode", "moments", "--x2", "1",
+             "--t-end", "1", "--rtol", "nan", "--out-prefix", str(tmp_path / "m")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "--rtol must be finite" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_pde_mass_leak_is_numerical_failure(self, tmp_path):
         code = run(["simulate", "--mode", "pde", "--gamma", 0.01, "--kT", 0, "--x2", 1, "--p2", 1,
                     "--x-width", 8, "--p-width", 8, "--nx", 32, "--np", 32, "--t-end", 10,
@@ -164,6 +181,13 @@ class TestSimulate:
 
 
 class TestSynthAndAnalyze:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_volatility_is_usage_error(self, tmp_path, capsys, value):
+        assert run(["synth", "--kind", "gbm", "--n", 50, f"--sigma={value}", "--seed", 1,
+                    "--out", tmp_path / "p.csv"]) == 1
+        assert "--sigma must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_gbm_zero_vol_is_monotone_exponential(self, tmp_path):
         out = tmp_path / "flat.csv"
         assert run(["synth", "--kind", "gbm", "--n", 50, "--mu", 1e-4, "--sigma", 0.0,
@@ -324,6 +348,13 @@ class TestConfigFile:
         cfg.write_text("formula = classical\nbananas = 7\n")
         assert run(["eval", "--config", cfg, "--start", 0, "--end", 1,
                     "--out", tmp_path / "x.csv"]) == 1
+
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = gbm\nsigma = nan\n")
+        assert run(["synth", "--config", cfg, "--n", 50, "--seed", 1, "--out", tmp_path / "p.csv"]) == 1
+        assert "--sigma must be finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_manifest_records_resolved_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -24,6 +24,7 @@ from qbmarket import (
     minimal_uncertainty_momentum,
     noise_kernel,
     spectral_density,
+    variance_closed_form,
 )
 from qbmarket.model import MARKOV_WARN_RATIO, is_markovian
 
@@ -284,3 +285,49 @@ class TestMinimalUncertainty:
         params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0)
         with pytest.raises(ValueError):
             minimal_uncertainty_momentum(params, 0.0)
+
+
+def _log_uniform(lo: float, hi: float):
+    """Floats spread evenly over the decades 10**lo .. 10**hi."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0**e)
+
+
+_model_params = st.builds(
+    ModelParams,
+    M=_log_uniform(-3, 3),
+    gamma=_log_uniform(-4, 4),
+    kT=st.one_of(st.just(0.0), _log_uniform(-4, 3)),
+    hbar=_log_uniform(-3, 1),
+)
+_nm_params = st.builds(
+    NonMarkovParams,
+    xi=st.one_of(st.just(0.0), _log_uniform(-5, 0)),
+    eta=_log_uniform(-4, 1),
+    omega=st.one_of(st.just(0.0), _log_uniform(-4, 1)),
+)
+_times = st.one_of(st.just(0.0), _log_uniform(-8, 5))
+# Delta(t) is a sum whose largest terms are of the size of its limit, so
+# rounding may move it by a few ulps of the limit
+_DELTA_ROUNDING = 8.0 * np.finfo(float).eps
+
+
+class TestClosedFormInvariants:
+    @given(params=_model_params, sx2_0=_log_uniform(-8, 4), sp2_0=_log_uniform(-8, 4), t=_times)
+    # small gamma t, where the direct three-term thermal bracket cancels to a negative value
+    @example(params=ModelParams(M=1.0, gamma=1e-4, kT=1e3, hbar=1.0), sx2_0=1.0, sp2_0=1.0, t=1e-5)
+    def test_variance_never_below_initial(self, params, sx2_0, sp2_0, t):
+        init = SecondMomentInit(sx2_0=sx2_0, sp2_0=sp2_0, spx_0=0.0)
+        assert variance_closed_form(params, init, t) >= sx2_0
+
+    @given(params=_model_params, nm=_nm_params, t1=_times, t2=_times)
+    def test_delta_monotone_and_saturating(self, params, nm, t1, t2):
+        t1, t2 = sorted((t1, t2))
+        limit = delta_limit(params, nm)
+        d1 = delta_coefficient(params, nm, t1)
+        d2 = delta_coefficient(params, nm, t2)
+        assert d1 <= d2 + _DELTA_ROUNDING * limit
+        assert d2 <= limit * (1.0 + _DELTA_ROUNDING)
+
+    @given(nm=_nm_params, tau=_times)
+    def test_acf_between_zero_and_amplitude_squared(self, nm, tau):
+        assert 0.0 <= acf_model(nm, tau) <= nm.xi**2

@@ -1,8 +1,11 @@
 """Phase-space grid and PDE solver: quadrature moments, closed-form transport
 checks, and the cross-check against the moment ODE."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from qbmarket import ModelParams, StabilityError
 from qbmarket.dynamics import (
@@ -15,6 +18,7 @@ from qbmarket.dynamics import (
     grid_moments,
     stable_time_step,
 )
+from qbmarket.dynamics.phasespace import _transport_substeps
 
 
 def free_params() -> ModelParams:
@@ -81,6 +85,48 @@ class TestStability:
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=7.5, p_half_width=7.5, n_x=64, n_p=64)
         with pytest.raises(StabilityError):
             evolve_wigner_pde(grid, sched, t_end=6.0, sample_times=np.linspace(0, 6.0, 25))
+
+    def test_boundary_overflow_between_samples_aborts(self):
+        # same box: the ring fraction passes 1e-6 near t = 1.2, yet at t = 1.5
+        # the final grid still holds its mass within the 1e-3 leak tolerance,
+        # so only a check on every step can see the overflow
+        sched = KernelSchedule.markov(free_params())
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=7.5, p_half_width=7.5, n_x=64, n_p=64)
+        with pytest.raises(StabilityError, match="boundary-mass overflow"):
+            evolve_wigner_pde(grid, sched, t_end=1.5, sample_times=[0.0])
+
+
+class TestTransportSubsteps:
+    """The precomputed semi-Lagrangian substeps against the 2-D cubic-spline
+    interpolation of the same backtrace, evaluated by scipy."""
+
+    @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega0=1.3)], ids=["free", "harmonic"])
+    def test_match_map_coordinates(self, potential):
+        params = ModelParams(M=0.7, gamma=0.25, kT=1.0, hbar=1.0)
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=48, n_p=40)
+        h = 0.4  # departure points up to ~14 cells away, many outside the grid
+        advect_x, drift_p = _transport_substeps(grid, params, potential, h)
+
+        shape = (grid.n_x, grid.n_p)
+        rows = np.broadcast_to(np.arange(grid.n_x, dtype=float)[:, None], shape)
+        cols = np.broadcast_to(np.arange(grid.n_p, dtype=float)[None, :], shape)
+        row_back = rows - grid.p[None, :] * h / (params.M * grid.dx)
+        force = np.zeros(grid.n_x) if potential is None else params.M * potential.omega0**2 * grid.x
+        growth = math.exp(2.0 * params.gamma * h)
+        p_back = grid.p[None, :] * growth + force[:, None] * math.expm1(2.0 * params.gamma * h) / (2.0 * params.gamma)
+        col_back = (p_back - grid.p_min) / grid.dp - 0.5
+        cases = [(advect_x, np.stack([row_back, cols]), 1.0, row_back, grid.n_x),
+                 (drift_p, np.stack([rows, col_back]), growth, col_back, grid.n_p)]
+
+        rng = np.random.default_rng(11)
+        for substep, coords, jacobian, back, n in cases:
+            # departure points inside, outside, and within one cell of either edge
+            assert (back < 0).any() and (back > n - 1).any()
+            assert ((back >= 0) & (back < 1)).any() and ((back > n - 2) & (back <= n - 1)).any()
+            for _ in range(3):
+                w = rng.standard_normal(shape)
+                expected = jacobian * map_coordinates(w, coords, order=3, mode="constant", cval=0.0, prefilter=True)
+                assert np.max(np.abs(substep(w) - expected)) <= 1e-13 * np.max(np.abs(w))
 
 
 class TestClosedFormTransport:
