@@ -229,6 +229,8 @@ def _parse_taus(spec: str) -> list[int]:
         raise _UsageError(f"tau range must be integers, got {spec!r}") from exc
     if step <= 0 or end < start:
         raise _UsageError(f"invalid tau range {spec!r}")
+    if start <= 0:
+        raise _UsageError(f"tau range must start above 0, got {spec!r}")
     return list(range(start, end + 1, step))
 
 
@@ -578,6 +580,8 @@ def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.n
 
 def cmd_fit(cfg: dict) -> int:
     _require(cfg, "kind", "input", "out")
+    if cfg.get("base_minutes") is not None and cfg["base_minutes"] <= 0:
+        raise _UsageError("--base-minutes must be positive")
     in_path = Path(cfg["input"])
     digest = _sha256_file(in_path) if in_path.exists() else None
     if digest is None:

@@ -93,6 +93,8 @@ class PhaseSpaceGrid:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.n_x, self.n_p):
             raise ValueError(f"w must have shape ({self.n_x}, {self.n_p})")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("grid density must be finite")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)

@@ -14,11 +14,12 @@ for sensitivity checks.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 from scipy.signal import lfilter
@@ -190,18 +191,9 @@ def _parse_minute(text: str, line_no: int) -> int:
     return int(minutes)
 
 
-def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) -> PriceSeries:
-    """Read and validate a `timestamp,close[,session]` CSV.
-
-    Timestamps must be ISO-8601 at minute resolution, strictly increasing;
-    prices must be positive. Malformed rows are hard errors naming the line.
-    Rows sharing a session label form one session; without the column the
-    whole series is one session.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_prices(handle, base_minutes=base_minutes)
-
+def _read_lines(source: TextIO) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """Per-line parser: times, prices and, per row after the first, whether
+    its session label differs from the previous row's. Errors name the line."""
     # leading '#' lines are tool header comments (version, input digest)
     numbered = [
         (line_no, line)
@@ -247,30 +239,121 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
 
     if not times:
         raise DataError("empty file: no data rows")
+    new_session = [a != b for a, b in zip(labels, labels[1:])]
+    return np.asarray(times, dtype=np.int64), np.asarray(closes), new_session
 
-    session_idx = np.zeros(len(times), dtype=np.int64)
-    current = 0
-    for i in range(1, len(times)):
-        if labels[i] != labels[i - 1]:
-            current += 1
-        session_idx[i] = current
-    t_arr = np.asarray(times, dtype=np.int64)
-    sessions = tuple(
-        (int(t_arr[session_idx == s].min()), int(t_arr[session_idx == s].max()))
-        for s in range(current + 1)
-    )
+
+# `YYYY-MM-DDTHH:MM,`: a digit where the template has '0', the byte itself elsewhere
+_STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00,", dtype=np.uint8)
+
+
+def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Read the rest of source by column with np.loadtxt, if every stamp has
+    the exact form `YYYY-MM-DDTHH:MM` (what `qbm synth` writes).
+
+    Returns what the per-line parser returns for such a file, or None where
+    that parser is needed: other stamp forms (np.loadtxt would silently drop
+    seconds), non-ASCII text, carriage returns, and comments, quotes, blank
+    rows or whitespace after the header, a value np.loadtxt cannot read, and
+    any row that fails validation, so the error names the same line either
+    way.
+    """
+    text = source.read()
+    if "\r" in text or not text.isascii():
+        return None
+    start = skip = 0
+    while True:
+        end = text.find("\n", start)
+        if end < 0:
+            return None
+        skip += 1
+        if not text[start:end].lstrip().startswith("#"):
+            break
+        start = end + 1
+    header = text[start:end]
+    # the first row decides most files without a pass over the rest
+    if header not in ("timestamp,close", "timestamp,close,session") or text[end + 17 : end + 18] != ",":
+        return None
+    if text.find('"', end) >= 0 or text.find("#", end) >= 0 or "\x7f" in text:
+        return None
+    data = text.encode("ascii")
+    del text
+    buf = np.frombuffer(data, dtype=np.uint8)[end + 1 :]
+    if data.endswith(b"\n"):
+        buf = buf[:-1]
+    ends = np.flatnonzero(buf == ord("\n"))
+    # the newline is the only control or blank byte a row may hold
+    if np.count_nonzero(buf <= ord(" ")) != len(ends):
+        return None
+    starts = np.concatenate([[0], ends + 1])
+    width = np.append(ends, len(buf)) - starts
+    if np.any(width <= len(_STAMP_TEMPLATE)):
+        return None
+    for offset, expected in enumerate(_STAMP_TEMPLATE):
+        column = buf[starts + offset]
+        if expected == ord("0"):
+            ok = (column >= ord("0")) & (column <= ord("9"))
+        else:
+            ok = column == expected
+        if not np.all(ok):
+            return None
+    has_session = header.endswith("session")
+    fields = [("time", "M8[m]"), ("close", "f8")]
+    if has_session:
+        fields.append(("session", f"S{width.max()}"))
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(data), delimiter=",", dtype=fields, comments=None, skiprows=skip, ndmin=1
+        )
+    except ValueError:
+        return None
+    # numpy reads year 0000, datetime does not
+    if np.any(rows["time"] < np.datetime64("0001-01-01T00:00")):
+        return None
+    times = rows["time"].astype(np.int64)
+    close = np.ascontiguousarray(rows["close"])
+    if not (np.all(close > 0) and np.all(np.isfinite(close)) and np.all(np.diff(times) > 0)):
+        return None
+    if has_session:
+        new_session = rows["session"][1:] != rows["session"][:-1]
+    else:
+        new_session = np.zeros(len(times) - 1, dtype=bool)
+    return times, close, new_session
+
+
+def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) -> PriceSeries:
+    """Read and validate a `timestamp,close[,session]` CSV.
+
+    Timestamps must be ISO-8601 at minute resolution, strictly increasing;
+    prices must be positive. Malformed rows are hard errors naming the line.
+    Rows sharing a session label form one session; without the column the
+    whole series is one session. A seekable source whose stamps all have the
+    form `YYYY-MM-DDTHH:MM` is read by column; any other goes line by line.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            return load_prices(handle, base_minutes=base_minutes)
+
+    columns = None
+    if source.seekable():
+        start = source.tell()
+        columns = _read_plain(source)
+        if columns is None:
+            source.seek(start)
+    times, close, new_session = columns if columns is not None else _read_lines(source)
+
+    session_idx = np.concatenate([[0], np.cumsum(new_session, dtype=np.int64)])
+    first = np.flatnonzero(np.diff(session_idx, prepend=-1))
+    last = np.append(first[1:] - 1, len(times) - 1)
+    sessions = tuple(zip(times[first].tolist(), times[last].tolist()))
 
     if base_minutes is None:
-        gcd = 0
-        for s in range(current + 1):
-            diffs = np.diff(t_arr[session_idx == s])
-            for d in diffs:
-                gcd = math.gcd(gcd, int(d))
-        base_minutes = gcd if gcd > 0 else 1
+        within = np.diff(times)[np.diff(session_idx) == 0]
+        base_minutes = int(np.gcd.reduce(within)) or 1
 
     return PriceSeries(
-        times=t_arr,
-        close=np.asarray(closes),
+        times=times,
+        close=close,
         sessions=sessions,
         session_idx=session_idx,
         base_minutes=int(base_minutes),
@@ -278,21 +361,74 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
 
 
 def _pair_indices(
-    times: np.ndarray, session_idx: np.ndarray, lag: int, policy: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (anchor, partner) of samples lag minutes apart under a policy."""
-    target = times + lag
-    pos = np.searchsorted(times, target)
-    ok = pos < len(times)
-    anchors = np.nonzero(ok)[0]
-    pos = pos[ok]
-    hit = times[pos] == target[anchors]
-    anchors = anchors[hit]
-    partners = pos[hit]
-    if policy == "intraday-only":
-        same = session_idx[anchors] == session_idx[partners]
-        anchors, partners = anchors[same], partners[same]
-    return anchors, partners
+    times: np.ndarray, session_idx: np.ndarray, lags: Sequence[int], policy: str
+) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray]]:
+    """For each lag in turn, the rows (anchors, partners) whose times are lag
+    minutes apart, anchors ascending; under "intraday-only" both rows of a
+    pair lie in one session. Times must be strictly increasing.
+
+    The rows are placed once on slots of the gcd time step, with every gap
+    longer than the largest lag shrunk to that lag + 1 slots (no pair at a
+    requested lag spans one), so the pairs at lag k are the slots s where s
+    and s + k both hold a row. Where no slot is empty and no pair can span a
+    session, the pairs are row shifts and come back as slices.
+    """
+    lags = [int(lag) for lag in lags]
+    if any(lag < 0 for lag in lags):
+        raise ValueError("lags must be nonnegative")
+    n = len(times)
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise ValueError("times must be strictly increasing")
+    unit = int(np.gcd.reduce(steps)) or 1
+    max_slots = max(lags, default=0) // unit
+    slot = np.concatenate([[0], np.cumsum(np.minimum(steps // unit, max_slots + 1))])
+    n_slots = int(slot[-1]) + 1
+    check_session = policy == "intraday-only" and bool(np.any(session_idx[1:] != session_idx[:-1]))
+    shifts = n_slots == n and not check_session
+    if not shifts:
+        row = np.full(n_slots, -1, dtype=np.int64)
+        row[slot] = np.arange(n)
+        held = row >= 0
+        if check_session:
+            label = np.zeros(n_slots, dtype=np.int64)
+            label[slot] = session_idx
+    for lag in lags:
+        k = lag // unit
+        if lag % unit:
+            yield np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        elif k == 0:
+            yield slice(0, n), slice(0, n)
+        elif shifts:
+            yield slice(0, max(n - k, 0)), slice(k, n)
+        else:
+            keep = held[:-k] & held[k:]
+            if check_session:
+                keep &= label[:-k] == label[k:]
+            anchors = np.flatnonzero(keep)
+            yield row[anchors], row[anchors + k]
+
+
+def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:
+    if policy not in PAIRING_POLICIES:
+        raise ValueError(f"unknown pairing policy {policy!r}")
+    if tau_minutes <= 0 or tau_minutes % series.base_minutes != 0:
+        raise ValueError(
+            f"tau must be a positive multiple of the base resolution ({series.base_minutes} min)"
+        )
+
+
+def _tau_returns(
+    log_price: np.ndarray, anchors, partners, tau_minutes: int, policy: str, remove_drift: bool
+) -> np.ndarray:
+    values = (log_price[partners] - log_price[anchors]) / float(tau_minutes)
+    if len(values) == 0:
+        if policy == "intraday-only":
+            raise DataError(
+                f"no admissible pairs at tau = {tau_minutes} min: horizon exceeds every session"
+            )
+        raise DataError(f"no admissible pairs at tau = {tau_minutes} min")
+    return values - values.mean() if remove_drift else values
 
 
 def log_returns(
@@ -303,26 +439,11 @@ def log_returns(
 ) -> ReturnSeries:
     """Tau-normalized log returns [ln S(t+tau) - ln S(t)] / tau, one sample
     per admissible bar pair. Drift removal subtracts the sample mean."""
-    if policy not in PAIRING_POLICIES:
-        raise ValueError(f"unknown pairing policy {policy!r}")
-    if tau_minutes <= 0 or tau_minutes % series.base_minutes != 0:
-        raise ValueError(
-            f"tau must be a positive multiple of the base resolution ({series.base_minutes} min)"
-        )
-    anchors, partners = _pair_indices(series.times, series.session_idx, tau_minutes, policy)
-    if len(anchors) == 0:
-        if policy == "intraday-only":
-            raise DataError(
-                f"no admissible pairs at tau = {tau_minutes} min: horizon exceeds every session"
-            )
-        raise DataError(f"no admissible pairs at tau = {tau_minutes} min")
-    lp = series.log_price()
-    values = (lp[partners] - lp[anchors]) / float(tau_minutes)
-    if remove_drift:
-        values = values - values.mean()
+    _check_tau(series, tau_minutes, policy)
+    [(anchors, partners)] = _pair_indices(series.times, series.session_idx, [tau_minutes], policy)
     return ReturnSeries(
         tau_minutes=int(tau_minutes),
-        values=values,
+        values=_tau_returns(series.log_price(), anchors, partners, tau_minutes, policy, remove_drift),
         drift_removed=remove_drift,
         times=series.times[anchors],
         session_idx=series.session_idx[anchors],
@@ -380,13 +501,14 @@ def drift_vol_scaling(
     taus = [int(t) for t in taus]
     if len(taus) < 3:
         raise InsufficientDataError("drift/vol scaling needs at least 3 horizons")
+    if min(taus) <= 0:
+        raise ValueError("horizons must be positive")
+    lp = series.log_price()
     means, sigmas, counts = [], [], []
-    for tau in taus:
-        anchors, partners = _pair_indices(series.times, series.session_idx, tau, policy)
-        if len(anchors) < 2:
-            raise InsufficientDataError(f"fewer than 2 increments at tau = {tau} min")
-        lp = series.log_price()
+    for tau, (anchors, partners) in zip(taus, _pair_indices(series.times, series.session_idx, taus, policy)):
         inc = lp[partners] - lp[anchors]
+        if len(inc) < 2:
+            raise InsufficientDataError(f"fewer than 2 increments at tau = {tau} min")
         means.append(float(inc.mean()))
         sigmas.append(float(inc.std(ddof=1)))
         counts.append(len(inc))
@@ -500,6 +622,8 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
     pairing, products never span a session boundary. Lags without admissible
     pairs are omitted and listed in ``omitted_lags``.
     """
+    if max_lag < 0:
+        raise ValueError("max_lag must be nonnegative")
     t = returns.times
     span = int(t[-1] - t[0]) if len(t) else 0
     if max_lag >= span:
@@ -510,12 +634,12 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
     base = returns.base_minutes
     lags, values, counts, stderrs = [], [], [], []
     omitted: list[int] = []
-    for lag in range(0, max_lag + 1, base):
-        anchors, partners = _pair_indices(t, returns.session_idx, lag, returns.policy)
-        if len(anchors) == 0:
+    all_lags = range(0, max_lag + 1, base)
+    for lag, (anchors, partners) in zip(all_lags, _pair_indices(t, returns.session_idx, all_lags, returns.policy)):
+        products = r[anchors] * r[partners]
+        if len(products) == 0:
             omitted.append(lag)
             continue
-        products = r[anchors] * r[partners]
         lags.append(lag)
         values.append(float(products.mean()))
         counts.append(len(products))
@@ -557,25 +681,28 @@ def empirical_kurtosis(
 ) -> KurtosisResult:
     """Excess kurtosis of drift-removed returns at each horizon. Horizons with
     fewer than 1000 samples are omitted with a diagnostic entry."""
+    taus = [int(t) for t in taus]
+    for tau in taus:
+        _check_tau(series, tau, policy)
+    lp = series.log_price()
     kept_taus, kappas, counts = [], [], []
     omitted: list[tuple[int, int]] = []
-    for tau in taus:
+    for tau, (anchors, partners) in zip(taus, _pair_indices(series.times, series.session_idx, taus, policy)):
         try:
-            rs = log_returns(series, int(tau), policy=policy, remove_drift=True)
+            v = _tau_returns(lp, anchors, partners, tau, policy, remove_drift=True)
         except DataError:
-            omitted.append((int(tau), 0))
+            omitted.append((tau, 0))
             continue
-        n = len(rs)
+        n = len(v)
         if n < MIN_KURTOSIS_SAMPLES:
-            omitted.append((int(tau), n))
+            omitted.append((tau, n))
             continue
-        v = rs.values
         m2 = float(np.mean(v**2))
         m4 = float(np.mean(v**4))
         if m2 == 0:
-            omitted.append((int(tau), n))
+            omitted.append((tau, n))
             continue
-        kept_taus.append(int(tau))
+        kept_taus.append(tau)
         kappas.append(m4 / m2**2 - 3.0)
         counts.append(n)
     return KurtosisResult(

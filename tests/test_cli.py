@@ -257,6 +257,21 @@ class TestSynthAndAnalyze:
         assert run(["analyze", "--input", prices, "--taus", "5:20:5", "--out-prefix", tmp_path / "run"]) == 2
         assert list(tmp_path.glob("run*")) == []
 
+    def test_negative_max_lag_is_usage_error(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 500, "--seed", 1, "--out", prices]) == 0
+        assert run(["analyze", "--input", prices, "--max-lag", -1, "--out-prefix", tmp_path / "run"]) == 1
+        assert "max_lag must be nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("taus", ["0:100:5", "-5:100:5"])
+    def test_non_positive_tau_start_is_usage_error(self, tmp_path, capsys, taus):
+        prices = tmp_path / "prices.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 500, "--seed", 1, "--out", prices]) == 0
+        assert run(["analyze", "--input", prices, f"--taus={taus}", "--out-prefix", tmp_path / "run"]) == 1
+        assert "tau range must start above 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
     def test_analyze_empty_file_is_data_error(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -321,6 +336,14 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert report["rate"] == pytest.approx(0.01, rel=1e-9)
         assert report["amplitude"] == pytest.approx(197.0, rel=1e-9)
+
+    @pytest.mark.parametrize("base", [0, -1])
+    def test_non_positive_base_minutes_is_usage_error(self, tmp_path, capsys, base):
+        path, _ = self.make_acf_csv(tmp_path)
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--kind", "acf", "--input", path, f"--base-minutes={base}", "--out", out]) == 1
+        assert "--base-minutes must be positive" in capsys.readouterr().err
+        assert list(tmp_path.glob("fit.json*")) == []
 
     def test_malformed_estimator_csv_is_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -2,9 +2,12 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qbmarket import (
     DataError,
@@ -21,7 +24,8 @@ from qbmarket import (
     synth_colored,
     synth_gbm,
 )
-from qbmarket.market import PriceSeries, ReturnSeries, SYNTH_START_MINUTE
+from qbmarket import market
+from qbmarket.market import PAIRING_POLICIES, PriceSeries, ReturnSeries, SYNTH_START_MINUTE
 
 
 def make_prices(text: str):
@@ -87,6 +91,232 @@ class TestLoadPrices:
     def test_comment_lines_skipped(self):
         series = make_prices("# qbmarket 0.1.0; input sha256=deadbeef\n" + CSV_OK)
         assert len(series) == 3
+
+
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def load_both(text: str):
+    """load_prices on a seekable source (read by column where the stamps
+    allow) and on an unseekable one (always the per-line parser)."""
+    return load_prices(io.StringIO(text)), load_prices(_Unseekable(text))
+
+
+def assert_same_series(a: PriceSeries, b: PriceSeries) -> None:
+    for name in ("times", "close", "session_idx"):
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.sessions == b.sessions
+    assert a.base_minutes == b.base_minutes
+
+
+def plain_csv(n_sessions: int = 3, seed: int = 0) -> str:
+    """Session-labelled minute bars with missing bars and overnight gaps, in
+    the `YYYY-MM-DDTHH:MM` form `qbm synth` writes."""
+    rng = np.random.default_rng(seed)
+    rows = ["# qbmarket test; input sha256=0", "timestamp,close,session"]
+    for day in range(n_sessions):
+        keep = np.flatnonzero(rng.random(390) > 0.05)
+        prices = 100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(len(keep))))
+        stamps = np.datetime64("2021-01-04T09:30") + np.timedelta64(day, "D") + keep.astype("m8[m]")
+        rows += [f"{t},{p!r},d{day}" for t, p in zip(np.datetime_as_string(stamps, unit="m"), prices.tolist())]
+    return "\n".join(rows) + "\n"
+
+
+class TestLoadPricesPaths:
+    def test_column_read_equals_line_read(self, monkeypatch):
+        text = plain_csv()
+        line_read = load_prices(_Unseekable(text))
+        # the per-line timestamp parser is not reached on plain stamps
+        monkeypatch.setattr(market, "_parse_minute", None)
+        column_read = load_prices(io.StringIO(text))
+        assert_same_series(column_read, line_read)
+        assert len(column_read.sessions) == 3
+
+    def test_seconds_and_offsets_read_line_by_line(self):
+        text = plain_csv()
+        plain = load_prices(io.StringIO(text))
+        stamp = re.compile(r"^(\d{4}-\d\d-\d\dT\d\d:\d\d),", re.M)
+        assert_same_series(load_prices(io.StringIO(stamp.sub(r"\1:00,", text))), plain)
+        shifted = load_prices(io.StringIO(stamp.sub(r"\1-05:00,", text)))
+        np.testing.assert_array_equal(shifted.times, plain.times + 300)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("{stamp},0,d0", "non-positive price"),
+            ("{stamp},nan,d0", "non-positive price"),
+            ("{stamp},abc,d0", "cannot parse price"),
+            ("{stamp}:30,100,d0", "not at minute resolution"),
+            ("{stamp},100", "expected 3 fields"),
+            ("", "blank row"),
+            ("0000-01-04T09:30,100,d0", "cannot parse timestamp"),
+            ("2021-01-04T24:30,100,d0", "cannot parse timestamp"),
+        ],
+    )
+    def test_bad_row_named_as_by_line_parser(self, row, message):
+        # the first data row, so that no order check can catch the row instead
+        lines = plain_csv().splitlines()
+        lines[2] = row.format(stamp=lines[2].split(",")[0])
+        text = "\n".join(lines) + "\n"
+        errors = []
+        for source in (io.StringIO(text), _Unseekable(text)):
+            with pytest.raises(DataError, match=f"line 3: .*{message}") as info:
+                load_prices(source)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("which", ["duplicate timestamp", "out of order"])
+    def test_order_checks_name_first_bad_line(self, which):
+        lines = plain_csv().splitlines()
+        stamp = lines[5].split(",")[0] if which == "duplicate timestamp" else lines[2].split(",")[0]
+        lines[6] = f"{stamp},100,d0"
+        lines[9] = lines[9].replace(",d0", "x,d0")  # a later bad row is not the one named
+        errors = []
+        for source in (io.StringIO("\n".join(lines)), _Unseekable("\n".join(lines))):
+            with pytest.raises(DataError, match=f"line 7: .*{which}") as info:
+                load_prices(source)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.replace("\n", "\r\n"),
+            lambda t: t.replace(",d1", ", d1"),
+            lambda t: t.replace("timestamp,close,session", "Timestamp, Close, Session"),
+            lambda t: t.replace("d2", '"d2"'),
+            lambda t: t.rstrip("\n"),
+        ],
+        ids=["crlf", "padded-label", "header-case", "quoted-label", "no-final-newline"],
+    )
+    def test_variants_agree_with_line_parser(self, edit):
+        column_read, line_read = load_both(edit(plain_csv()))
+        assert_same_series(column_read, line_read)
+        assert_same_series(column_read, load_prices(io.StringIO(plain_csv())))
+
+
+def reference_pairs(times, session_idx, lag: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every (anchor, partner) whose times are lag apart, by direct search."""
+    row_at = {int(t): i for i, t in enumerate(times)}
+    pairs = [
+        (i, row_at[int(t) + lag])
+        for i, t in enumerate(times)
+        if int(t) + lag in row_at and (policy == "contiguous" or session_idx[i] == session_idx[row_at[int(t) + lag]])
+    ]
+    return np.array([a for a, _ in pairs], dtype=np.int64), np.array([b for _, b in pairs], dtype=np.int64)
+
+
+@st.composite
+def gapped_times(draw):
+    n = draw(st.integers(1, 40))
+    base = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        gaps = [1] * (n - 1)
+    else:
+        gaps = draw(st.lists(st.sampled_from([1, 1, 2, 3, 7, 50, 400]), min_size=n - 1, max_size=n - 1))
+    times = draw(st.integers(-10_000, 10_000)) + base * np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)])
+    labels = draw(st.sampled_from(["one", "runs", "random"]))
+    if labels == "one":
+        session_idx = np.zeros(n, dtype=np.int64)
+    elif labels == "runs":
+        session_idx = np.cumsum(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=np.int64)
+    else:
+        session_idx = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+    span = int(times[-1] - times[0])
+    lags = draw(st.lists(st.integers(0, span + base), min_size=1, max_size=10))
+    return times.astype(np.int64), session_idx, lags
+
+
+class TestPairMatcher:
+    @given(case=gapped_times(), policy=st.sampled_from(PAIRING_POLICIES))
+    def test_matches_direct_search(self, case, policy):
+        times, session_idx, lags = case
+        rows = np.arange(len(times))
+        matched = list(market._pair_indices(times, session_idx, lags, policy))
+        assert len(matched) == len(lags)
+        for lag, (anchors, partners) in zip(lags, matched):
+            ref_a, ref_p = reference_pairs(times, session_idx, lag, policy)
+            np.testing.assert_array_equal(rows[anchors], ref_a)
+            np.testing.assert_array_equal(rows[partners], ref_p)
+
+    def test_negative_lag_rejected(self):
+        times = np.arange(10, dtype=np.int64)
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(market._pair_indices(times, np.zeros(10, dtype=np.int64), [3, -1], "contiguous"))
+
+
+def gapped_series() -> PriceSeries:
+    return load_prices(io.StringIO(plain_csv(n_sessions=4, seed=1)))
+
+
+def reference_increments(series: PriceSeries, tau: int, policy: str) -> np.ndarray:
+    a, p = reference_pairs(series.times, series.session_idx, tau, policy)
+    lp = series.log_price()
+    return lp[p] - lp[a]
+
+
+@pytest.mark.parametrize("policy", PAIRING_POLICIES)
+class TestStatisticsOnReferencePairs:
+    """Each estimator gives exactly what its formula gives on directly searched pairs."""
+
+    def test_empirical_acf(self, policy):
+        returns = log_returns(gapped_series(), 1, policy=policy)
+        acf = empirical_acf(returns, 120)
+        lags, values, counts, stderr, omitted = [], [], [], [], []
+        r = returns.values
+        for lag in range(0, 121):
+            a, p = reference_pairs(returns.times, returns.session_idx, lag, policy)
+            products = r[a] * r[p]
+            if len(products) == 0:
+                omitted.append(lag)
+                continue
+            lags.append(lag)
+            values.append(float(products.mean()))
+            counts.append(len(products))
+            stderr.append(float(products.std(ddof=1) / math.sqrt(len(products))) if len(products) > 1 else math.nan)
+        np.testing.assert_array_equal(acf.lags, lags)
+        assert np.array_equal(acf.values, values)
+        assert np.array_equal(acf.counts, counts)
+        assert np.array_equal(acf.stderr, stderr, equal_nan=True)
+        assert acf.omitted_lags == tuple(omitted)
+
+    def test_drift_vol_scaling(self, policy):
+        series = gapped_series()
+        taus = [1, 2, 5, 30, 90]
+        sc = drift_vol_scaling(series, taus, policy=policy)
+        incs = [reference_increments(series, tau, policy) for tau in taus]
+        assert np.array_equal(sc.mean_increment, [float(i.mean()) for i in incs])
+        assert np.array_equal(sc.sigma, [float(i.std(ddof=1)) for i in incs])
+        assert np.array_equal(sc.counts, [len(i) for i in incs])
+
+    def test_empirical_kurtosis(self, policy):
+        series = gapped_series()
+        taus = [1, 3, 10, 389, 500]
+        res = empirical_kurtosis(series, taus, policy=policy)
+        kappas, counts, omitted = [], [], []
+        for tau in taus:
+            v = reference_increments(series, tau, policy) / float(tau)
+            if len(v) < market.MIN_KURTOSIS_SAMPLES:
+                omitted.append((tau, len(v)))
+                continue
+            v = v - v.mean()
+            kappas.append(float(np.mean(v**4)) / float(np.mean(v**2)) ** 2 - 3.0)
+            counts.append(len(v))
+        assert np.array_equal(res.kappa, kappas)
+        assert np.array_equal(res.counts, counts)
+        assert res.omitted == tuple(omitted)
+
+    def test_contiguous_rows_match_as_shifts(self, policy):
+        series = synth_gbm(mu=0.0, sigma=0.01, n=3000, dt_minutes=1, seed=5)
+        acf = empirical_acf(log_returns(series, 1, policy=policy), 60)
+        np.testing.assert_array_equal(acf.counts, 2999 - acf.lags)
+        returns = log_returns(series, 1, policy=policy).values
+        for lag in (0, 7, 60):
+            products = returns[: len(returns) - lag] * returns[lag:]
+            assert acf.values[lag] == float(products.mean())
 
 
 class TestLogReturns:

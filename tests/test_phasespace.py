@@ -33,6 +33,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             PhaseSpaceGrid(-1, 1, 32, -1, 1, 32, np.ones((32, 32)))  # mass != 1
 
+    @pytest.mark.parametrize("cells", [{(3, 4): math.nan}, {(3, 4): math.inf, (5, 6): -math.inf}], ids=["nan", "inf"])
+    def test_non_finite_density_rejected(self, cells):
+        # both make the mass NaN, which no tolerance comparison rejects
+        w = np.full((16, 16), 1.0 / 4.0)
+        for cell, value in cells.items():
+            w[cell] = value
+        with pytest.raises(ValueError, match="finite"):
+            PhaseSpaceGrid(-1, 1, 16, -1, 1, 16, w)
+
     def test_gaussian_grid_moments(self):
         grid = PhaseSpaceGrid.gaussian(0.8, 1.7, 0.0, n_x=128, n_p=128)
         m = grid_moments(grid)
