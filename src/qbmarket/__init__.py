@@ -4,6 +4,9 @@ Closed-form moment and diffusion-coefficient laws of a dissipative
 quantum Brownian particle, moment-closure / Monte-Carlo / phase-space
 evolution, a minute-bar market-data pipeline, and autocorrelation
 calibration, wired together by the ``qbm`` command-line tool.
+
+``import qbmarket`` loads numpy only: each function that calls into scipy
+imports the scipy submodule it needs when it runs.
 """
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DegenerateDataError, InsufficientDataError
 from .market import AcfEstimate, _ols_line
@@ -181,6 +180,8 @@ def fit_acf(
     if not clear_peak:
         for om in np.linspace(0.0, omega_nyquist, 15)[1:-1]:
             candidates.append(NonMarkovParams(xi=start.xi, eta=start.eta, omega=float(om)))
+
+    from scipy.optimize import least_squares  # here, not at the top: `import qbmarket` loads numpy only
 
     best = None
     for cand in candidates:

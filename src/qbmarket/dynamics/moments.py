@@ -14,7 +14,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..errors import IntegrationError
 from ..model import ModelParams, NonMarkovParams, SecondMomentInit, _markov_delta, delta_coefficient, lambda_coefficient
@@ -259,6 +258,8 @@ def evolve_moments(
             delta, lam = schedule.coefficients(tt)
             mat = a_mat + (hb2 * delta * inv_pp) * b_mat + (hb2 * lam * inv_xp) * c_mat
             return mat @ y
+
+    from scipy.integrate import solve_ivp  # here, not at the top: `import qbmarket` loads numpy only
 
     y0 = init.vector() / scale
     sol = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", t_eval=t, rtol=rtol, atol=atol)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.ndimage import spline_filter1d
 
 from ..errors import StabilityError
 from ..model import ModelParams
@@ -240,6 +239,10 @@ def _cubic_shift(
     ``map_coordinates(order=3, mode="constant", cval=0.0, prefilter=True)`` when
     the other coordinate is the cell's own index, to roundoff.
     """
+    # here, not at the top, so that `import qbmarket` loads numpy only; this
+    # builds the operator once per run, outside the step loop
+    from scipy.ndimage import spline_filter1d
+
     n = shape[axis]
     base = np.floor(offset)
     t = offset - base

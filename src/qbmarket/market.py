@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DataError, DegenerateDataError, InsufficientDataError
 from .model import NonMarkovParams
@@ -501,8 +500,8 @@ def drift_vol_scaling(
     taus = [int(t) for t in taus]
     if len(taus) < 3:
         raise InsufficientDataError("drift/vol scaling needs at least 3 horizons")
-    if min(taus) <= 0:
-        raise ValueError("horizons must be positive")
+    for tau in taus:
+        _check_tau(series, tau, policy)
     lp = series.log_price()
     means, sigmas, counts = [], [], []
     for tau, (anchors, partners) in zip(taus, _pair_indices(series.times, series.session_idx, taus, policy)):
@@ -775,6 +774,8 @@ def synth_colored(
         chi = np.empty(n, dtype=complex)
         chi[0] = chi0
         if n > 1:
+            from scipy.signal import lfilter  # here, not at the top: `import qbmarket` loads numpy only
+
             chi[1:] = lfilter([1.0], [1.0, -a], w[1:], zi=np.array([a * chi0]))[0]
         y = chi.real
         colored = y * y - amp2 / 2.0

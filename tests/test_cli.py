@@ -389,6 +389,61 @@ class TestConfigFile:
         assert manifest["config"]["end"] == 10.0
 
 
+class TestImports:
+    # The steps run in order in one fresh interpreter; after each, the script
+    # records which of these scipy submodules sys.modules holds.
+    SCIPY_ON_DEMAND = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.ndimage")
+    SCRIPT = """
+import json, sys
+
+loaded = {}
+def note(step):
+    loaded[step] = [m for m in sys.argv[2:] if m in sys.modules]
+
+import qbmarket
+note("import qbmarket")
+from qbmarket.cli import main
+try:
+    main(["--version"])
+except SystemExit:
+    pass
+note("--version")
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    note(" ".join(argv[:3]) + " -> exit %d" % code)
+print(json.dumps(loaded))
+"""
+
+    def test_numpy_only_commands_load_no_scipy_submodule(self, tmp_path):
+        taus = np.arange(5, 205, 5)
+        (tmp_path / "k.csv").write_text(
+            "tau,kurtosis\n" + "\n".join(f"{t},{197.0 * math.exp(-0.01 * t):.17g}" for t in taus) + "\n"
+        )
+        steps = [
+            ["eval", "--formula", "variance", "--M", "10", "--gamma", "1e3", "--kT", "0.1", "--hbar", "0.01",
+             "--sx2-0", "1e-7", "--start", "0", "--end", "1", "--points", "5", "--out", "v.csv"],
+            ["synth", "--kind", "gbm", "--n", "600", "--seed", "1", "--out", "p.csv"],
+            ["analyze", "--input", "p.csv", "--taus", "1:3:1", "--max-lag", "5", "--out-prefix", "run"],
+            ["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"],
+            ["simulate", "--mode", "sde", "--x2", "1", "--t-end", "0.1", "--points", "3", "--n-paths", "1000",
+             "--dt", "0.01", "--seed", "1", "--out-prefix", "sde"],
+            # the last step does call scipy, so the probe is seen to work
+            ["synth", "--kind", "colored", "--n", "4000", "--xi", "5e-4", "--eta", "5e-3", "--omega", "0.02",
+             "--seed", "1", "--out", "c.csv"],
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(steps), *self.SCIPY_ON_DEMAND],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        ran = ["import qbmarket", "--version"] + [" ".join(s[:3]) + " -> exit 0" for s in steps]
+        assert list(loaded) == ran, proc.stderr
+        assert "scipy.signal" in loaded.pop(ran[-1])
+        assert loaded == {step: [] for step in loaded}
+
+
 class TestHelp:
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:

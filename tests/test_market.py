@@ -414,6 +414,17 @@ class TestDriftVolScaling:
         with pytest.raises(InsufficientDataError):
             drift_vol_scaling(series, [5, 10])
 
+    def test_unknown_policy_rejected(self):
+        series = synth_gbm(mu=0.0, sigma=0.01, n=500, dt_minutes=1, seed=1)
+        with pytest.raises(ValueError, match="unknown pairing policy"):
+            drift_vol_scaling(series, [1, 2, 3], policy="bogus")
+
+    def test_tau_off_base_resolution_is_usage_error(self):
+        # a horizon the 5-minute grid cannot hold is a bad argument, not short data
+        series = synth_gbm(mu=0.0, sigma=0.01, n=500, dt_minutes=5, seed=1)
+        with pytest.raises(ValueError, match="positive multiple of the base resolution"):
+            drift_vol_scaling(series, [5, 7, 10])
+
 
 class TestReturnHistogram:
     def test_gaussian_sample_within_binomial_bounds(self):
