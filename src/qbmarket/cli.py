@@ -9,7 +9,9 @@ atomically (unique temp file, rename on success), so a failed run leaves no
 partial output. Outputs carry no timestamps: a rerun from the same manifest is
 bit-identical.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure. A
+result holding a non-finite number is a numerical failure and is not written;
+the one exception is the ACF standard error at a lag with a single pair (NaN).
 Unconverged fits exit 0 with converged=false in the report (scriptable).
 The environment variable QBM_SEED is the fallback seed source; flags win.
 """
@@ -113,18 +115,40 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path.name}: refusing to write a non-finite number") from exc
+    _atomic_write(path, [text + "\n"])
+
+
+# the one column allowed to hold NaN: the ACF standard error at a lag with a single pair
+_NAN_COLUMN = "stderr"
+
+
+def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Iterable[str]:
+    """The text of one CSV file, checked now and formatted as it is consumed.
+
+    Numeric columns are written with 17 significant digits, string columns as
+    they are. A non-finite number outside the ``stderr`` column raises a
+    NumericalError before anything is produced.
+    """
+    cells = []
+    for key, col in columns.items():
+        if col.dtype.kind == "U":
+            cells.append(col)
+            continue
+        values = col.astype(float)
+        if key != _NAN_COLUMN and not np.isfinite(values).all():
+            raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
+        cells.append(map("{:.17g}".format, values.tolist()))
+    header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
+    return itertools.chain([header], (",".join(row) + "\n" for row in zip(*cells)))
 
 
 def _write_csv(path: Path, digest: str, columns: dict[str, np.ndarray]) -> None:
-    """Numeric columns are written with 17 significant digits, string columns
-    as they are. Rows are streamed, so the whole text is never held."""
-    cells = [
-        col if col.dtype.kind == "U" else map("{:.17g}".format, col.astype(float).tolist())
-        for col in columns.values()
-    ]
-    header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
-    _atomic_write(path, itertools.chain([header], (",".join(row) + "\n" for row in zip(*cells))))
+    """Rows are streamed, so the whole text is never held."""
+    _atomic_write(path, _csv_chunks(path.name, digest, columns))
 
 
 def _write_manifest(path: Path, command: str, config: dict, digest: str, outputs: list[str]) -> None:
@@ -538,10 +562,14 @@ def cmd_analyze(cfg: dict) -> int:
         "kurtosis": {"tau": kurt.taus, "kurtosis": kurt.kappa, "n": kurt.counts},
     }
     prefix = Path(cfg["out_prefix"])
-    outputs = []
+    # every table is checked before the first file is written
+    texts = {}
     for name, columns in tables.items():
         path = Path(f"{prefix}.{name}.csv")
-        _write_csv(path, digest, columns)
+        texts[path] = _csv_chunks(path.name, digest, columns)
+    outputs = []
+    for path, chunks in texts.items():
+        _atomic_write(path, chunks)
         outputs.append(path.name)
 
     _write_manifest(Path(str(prefix) + ".manifest.json"), "analyze", cfg, digest, outputs)
@@ -572,9 +600,12 @@ def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.n
             raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
         for c, cell in zip(header, row):
             try:
-                data[c].append(float(cell))
+                value = float(cell)
             except ValueError as exc:
                 raise DataError(f"{path}: row {i}: cannot parse {cell!r}") from exc
+            if c != _NAN_COLUMN and not math.isfinite(value):
+                raise DataError(f"{path}: row {i}: {c} is not finite ({cell.strip()!r})")
+            data[c].append(value)
     return {c: np.asarray(v) for c, v in data.items()}
 
 
@@ -679,7 +710,7 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

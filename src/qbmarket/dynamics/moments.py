@@ -267,6 +267,11 @@ def evolve_moments(
         t_fail = sol.t[-1] if len(sol.t) else t[0]
         raise IntegrationError(f"moment integration failed near t = {t_fail:.6g}: {sol.message}")
 
-    states = tuple(MomentState.from_vector(sol.y[:, i] * scale) for i in range(sol.y.shape[1]))
-    return MomentTrajectory(times=t.copy(), states=states)
+    states = []
+    for t_i, y in zip(t, sol.y.T):
+        try:
+            states.append(MomentState.from_vector(y * scale))
+        except ValueError as exc:  # the integrator left the region of valid moments
+            raise IntegrationError(f"moment integration invalid at t = {t_i:.6g}: {exc}") from exc
+    return MomentTrajectory(times=t.copy(), states=tuple(states))
 

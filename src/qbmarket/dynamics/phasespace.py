@@ -11,11 +11,16 @@ compression). Each is a shift along one axis whose departure points do not
 change from step to step, so its cubic B-spline interpolation is built once
 per run: the 4-tap weights and the tap indices of every cell. A substep then
 prefilters the density along that axis (mirror-extended spline coefficients)
-and applies the 4-tap operator; departure points outside the grid give 0. The
-normal and mixed diffusion terms are explicit central differences. The mixed
-term is not positivity preserving, so small negative densities are expected;
-they are tracked and reported, never clipped, because clipping would corrupt
-the moments.
+and applies the 4-tap operator; departure points outside the grid give 0.
+
+The normal diffusion term is integrated exactly in time for its zero-padded
+3-point stencil along p: the orthonormal DST-I matrix diagonalizes that
+stencil, so a substep is one transform, a per-mode decay factor and the
+inverse transform (unconditionally stable, and high-p modes decay rather than
+ring). The mixed term is an explicit central difference with its own time-step
+bound. It is not positivity preserving, so small negative densities are
+expected; they are tracked and reported, never clipped, because clipping would
+corrupt the moments.
 """
 
 from __future__ import annotations
@@ -202,24 +207,41 @@ class WignerEvolution:
 def stable_time_step(
     grid: PhaseSpaceGrid, schedule: KernelSchedule, t_end: float
 ) -> float:
-    """Stability bound dt <= min(dx M / p_max, dp / (2 gamma p_max),
-    dp^2 / (4 hbar^2 Delta_max)) / 2."""
+    """Largest step the scheme accepts: half the smallest of
+
+    - dx M / p_max: a step carries no density more than one cell along x;
+    - dp / (2 gamma p_max): the same along p for the damping drift;
+    - dx dp / (hbar^2 max|Lambda(t)|) over 513 times in [0, t_end], for the
+      explicit mixed term. Its central difference D_x D_p factors into two
+      antisymmetric difference matrices with imaginary eigenvalues of modulus
+      at most 1/dx and 1/dp, so the substep operator
+      -hbar^2 Lambda D_x D_p has real eigenvalues mu with
+      |mu| <= hbar^2 |Lambda| / (dx dp). An explicit step multiplies a mode by
+      1 + mu dt, which stays in [0, 2] (no sign flip, no growth beyond the
+      factor e^{mu dt} >= 1 + mu dt of the exact flow) when |mu| dt <= 1.
+
+    The normal diffusion term is integrated exactly and sets no bound.
+    """
     params = schedule.params
     p_max = max(abs(grid.p_min), abs(grid.p_max))
     bounds = [grid.dx * params.M / p_max]
     if params.gamma > 0:
         bounds.append(grid.dp / (2.0 * params.gamma * p_max))
     ts = np.linspace(0.0, t_end, 513)
-    delta_max = max(schedule.delta(float(t)) for t in ts)
-    diff_max = params.hbar**2 * delta_max
-    if diff_max > 0:
-        bounds.append(grid.dp**2 / (4.0 * diff_max))
+    mixed_max = params.hbar**2 * max(abs(schedule.lam(float(t))) for t in ts)
+    if mixed_max > 0:
+        bounds.append(grid.dx * grid.dp / mixed_max)
     return 0.5 * min(bounds)
 
 
-def _second_p(w: np.ndarray, dp: float) -> np.ndarray:
-    padded = np.pad(w, ((0, 0), (1, 1)))
-    return (padded[:, 2:] - 2.0 * w + padded[:, :-2]) / dp**2
+def _p_diffusion_modes(n_p: int, dp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DST-I matrix Q (symmetric, its own inverse) and the
+    eigenvalues of the zero-padded stencil (w[j+1] - 2 w[j] + w[j-1]) / dp^2:
+    that stencil equals Q diag(eig) Q."""
+    k = np.arange(1, n_p + 1)
+    q = math.sqrt(2.0 / (n_p + 1)) * np.sin(np.outer(k, k) * (math.pi / (n_p + 1)))
+    eig = -4.0 * np.sin(k * (0.5 * math.pi / (n_p + 1))) ** 2 / dp**2
+    return q, eig
 
 
 def _mixed_xp(w: np.ndarray, dx: float, dp: float) -> np.ndarray:
@@ -307,10 +329,14 @@ def evolve_wigner_pde(
 ) -> WignerEvolution:
     """Advance the phase-space density to t_end and record diagnostics.
 
-    dt defaults to the stability bound; a user-supplied dt above the bound is
-    rejected. Aborts with a StabilityError if the density blows up or
-    substantial mass reaches the grid boundary (both checked after every
-    step), or if it leaks mass (checked at sample times and at the end).
+    Without dt, the step count is the smallest multiple of the number of
+    sample intervals (len(sample_times) - 1) whose step fits the stability
+    bound, so uniformly spaced sample times from 0 to t_end fall on steps. A
+    user-supplied dt above the bound is rejected. A sample time between steps
+    is recorded at the nearest step. Aborts with a StabilityError if the
+    density blows up or substantial mass reaches the grid boundary (both
+    checked after every step), or if it leaks mass (checked at sample times
+    and at the end).
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -321,9 +347,13 @@ def evolve_wigner_pde(
             f"{BOUNDARY_INIT_FRACTION:g}; widen the grid"
         )
 
+    if sample_times is None:
+        sample_times = np.linspace(0.0, t_end, 9)
     dt_bound = stable_time_step(grid, schedule, t_end)
     if dt is None:
-        n_steps = max(1, int(math.ceil(t_end / dt_bound)))
+        # a multiple of the sample intervals, so a uniform sample grid lands on steps
+        k = max(1, len(sample_times) - 1)
+        n_steps = k * int(math.ceil(t_end / (k * dt_bound)))
         dt = t_end / n_steps
     else:
         if dt > dt_bound * (1.0 + 1e-12):
@@ -332,12 +362,11 @@ def evolve_wigner_pde(
         if abs(n_steps * dt - t_end) > 1e-9 * t_end:
             raise ValueError("dt must divide t_end evenly")
 
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 9)
     sample_idx = np.unique(np.clip(np.round(np.asarray(sample_times, dtype=float) / dt).astype(int), 0, n_steps))
 
     dx, dp = grid.dx, grid.dp
     advect_x, drift_p = _transport_substeps(grid, params, potential, 0.5 * dt)
+    q, eig = _p_diffusion_modes(grid.n_p, dp)
     hb2 = params.hbar**2
 
     w = grid.w.copy()
@@ -381,20 +410,13 @@ def evolve_wigner_pde(
             rec_pos += 1
         if step == n_steps:
             break
-        t_mid = (step + 0.5) * dt
-        delta, lam = schedule.coefficients(t_mid)
-
-        def diffusion(field: np.ndarray) -> np.ndarray:
-            flux = hb2 * delta * _second_p(field, dp)
-            if lam != 0.0:
-                flux = flux - hb2 * lam * _mixed_xp(field, dx, dp)
-            return flux
-
+        delta, lam = schedule.coefficients((step + 0.5) * dt)
         w = advect_x(w)
         w = drift_p(w)
-        # midpoint step keeps the diffusion substep second order in dt
-        w_mid = w + 0.5 * dt * diffusion(w)
-        w = w + dt * diffusion(w_mid)
+        if delta != 0.0:
+            w = ((w @ q) * np.exp((dt * hb2 * delta) * eig)) @ q
+        if lam != 0.0:
+            w = w - (dt * hb2 * lam) * _mixed_xp(w, dx, dp)
         w = drift_p(w)
         w = advect_x(w)
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: usage problems (ValueError and argument
-errors) exit 1, DataError exits 2, NumericalError exits 3.
+errors) exit 1, DataError exits 2, NumericalError and the builtin
+ArithmeticError (overflow, division by zero) exit 3.
 """
 
 

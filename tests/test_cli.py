@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qbmarket import cli
 from qbmarket.cli import main
+from qbmarket.errors import NumericalError
 
 
 def run(args):
@@ -88,6 +90,24 @@ class TestEval:
         (tmp_path / "out.csv.tmp").mkdir()
         assert run(["eval", "--formula", "classical", "--start", 0, "--end", 1, "--out", out]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json", "out.csv.tmp"]
+
+    @pytest.mark.parametrize("flags", [
+        # kT/(2 M gamma^2) overflows to inf and multiplies a bracket that underflowed to 0
+        ["--formula", "variance", "--gamma", 1e-160, "--sx2-0", 1],
+        # the cutoff squared underflows to 0, so J is 0/0 at omega = 0
+        ["--formula", "spectral-density", "--kind", "ohmic-lorentz", "--cutoff", 1e-320],
+    ], ids=["variance", "spectral-density"])
+    def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, flags):
+        assert run(["eval", *flags, "--start", 0, "--end", 1, "--points", 3, "--out", tmp_path / "e.csv"]) == 3
+        assert "refusing to write non-finite values" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys):
+        # gamma^2 underflows to 0 in a float division
+        assert run(["eval", "--formula", "variance", "--gamma", 1e-300, "--sx2-0", 1, "--start", 0, "--end", 1,
+                    "--points", 3, "--out", tmp_path / "e.csv"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_removes_its_temp_file(self, tmp_path):
         def chunks():
@@ -178,6 +198,48 @@ class TestSimulate:
                     "--points", 3, "--out-prefix", tmp_path / "leak"])
         assert code == 3
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--kernel", "non-markov", "--xi", 50, "--eta", 0.01, "--omega", 1, "--kT", 0.001, "--t-end", 100],
+        ["--rtol", 0.9, "--atol", 1, "--t-end", 10],
+    ], ids=["negative-variance", "cauchy-schwarz"])
+    def test_invalid_moment_state_is_numerical_failure(self, tmp_path, capsys, flags):
+        # the integrator, not the input, produced moments no density can have
+        assert run(["simulate", "--mode", "moments", "--M", 1, "--gamma", 1, "--hbar", 1, "--x2", 1, *flags,
+                    "--out-prefix", tmp_path / "m"]) == 3
+        assert "moment integration invalid at t =" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestWriters:
+    def test_json_writer_refuses_non_finite(self, tmp_path):
+        with pytest.raises(NumericalError, match="non-finite"):
+            cli._write_json(tmp_path / "r.json", {"amplitude": math.nan})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_writer_refuses_non_finite_outside_stderr(self, tmp_path):
+        lags = np.arange(3)
+        with pytest.raises(NumericalError, match="'acf'"):
+            cli._write_csv(tmp_path / "a.csv", "0", {"lag": lags, "acf": np.array([1.0, math.inf, 0.5])})
+        assert list(tmp_path.iterdir()) == []
+        # a lag with a single pair has no standard error
+        cli._write_csv(tmp_path / "a.csv", "0", {"lag": lags, "stderr": np.array([0.1, 0.2, math.nan])})
+        assert (tmp_path / "a.csv").read_text().splitlines()[-1] == "2,nan"
+
+    def test_analyze_writes_no_table_when_one_is_not_finite(self, tmp_path, monkeypatch):
+        prices = tmp_path / "prices.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 2000, "--seed", 1, "--out", prices]) == 0
+        real = cli.empirical_kurtosis
+
+        def nan_kurtosis(*args, **kwargs):
+            kurt = real(*args, **kwargs)
+            return SimpleNamespace(taus=kurt.taus, kappa=np.full(len(kurt.taus), math.nan), counts=kurt.counts)
+
+        # the kurtosis table is the last one written
+        monkeypatch.setattr(cli, "empirical_kurtosis", nan_kurtosis)
+        assert run(["analyze", "--input", prices, "--taus", "5:20:5", "--out-prefix", tmp_path / "run"]) == 3
+        assert list(tmp_path.glob("run*")) == []
 
 
 class TestSynthAndAnalyze:
@@ -345,6 +407,28 @@ class TestFitCommand:
         assert "--base-minutes must be positive" in capsys.readouterr().err
         assert list(tmp_path.glob("fit.json*")) == []
 
+    @pytest.mark.parametrize("kind,text", [
+        ("acf", "lag,acf\n0,1\n5,0.5\n10,nan\n15,0.1\n"),
+        ("kurtosis", "tau,kurtosis\n" + "".join(f"{t},{math.exp(-0.1 * t) if t != 30 else math.inf}\n"
+                                                 for t in range(5, 60, 5))),
+    ], ids=["acf-nan", "kurtosis-inf"])
+    def test_non_finite_estimator_cell_is_data_error(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "est.csv"
+        path.write_text(text)
+        assert run(["fit", "--kind", kind, "--input", path, "--out", tmp_path / "o.json"]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv"]
+
+    def test_nan_stderr_is_read(self, tmp_path):
+        path, nm = self.make_acf_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        # analyze writes NaN as the standard error of a lag with a single pair
+        lines = [lines[0] + ",stderr"] + [row + (",nan" if i == 0 else ",1e-9") for i, row in enumerate(lines[1:])]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--kind", "acf", "--input", path, "--out", out]) == 0
+        assert json.loads(out.read_text())["xi"] == pytest.approx(nm.xi, rel=1e-6)
+
     def test_malformed_estimator_csv_is_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lag,acf\n0,zero\n")
@@ -403,6 +487,7 @@ def note(step):
 import qbmarket
 note("import qbmarket")
 from qbmarket.cli import main
+from qbmarket.errors import NumericalError
 try:
     main(["--version"])
 except SystemExit:
@@ -442,6 +527,21 @@ print(json.dumps(loaded))
         assert list(loaded) == ran, proc.stderr
         assert "scipy.signal" in loaded.pop(ran[-1])
         assert loaded == {step: [] for step in loaded}
+
+
+    def test_pde_loads_ndimage_only(self, tmp_path):
+        # the p-diffusion substep is a numpy transform, not a scipy.linalg or scipy.fft call
+        step = ["simulate", "--mode", "pde", "--x2", "1", "--p2", "1", "--nx", "32", "--np", "32",
+                "--t-end", "0.05", "--points", "3", "--out-prefix", "pde"]
+        watched = (*self.SCIPY_ON_DEMAND, "scipy.linalg", "scipy.fft", "scipy.sparse")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps([step]), *watched],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded[" ".join(step[:3]) + " -> exit 0"] == ["scipy.ndimage"]
 
 
 class TestHelp:

@@ -18,7 +18,7 @@ from qbmarket.dynamics import (
     grid_moments,
     stable_time_step,
 )
-from qbmarket.dynamics.phasespace import _transport_substeps
+from qbmarket.dynamics.phasespace import _p_diffusion_modes, _transport_substeps
 
 
 def free_params() -> ModelParams:
@@ -103,6 +103,52 @@ class TestStability:
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=7.5, p_half_width=7.5, n_x=64, n_p=64)
         with pytest.raises(StabilityError, match="boundary-mass overflow"):
             evolve_wigner_pde(grid, sched, t_end=1.5, sample_times=[0.0])
+
+    def test_mixed_term_sets_the_bound_when_it_is_the_smallest(self):
+        # strong colored noise on a coarse grid: hbar^2 max|Lambda| is ~15, so
+        # dx dp / (hbar^2 max|Lambda|) is below both transport terms
+        from qbmarket import NonMarkovParams
+
+        params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0)
+        sched = KernelSchedule.non_markov(params, NonMarkovParams(xi=8.0, eta=2.0, omega=1.0))
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=32, n_p=32)
+        t_end = 1.0
+        lam_max = max(abs(sched.lam(float(t))) for t in np.linspace(0.0, t_end, 513))
+        mixed = grid.dx * grid.dp / (params.hbar**2 * lam_max)
+        p_max = grid.p_max
+        assert mixed < min(grid.dx * params.M / p_max, grid.dp / (2.0 * params.gamma * p_max))
+        bound = stable_time_step(grid, sched, t_end)
+        assert bound == pytest.approx(0.5 * mixed, rel=1e-12)
+        with pytest.raises(StabilityError, match="violates stability bound"):
+            evolve_wigner_pde(grid, sched, t_end=t_end, dt=t_end / math.floor(t_end / (1.25 * bound)))
+
+    def test_normal_diffusion_sets_no_bound(self):
+        # a thousand times the diffusion leaves dt at the x-transport term
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=10.0, p_half_width=7.0, n_x=64, n_p=64)
+        bounds = [
+            stable_time_step(grid, KernelSchedule.markov(ModelParams(M=1.0, gamma=0.25, kT=kT, hbar=1.0)), 1.0)
+            for kT in (1.0, 1000.0)
+        ]
+        assert bounds[0] == bounds[1] == 0.5 * grid.dx / 7.0
+
+
+class TestDiffusionSubstep:
+    def test_modes_diagonalize_the_zero_padded_stencil(self):
+        n, dp = 37, 0.3
+        q, eig = _p_diffusion_modes(n, dp)
+        stencil = (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1)) / dp**2
+        np.testing.assert_allclose(q @ q, np.eye(n), atol=1e-14)
+        np.testing.assert_allclose(q @ np.diag(eig) @ q, stencil, atol=1e-12 / dp**2)
+
+    def test_uniform_samples_land_on_steps(self):
+        # 8 sample intervals: the step count is a multiple of 8 and every
+        # requested time is recorded as it was asked for
+        params = ModelParams(M=1.0, gamma=0.25, kT=1.0, hbar=1.0)
+        grid = PhaseSpaceGrid.gaussian(1.0, 0.9, 0.0, x_half_width=14.0, p_half_width=7.0, n_x=64, n_p=64)
+        tgrid = np.linspace(0.0, 0.03, 9)
+        evo = evolve_wigner_pde(grid, KernelSchedule.markov(params), t_end=0.03, sample_times=tgrid)
+        assert evo.n_steps == 8
+        assert np.array_equal(evo.times, tgrid)
 
 
 class TestTransportSubsteps:
@@ -189,6 +235,35 @@ class TestAgainstMomentOde:
             assert np.max(rel) < 5e-3, key
         assert evo.mass_drift() < 1e-6
         assert evo.eps_neg < 1e-8
+
+    def test_relaxation_at_the_transport_step(self):
+        # the benchmark's relaxation case: 8 steps of dt = 3.75e-3, five times
+        # the step the explicit diffusion bound used to allow. Stated
+        # tolerances, against the moment ODE and against the explicit scheme
+        # (41 steps) this solver replaced, whose final values are the constants below
+        params = ModelParams(M=1.0, gamma=0.25, kT=1.0, hbar=1.0)
+        sched = KernelSchedule.markov(params)
+        grid = PhaseSpaceGrid.gaussian(1.0, 0.9, 0.0, x_half_width=14.0, p_half_width=7.0, n_x=256, n_p=256)
+        tgrid = np.linspace(0.0, 0.03, 9)
+        evo = evolve_wigner_pde(grid, sched, t_end=0.03, sample_times=tgrid)
+        assert evo.n_steps == 8
+        assert evo.mass_drift() < 1e-8
+        assert evo.eps_neg < 1e-20
+        traj = evolve_moments(MomentState.gaussian(1.0, 0.9, 0.0), sched, evo.times, rtol=1e-12, atol=1e-14)
+        scale = np.sqrt(traj.moment(2, 0) * traj.moment(0, 2))
+        for key in [(2, 0), (1, 1), (0, 2)]:
+            rel = np.abs(evo.moment(*key) - traj.moment(*key)) / np.maximum(np.abs(traj.moment(*key)), 1e-3 * scale)
+            assert np.max(rel) < 1e-5, key
+
+        explicit = {(2, 0): 1.0008068537644652, (1, 1): 0.026842839753691488, (0, 2): 0.9029554380620357,
+                    (4, 0): 3.0048429584711207, (0, 4): 2.4460726749275166}
+        final = evo.moments[-1]
+        assert abs(evo.masses[-1] - 1.000000000010906) < 1e-8
+        for key in [(2, 0), (0, 2)]:
+            assert final[key] == pytest.approx(explicit[key], rel=1e-6), key
+        assert abs(final[(1, 1)] - explicit[(1, 1)]) < 1e-6 * scale[-1]
+        for key in [(4, 0), (0, 4)]:
+            assert final[key] == pytest.approx(explicit[key], rel=1e-5), key
 
     def test_non_markovian_cross_term_changes_the_flow(self, nm_9904):
         # a visible cross-diffusion coefficient must steer m11 away from the
