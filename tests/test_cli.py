@@ -1,6 +1,7 @@
 """Command-line interface: every command end to end, exit codes, config-file
 merging, seeding, and reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -156,6 +157,21 @@ class TestSimulate:
         monkeypatch.delenv("QBM_SEED")
         assert run(args + ["--seed", 7, "--out-prefix", tmp_path / "flag"]) == 0
         assert (tmp_path / "env.csv").read_text() == (tmp_path / "flag.csv").read_text()
+
+    def test_sde_bytes_are_pinned(self, tmp_path):
+        # three path blocks (4096 + 4096 + 808); the digest is that of the
+        # serial block loop, so any change to any bit of the ensemble fails
+        assert run(["simulate", "--mode", "sde", "--M", 20, "--gamma", 1, "--kT", 1, "--hbar", 1,
+                    "--x2", 0.5, "--p2", 0.5, "--xp", 0.2, "--t-end", 0.5, "--points", 6, "--dt", 5e-3,
+                    "--n-paths", 9000, "--seed", 8, "--out-prefix", tmp_path / "sde"]) == 0
+        digest = hashlib.sha256((tmp_path / "sde.csv").read_bytes()).hexdigest()
+        assert digest == "f7839f9dc9f33f17c405ebe534cd1a520371a0d8720fbdfe30264c335f4d0b7c"
+
+    def test_sde_indefinite_initial_covariance_is_usage_error(self, tmp_path, capsys):
+        assert run(["simulate", "--mode", "sde", "--x2", 1, "--p2", 1, "--xp", 5, "--t-end", 0.1,
+                    "--dt", 1e-3, "--n-paths", 9000, "--seed", 1, "--out-prefix", tmp_path / "s"]) == 1
+        assert "not positive definite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_pde_matches_moments_mode(self, tmp_path):
         common = ["--M", 1, "--gamma", 0.25, "--kT", 1, "--hbar", 1,
@@ -528,6 +544,23 @@ print(json.dumps(loaded))
         assert "scipy.signal" in loaded.pop(ran[-1])
         assert loaded == {step: [] for step in loaded}
 
+
+    def test_startup_loads_no_thread_pool(self, tmp_path):
+        # only the sde ensemble needs concurrent.futures; `qbm --version` must not pay for it
+        step = ["simulate", "--mode", "sde", "--x2", "1", "--t-end", "0.1", "--points", "3", "--n-paths", "1000",
+                "--dt", "0.01", "--seed", "1", "--out-prefix", "sde"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps([step]), "concurrent.futures"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded == {
+            "import qbmarket": [],
+            "--version": [],
+            " ".join(step[:3]) + " -> exit 0": ["concurrent.futures"],
+        }
 
     def test_pde_loads_ndimage_only(self, tmp_path):
         # the p-diffusion substep is a numpy transform, not a scipy.linalg or scipy.fft call

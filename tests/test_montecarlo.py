@@ -1,11 +1,16 @@
 """Euler-Maruyama ensemble oracle: statistical agreement with the closed form
 and the moment recursion, reproducibility, and stability preconditions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbmarket import ModelParams, SecondMomentInit, StabilityError, variance_closed_form
 from qbmarket.dynamics import KernelSchedule, MomentState, evolve_moments, moment_derivative, simulate_sde_markov
+from qbmarket.dynamics import montecarlo
 from qbmarket.dynamics.moments import MOMENT_KEYS
 
 
@@ -21,6 +26,17 @@ class TestPreconditions:
         init = SecondMomentInit(sx2_0=1.0, sp2_0=1.0)
         with pytest.raises(ValueError):
             simulate_sde_markov(params, init, 100, dt=1e-3, t_end=0.1, seed=1)
+
+    def test_indefinite_initial_covariance_rejected_before_any_block(self, monkeypatch):
+        # |spx_0 / 2| = 2.5 exceeds sqrt(sx2_0 * sp2_0) = 1
+        def no_block(seed, block):
+            raise AssertionError(f"block {block} ran")
+
+        monkeypatch.setattr(montecarlo, "_block_rng", no_block)
+        params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0)
+        init = SecondMomentInit(sx2_0=1.0, sp2_0=1.0, spx_0=5.0)
+        with pytest.raises(ValueError, match="not positive definite"):
+            simulate_sde_markov(params, init, 3 * 4096, dt=1e-3, t_end=0.1, seed=1)
 
 
 class TestDegenerateDynamics:
@@ -123,3 +139,102 @@ class TestAgainstMomentOde:
             se = np.where(ens.stderr[key] > 0, ens.stderr[key], np.inf)
             ode = traj.moment(*key)
             assert np.all(np.abs(mc - ode) <= 3.0 * se + 1e-12), key
+
+
+def reference_simulate(params, init, n_paths, dt, t_end, seed, t_eval):
+    """The serial algorithm: blocks one after another, each step a fresh
+    array expression, every block adding into one shared pair of sums."""
+    n_steps = int(math.ceil(t_end / dt - 1e-12))
+    want = np.asarray(t_eval, dtype=float)
+    record_idx = np.unique(np.clip(np.round(want / dt).astype(int), 0, n_steps))
+    noise_sd = math.sqrt(4.0 * params.M * params.gamma * params.kT * dt)
+    damp = 2.0 * params.gamma * dt
+    inv_m = dt / params.M
+    chol = np.linalg.cholesky(np.array([[init.sx2_0, init.spx_0 / 2.0], [init.spx_0 / 2.0, init.sp2_0]]))
+    n_rec = len(record_idx)
+    sums = np.zeros((n_rec, len(MOMENT_KEYS)))
+    sq_sums = np.zeros((n_rec, len(MOMENT_KEYS)))
+    for b in range((n_paths + montecarlo.PATH_BLOCK - 1) // montecarlo.PATH_BLOCK):
+        size = min(montecarlo.PATH_BLOCK, n_paths - b * montecarlo.PATH_BLOCK)
+        rng = montecarlo._block_rng(seed, b)
+        x, p = chol @ rng.standard_normal((2, size))
+        rec_pos = 0
+        for step in range(n_steps + 1):
+            while rec_pos < n_rec and record_idx[rec_pos] == step:
+                montecarlo._accumulate(sums[rec_pos], sq_sums[rec_pos], x, p)
+                rec_pos += 1
+            if step == n_steps:
+                break
+            dw = rng.standard_normal(size)
+            x = x + p * inv_m
+            p = p - damp * p + noise_sd * dw
+    mean = {key: sums[:, i] / n_paths for i, key in enumerate(MOMENT_KEYS)}
+    stderr = {
+        key: np.sqrt(np.maximum(sq_sums[:, i] / n_paths - mean[key] ** 2, 0.0) / n_paths)
+        for i, key in enumerate(MOMENT_KEYS)
+    }
+    return record_idx * dt, mean, stderr
+
+
+def assert_same_ensemble(ens, ref):
+    times, mean, stderr = ref
+    np.testing.assert_array_equal(ens.times, times)
+    for key in MOMENT_KEYS:
+        np.testing.assert_array_equal(ens.mean[key], mean[key], err_msg=str(key))
+        np.testing.assert_array_equal(ens.stderr[key], stderr[key], err_msg=str(key))
+
+
+EQUIVALENCE_PARAMS = ModelParams(M=20.0, gamma=1.0, kT=1.0, hbar=1.0)
+EQUIVALENCE_INIT = SecondMomentInit(sx2_0=0.5, sp2_0=0.5, spx_0=0.3)
+EQUIVALENCE_DT = 1e-2
+
+
+@st.composite
+def record_grids(draw):
+    """t_end and a record grid holding t = 0, t_end, free times and pairs of
+    times that round to the same step."""
+    t_end = draw(st.floats(0.005, 0.2))
+    inside = st.floats(0.0, t_end)
+    times = [0.0, t_end, *draw(st.lists(inside, max_size=4))]
+    for t in draw(st.lists(inside, max_size=2)):
+        times += [t, min(t_end, t + 0.3 * EQUIVALENCE_DT)]
+    return t_end, draw(st.permutations(times))
+
+
+class TestParallelBlocks:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_paths=st.sampled_from([1000, 4096, 4097, 3 * 4096 + 5]),
+        grid=record_grids(),
+        seed=st.integers(0, 2**63),
+    )
+    @example(n_paths=3 * 4096 + 5, grid=(0.1, [0.0, 0.031, 0.033, 0.1]), seed=0)
+    def test_equals_serial_reference(self, n_paths, grid, seed):
+        t_end, t_eval = grid
+        args = (EQUIVALENCE_PARAMS, EQUIVALENCE_INIT, n_paths, EQUIVALENCE_DT, t_end, seed)
+        assert_same_ensemble(simulate_sde_markov(*args, t_eval=t_eval), reference_simulate(*args, t_eval))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_worker_count_does_not_change_bytes(self, monkeypatch, workers):
+        # 3 workers is more than the 2 CPUs of the smallest supported host
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+        args = (EQUIVALENCE_PARAMS, EQUIVALENCE_INIT, 3 * 4096 + 5, EQUIVALENCE_DT, 0.2, 31)
+        t_eval = [0.0, 0.05, 0.2]
+        assert_same_ensemble(simulate_sde_markov(*args, t_eval=t_eval), reference_simulate(*args, t_eval))
+
+    def test_failed_block_cancels_blocks_not_started(self, monkeypatch):
+        started = []
+        block_rng = montecarlo._block_rng
+
+        def failing_first(seed, block):
+            started.append(block)
+            if block == 0:
+                raise RuntimeError("block 0 failed")
+            return block_rng(seed, block)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_block_rng", failing_first)
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            simulate_sde_markov(EQUIVALENCE_PARAMS, EQUIVALENCE_INIT, 8 * 4096, EQUIVALENCE_DT, 2.0, seed=1)
+        # the one worker may have picked up block 1 before the failure was seen
+        assert started in ([0], [0, 1])
