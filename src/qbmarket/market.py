@@ -16,12 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, DegenerateDataError, InsufficientDataError
 from .model import NonMarkovParams
@@ -242,20 +244,37 @@ def _read_lines(source: TextIO) -> tuple[np.ndarray, np.ndarray, list[bool]]:
     return np.asarray(times, dtype=np.int64), np.asarray(closes), new_session
 
 
-# `YYYY-MM-DDTHH:MM,`: a digit where the template has '0', the byte itself elsewhere
-_STAMP_TEMPLATE = np.frombuffer(b"0000-00-00T00:00,", dtype=np.uint8)
+# The stamp forms read by column, and the comma after the stamp. The first
+# data row fixes which one a file has; every row must then match it.
+_STAMP = re.compile(rb"\d{4}-\d\d-\d\d[T ]\d\d:\d\d(:\d\d)?(Z|[+-]\d\d:\d\d)?,")
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int64)
+
+
+def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Days from 1970-01-01 to each proleptic Gregorian date (H. Hinnant,
+    "chrono-Compatible Low-Level Date Algorithms"), in int64."""
+    year = year - (month <= 2)
+    era = year // 400
+    yoe = year - era * 400
+    doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
 def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Read the rest of source by column with np.loadtxt, if every stamp has
-    the exact form `YYYY-MM-DDTHH:MM` (what `qbm synth` writes).
+    """Read the rest of source by column, if every stamp has one form
+    `YYYY-MM-DD{T| }HH:MM`, then an optional `:00`, then an optional `Z` or
+    `+HH:MM`/`-HH:MM` offset.
+
+    The stamps are read from the bytes: one gather of the stamp columns,
+    range checks (month, day within the month, hour, minute, offset) and the
+    days-from-civil formula. Close and session come from one np.loadtxt.
 
     Returns what the per-line parser returns for such a file, or None where
-    that parser is needed: other stamp forms (np.loadtxt would silently drop
-    seconds), non-ASCII text, carriage returns, and comments, quotes, blank
-    rows or whitespace after the header, a value np.loadtxt cannot read, and
-    any row that fails validation, so the error names the same line either
-    way.
+    that parser is needed: other stamp forms, nonzero seconds, a date or time
+    out of range, non-ASCII text, carriage returns, and comments, quotes,
+    blank rows or whitespace after the header (bar the space separating date
+    and time), a value np.loadtxt cannot read, and any row that fails
+    validation, so the error names the same line either way.
     """
     text = source.read()
     if "\r" in text or not text.isascii():
@@ -270,34 +289,71 @@ def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
             break
         start = end + 1
     header = text[start:end]
-    # the first row decides most files without a pass over the rest
-    if header not in ("timestamp,close", "timestamp,close,session") or text[end + 17 : end + 18] != ",":
+    if header not in ("timestamp,close", "timestamp,close,session"):
         return None
     if text.find('"', end) >= 0 or text.find("#", end) >= 0 or "\x7f" in text:
         return None
     data = text.encode("ascii")
     del text
+    # the first row decides most files without a pass over the rest
+    first = _STAMP.match(data, end + 1)
+    if first is None:
+        return None
+    layout = np.frombuffer(re.sub(rb"\d", b"0", first[0]), dtype=np.uint8)
+    # the column of the offset's sign, before `HH:MM,`
+    sign = len(layout) - 7 if first[2] not in (None, b"Z") else None
     buf = np.frombuffer(data, dtype=np.uint8)[end + 1 :]
     if data.endswith(b"\n"):
         buf = buf[:-1]
     ends = np.flatnonzero(buf == ord("\n"))
-    # the newline is the only control or blank byte a row may hold
-    if np.count_nonzero(buf <= ord(" ")) != len(ends):
-        return None
     starts = np.concatenate([[0], ends + 1])
     width = np.append(ends, len(buf)) - starts
-    if np.any(width <= len(_STAMP_TEMPLATE)):
+    if np.any(width <= len(layout)):
         return None
-    for offset, expected in enumerate(_STAMP_TEMPLATE):
-        column = buf[starts + offset]
-        if expected == ord("0"):
-            ok = (column >= ord("0")) & (column <= ord("9"))
-        else:
-            ok = column == expected
-        if not np.all(ok):
+    # the newline is the only control or blank byte a row may hold, bar the
+    # date-time separator of the space layout (checked below to sit at 10)
+    spaces = len(starts) if layout[10] == ord(" ") else 0
+    if np.count_nonzero(buf <= ord(" ")) != len(ends) + spaces:
+        return None
+
+    stamps = sliding_window_view(buf, len(layout))[starts]
+    digits = stamps - np.uint8(ord("0"))  # non-digits wrap above 9
+    is_digit = layout == ord("0")
+    literal = ~is_digit
+    if sign is not None:
+        literal[sign] = False
+        if not np.all((stamps[:, sign] == ord("+")) | (stamps[:, sign] == ord("-"))):
             return None
+    if not (np.all(digits[:, is_digit] <= 9) and np.all(stamps[:, literal] == layout[literal])):
+        return None
+
+    def number(column: int, n_digits: int) -> np.ndarray:
+        value = np.zeros(len(starts), dtype=np.int64)
+        for c in range(column, column + n_digits):
+            value = value * 10 + digits[:, c]
+        return value
+
+    year, month, day = number(0, 4), number(5, 2), number(8, 2)
+    hour, minute = number(11, 2), number(14, 2)
+    if not (np.all(year >= 1) and np.all((month >= 1) & (month <= 12))):
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[month - 1] + ((month == 2) & leap)
+    if not np.all((day >= 1) & (day <= month_days) & (hour <= 23) & (minute <= 59)):
+        return None
+    # nonzero seconds are left to the per-line parser's resolution error
+    if first[1] is not None and np.any(digits[:, 17:19]):
+        return None
+    times = _days_from_civil(year, month, day) * 1440 + hour * 60 + minute
+    if sign is not None:
+        offset = number(sign + 1, 2), number(sign + 4, 2)
+        if not np.all((offset[0] <= 23) & (offset[1] <= 59)):
+            return None
+        times -= np.where(stamps[:, sign] == ord("-"), -1, 1) * (offset[0] * 60 + offset[1])
+    del stamps, digits
+
     has_session = header.endswith("session")
-    fields = [("time", "M8[m]"), ("close", "f8")]
+    fields = [("stamp", f"S{len(layout) - 1}"), ("close", "f8")]
     if has_session:
         fields.append(("session", f"S{width.max()}"))
     try:
@@ -306,10 +362,6 @@ def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
         )
     except ValueError:
         return None
-    # numpy reads year 0000, datetime does not
-    if np.any(rows["time"] < np.datetime64("0001-01-01T00:00")):
-        return None
-    times = rows["time"].astype(np.int64)
     close = np.ascontiguousarray(rows["close"])
     if not (np.all(close > 0) and np.all(np.isfinite(close)) and np.all(np.diff(times) > 0)):
         return None
@@ -326,8 +378,9 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
     Timestamps must be ISO-8601 at minute resolution, strictly increasing;
     prices must be positive. Malformed rows are hard errors naming the line.
     Rows sharing a session label form one session; without the column the
-    whole series is one session. A seekable source whose stamps all have the
-    form `YYYY-MM-DDTHH:MM` is read by column; any other goes line by line.
+    whole series is one session. A seekable source whose stamps all share one
+    form `YYYY-MM-DD{T| }HH:MM[:00][Z|+HH:MM|-HH:MM]` is read by column; any
+    other, and any file with an error, goes line by line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:

@@ -275,7 +275,8 @@ def spectral_density(params: ModelParams, spec: BathSpectrum, omega) -> float | 
     """Bath spectral density J(omega) for the selected kind.
 
     ohmic          : 2 M gamma omega / pi
-    ohmic-lorentz  : 2 M gamma omega cutoff^2 / (pi (cutoff^2 + omega^2))
+    ohmic-lorentz  : 2 M gamma omega cutoff^2 / (pi (cutoff^2 + omega^2)),
+                     evaluated as ohmic / (1 + (omega/cutoff)^2)
     composite      : ohmic plus three Lorentzians of width eta centered at
                      0 (double weight) and +-2 omega_market, each carrying
                      weight M^2 gamma^2 xi^2 eta / (pi kT)
@@ -285,8 +286,8 @@ def spectral_density(params: ModelParams, spec: BathSpectrum, omega) -> float | 
     if spec.kind == "ohmic":
         out = ohmic
     elif spec.kind == "ohmic-lorentz":
-        c2 = spec.cutoff**2
-        out = ohmic * c2 / (c2 + w**2)
+        with np.errstate(over="ignore"):  # omega/cutoff -> inf gives J -> 0, its limit
+            out = ohmic / (1.0 + (w / spec.cutoff) ** 2)
     else:
         if params.kT == 0:
             raise ValueError("composite spectral density requires kT > 0")
@@ -312,19 +313,22 @@ def variance_closed_form(params: ModelParams, init: SecondMomentInit, t) -> floa
     The thermal term is kT/(2 M gamma^2) (x - u - u^2/2) with x = 2 gamma t and
     u = 1 - e^{-x}. That bracket equals sum_{n>=3} u^n / n, which is summed
     directly below u = 0.1, where the difference of the three terms would lose
-    most of its digits (and could turn negative).
+    most of its digits (and could turn negative). There the 1/gamma^2 goes in
+    as (u/gamma)^2, which tends to (2t)^2 as gamma -> 0, so no factor
+    overflows or underflows at tiny gamma.
     """
     tt = _as_nonnegative(t, "t")
     g, M, kT = params.gamma, params.M, params.kT
     x = 2.0 * g * tt
     u = -np.expm1(-x)
-    relax = u / (2.0 * M * g)
+    u_g = u / g
+    relax = u_g / (2.0 * M)
     series = np.zeros_like(u)
-    for n in range(20, 2, -1):  # Horner form of sum_{n=3}^{20} u^n / n; u^18 < 1e-18
+    for n in range(20, 2, -1):  # Horner form of sum_{n=3}^{20} u^(n-2) / n; u^18 < 1e-18
         series = u * (series + 1.0 / n)
-    series *= u**2
-    bracket = np.where(u < 0.1, series, x - u - 0.5 * u**2)
-    out = init.sx2_0 + relax**2 * init.sp2_0 + relax * init.spx_0 + (kT / (2.0 * M * g**2)) * bracket
+    series *= u_g**2
+    thermal = np.where(u < 0.1, series, (x - u - 0.5 * u**2) / g / g)
+    out = init.sx2_0 + relax**2 * init.sp2_0 + relax * init.spx_0 + (kT / (2.0 * M)) * thermal
     return _like_input(out, t)
 
 

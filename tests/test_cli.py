@@ -93,22 +93,44 @@ class TestEval:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.manifest.json", "out.csv.tmp"]
 
     @pytest.mark.parametrize("flags", [
-        # kT/(2 M gamma^2) overflows to inf and multiplies a bracket that underflowed to 0
-        ["--formula", "variance", "--gamma", 1e-160, "--sx2-0", 1],
-        # the cutoff squared underflows to 0, so J is 0/0 at omega = 0
-        ["--formula", "spectral-density", "--kind", "ohmic-lorentz", "--cutoff", 1e-320],
+        # the thermal term passes the largest float by t = 10
+        ["--formula", "variance", "--kT", 1e308, "--sx2-0", 1, "--end", 10],
+        # 2 M gamma overflows to inf, so J is inf, and nan at omega = 0
+        ["--formula", "spectral-density", "--kind", "ohmic", "--M", 1e300, "--gamma", 1e10, "--end", 1],
     ], ids=["variance", "spectral-density"])
     def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, flags):
-        assert run(["eval", *flags, "--start", 0, "--end", 1, "--points", 3, "--out", tmp_path / "e.csv"]) == 3
+        assert run(["eval", *flags, "--start", 0, "--points", 3, "--out", tmp_path / "e.csv"]) == 3
         assert "refusing to write non-finite values" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys):
-        # gamma^2 underflows to 0 in a float division
-        assert run(["eval", "--formula", "variance", "--gamma", 1e-300, "--sx2-0", 1, "--start", 0, "--end", 1,
+        # hbar**2 of a Python float overflows and raises OverflowError
+        assert run(["eval", "--formula", "variance-short", "--hbar", 1e200, "--sx2-0", 1, "--start", 0, "--end", 1,
                     "--points", 3, "--out", tmp_path / "e.csv"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
+    def test_tiny_gamma_variance_is_the_free_limit(self, tmp_path, gamma):
+        # 1/gamma^2 overflowed against a bracket that underflowed to 0 (1e-160),
+        # or gamma^2 itself underflowed to 0 (1e-300)
+        out = tmp_path / "v.csv"
+        assert run(["eval", "--formula", "variance", "--M", 1, "--gamma", gamma, "--kT", 1, "--hbar", 1,
+                    "--sx2-0", 1, "--start", 0, "--end", 1, "--points", 3, "--out", out]) == 0
+        _, rows = read_csv(out)
+        t = rows[:, 0]
+        sp2_0 = 0.25  # minimal uncertainty: hbar^2 / (4 sx2_0)
+        limit = 1.0 + t**2 * sp2_0 + 4.0 * gamma * t**3 / 3.0
+        np.testing.assert_allclose(rows[:, 1], limit, rtol=1e-12, atol=0)
+
+    def test_underflowing_cutoff_spectral_density_is_written(self, tmp_path):
+        # the cutoff squared underflowed to 0, so J was 0/0 at omega = 0
+        out = tmp_path / "j.csv"
+        assert run(["eval", "--formula", "spectral-density", "--kind", "ohmic-lorentz", "--cutoff", 1e-320,
+                    "--start", 0, "--end", 1, "--points", 3, "--out", out]) == 0
+        _, rows = read_csv(out)
+        assert rows[0].tolist() == [0.0, 0.0]
+        assert np.all(rows[:, 1] == 0.0)
 
     def test_failed_write_removes_its_temp_file(self, tmp_path):
         def chunks():
@@ -310,6 +332,34 @@ class TestSynthAndAnalyze:
         assert abs(fit.exponent - 0.5) < 0.05
         for suffix in (".scaling.csv", ".histogram.csv", ".acf.csv", ".kurtosis.csv", ".manifest.json"):
             assert (tmp_path / ("run" + suffix)).exists()
+
+    def test_offset_sessions_bytes_are_pinned(self, tmp_path):
+        # three sessions at -05:00 with seconds and missing bars; the digests
+        # are those of the per-line stamp parser, so any change to how such
+        # stamps are read shows in every statistics file
+        rng = np.random.default_rng(12)
+        lines = ["timestamp,close,session"]
+        log_price = math.log(100.0)
+        for day in ("2021-03-01", "2021-03-02", "2021-03-03"):
+            walk = log_price + np.cumsum(1e-3 * rng.standard_normal(390))
+            for minute in np.flatnonzero(rng.random(390) >= 0.03):
+                hh, mm = divmod(570 + int(minute), 60)
+                lines.append(f"{day}T{hh:02d}:{mm:02d}:00-05:00,{math.exp(walk[minute]):.12g},{day}")
+            log_price = walk[-1]
+        prices = tmp_path / "sessions.csv"
+        prices.write_text("\n".join(lines) + "\n")
+        assert run(["analyze", "--input", prices, "--policy", "intraday-only", "--taus", "1:5:1",
+                    "--max-lag", 30, "--out-prefix", tmp_path / "s"]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / f"s.{name}.csv").read_bytes()).hexdigest()
+            for name in ("scaling", "histogram", "acf", "kurtosis")
+        }
+        assert digests == {
+            "scaling": "fca34cdf7cd51f0e949f4c4eb346b60ea926c8ebc41dd9d994c4d5a38c71a7dd",
+            "histogram": "499cae97b4b7a4ba8ec307f262b093d74cf8ad119f62ff7b2720551d82246a7b",
+            "acf": "0b4912ec75973196305d3294fda6a5c29d4320891248c18547937059c676d461",
+            "kurtosis": "e648c96accdc0fca7f1d101016700cd41ec64d982e987e104d05578e5260ddb4",
+        }
 
     def test_analyze_colored_input_acf_matches_model(self, tmp_path):
         nm_flags = ["--xi", 5.48e-4, "--eta", 5.56e-3, "--omega", 8.33e-3 * math.pi]

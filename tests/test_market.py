@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbmarket import (
@@ -196,6 +196,98 @@ class TestLoadPricesPaths:
         column_read, line_read = load_both(edit(plain_csv()))
         assert_same_series(column_read, line_read)
         assert_same_series(column_read, load_prices(io.StringIO(plain_csv())))
+
+
+# one offset per session of plain_csv: both signs, and a half-hour zone
+SESSION_OFFSETS = {"d0": "+08:00", "d1": "-05:00", "d2": "-03:30"}
+
+
+# per field, values that fromisoformat rejects, that are off the minute or
+# that the per-line parser reads differently (some days are valid in some
+# months only; labels are stripped)
+_EDGES = {
+    "year": ["0000", "0001", "9999"],
+    "month": ["00", "13"],
+    "day": ["00", "29", "30", "31", "32"],
+    "sep": ["t", "_"],
+    "hour": ["24"],
+    "minute": ["60"],
+    "seconds": [":30", ":59", ":60", ":0"],
+    "zone": ["-24:00", "+12:60", "+0800", "_05:00", "Z", "z"],
+    "close": ["nan", "inf", "-1", "0", "1_0", "abc", ""],
+    "session": [" a", "b "],
+}
+_ZONES = ["+00:00", "-00:00", "+08:00", "-05:00", "+05:30", "+23:59", "-23:59"]
+
+
+@st.composite
+def stamped_files(draw):
+    """One- to four-row files whose stamps share a form, each valid or with
+    one field of one row set to an edge value."""
+    sep = draw(st.sampled_from(["T", " "]))
+    seconds = draw(st.sampled_from(["", ":00"]))
+    zone = draw(st.sampled_from(["", "Z", "offset"]))
+    by_minute = st.lists(st.datetimes(), min_size=1, max_size=4, unique_by=lambda t: t.replace(second=0, microsecond=0))
+    stamps = sorted(draw(by_minute))
+    rows = [
+        {
+            "year": f"{t.year:04d}", "month": f"{t.month:02d}", "day": f"{t.day:02d}", "sep": sep,
+            "hour": f"{t.hour:02d}", "minute": f"{t.minute:02d}", "seconds": seconds,
+            "zone": draw(st.sampled_from(_ZONES)) if zone == "offset" else zone,
+            "close": draw(st.sampled_from(["100", "101.25", "1e2"])), "session": draw(st.sampled_from("ab")),
+        }
+        for t in stamps
+    ]
+    if draw(st.booleans()):
+        field = draw(st.sampled_from(sorted(_EDGES)))
+        draw(st.sampled_from(rows))[field] = draw(st.sampled_from(_EDGES[field]))
+    return "timestamp,close,session\n" + "".join(
+        "{year}-{month}-{day}{sep}{hour}:{minute}{seconds}{zone},{close},{session}\n".format(**row) for row in rows
+    )
+
+
+def _file(*stamps: str) -> str:
+    return "timestamp,close,session\n" + "".join(f"{stamp},100,a\n" for stamp in stamps)
+
+
+class TestStampForms:
+    @pytest.mark.parametrize("zone", ["", "Z", "offset"])
+    @pytest.mark.parametrize("seconds", ["", ":00"])
+    @pytest.mark.parametrize("sep", ["T", " "], ids=["T", "space"])
+    def test_every_documented_form_read_by_column(self, monkeypatch, sep, seconds, zone):
+        def restamp(match):
+            tz = SESSION_OFFSETS[match[4]] if zone == "offset" else zone
+            return f"{match[1]}{sep}{match[2]}{seconds}{tz},{match[3]},{match[4]}"
+
+        text = re.sub(r"^(\d{4}-\d\d-\d\d)T(\d\d:\d\d),([^,]*),(d\d)$", restamp, plain_csv(), flags=re.M)
+        line_read = load_prices(_Unseekable(text))
+
+        def no_line_parser(source):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(market, "_read_lines", no_line_parser)
+        assert_same_series(load_prices(io.StringIO(text)), line_read)
+
+    @given(text=stamped_files())
+    @example(text=_file("2023-02-29T09:30"))
+    @example(text=_file("2024-02-29 23:59:00Z", "2024-03-01 00:00:00Z"))
+    @example(text=_file("0000-12-31T23:59"))
+    @example(text=_file("0001-01-01T00:00+23:59", "9999-12-31T23:59-23:59"))
+    @example(text=_file("2021-01-04T09:30+05:00", "2021-01-04T09:31-24:00"))
+    @example(text=_file("2021-01-04T09:30+05:00", "2021-01-04T09:31_05:00"))
+    @example(text=_file("2021-01-04 09:30:00", "2021-01-04 09:31:30"))
+    @settings(max_examples=300, deadline=None)
+    def test_column_and_line_readers_agree(self, text):
+        outcomes = []
+        for source in (io.StringIO(text), _Unseekable(text)):
+            try:
+                outcomes.append(load_prices(source))
+            except DataError as exc:
+                outcomes.append(str(exc))
+        if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            assert_same_series(*outcomes)
 
 
 def reference_pairs(times, session_idx, lag: int, policy: str) -> tuple[np.ndarray, np.ndarray]:

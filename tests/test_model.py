@@ -217,6 +217,23 @@ class TestSpectralDensity:
         # far above cutoff the density is suppressed
         assert spectral_density(params, lorentz, 1e4) < spectral_density(params, BathSpectrum("ohmic"), 1e4)
 
+    def test_lorentz_matches_former_form(self):
+        # the former form, ohmic * cutoff^2 / (cutoff^2 + omega^2)
+        params = ModelParams(M=2.0, gamma=0.5, kT=1.0, hbar=1.0)
+        w = np.concatenate([[0.0], np.logspace(-6, 6, 121)])
+        ohmic = 2.0 * params.M * params.gamma * w / math.pi
+        for cutoff in np.logspace(-4, 4, 17):
+            lorentz = spectral_density(params, BathSpectrum("ohmic-lorentz", cutoff=cutoff), w)
+            np.testing.assert_allclose(lorentz, ohmic * cutoff**2 / (cutoff**2 + w**2), rtol=1e-14, atol=0)
+
+    def test_lorentz_with_underflowing_cutoff(self):
+        # cutoff^2 underflows to 0, which made J 0/0 at omega = 0
+        params = ModelParams(M=2.0, gamma=0.5, kT=1.0, hbar=1.0)
+        w = np.array([0.0, 5e-321, 0.5, 1e300])
+        lorentz = spectral_density(params, BathSpectrum("ohmic-lorentz", cutoff=1e-320), w)
+        assert lorentz[0] == 0.0
+        assert np.all(np.isfinite(lorentz)) and np.all(lorentz >= 0.0)
+
     def test_composite_reduces_to_ohmic_for_zero_intensity(self):
         params = ModelParams(M=1.0, gamma=2.0, kT=0.5, hbar=1.0)
         nm = NonMarkovParams(xi=0.0, eta=1e-3, omega=1e-2)

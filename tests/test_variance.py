@@ -61,6 +61,38 @@ class TestClosedForm:
         assert gap == pytest.approx(expected_gap, rel=1e-12)
 
 
+    def test_matches_former_formula_at_ordinary_gamma(self):
+        # the former form, kT/(2 M gamma^2) times the bracket, which fails only
+        # where 1/gamma^2 overflows
+        def former(params, init, t):
+            g, M, kT = params.gamma, params.M, params.kT
+            x = 2.0 * g * t
+            u = -np.expm1(-x)
+            relax = u / (2.0 * M * g)
+            series = np.zeros_like(u)
+            for n in range(20, 2, -1):
+                series = u * (series + 1.0 / n)
+            bracket = np.where(u < 0.1, series * u**2, x - u - 0.5 * u**2)
+            return init.sx2_0 + relax**2 * init.sp2_0 + relax * init.spx_0 + (kT / (2.0 * M * g**2)) * bracket
+
+        t = np.concatenate([[0.0], np.logspace(-6, 4, 61)])
+        init = SecondMomentInit(sx2_0=0.3, sp2_0=2.0, spx_0=0.4)
+        for gamma in np.logspace(-6, 6, 25):
+            for M, kT in ((1.0, 1.0), (0.02, 30.0), (50.0, 1e-3)):
+                params = ModelParams(M=M, gamma=gamma, kT=kT, hbar=1.0)
+                np.testing.assert_allclose(
+                    variance_closed_form(params, init, t), former(params, init, t), rtol=1e-13, atol=0
+                )
+
+    @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
+    def test_tiny_gamma_is_finite(self, gamma):
+        params = ModelParams(M=2.0, gamma=gamma, kT=3.0, hbar=1.0)
+        init = SecondMomentInit(sx2_0=1.0, sp2_0=0.5, spx_0=0.2)
+        t = np.array([0.0, 0.5, 1.0, 7.0])
+        limit = 1.0 + t**2 * 0.5 / 2.0**2 + t * 0.2 / 2.0 + 4.0 * 3.0 * gamma * t**3 / (3.0 * 2.0)
+        np.testing.assert_allclose(variance_closed_form(params, init, t), limit, rtol=1e-12, atol=0)
+
+
 class TestShortTime:
     def test_initial_value(self, variance_params):
         assert variance_short_time(variance_params, 1e-7, 0.0) == pytest.approx(1e-7)
