@@ -4,12 +4,16 @@ price files, fit estimator output, and generate synthetic data.
 Commands: eval, simulate, analyze, fit, synth. Every run resolves its
 configuration from flags over an optional flat `key = value` config file
 (flags win), records the resolved configuration in a JSON manifest next to the
-outputs, computes every result before it writes any file, and writes each file
-atomically (unique temp file, rename on success), so a failed run leaves no
-partial output. Outputs carry no timestamps: a rerun from the same manifest is
-bit-identical.
+outputs (`<out>.manifest.json` or `<prefix>.manifest.json`), and computes and
+checks every result before it writes any file. All outputs of a run are
+published together: each is staged to a temp file of the run's own, and only
+when every one is staged are they renamed over their targets. A failed run
+leaves none of its outputs and no temp file. Outputs carry no timestamps: a
+rerun from the same manifest is bit-identical.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure. A
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure. An
+--input that is missing or cannot be read is a data error; a --config that
+cannot be read, or an output that cannot be written, is a usage error. A
 result holding a non-finite number is a numerical failure and is not written;
 the one exception is the ACF standard error at a lag with a single pair (NaN).
 Unconverged fits exit 0 with converged=false in the report (scriptable).
@@ -73,20 +77,23 @@ from .model import (
 __all__ = ["main"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit code 1 instead of argparse's 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _sha256_file(path: Path) -> str:
+    """Digest of an input file. This is the first read of every --input, so a
+    missing or unreadable one is a data error here."""
     h = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            h.update(chunk)
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                h.update(chunk)
+    except FileNotFoundError as exc:
+        raise DataError(f"input file not found: {path}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc.strerror or exc}") from exc
     return h.hexdigest()
 
 
@@ -99,27 +106,11 @@ def _sha256_config(config: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
-    """Write the chunks to a temp file of this write's own and rename it over
-    path on success, so concurrent runs and leftovers of killed runs never
-    collide and a failed write leaves nothing behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+def _json_text(name: str, payload: dict) -> str:
     try:
-        with open(tmp, "x", encoding="utf-8") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NumericalError(f"{path.name}: refusing to write a non-finite number") from exc
-    _atomic_write(path, [text + "\n"])
+        raise NumericalError(f"{name}: refusing to write a non-finite number") from exc
 
 
 # the one column allowed to hold NaN: the ACF standard error at a lag with a single pair
@@ -146,32 +137,59 @@ def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Itera
     return itertools.chain([header], (",".join(row) + "\n" for row in zip(*cells)))
 
 
-def _write_csv(path: Path, digest: str, columns: dict[str, np.ndarray]) -> None:
-    """Rows are streamed, so the whole text is never held."""
-    _atomic_write(path, _csv_chunks(path.name, digest, columns))
+def _publish(command: str, cfg: dict, digest: str | None, files: dict[Path, Iterable[str]], prefix: Path) -> None:
+    """Write a run's data files and its manifest, `<prefix>.manifest.json`:
+    all of them or none.
 
-
-def _write_manifest(path: Path, command: str, config: dict, digest: str, outputs: list[str]) -> None:
-    manifest = {
+    Each file's text is streamed to a temp file of this run's own; nothing is
+    renamed over its target until every file is staged. A failure while
+    staging removes every temp file, and a failed rename also removes the
+    targets this run already renamed. An OSError is a usage error that names
+    the target.
+    """
+    manifest = Path(f"{prefix}.manifest.json")
+    record = {
         "tool": "qbmarket",
         "version": __version__,
         "command": command,
-        "config": config,
+        "config": cfg,
         "input_sha256": digest,
-        "outputs": outputs,
+        "outputs": [path.name for path in files],
     }
-    _write_json(path, manifest)
+    files = {**files, manifest: [_json_text(manifest.name, record)]}
+    tag = os.urandom(8).hex()
+    staged: dict[Path, Path] = {}
+    renamed: list[Path] = []
+    try:
+        for target, chunks in files.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            tmp = target.with_name(f"{target.name}.{tag}.tmp")
+            with open(tmp, "x", encoding="utf-8") as handle:
+                staged[target] = tmp
+                handle.writelines(chunks)
+        for target, tmp in staged.items():
+            os.replace(tmp, target)
+            renamed.append(target)
+    except BaseException as exc:
+        for path in itertools.chain(staged.values(), renamed):
+            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from exc
+        raise
 
 
 def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"config {path} line {line_no}: expected 'key = value'")
+            raise ValueError(f"config {path} line {line_no}: expected 'key = value'")
         key, value = line.split("=", 1)
         out[key.strip().lower().replace("-", "_")] = value.strip()
     return out
@@ -199,21 +217,21 @@ def _resolve(args: argparse.Namespace, spec: _Spec) -> dict:
             try:
                 resolved[dest] = caster(file_values[dest])
             except ValueError as exc:
-                raise _UsageError(f"config value for {dest}: {exc}") from exc
+                raise ValueError(f"config value for {dest}: {exc}") from exc
         else:
             resolved[dest] = default
         if caster is float and resolved[dest] is not None and not math.isfinite(resolved[dest]):
-            raise _UsageError(f"{flag} must be finite")
+            raise ValueError(f"{flag} must be finite")
     for key in file_values:
         if key not in spec:
-            raise _UsageError(f"config key {key!r} is not a flag of this command")
+            raise ValueError(f"config key {key!r} is not a flag of this command")
     return resolved
 
 
 def _require(cfg: dict, *names: str) -> None:
     missing = [n for n in names if cfg.get(n) is None]
     if missing:
-        raise _UsageError("missing required option(s): " + ", ".join("--" + n.replace("_", "-") for n in missing))
+        raise ValueError("missing required option(s): " + ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
 def _seed_from(cfg: dict) -> int | None:
@@ -224,37 +242,31 @@ def _seed_from(cfg: dict) -> int | None:
         try:
             return int(env)
         except ValueError as exc:
-            raise _UsageError(f"QBM_SEED is not an integer: {env!r}") from exc
+            raise ValueError(f"QBM_SEED is not an integer: {env!r}") from exc
     return None
 
 
 def _model_params(cfg: dict) -> ModelParams:
-    try:
-        return ModelParams(M=cfg["m"], gamma=cfg["gamma"], kT=cfg["kt"], hbar=cfg["hbar"])
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return ModelParams(M=cfg["m"], gamma=cfg["gamma"], kT=cfg["kt"], hbar=cfg["hbar"])
 
 
 def _nm_params(cfg: dict) -> NonMarkovParams:
     _require(cfg, "xi", "eta", "omega")
-    try:
-        return NonMarkovParams(xi=cfg["xi"], eta=cfg["eta"], omega=cfg["omega"])
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    return NonMarkovParams(xi=cfg["xi"], eta=cfg["eta"], omega=cfg["omega"])
 
 
 def _parse_taus(spec: str) -> list[int]:
     parts = spec.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"tau range must be start:end:step, got {spec!r}")
+        raise ValueError(f"tau range must be start:end:step, got {spec!r}")
     try:
         start, end, step = (int(p) for p in parts)
     except ValueError as exc:
-        raise _UsageError(f"tau range must be integers, got {spec!r}") from exc
+        raise ValueError(f"tau range must be integers, got {spec!r}") from exc
     if step <= 0 or end < start:
-        raise _UsageError(f"invalid tau range {spec!r}")
+        raise ValueError(f"invalid tau range {spec!r}")
     if start <= 0:
-        raise _UsageError(f"tau range must start above 0, got {spec!r}")
+        raise ValueError(f"tau range must start above 0, got {spec!r}")
     return list(range(start, end + 1, step))
 
 
@@ -391,11 +403,11 @@ def cmd_eval(cfg: dict) -> int:
     _require(cfg, "formula", "start", "end", "out")
     start, end, points = cfg["start"], cfg["end"], int(cfg["points"])
     if not (end > start):
-        raise _UsageError("range start must be below end")
+        raise ValueError("range start must be below end")
     if start < 0:
-        raise _UsageError("range must be nonnegative")
+        raise ValueError("range must be nonnegative")
     if points < 2:
-        raise _UsageError("points must be at least 2")
+        raise ValueError("points must be at least 2")
     grid = np.linspace(start, end, points)
     formula = cfg["formula"]
     digest = _sha256_config(cfg)
@@ -407,11 +419,8 @@ def cmd_eval(cfg: dict) -> int:
         params = _model_params(cfg)
         kind = cfg["kind"]
         nm = _nm_params(cfg) if kind == "composite" else None
-        try:
-            spec = BathSpectrum(kind=kind, cutoff=cfg.get("cutoff"), nm=nm)
-            columns = {"omega": grid, "j_omega": np.asarray(spectral_density(params, spec, grid))}
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        spec = BathSpectrum(kind=kind, cutoff=cfg.get("cutoff"), nm=nm)
+        columns = {"omega": grid, "j_omega": np.asarray(spectral_density(params, spec, grid))}
     elif formula in ("variance", "variance-short", "classical"):
         params = _model_params(cfg)
         if formula == "classical":
@@ -433,8 +442,7 @@ def cmd_eval(cfg: dict) -> int:
         columns = {"t": grid, formula: np.asarray(fn(params, nm, grid))}
 
     out = Path(cfg["out"])
-    _write_csv(out, digest, columns)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "eval", cfg, digest, [out.name])
+    _publish("eval", cfg, digest, {out: _csv_chunks(out.name, digest, columns)}, out)
     print(f"wrote {out}")
     return 0
 
@@ -462,7 +470,7 @@ def cmd_simulate(cfg: dict) -> int:
     m11 = cfg["xp"] / 2.0
     t_end = cfg["t_end"]
     if not t_end > 0:
-        raise _UsageError("t-end must be positive")
+        raise ValueError("t-end must be positive")
     times = np.linspace(0.0, t_end, int(cfg["points"]))
     prefix = Path(cfg["out_prefix"])
     seed = _seed_from(cfg)
@@ -478,11 +486,11 @@ def cmd_simulate(cfg: dict) -> int:
         columns = _moment_columns(traj.times, traj.states)
     elif mode == "sde":
         if seed is None:
-            raise _UsageError("sde mode requires --seed (or QBM_SEED)")
+            raise ValueError("sde mode requires --seed (or QBM_SEED)")
         if cfg["kernel"] != "markov":
-            raise _UsageError("sde mode supports only the markov kernel (no stochastic representation otherwise)")
+            raise ValueError("sde mode supports only the markov kernel (no stochastic representation otherwise)")
         if cfg.get("dt") is None:
-            raise _UsageError("sde mode requires --dt")
+            raise ValueError("sde mode requires --dt")
         init = SecondMomentInit(sx2_0=x2, sp2_0=p2, spx_0=cfg["xp"])
         ens = simulate_sde_markov(params, init, int(cfg["n_paths"]), cfg["dt"], t_end, seed, t_eval=times)
         columns = {"t": ens.times}
@@ -512,9 +520,8 @@ def cmd_simulate(cfg: dict) -> int:
         columns["kurtosis_x"] = np.array([s.kurtosis_x() for s in evo.moments])
         columns["eps_neg"] = np.full(len(evo.times), evo.eps_neg)
 
-    out_csv = Path(str(prefix) + ".csv")
-    _write_csv(out_csv, digest, columns)
-    _write_manifest(Path(str(prefix) + ".manifest.json"), "simulate", cfg, digest, [out_csv.name])
+    out_csv = Path(f"{prefix}.csv")
+    _publish("simulate", cfg, digest, {out_csv: _csv_chunks(out_csv.name, digest, columns)}, prefix)
     print(f"wrote {out_csv}")
     return 0
 
@@ -522,8 +529,6 @@ def cmd_simulate(cfg: dict) -> int:
 def cmd_analyze(cfg: dict) -> int:
     _require(cfg, "input", "out_prefix")
     in_path = Path(cfg["input"])
-    if not in_path.exists():
-        raise DataError(f"input file not found: {in_path}")
     digest = _sha256_file(in_path)
     series = load_prices(in_path)
     policy = cfg["policy"]
@@ -563,23 +568,16 @@ def cmd_analyze(cfg: dict) -> int:
     }
     prefix = Path(cfg["out_prefix"])
     # every table is checked before the first file is written
-    texts = {}
+    files = {}
     for name, columns in tables.items():
         path = Path(f"{prefix}.{name}.csv")
-        texts[path] = _csv_chunks(path.name, digest, columns)
-    outputs = []
-    for path, chunks in texts.items():
-        _atomic_write(path, chunks)
-        outputs.append(path.name)
-
-    _write_manifest(Path(str(prefix) + ".manifest.json"), "analyze", cfg, digest, outputs)
-    print(f"wrote {len(outputs)} statistics files with prefix {prefix}")
+        files[path] = _csv_chunks(path.name, digest, columns)
+    _publish("analyze", cfg, digest, files, prefix)
+    print(f"wrote {len(files)} statistics files with prefix {prefix}")
     return 0
 
 
 def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.ndarray]:
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
     rows = []
     header: list[str] | None = None
     for raw in path.read_text(encoding="utf-8").splitlines():
@@ -612,11 +610,9 @@ def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.n
 def cmd_fit(cfg: dict) -> int:
     _require(cfg, "kind", "input", "out")
     if cfg.get("base_minutes") is not None and cfg["base_minutes"] <= 0:
-        raise _UsageError("--base-minutes must be positive")
+        raise ValueError("--base-minutes must be positive")
     in_path = Path(cfg["input"])
-    digest = _sha256_file(in_path) if in_path.exists() else None
-    if digest is None:
-        raise DataError(f"input file not found: {in_path}")
+    digest = _sha256_file(in_path)
 
     if cfg["kind"] == "acf":
         data = _read_estimator_csv(in_path, ("lag", "acf"))
@@ -661,8 +657,7 @@ def cmd_fit(cfg: dict) -> int:
         }
 
     out = Path(cfg["out"])
-    _write_json(out, report)
-    _write_manifest(Path(str(out) + ".manifest.json"), "fit", cfg, digest, [out.name])
+    _publish("fit", cfg, digest, {out: [_json_text(out.name, report)]}, out)
     print(f"wrote {out} (converged={report['converged']})")
     return 0
 
@@ -671,7 +666,7 @@ def cmd_synth(cfg: dict) -> int:
     _require(cfg, "kind", "n", "out")
     seed = _seed_from(cfg)
     if seed is None:
-        raise _UsageError("synth requires --seed (or QBM_SEED)")
+        raise ValueError("synth requires --seed (or QBM_SEED)")
     cfg["seed"] = seed
     n = int(cfg["n"])
     dt = int(cfg["dt"])
@@ -682,18 +677,15 @@ def cmd_synth(cfg: dict) -> int:
         series = synth_gbm(mu=cfg["mu"], sigma=cfg["sigma"], n=n, dt_minutes=dt, seed=seed, s0=cfg["s0"])
     else:
         nm = _nm_params(cfg)
-        try:
-            returns = synth_colored(nm, n=n, dt_minutes=dt, base_noise=cfg["base_noise"], seed=seed)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        returns = synth_colored(nm, n=n, dt_minutes=dt, base_noise=cfg["base_noise"], seed=seed)
         # integrate tau-normalized returns into a price path so the output is
         # a prices CSV the analyze command can consume directly
         log_price = math.log(cfg["s0"]) + np.concatenate([[0.0], np.cumsum(returns.values * dt)])
         series = PriceSeries.synthetic(log_price, dt)
 
     stamps = np.datetime_as_string(series.times.astype("datetime64[m]"), unit="m")
-    _write_csv(out, digest, {"timestamp": stamps, "close": series.close})
-    _write_manifest(Path(str(out) + ".manifest.json"), "synth", cfg, digest, [out.name])
+    columns = {"timestamp": stamps, "close": series.close}
+    _publish("synth", cfg, digest, {out: _csv_chunks(out.name, digest, columns)}, out)
     print(f"wrote {out}")
     return 0
 
@@ -704,9 +696,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve(args, registry[args.command])
         return args.func(cfg)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -246,18 +246,10 @@ def evolve_moments(
     inv_xp = 1.0 / (x_scale * p_scale)
     inv_pp = 1.0 / p_scale**2
 
-    if schedule.kind == "markov":
-        const = a_mat + (hb2 * schedule.delta(0.0) * inv_pp) * b_mat
-
-        def rhs(tt: float, y: np.ndarray) -> np.ndarray:
-            return const @ y
-
-    else:
-
-        def rhs(tt: float, y: np.ndarray) -> np.ndarray:
-            delta, lam = schedule.coefficients(tt)
-            mat = a_mat + (hb2 * delta * inv_pp) * b_mat + (hb2 * lam * inv_xp) * c_mat
-            return mat @ y
+    def rhs(tt: float, y: np.ndarray) -> np.ndarray:
+        delta, lam = schedule.coefficients(tt)
+        mat = a_mat + (hb2 * delta * inv_pp) * b_mat + (hb2 * lam * inv_xp) * c_mat
+        return mat @ y
 
     from scipy.integrate import solve_ivp  # here, not at the top: `import qbmarket` loads numpy only
 

@@ -138,9 +138,8 @@ class AcfEstimate:
     """Lag autocorrelation estimates of a return series.
 
     values carry the dimensional convention (mean product of returns, units
-    [ln S]^2 min^-2); use :meth:`normalized` for the unitless variant. Only
-    lags with at least one admissible pair are reported; empty lags are listed
-    in omitted_lags.
+    [ln S]^2 min^-2). Only lags with at least one admissible pair are
+    reported; empty lags are listed in omitted_lags.
     """
 
     lags: np.ndarray
@@ -149,7 +148,6 @@ class AcfEstimate:
     stderr: np.ndarray
     base_minutes: int
     tau_minutes: int
-    normalized: bool = False
     omitted_lags: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -160,22 +158,10 @@ class AcfEstimate:
         if np.any(self.counts <= 0):
             raise ValueError("reported lags must have positive pair counts")
 
-    def normalized_copy(self) -> "AcfEstimate":
-        """Unitless variant scaled by the lag-0 value (for cross-period shape
-        comparison)."""
-        r0 = self.values[0] if self.lags[0] == 0 else None
-        if r0 is None or r0 <= 0:
-            raise DegenerateDataError("cannot normalize: lag-0 value missing or nonpositive")
-        return AcfEstimate(
-            lags=self.lags,
-            values=self.values / r0,
-            counts=self.counts,
-            stderr=self.stderr / r0,
-            base_minutes=self.base_minutes,
-            tau_minutes=self.tau_minutes,
-            normalized=True,
-            omitted_lags=self.omitted_lags,
-        )
+
+# the minute and second fields of a UTC offset; fromisoformat carries a value
+# of 60 or more into the next field (+12:60 reads as +13:00)
+_OFFSET_FIELDS = re.compile(r"[+-]\d\d:?(\d\d)(?::?(\d\d)(?:\.\d+)?)?$")
 
 
 def _parse_minute(text: str, line_no: int) -> int:
@@ -183,6 +169,9 @@ def _parse_minute(text: str, line_no: int) -> int:
         stamp = datetime.fromisoformat(text.strip())
     except ValueError as exc:
         raise DataError(f"line {line_no}: cannot parse timestamp {text!r}") from exc
+    offset = _OFFSET_FIELDS.search(text.strip())
+    if offset and max(int(field or 0) for field in offset.groups()) >= 60:
+        raise DataError(f"line {line_no}: timestamp {text!r} has an offset field of 60 or more")
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     seconds = (stamp - _EPOCH).total_seconds()

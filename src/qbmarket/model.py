@@ -36,7 +36,6 @@ __all__ = [
     "variance_short_time",
     "classical_variance",
     "markov_validity",
-    "is_markovian",
     "minimal_uncertainty_momentum",
 ]
 
@@ -342,9 +341,10 @@ def variance_short_time(params: ModelParams, sx2_0: float, t) -> float | np.ndar
     if sx2_0 == 0:
         raise ValueError("sx2_0 must be nonzero")
     tt = _as_nonnegative(t, "t")
+    hbar, M = np.float64(params.hbar), np.float64(params.M)  # their squares overflow to inf, not OverflowError
     out = (
         sx2_0
-        + params.hbar**2 * tt**2 / (params.M**2 * sx2_0)
+        + hbar**2 * tt**2 / (M**2 * sx2_0)
         + 4.0 * params.kT * params.gamma * tt**3 / (3.0 * params.M)
     )
     return _like_input(out, t)
@@ -370,11 +370,6 @@ def markov_validity(params: ModelParams, cutoff: float) -> float:
         raise ValueError("markov_validity requires kT > 0 (thermal time undefined)")
     thermal_time = params.hbar / (2.0 * math.pi * params.kT)
     return max(1.0 / cutoff, thermal_time) * params.gamma
-
-
-def is_markovian(params: ModelParams, cutoff: float, threshold: float = MARKOV_WARN_RATIO) -> bool:
-    """True when the validity ratio is below the warning threshold."""
-    return markov_validity(params, cutoff) < threshold
 
 
 def minimal_uncertainty_momentum(params: ModelParams, sx2_0: float) -> float:

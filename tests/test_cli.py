@@ -97,15 +97,17 @@ class TestEval:
         ["--formula", "variance", "--kT", 1e308, "--sx2-0", 1, "--end", 10],
         # 2 M gamma overflows to inf, so J is inf, and nan at omega = 0
         ["--formula", "spectral-density", "--kind", "ohmic", "--M", 1e300, "--gamma", 1e10, "--end", 1],
-    ], ids=["variance", "spectral-density"])
+        # hbar^2 overflows to inf
+        ["--formula", "variance-short", "--hbar", 1e200, "--sx2-0", 1, "--end", 1],
+    ], ids=["variance", "spectral-density", "variance-short"])
     def test_non_finite_result_is_numerical_failure(self, tmp_path, capsys, flags):
         assert run(["eval", *flags, "--start", 0, "--points", 3, "--out", tmp_path / "e.csv"]) == 3
-        assert "refusing to write non-finite values" in capsys.readouterr().err
+        assert "refusing to write non-finite values in column" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys):
-        # hbar**2 of a Python float overflows and raises OverflowError
-        assert run(["eval", "--formula", "variance-short", "--hbar", 1e200, "--sx2-0", 1, "--start", 0, "--end", 1,
+        # the default momentum spread hbar**2 / (4 sx2_0) squares a Python float, which raises OverflowError
+        assert run(["eval", "--formula", "variance", "--hbar", 1e200, "--sx2-0", 1, "--start", 0, "--end", 1,
                     "--points", 3, "--out", tmp_path / "e.csv"]) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -137,8 +139,9 @@ class TestEval:
             yield "partial\n"
             raise RuntimeError("formatting failed")
 
+        files = {tmp_path / "a.csv": ["complete\n"], tmp_path / "x.csv": chunks()}
         with pytest.raises(RuntimeError):
-            cli._atomic_write(tmp_path / "x.csv", chunks())
+            cli._publish("eval", {}, "0", files, tmp_path / "x.csv")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -251,19 +254,17 @@ class TestSimulate:
 
 
 class TestWriters:
-    def test_json_writer_refuses_non_finite(self, tmp_path):
-        with pytest.raises(NumericalError, match="non-finite"):
-            cli._write_json(tmp_path / "r.json", {"amplitude": math.nan})
-        assert list(tmp_path.iterdir()) == []
+    def test_json_writer_refuses_non_finite(self):
+        with pytest.raises(NumericalError, match="r.json: .*non-finite"):
+            cli._json_text("r.json", {"amplitude": math.nan})
 
-    def test_csv_writer_refuses_non_finite_outside_stderr(self, tmp_path):
+    def test_csv_writer_refuses_non_finite_outside_stderr(self):
         lags = np.arange(3)
         with pytest.raises(NumericalError, match="'acf'"):
-            cli._write_csv(tmp_path / "a.csv", "0", {"lag": lags, "acf": np.array([1.0, math.inf, 0.5])})
-        assert list(tmp_path.iterdir()) == []
+            cli._csv_chunks("a.csv", "0", {"lag": lags, "acf": np.array([1.0, math.inf, 0.5])})
         # a lag with a single pair has no standard error
-        cli._write_csv(tmp_path / "a.csv", "0", {"lag": lags, "stderr": np.array([0.1, 0.2, math.nan])})
-        assert (tmp_path / "a.csv").read_text().splitlines()[-1] == "2,nan"
+        text = "".join(cli._csv_chunks("a.csv", "0", {"lag": lags, "stderr": np.array([0.1, 0.2, math.nan])}))
+        assert text.splitlines()[-1] == "2,nan"
 
     def test_analyze_writes_no_table_when_one_is_not_finite(self, tmp_path, monkeypatch):
         prices = tmp_path / "prices.csv"
@@ -408,6 +409,30 @@ class TestSynthAndAnalyze:
     def test_analyze_missing_file_is_data_error(self, tmp_path):
         assert run(["analyze", "--input", tmp_path / "nope.csv", "--out-prefix", tmp_path / "z"]) == 2
 
+    def test_analyze_directory_input_is_data_error(self, tmp_path, capsys):
+        assert run(["analyze", "--input", tmp_path, "--out-prefix", tmp_path / "z"]) == 2
+        assert f"data error: cannot read input {tmp_path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_table_leaves_no_output_of_the_run(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 2000, "--seed", 1, "--out", prices]) == 0
+        out = tmp_path / "o"
+        # the third of the four tables cannot be renamed over its target
+        (out / "run.acf.csv").mkdir(parents=True)
+        assert run(["analyze", "--input", prices, "--taus", "5:20:5", "--out-prefix", out / "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: cannot write {out / 'run.acf.csv'}: " in err
+        assert ".tmp" not in err
+        assert [p.name for p in out.iterdir()] == ["run.acf.csv"]
+        assert list((out / "run.acf.csv").iterdir()) == []
+
+    def test_unwritable_manifest_leaves_no_prices(self, tmp_path, capsys):
+        (tmp_path / "p.csv.manifest.json").mkdir()
+        assert run(["synth", "--kind", "gbm", "--n", 50, "--seed", 1, "--out", tmp_path / "p.csv"]) == 1
+        assert f"cannot write {tmp_path / 'p.csv.manifest.json'}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["p.csv.manifest.json"]
+
 
 class TestFitCommand:
     def make_acf_csv(self, tmp_path, noise_seed=None):
@@ -495,6 +520,11 @@ class TestFitCommand:
         assert run(["fit", "--kind", "acf", "--input", path, "--out", out]) == 0
         assert json.loads(out.read_text())["xi"] == pytest.approx(nm.xi, rel=1e-6)
 
+    def test_directory_input_is_data_error(self, tmp_path, capsys):
+        assert run(["fit", "--kind", "acf", "--input", tmp_path, "--out", tmp_path / "o.json"]) == 2
+        assert f"data error: cannot read input {tmp_path}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_estimator_csv_is_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lag,acf\n0,zero\n")
@@ -528,6 +558,13 @@ class TestConfigFile:
         assert run(["synth", "--config", cfg, "--n", 50, "--seed", 1, "--out", tmp_path / "p.csv"]) == 1
         assert "--sigma must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert run(["eval", "--config", missing, "--formula", "classical", "--start", 0, "--end", 1,
+                    "--out", tmp_path / "x.csv"]) == 1
+        assert f"usage error: cannot read config {missing}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_manifest_records_resolved_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -26,7 +26,7 @@ from qbmarket import (
     spectral_density,
     variance_closed_form,
 )
-from qbmarket.model import MARKOV_WARN_RATIO, is_markovian
+from qbmarket.model import MARKOV_WARN_RATIO
 
 
 class TestParamTypes:
@@ -260,12 +260,10 @@ class TestMarkovValidity:
         # thermal time hbar/(2 pi kT) = 1e-3, cutoff time 1e-2 -> ratio 0.01
         params = ModelParams(M=1.0, gamma=1.0, kT=1.0 / (2 * math.pi * 1e-3), hbar=1.0)
         assert markov_validity(params, cutoff=100.0) == pytest.approx(0.01, rel=1e-12)
-        assert is_markovian(params, cutoff=100.0)
 
     def test_clearly_non_markovian(self):
         params = ModelParams(M=1.0, gamma=10.0, kT=1e6, hbar=1e-6)
         assert markov_validity(params, cutoff=1.0) == pytest.approx(10.0, rel=1e-12)
-        assert not is_markovian(params, cutoff=1.0)
 
     def test_thermal_time_vanishes_for_small_hbar(self):
         params = ModelParams(M=1.0, gamma=2.0, kT=1.0, hbar=1e-30)
