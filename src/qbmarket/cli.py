@@ -124,17 +124,20 @@ def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Itera
     they are. A non-finite number outside the ``stderr`` column raises a
     NumericalError before anything is produced.
     """
-    cells = []
+    cells, fields = [], []
     for key, col in columns.items():
         if col.dtype.kind == "U":
-            cells.append(col)
+            cells.append(col.tolist())
+            fields.append("%s")
             continue
         values = col.astype(float)
         if key != _NAN_COLUMN and not np.isfinite(values).all():
             raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
-        cells.append(map("{:.17g}".format, values.tolist()))
+        cells.append(values.tolist())
+        fields.append("%.17g")
     header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
-    return itertools.chain([header], (",".join(row) + "\n" for row in zip(*cells)))
+    row = ",".join(fields) + "\n"
+    return itertools.chain([header], map(row.__mod__, zip(*cells)))
 
 
 def _publish(command: str, cfg: dict, digest: str | None, files: dict[Path, Iterable[str]], prefix: Path) -> None:
@@ -695,7 +698,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve(args, registry[args.command])
-        return args.func(cfg)
+        # a non-finite result is reported once, by the check that refuses it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(cfg)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

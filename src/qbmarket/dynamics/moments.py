@@ -167,7 +167,7 @@ def moment_derivative(
     matrices :func:`evolve_moments` integrates.
     """
     a_mat, b_mat, c_mat = _generator_matrices(params.M, params.gamma)
-    hb2 = params.hbar**2
+    hb2 = np.float64(params.hbar) ** 2
     rates = (a_mat + (hb2 * delta) * b_mat + (hb2 * lam) * c_mat) @ state.vector()
     return dict(zip(MOMENT_KEYS, map(float, rates)))
 
@@ -242,7 +242,9 @@ def evolve_moments(
     # scaled system: M -> M x_scale / p_scale, delta -> delta/p_scale^2,
     # lam -> lam/(x_scale p_scale); same matrix structure.
     a_mat, b_mat, c_mat = _generator_matrices(p.M * x_scale / p_scale, p.gamma)
-    hb2 = p.hbar**2
+    hb2 = np.float64(p.hbar) ** 2  # overflows to inf, not OverflowError
+    if not math.isfinite(hb2):
+        raise IntegrationError(f"hbar^2 overflows at hbar = {p.hbar:g}")
     inv_xp = 1.0 / (x_scale * p_scale)
     inv_pp = 1.0 / p_scale**2
 

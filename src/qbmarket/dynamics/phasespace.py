@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import StabilityError
+from ..errors import NumericalError, StabilityError
 from ..model import ModelParams
 from .moments import MomentState, KernelSchedule
 
@@ -228,7 +228,7 @@ def stable_time_step(
     if params.gamma > 0:
         bounds.append(grid.dp / (2.0 * params.gamma * p_max))
     ts = np.linspace(0.0, t_end, 513)
-    mixed_max = params.hbar**2 * max(abs(schedule.lam(float(t))) for t in ts)
+    mixed_max = np.float64(params.hbar) ** 2 * max(abs(schedule.lam(float(t))) for t in ts)
     if mixed_max > 0:
         bounds.append(grid.dx * grid.dp / mixed_max)
     return 0.5 * min(bounds)
@@ -341,6 +341,9 @@ def evolve_wigner_pde(
     if not t_end > 0:
         raise ValueError("t_end must be positive")
     params = schedule.params
+    hb2 = np.float64(params.hbar) ** 2  # overflows to inf, not OverflowError
+    if not math.isfinite(hb2):
+        raise NumericalError(f"hbar^2 overflows at hbar = {params.hbar:g}")
     if grid.boundary_fraction() > BOUNDARY_INIT_FRACTION:
         raise StabilityError(
             f"initial boundary density fraction {grid.boundary_fraction():.3g} exceeds "
@@ -367,7 +370,6 @@ def evolve_wigner_pde(
     dx, dp = grid.dx, grid.dp
     advect_x, drift_p = _transport_substeps(grid, params, potential, 0.5 * dt)
     q, eig = _p_diffusion_modes(grid.n_p, dp)
-    hb2 = params.hbar**2
 
     w = grid.w.copy()
     times: list[float] = []

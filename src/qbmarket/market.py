@@ -51,6 +51,9 @@ SYNTH_START_MINUTE = int((datetime(2000, 1, 3, 9, 30, tzinfo=timezone.utc) - _EP
 
 PAIRING_POLICIES = ("intraday-only", "contiguous")
 
+# samples of _complex_ar1's input converted to Python numbers at a time
+_AR_BLOCK = 65536
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr)
@@ -779,6 +782,27 @@ def synth_gbm(
     return PriceSeries.synthetic(log_price, dt_minutes)
 
 
+def _complex_ar1(v: np.ndarray, a: complex, z: complex) -> np.ndarray:
+    """First-order recursive filter y[k] = v[k] + a y[k-1], started from
+    a y[-1] = z.
+
+    Runs the transposed direct form (y = v + z, then z = a y) in Python
+    complex arithmetic: the same operations in the same order as
+    lfilter([1], [1, -a], v, zi=[z]), so the results are equal bit for bit.
+    v is converted to Python numbers one block at a time, so the series is
+    never held whole as a list.
+    """
+    out = np.empty(len(v), dtype=complex)
+    for start in range(0, len(v), _AR_BLOCK):
+        block = []
+        for x in v[start:start + _AR_BLOCK].tolist():
+            y = x + z
+            z = a * y
+            block.append(y)
+        out[start:start + len(block)] = block
+    return out
+
+
 def synth_colored(
     nm: NonMarkovParams,
     n: int,
@@ -815,10 +839,7 @@ def synth_colored(
         chi0 = math.sqrt(amp2 / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
         chi = np.empty(n, dtype=complex)
         chi[0] = chi0
-        if n > 1:
-            from scipy.signal import lfilter  # here, not at the top: `import qbmarket` loads numpy only
-
-            chi[1:] = lfilter([1.0], [1.0, -a], w[1:], zi=np.array([a * chi0]))[0]
+        chi[1:] = _complex_ar1(w[1:], a, a * chi0)
         y = chi.real
         colored = y * y - amp2 / 2.0
     else:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "ModelParams",
     "SecondMomentInit",
@@ -376,4 +378,7 @@ def minimal_uncertainty_momentum(params: ModelParams, sx2_0: float) -> float:
     """Momentum variance saturating the uncertainty bound: hbar^2/(4 sx2_0)."""
     if not sx2_0 > 0:
         raise ValueError("sx2_0 must be positive")
-    return params.hbar**2 / (4.0 * sx2_0)
+    sp2_0 = np.float64(params.hbar) ** 2 / (4.0 * sx2_0)  # overflows to inf, not OverflowError
+    if not math.isfinite(sp2_0):
+        raise NumericalError(f"minimal-uncertainty sp2_0 = hbar^2/(4 sx2_0) overflows at hbar = {params.hbar:g}")
+    return float(sp2_0)

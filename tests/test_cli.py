@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qbmarket import cli
+from qbmarket import NonMarkovParams, acf_model, cli
 from qbmarket.cli import main
 from qbmarket.errors import NumericalError
 
@@ -106,10 +106,44 @@ class TestEval:
         assert list(tmp_path.iterdir()) == []
 
     def test_arithmetic_error_is_numerical_failure(self, tmp_path, capsys):
-        # the default momentum spread hbar**2 / (4 sx2_0) squares a Python float, which raises OverflowError
+        # the default momentum spread hbar^2 / (4 sx2_0) overflows; the message names it
         assert run(["eval", "--formula", "variance", "--hbar", 1e200, "--sx2-0", 1, "--start", 0, "--end", 1,
                     "--points", 3, "--out", tmp_path / "e.csv"]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert "numerical failure: minimal-uncertainty sp2_0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, named", [
+        # the default momentum spread hbar^2 / (4 sx2_0)
+        (["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--out-prefix", "m"], "minimal-uncertainty sp2_0"),
+        # hbar^2 in the moment generator and in the phase-space diffusion step
+        (["simulate", "--mode", "moments", "--x2", 1, "--p2", 1, "--t-end", 1, "--out-prefix", "m"],
+         "hbar^2 overflows"),
+        (["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--t-end", 1, "--out-prefix", "p"], "hbar^2 overflows"),
+    ], ids=["moments", "moments-p2", "pde"])
+    def test_overflowing_hbar_squared_is_named(self, tmp_path, monkeypatch, capsys, argv, named):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--hbar", 1e200, "--points", 3]) == 3
+        assert f"numerical failure: {named}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--formula", "variance-short", "--hbar", "1e200", "--sx2-0", "1", "--sp2-0", "1",
+         "--start", "0", "--end", "1", "--points", "3", "--out", "e.csv"],
+        ["eval", "--formula", "variance", "--kT", "1e308", "--gamma", "10", "--sx2-0", "1",
+         "--start", "0", "--end", "100", "--points", "3", "--out", "e.csv"],
+        ["eval", "--formula", "variance", "--hbar", "1e200", "--sx2-0", "1",
+         "--start", "0", "--end", "1", "--points", "3", "--out", "e.csv"],
+        ["simulate", "--mode", "moments", "--x2", "1", "--hbar", "1e200", "--t-end", "1", "--points", "3",
+         "--out-prefix", "m"],
+    ], ids=["variance-short", "variance-kT", "variance-hbar", "moments-hbar"])
+    def test_overflow_prints_one_line(self, tmp_path, argv):
+        # numpy's RuntimeWarnings would come first, each with its source line
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qbmarket.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("gamma", [1e-160, 1e-300])
@@ -308,6 +342,19 @@ class TestSynthAndAnalyze:
         acf = empirical_acf(log_returns(series, 1), 30)
         band = 4.0 / math.sqrt(len(series)) * acf.values[0]
         assert np.all(np.abs(acf.values[1:]) < band)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "b69a46ec9a48bcce7cd81f5eb125d4e924715908b91d0c41e4199a96d2865438"),
+        (11, "5723f1d972862cd1180184afb382458938151d78f700b945ecbdae27d37758cb"),
+        (42, "ef43d8c67586a0671c4e30b080f11426c1e99440a38f874f74564f9f64f26ba6"),
+    ])
+    def test_colored_bytes_are_pinned(self, tmp_path, seed, digest):
+        # 70000 bars: the AR(1) filter runs one full block of 65536 samples and
+        # one partial block; the digests are those of scipy's lfilter
+        out = tmp_path / "c.csv"
+        assert run(["synth", "--kind", "colored", "--n", 70000, "--xi", 5e-4, "--eta", 5e-3, "--omega", 0.02,
+                    "--seed", seed, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_unstable_colored_filter_is_usage_error(self, tmp_path):
         code = run(["synth", "--kind", "colored", "--n", 10000, "--xi", 1e-4, "--eta", 0.9,
@@ -607,6 +654,9 @@ print(json.dumps(loaded))
         (tmp_path / "k.csv").write_text(
             "tau,kurtosis\n" + "\n".join(f"{t},{197.0 * math.exp(-0.01 * t):.17g}" for t in taus) + "\n"
         )
+        lags = np.arange(0, 481, 5)
+        acf = acf_model(NonMarkovParams(xi=5.48e-4, eta=5.56e-3, omega=0.026), lags.astype(float))
+        (tmp_path / "a.csv").write_text("lag,acf\n" + "\n".join(f"{l},{v:.17g}" for l, v in zip(lags, acf)) + "\n")
         steps = [
             ["eval", "--formula", "variance", "--M", "10", "--gamma", "1e3", "--kT", "0.1", "--hbar", "0.01",
              "--sx2-0", "1e-7", "--start", "0", "--end", "1", "--points", "5", "--out", "v.csv"],
@@ -615,9 +665,10 @@ print(json.dumps(loaded))
             ["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"],
             ["simulate", "--mode", "sde", "--x2", "1", "--t-end", "0.1", "--points", "3", "--n-paths", "1000",
              "--dt", "0.01", "--seed", "1", "--out-prefix", "sde"],
-            # the last step does call scipy, so the probe is seen to work
             ["synth", "--kind", "colored", "--n", "4000", "--xi", "5e-4", "--eta", "5e-3", "--omega", "0.02",
              "--seed", "1", "--out", "c.csv"],
+            # the last step does call scipy, so the probe is seen to work
+            ["fit", "--kind", "acf", "--input", "a.csv", "--out", "a.json"],
         ]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run(
@@ -628,7 +679,7 @@ print(json.dumps(loaded))
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         ran = ["import qbmarket", "--version"] + [" ".join(s[:3]) + " -> exit 0" for s in steps]
         assert list(loaded) == ran, proc.stderr
-        assert "scipy.signal" in loaded.pop(ran[-1])
+        assert "scipy.optimize" in loaded.pop(ran[-1])
         assert loaded == {step: [] for step in loaded}
 
 

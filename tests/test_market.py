@@ -734,3 +734,43 @@ class TestSynthColored:
         a = synth_colored(nm_9904, n=20_000, dt_minutes=5, base_noise=1e-3, seed=42)
         b = synth_colored(nm_9904, n=20_000, dt_minutes=5, base_noise=1e-3, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
+
+    # block edges of the recurrence: w[1:] of n = 65537 fills one block exactly,
+    # n = 65538 leaves one sample for a second block
+    @pytest.mark.parametrize("n", [65_537, 65_538, 200_000])
+    @pytest.mark.parametrize("seed", [1, 7, 23, 101, 4096])
+    def test_equals_lfilter_reference(self, nm_9904, n, seed):
+        got = synth_colored(nm_9904, n=n, dt_minutes=5, base_noise=1e-3, seed=seed)
+        want = reference_colored(nm_9904, n=n, dt_minutes=5, base_noise=1e-3, seed=seed)
+        assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("length", [0, 1, 65_536, 65_537])
+    @pytest.mark.parametrize("seed", [2, 3, 5, 8, 13])
+    def test_recurrence_equals_lfilter(self, length, seed):
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(seed)
+        a = complex(*rng.uniform(-0.7, 0.7, 2))
+        v = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        z = complex(*rng.standard_normal(2))
+        want = lfilter([1.0], [1.0, -a], v, zi=np.array([z]))[0]
+        assert np.array_equal(market._complex_ar1(v, a, z).view(np.float64), want.view(np.float64))
+
+
+def reference_colored(nm, n, dt_minutes, base_noise, seed):
+    """synth_colored's returns with the AR(1) filter run by scipy's lfilter."""
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(seed)
+    dt = float(dt_minutes)
+    white = base_noise * rng.standard_normal(n)
+    amp2 = math.sqrt(2.0) * nm.xi
+    a = complex(math.cos(nm.omega * dt), math.sin(nm.omega * dt)) * math.exp(-nm.eta * dt / 2.0)
+    noise_var = amp2 * (1.0 - abs(a) ** 2)
+    w = math.sqrt(noise_var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    chi0 = math.sqrt(amp2 / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
+    chi = np.empty(n, dtype=complex)
+    chi[0] = chi0
+    chi[1:] = lfilter([1.0], [1.0, -a], w[1:], zi=np.array([a * chi0]))[0]
+    y = chi.real
+    return white + (y * y - amp2 / 2.0)
