@@ -1,11 +1,15 @@
 """Command-line pipeline: evaluate closed forms, run simulations, analyze
 price files, fit estimator output, and generate synthetic data.
 
-Commands: eval, simulate, analyze, fit, synth. Every run resolves its
-configuration from flags over an optional flat `key = value` config file
-(flags win), records the resolved configuration in a JSON manifest next to the
-outputs (`<out>.manifest.json` or `<prefix>.manifest.json`), and computes and
-checks every result before it writes any file. All outputs of a run are
+Commands: eval, simulate, analyze, fit, synth. Every run takes its options
+from flags and from an optional flat `key = value` config file (--config). A
+key is a flag name without its leading dashes, case-insensitive, with `-` and
+`_` alike. A config value is read as its flag would be, with the same type,
+choices and finite check, and a flag wins over the file. A key that is not a
+flag of the command, or a key given twice, is a usage error. Every run records
+the resolved configuration in a JSON manifest next to the outputs
+(`<out>.manifest.json` or `<prefix>.manifest.json`), and computes and checks
+every result before it writes any file. All outputs of a run are
 published together: each is staged to a temp file of the run's own, and only
 when every one is staged are they renamed over their targets. A failed run
 leaves none of its outputs and no temp file. Outputs carry no timestamps: a
@@ -182,7 +186,10 @@ def _publish(command: str, cfg: dict, digest: str | None, files: dict[Path, Iter
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    """The `key = value` lines of a config file, keyed by option dest: the
+    flag name without its dashes, lower case, `-` read as `_`."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -194,41 +201,23 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config {path} line {line_no}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key in seen:
+            raise ValueError(f"config {path}: key {key!r} repeated on lines {seen[key]} and {line_no}")
+        seen[key] = line_no
+        out[key] = value.strip()
     return out
 
 
-# dest -> (default, type, flag) of each option of one command
-_Spec = dict[str, tuple[object, type, str]]
-
-
-def _resolve(args: argparse.Namespace, spec: _Spec) -> dict:
-    """Merge flag values over config-file values over builtin defaults.
-
-    Flags parse with default None so an unset flag is distinguishable; the
-    resolved mapping is what the run uses and what the manifest records. A
-    float option must be finite, wherever its value came from.
-    """
-    config_file = getattr(args, "config", None)
-    file_values = _load_config_file(config_file) if config_file else {}
-    resolved: dict[str, object] = {}
-    for dest, (default, caster, flag) in spec.items():
-        flag_value = getattr(args, dest, None)
-        if flag_value is not None:
-            resolved[dest] = flag_value
-        elif dest in file_values:
-            try:
-                resolved[dest] = caster(file_values[dest])
-            except ValueError as exc:
-                raise ValueError(f"config value for {dest}: {exc}") from exc
-        else:
-            resolved[dest] = default
-        if caster is float and resolved[dest] is not None and not math.isfinite(resolved[dest]):
-            raise ValueError(f"{flag} must be finite")
-    for key in file_values:
-        if key not in spec:
+def _config_argv(path: str, flags: dict[str, str]) -> list[str]:
+    """A config file as `--flag=value` tokens, so argparse types and checks
+    each value as it does a flag (the `=` form keeps `-0.5` a value)."""
+    tokens = []
+    for key, value in _load_config_file(path).items():
+        if key not in flags:
             raise ValueError(f"config key {key!r} is not a flag of this command")
-    return resolved
+        tokens.append(f"{flags[key]}={value}")
+    return tokens
 
 
 def _require(cfg: dict, *names: str) -> None:
@@ -286,56 +275,48 @@ _NM_OPTS = [
 ]
 
 
-def _add_opts(sub: argparse.ArgumentParser, opts: list[tuple]) -> _Spec:
-    spec: _Spec = {}
-    for flag, dest, typ, default, help_text in opts:
-        if typ is str and isinstance(default, tuple):
-            choices, default = default
-            sub.add_argument(flag, dest=dest, choices=choices, default=None, help=help_text)
-            spec[dest] = (default, str, flag)
-        else:
-            sub.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
-            spec[dest] = (default, typ, flag)
-    return spec
+def _add_opts(sub: argparse.ArgumentParser, opts: list[tuple]) -> dict[str, str]:
+    """Add each (flag, dest, type or tuple of choices, default, help) option;
+    return the map from dest to flag."""
+    for flag, dest, kind, default, help_text in opts:
+        checked = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        sub.add_argument(flag, dest=dest, default=default, help=help_text, **checked)
+    return {dest: flag for flag, dest, *_ in opts}
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Spec]]:
+def build_parser() -> tuple[_Parser, dict[str, dict[str, str]]]:
+    """The `qbm` parser and, per command, the map from dest to flag."""
     parser = _Parser(prog="qbm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"qbmarket {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, _Spec] = {}
+    flags: dict[str, dict[str, str]] = {}
 
     common = [("--config", "config", str, None, "flat key = value config file; flags override")]
 
-    sub = subs.add_parser("eval", parents=[], help="evaluate a closed-form curve to CSV")
+    sub = subs.add_parser("eval", help="evaluate a closed-form curve to CSV")
     opts = common + [
-        (
-            "--formula",
-            "formula",
-            str,
-            (("variance", "variance-short", "classical", "delta", "lambda", "acf", "spectral-density"), None),
-            "curve to evaluate",
-        ),
+        ("--formula", "formula", ("variance", "variance-short", "classical", "delta", "lambda", "acf",
+                                  "spectral-density"), None, "curve to evaluate"),
         *_MODEL_OPTS,
         ("--sx2-0", "sx2_0", float, None, "initial coordinate variance"),
         ("--sp2-0", "sp2_0", float, None, "initial momentum variance (default: minimal uncertainty)"),
         ("--spx-0", "spx_0", float, 0.0, "initial symmetrized cross moment <XP+PX>"),
         *_NM_OPTS,
-        ("--kind", "kind", str, (("ohmic", "ohmic-lorentz", "composite"), "ohmic"), "spectral density kind"),
+        ("--kind", "kind", ("ohmic", "ohmic-lorentz", "composite"), "ohmic", "spectral density kind"),
         ("--cutoff", "cutoff", float, None, "spectral cutoff Omega_cut (rad/time unit)"),
         ("--start", "start", float, None, "range start (time units; minutes for acf; rad/time for spectra)"),
         ("--end", "end", float, None, "range end"),
         ("--points", "points", int, 201, "number of evaluation points"),
         ("--out", "out", str, None, "output CSV path"),
     ]
-    registry["eval"] = _add_opts(sub, opts)
+    flags["eval"] = _add_opts(sub, opts)
     sub.set_defaults(func=cmd_eval)
 
     sub = subs.add_parser("simulate", help="run moment / SDE / phase-space evolution to CSV")
     opts = common + [
-        ("--mode", "mode", str, (("moments", "sde", "pde"), None), "simulation mode"),
+        ("--mode", "mode", ("moments", "sde", "pde"), None, "simulation mode"),
         *_MODEL_OPTS,
-        ("--kernel", "kernel", str, (("markov", "non-markov"), "markov"), "diffusion-coefficient schedule"),
+        ("--kernel", "kernel", ("markov", "non-markov"), "markov", "diffusion-coefficient schedule"),
         *_NM_OPTS,
         ("--x2", "x2", float, None, "initial <X^2> (default: none; required)"),
         ("--p2", "p2", float, None, "initial <P^2> (default: minimal uncertainty hbar^2/(4 x2))"),
@@ -352,11 +333,11 @@ def build_parser() -> tuple[_Parser, dict[str, _Spec]]:
         ("--np", "np", int, 256, "grid cells along p"),
         ("--x-width", "x_width", float, None, "grid half-width in x (default 8 sqrt(<X^2>))"),
         ("--p-width", "p_width", float, None, "grid half-width in p (default 8 sqrt(<P^2>))"),
-        ("--potential", "potential", str, (("none", "harmonic"), "none"), "potential for pde mode"),
+        ("--potential", "potential", ("none", "harmonic"), "none", "potential for pde mode"),
         ("--omega0", "omega0", float, None, "harmonic potential frequency (1/time unit)"),
         ("--out-prefix", "out_prefix", str, None, "output prefix: writes <prefix>.csv and <prefix>.manifest.json"),
     ]
-    registry["simulate"] = _add_opts(sub, opts)
+    flags["simulate"] = _add_opts(sub, opts)
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("analyze", help="run the empirical pipeline on a prices CSV")
@@ -365,27 +346,27 @@ def build_parser() -> tuple[_Parser, dict[str, _Spec]]:
         ("--taus", "taus", str, "5:100:5", "horizon range start:end:step in minutes"),
         ("--max-lag", "max_lag", int, 480, "ACF maximum lag (minutes)"),
         ("--return-tau", "return_tau", int, None, "horizon for histogram/ACF returns (default: base resolution)"),
-        ("--policy", "policy", str, (("intraday-only", "contiguous"), "intraday-only"), "session pairing policy"),
+        ("--policy", "policy", ("intraday-only", "contiguous"), "intraday-only", "session pairing policy"),
         ("--bins", "bins", int, None, "histogram bin count (default: Freedman-Diaconis)"),
         ("--out-prefix", "out_prefix", str, None, "output prefix for the statistics CSVs and manifest"),
     ]
-    registry["analyze"] = _add_opts(sub, opts)
+    flags["analyze"] = _add_opts(sub, opts)
     sub.set_defaults(func=cmd_analyze)
 
     sub = subs.add_parser("fit", help="fit calibration models to estimator CSV output")
     opts = common + [
-        ("--kind", "kind", str, (("acf", "kurtosis"), None), "which fit to run"),
+        ("--kind", "kind", ("acf", "kurtosis"), None, "which fit to run"),
         ("--input", "input", str, None, "estimator CSV (lag,acf[,count[,stderr]] or tau,kurtosis[,n])"),
         ("--base-minutes", "base_minutes", int, None, "lag resolution in minutes (default: inferred)"),
-        ("--weights", "weights", str, (("uniform", "count-weighted"), "uniform"), "ACF residual weighting"),
+        ("--weights", "weights", ("uniform", "count-weighted"), "uniform", "ACF residual weighting"),
         ("--out", "out", str, None, "output JSON report path"),
     ]
-    registry["fit"] = _add_opts(sub, opts)
+    flags["fit"] = _add_opts(sub, opts)
     sub.set_defaults(func=cmd_fit)
 
     sub = subs.add_parser("synth", help="generate seeded synthetic market data")
     opts = common + [
-        ("--kind", "kind", str, (("gbm", "colored"), None), "generator"),
+        ("--kind", "kind", ("gbm", "colored"), None, "generator"),
         ("--n", "n", int, None, "number of bars / return samples"),
         ("--dt", "dt", int, 1, "bar spacing in minutes"),
         ("--seed", "seed", int, None, "RNG seed (mandatory; QBM_SEED fallback)"),
@@ -396,10 +377,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Spec]]:
         ("--base-noise", "base_noise", float, 1e-3, "colored: white-noise level (log-price per minute)"),
         ("--out", "out", str, None, "output prices CSV path"),
     ]
-    registry["synth"] = _add_opts(sub, opts)
+    flags["synth"] = _add_opts(sub, opts)
     sub.set_defaults(func=cmd_synth)
 
-    return parser, registry
+    return parser, flags
 
 
 def cmd_eval(cfg: dict) -> int:
@@ -694,10 +675,18 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, registry = build_parser()
+    parser, flags = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        cfg = _resolve(args, registry[args.command])
+        if args.config:
+            # the file's values go before the user's own, so a flag wins (argparse keeps the last)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_argv(args.config, flags[args.command]) + argv[at:])
+        cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+        for dest, value in cfg.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{flags[args.command][dest]} must be finite")
         # a non-finite result is reported once, by the check that refuses it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(cfg)

@@ -155,6 +155,15 @@ class KernelSchedule:
         return self.delta(t), self.lam(t)
 
 
+def _check_hbar2_terms(hbar: float, hb2_delta: float, hb2_lam: float, t: float) -> None:
+    """Refuse a generator term hbar^2 Delta(t) or hbar^2 Lambda(t) that is not
+    finite: at a tiny hbar, 1/hbar^2 overflows to inf (or hbar^2 underflows to
+    0 and the product is nan), and an integrator fed inf may never return."""
+    for name, value in (("Delta", hb2_delta), ("Lambda", hb2_lam)):
+        if not math.isfinite(value):
+            raise IntegrationError(f"hbar^2 {name} is {value} at t = {t:.6g}, hbar = {hbar:g}")
+
+
 def moment_derivative(
     state: MomentState, params: ModelParams, delta: float, lam: float
 ) -> dict[tuple[int, int], float]:
@@ -250,7 +259,9 @@ def evolve_moments(
 
     def rhs(tt: float, y: np.ndarray) -> np.ndarray:
         delta, lam = schedule.coefficients(tt)
-        mat = a_mat + (hb2 * delta * inv_pp) * b_mat + (hb2 * lam * inv_xp) * c_mat
+        hb2_delta, hb2_lam = hb2 * delta, hb2 * lam
+        _check_hbar2_terms(p.hbar, hb2_delta, hb2_lam, tt)
+        mat = a_mat + (hb2_delta * inv_pp) * b_mat + (hb2_lam * inv_xp) * c_mat
         return mat @ y
 
     from scipy.integrate import solve_ivp  # here, not at the top: `import qbmarket` loads numpy only

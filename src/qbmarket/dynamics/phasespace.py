@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import NumericalError, StabilityError
 from ..model import ModelParams
-from .moments import MomentState, KernelSchedule
+from .moments import MomentState, KernelSchedule, _check_hbar2_terms
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -228,7 +228,10 @@ def stable_time_step(
     if params.gamma > 0:
         bounds.append(grid.dp / (2.0 * params.gamma * p_max))
     ts = np.linspace(0.0, t_end, 513)
-    mixed_max = np.float64(params.hbar) ** 2 * max(abs(schedule.lam(float(t))) for t in ts)
+    # np.max, not max: a nan Lambda (1/hbar^2 overflowing against 0) must not be skipped
+    mixed_max = np.float64(params.hbar) ** 2 * np.max([abs(schedule.lam(float(t))) for t in ts])
+    if not math.isfinite(mixed_max):
+        raise NumericalError(f"hbar^2 Lambda is {mixed_max} on [0, {t_end:.6g}], hbar = {params.hbar:g}")
     if mixed_max > 0:
         bounds.append(grid.dx * grid.dp / mixed_max)
     return 0.5 * min(bounds)
@@ -413,6 +416,7 @@ def evolve_wigner_pde(
         if step == n_steps:
             break
         delta, lam = schedule.coefficients((step + 0.5) * dt)
+        _check_hbar2_terms(params.hbar, hb2 * delta, hb2 * lam, (step + 0.5) * dt)
         w = advect_x(w)
         w = drift_p(w)
         if delta != 0.0:

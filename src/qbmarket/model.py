@@ -203,8 +203,22 @@ def noise_kernel(params: ModelParams, nm: NonMarkovParams, tau) -> NoiseKernel:
     )
 
 
+# The hbar-scaled prefactors are formed in np.float64, so a tiny hbar gives an
+# inf (or, where hbar^2 underflows to 0, a nan) that the engines and the CSV
+# writer refuse by name, not an OverflowError or ZeroDivisionError.
+
+
 def _markov_delta(params: ModelParams) -> float:
-    return 2.0 * params.M * params.gamma * params.kT / params.hbar**2
+    return float(2.0 * params.M * params.gamma * params.kT / np.float64(params.hbar) ** 2)
+
+
+def _delta_prefactor(params: ModelParams, nm: NonMarkovParams) -> float:
+    return float(2.0 * (params.M * params.gamma * nm.xi / np.float64(params.hbar)) ** 2)
+
+
+def _lambda_prefactor(params: ModelParams, nm: NonMarkovParams) -> float:
+    gamma, xi = np.float64(params.gamma), np.float64(nm.xi)
+    return float(2.0 * params.M * gamma**2 * xi**2 / np.float64(params.hbar) ** 2)
 
 
 def delta_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np.ndarray:
@@ -215,7 +229,7 @@ def delta_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np
     """
     tt = _as_nonnegative(t, "t")
     eta, om = nm.eta, nm.omega
-    pref = 2.0 * (params.M * params.gamma * nm.xi / params.hbar) ** 2
+    pref = _delta_prefactor(params, nm)
     decay = np.exp(-eta * tt)
     one_minus = -np.expm1(-eta * tt)
     brace1 = one_minus / eta
@@ -229,7 +243,7 @@ def delta_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np
 
 def delta_limit(params: ModelParams, nm: NonMarkovParams) -> float:
     """Long-time limit of :func:`delta_coefficient`."""
-    pref = 2.0 * (params.M * params.gamma * nm.xi / params.hbar) ** 2
+    pref = _delta_prefactor(params, nm)
     return _markov_delta(params) + pref * (1.0 / nm.eta + nm.eta / (nm.eta**2 + 4.0 * nm.omega**2))
 
 
@@ -245,7 +259,7 @@ def lambda_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | n
     eta, om = nm.eta, nm.omega
     b = 2.0 * om
     d = eta**2 + b**2
-    pref = 2.0 * params.M * params.gamma**2 * nm.xi**2 / params.hbar**2
+    pref = _lambda_prefactor(params, nm)
 
     small = eta * tt < _LAMBDA_SERIES_CUT
     # series: (pref / d^2) t [ -4 eta b^2 + t (eta^4 + 4 eta^2 b^2 - b^4) ]
@@ -268,7 +282,7 @@ def lambda_limit(params: ModelParams, nm: NonMarkovParams) -> float:
     """Long-time limit of :func:`lambda_coefficient`."""
     eta, om = nm.eta, nm.omega
     d = eta**2 + 4.0 * om**2
-    c = 2.0 * params.M * params.gamma**2 * nm.xi**2 / params.hbar**2
+    c = _lambda_prefactor(params, nm)
     return c / eta**2 + c * (eta**2 - 4.0 * om**2) / d**2
 
 
@@ -379,6 +393,7 @@ def minimal_uncertainty_momentum(params: ModelParams, sx2_0: float) -> float:
     if not sx2_0 > 0:
         raise ValueError("sx2_0 must be positive")
     sp2_0 = np.float64(params.hbar) ** 2 / (4.0 * sx2_0)  # overflows to inf, not OverflowError
-    if not math.isfinite(sp2_0):
-        raise NumericalError(f"minimal-uncertainty sp2_0 = hbar^2/(4 sx2_0) overflows at hbar = {params.hbar:g}")
+    if not math.isfinite(sp2_0) or sp2_0 == 0:
+        fault = "underflows to 0" if sp2_0 == 0 else "overflows"
+        raise NumericalError(f"minimal-uncertainty sp2_0 = hbar^2/(4 sx2_0) {fault} at hbar = {params.hbar:g}")
     return float(sp2_0)

@@ -267,6 +267,37 @@ class TestSimulate:
         assert "--rtol must be finite" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, named", [
+        (["simulate", "--mode", "moments", "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--t-end", "1",
+          "--out-prefix", "m"], "hbar^2 Delta is inf"),
+        (["simulate", "--mode", "moments", "--x2", "1", "--p2", "1", "--hbar", "1e-200", "--t-end", "1",
+          "--out-prefix", "m"], "hbar^2 Delta is nan"),
+        (["simulate", "--mode", "moments", "--kernel", "non-markov", "--xi", "1", "--eta", "1", "--omega", "1",
+          "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--t-end", "1", "--out-prefix", "m"], "hbar^2 Delta is nan"),
+        (["simulate", "--mode", "pde", "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--nx", "32", "--np", "32",
+          "--t-end", "0.01", "--out-prefix", "p"], "hbar^2 Delta is inf"),
+        (["simulate", "--mode", "pde", "--kernel", "non-markov", "--xi", "1", "--eta", "1", "--omega", "1",
+          "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--nx", "32", "--np", "32", "--t-end", "0.01",
+          "--out-prefix", "p"], "hbar^2 Lambda is nan"),
+        (["simulate", "--mode", "moments", "--x2", "1", "--hbar", "1e-200", "--t-end", "1", "--out-prefix", "m"],
+         "minimal-uncertainty sp2_0 = hbar^2/(4 sx2_0) underflows to 0"),
+        *[(["eval", "--formula", formula, "--hbar", hbar, "--xi", "1", "--eta", "1", "--omega", "1",
+            "--start", "0", "--end", "1", "--out", "e.csv"], f"non-finite values in column '{formula}'")
+          for formula in ("delta", "lambda") for hbar in ("1e-160", "1e-200")],
+    ], ids=["moments", "moments-underflow", "moments-non-markov", "pde", "pde-non-markov", "default-p2",
+            "delta", "delta-underflow", "lambda", "lambda-underflow"])
+    def test_tiny_hbar_is_named(self, tmp_path, argv, named):
+        # 1/hbar^2 overflows, or hbar^2 underflows to 0. The moment integrator
+        # fed the resulting inf never returned, so each run gets its own
+        # process and a deadline.
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qbmarket.cli", *argv, "--points", "3"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numerical failure: ") and named in proc.stderr, proc.stderr
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_pde_mass_leak_is_numerical_failure(self, tmp_path):
         code = run(["simulate", "--mode", "pde", "--gamma", 0.01, "--kT", 0, "--x2", 1, "--p2", 1,
                     "--x-width", 8, "--p-width", 8, "--nx", 32, "--np", 32, "--t-end", 10,
@@ -601,10 +632,11 @@ class TestConfigFile:
 
     def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("kind = gbm\nsigma = nan\n")
-        assert run(["synth", "--config", cfg, "--n", 50, "--seed", 1, "--out", tmp_path / "p.csv"]) == 1
-        assert "--sigma must be finite" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        for value in ("nan", "-inf"):  # -inf is a value, not an option
+            cfg.write_text(f"kind = gbm\nsigma = {value}\n")
+            assert run(["synth", "--config", cfg, "--n", 50, "--seed", 1, "--out", tmp_path / "p.csv"]) == 1
+            assert "--sigma must be finite" in capsys.readouterr().err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
@@ -621,6 +653,108 @@ class TestConfigFile:
         manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
         assert manifest["config"]["gamma"] == 2.0
         assert manifest["config"]["end"] == 10.0
+
+
+def _write_inputs(directory: Path) -> None:
+    """prices.csv for analyze, acf.csv and kurt.csv for fit."""
+    assert run(["synth", "--kind", "gbm", "--n", 600, "--seed", 1, "--out", directory / "prices.csv"]) == 0
+    lags = np.arange(0, 481, 5)
+    acf = acf_model(NonMarkovParams(xi=5.48e-4, eta=5.56e-3, omega=0.026), lags.astype(float))
+    (directory / "acf.csv").write_text(
+        "lag,acf,count\n" + "\n".join(f"{l},{v:.17g},{1000 - l}" for l, v in zip(lags, acf)) + "\n"
+    )
+    taus = np.arange(5, 205, 5)
+    (directory / "kurt.csv").write_text(
+        "tau,kurtosis\n" + "\n".join(f"{t},{197.0 * math.exp(-0.01 * t):.17g}" for t in taus) + "\n"
+    )
+
+
+# one run of each command that sets every option but --config (the output path
+# last); --xp and --spx-0 are negative, which the file must read as values
+FULL_RUNS = {
+    "eval": ["--formula", "variance", "--M", "10", "--gamma", "1e3", "--kT", "0.1", "--hbar", "0.01",
+             "--sx2-0", "1e-7", "--sp2-0", "300", "--spx-0", "-0.000001", "--xi", "5e-4", "--eta", "5e-3",
+             "--omega", "0.02", "--kind", "composite", "--cutoff", "2", "--start", "0", "--end", "10",
+             "--points", "11", "--out", "e.csv"],
+    "simulate": ["--mode", "moments", "--M", "2", "--gamma", "0.5", "--kT", "0.7", "--hbar", "0.9",
+                 "--kernel", "non-markov", "--xi", "0.3", "--eta", "0.5", "--omega", "0.7", "--x2", "1",
+                 "--p2", "1.5", "--xp", "-0.25", "--x4", "3.5", "--t-end", "1", "--points", "3", "--rtol", "1e-9",
+                 "--atol", "1e-13", "--n-paths", "2000", "--dt", "0.01", "--seed", "4", "--nx", "16", "--np", "16",
+                 "--x-width", "9", "--p-width", "9", "--potential", "harmonic", "--omega0", "1.5",
+                 "--out-prefix", "m"],
+    "analyze": ["--input", "prices.csv", "--taus", "1:6:1", "--max-lag", "20", "--return-tau", "2",
+                "--policy", "contiguous", "--bins", "15", "--out-prefix", "stats"],
+    "fit": ["--kind", "acf", "--input", "acf.csv", "--base-minutes", "5", "--weights", "count-weighted",
+            "--out", "f.json"],
+    "synth": ["--kind", "colored", "--n", "1200", "--dt", "2", "--seed", "3", "--mu", "1e-5", "--sigma", "0.02",
+              "--s0", "50", "--xi", "5e-4", "--eta", "5e-3", "--omega", "0.02", "--base-noise", "2e-3",
+              "--out", "s.csv"],
+}
+
+
+class TestConfigParsing:
+    """A config value goes through the parser its flag goes through."""
+
+    @pytest.mark.parametrize("command", sorted(FULL_RUNS))
+    def test_every_option_from_the_file_reads_as_its_flag(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        _write_inputs(tmp_path)
+        pairs = list(zip(FULL_RUNS[command][::2], FULL_RUNS[command][1::2]))
+        _, flags = cli.build_parser()
+        assert [flag for flag, _ in pairs] == [f for f in flags[command].values() if f != "--config"]
+        manifest = Path(f"{pairs[-1][1]}.manifest.json")
+
+        def recorded(argv):
+            assert run([command, *argv]) == 0
+            return json.loads(manifest.read_text())["config"]
+
+        expected = recorded(FULL_RUNS[command])
+        assert expected.pop("config") is None
+        for i, (flag, value) in enumerate(pairs):
+            # keys are case-insensitive and read - and _ alike
+            key = flag[2:] if i % 2 else flag[2:].upper().replace("-", "_")
+            Path("run.cfg").write_text(f"{key} = {value}\n")
+            rest = [token for other in pairs if other[0] != flag for token in other]
+            config = recorded([*rest, "--config", "run.cfg"])
+            assert config.pop("config") == "run.cfg"
+            assert config == expected, flag
+
+    @pytest.mark.parametrize("key, argv", [
+        ("formula", ["eval", "--start", 0, "--end", 1, "--points", 3, "--out", "e.csv"]),
+        ("kind", ["eval", "--formula", "classical", "--start", 0, "--end", 1, "--points", 3, "--out", "e.csv"]),
+        ("mode", ["simulate", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.01, "--points", 3,
+                  "--out-prefix", "m"]),
+        ("kernel", ["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--points", 3, "--out-prefix", "m"]),
+        ("potential", ["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.01,
+                       "--points", 3, "--out-prefix", "m"]),
+        ("policy", ["analyze", "--input", "prices.csv", "--taus", "1:6:1", "--max-lag", 20, "--out-prefix", "s"]),
+        ("kind", ["fit", "--input", "kurt.csv", "--out", "f.json"]),
+        ("weights", ["fit", "--kind", "acf", "--input", "acf.csv", "--out", "f.json"]),
+        ("kind", ["synth", "--n", 1200, "--xi", 5e-4, "--eta", 5e-3, "--omega", 0.02, "--seed", 1, "--out", "s.csv"]),
+    ], ids=["eval-formula", "eval-kind", "simulate-mode", "simulate-kernel", "simulate-potential",
+            "analyze-policy", "fit-kind", "fit-weights", "synth-kind"])
+    def test_bogus_choice_from_the_file_is_usage_error(self, tmp_path, monkeypatch, capsys, key, argv):
+        monkeypatch.chdir(tmp_path)
+        _write_inputs(tmp_path)
+        Path("run.cfg").write_text(f"{key} = bogus\n")
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run([*argv, "--config", "run.cfg"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument --{key}: invalid choice: 'bogus'"), err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("first, second, key", [
+        ("gamma = 1", "gamma = 2", "gamma"),
+        ("n-paths = 1000", "N_PATHS = 2000", "n_paths"),
+    ])
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys, first, second, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a run\n{first}\n\n{second}\n")
+        assert run(["simulate", "--config", cfg, "--mode", "moments", "--x2", 1, "--t-end", 1, "--points", 3,
+                    "--out-prefix", tmp_path / "m"]) == 1
+        assert f"usage error: config {cfg}: key {key!r} repeated on lines 2 and 4" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 class TestImports:

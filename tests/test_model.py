@@ -26,6 +26,7 @@ from qbmarket import (
     spectral_density,
     variance_closed_form,
 )
+from qbmarket.errors import NumericalError
 from qbmarket.model import MARKOV_WARN_RATIO
 
 
@@ -300,6 +301,27 @@ class TestMinimalUncertainty:
         params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0)
         with pytest.raises(ValueError):
             minimal_uncertainty_momentum(params, 0.0)
+
+    @pytest.mark.parametrize("hbar, sx2, fault", [(1e-200, 1.0, "underflows to 0"), (1e200, 1.0, "overflows")])
+    def test_unrepresentable_value_is_numerical_error(self, hbar, sx2, fault):
+        # hbar^2 = 1e-400 is 0 in double precision: a numerical failure, not a bad input
+        params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=hbar)
+        with np.errstate(under="ignore", over="ignore"), pytest.raises(NumericalError, match=fault):
+            minimal_uncertainty_momentum(params, sx2)
+
+
+@pytest.mark.parametrize("hbar", [1e-160, 1e-200])
+def test_tiny_hbar_coefficients_are_non_finite_not_errors(hbar):
+    # 1/hbar^2 overflows (or hbar^2 underflows to 0): the value says so, and
+    # the engines and the CSV writer refuse it by name
+    params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=hbar)
+    nm = NonMarkovParams(xi=1.0, eta=1.0, omega=1.0)
+    t = np.array([0.0, 0.5, 1.0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for fn in (delta_coefficient, lambda_coefficient):
+            assert not np.isfinite(fn(params, nm, t)).any()
+        for fn in (delta_limit, lambda_limit):
+            assert not math.isfinite(fn(params, nm))
 
 
 def _log_uniform(lo: float, hi: float):
