@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -82,6 +83,11 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-6" for an option: its own pattern has no exponent
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message: str) -> None:  # exit code 1 instead of argparse's 2
         raise ValueError(message)
 
@@ -324,8 +330,10 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, str]]]:
         ("--x4", "x4", float, None, "initial <X^4> override (default: Gaussian value 3 <X^2>^2)"),
         ("--t-end", "t_end", float, None, "end time (model time units)"),
         ("--points", "points", int, 101, "number of output times"),
-        ("--rtol", "rtol", float, 1e-8, "moment integrator relative tolerance"),
-        ("--atol", "atol", float, 1e-12, "moment integrator absolute tolerance"),
+        ("--rtol", "rtol", float, 1e-8,
+         "moment integrator relative tolerance (non-markov runs with xi > 0; other runs are propagated exactly)"),
+        ("--atol", "atol", float, 1e-12,
+         "moment integrator absolute tolerance (non-markov runs with xi > 0; other runs are propagated exactly)"),
         ("--n-paths", "n_paths", int, 100000, "SDE ensemble size"),
         ("--dt", "dt", float, None, "SDE/PDE time step (default for pde: stability bound)"),
         ("--seed", "seed", int, None, "RNG seed (mandatory for sde; QBM_SEED fallback)"),

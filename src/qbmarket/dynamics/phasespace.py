@@ -336,10 +336,10 @@ def evolve_wigner_pde(
     sample intervals (len(sample_times) - 1) whose step fits the stability
     bound, so uniformly spaced sample times from 0 to t_end fall on steps. A
     user-supplied dt above the bound is rejected. A sample time between steps
-    is recorded at the nearest step. Aborts with a StabilityError if the
-    density blows up or substantial mass reaches the grid boundary (both
-    checked after every step), or if it leaks mass (checked at sample times
-    and at the end).
+    is recorded at the nearest step, with that step's time; one on a step keeps
+    its requested value. Aborts with a StabilityError if the density blows up
+    or substantial mass reaches the grid boundary (both checked after every
+    step), or if it leaks mass (checked at sample times and at the end).
     """
     if not t_end > 0:
         raise ValueError("t_end must be positive")
@@ -368,7 +368,13 @@ def evolve_wigner_pde(
         if abs(n_steps * dt - t_end) > 1e-9 * t_end:
             raise ValueError("dt must divide t_end evenly")
 
-    sample_idx = np.unique(np.clip(np.round(np.asarray(sample_times, dtype=float) / dt).astype(int), 0, n_steps))
+    requested = np.asarray(sample_times, dtype=float)
+    sample_idx, first = np.unique(np.clip(np.round(requested / dt).astype(int), 0, n_steps), return_index=True)
+    # a sample time that falls on its step (to roundoff) is recorded as given,
+    # not as step * dt, which can differ from it in the last bit
+    step_times = sample_idx * dt
+    on_step = np.abs(requested[first] - step_times) <= 1e-9 * t_end
+    sample_t = np.where(on_step, requested[first], step_times)
 
     dx, dp = grid.dx, grid.dp
     advect_x, drift_p = _transport_substeps(grid, params, potential, 0.5 * dt)
@@ -399,10 +405,10 @@ def evolve_wigner_pde(
         except ValueError as exc:
             raise StabilityError(f"mass leak at t = {step * dt:.6g}: {exc}") from exc
 
-    def record(step: int, w_now: np.ndarray) -> None:
+    def record(step: int, t_now: float, w_now: np.ndarray) -> None:
         nonlocal eps_neg
         snap = snapshot(step, w_now)
-        times.append(step * dt)
+        times.append(t_now)
         masses.append(snap.mass())
         moments.append(grid_moments(snap))
         eps_neg = max(eps_neg, snap.negative_fraction())
@@ -411,7 +417,7 @@ def evolve_wigner_pde(
     for step in range(n_steps + 1):
         check(step, w)
         while rec_pos < len(sample_idx) and sample_idx[rec_pos] == step:
-            record(step, w)
+            record(step, float(sample_t[rec_pos]), w)
             rec_pos += 1
         if step == n_steps:
             break

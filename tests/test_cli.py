@@ -305,10 +305,31 @@ class TestSimulate:
         assert code == 3
         assert list(tmp_path.iterdir()) == []
 
+    def test_stiff_damping_returns(self, tmp_path):
+        # DOP853 never returned on this generator (entries of order 1e200);
+        # the run gets its own process and a deadline
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qbmarket.cli", "simulate", "--mode", "moments", "--x2", "1",
+                               "--p2", "1", "--gamma", "1e200", "--t-end", "1", "--points", "3", "--out-prefix", "m"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        header, rows = read_csv(tmp_path / "m.csv")
+        assert np.all(rows[:, header.index("m00")] == 1.0)
+        np.testing.assert_allclose(rows[:, header.index("m20")], 1.0, rtol=1e-15)
+        np.testing.assert_allclose(rows[:, header.index("m02")], 1.0, rtol=1e-15)
+
+    def test_pde_time_column_is_the_requested_grid(self, tmp_path):
+        # 7 steps of 0.03/7: step 3 lands at 3 * dt, an ulp off linspace's 0.03 * 3/7
+        assert run(["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.03,
+                    "--points", 8, "--dt", 0.03 / 7, "--out-prefix", tmp_path / "p"]) == 0
+        header, rows = read_csv(tmp_path / "p.csv")
+        np.testing.assert_array_equal(rows[:, header.index("t")], np.linspace(0.0, 0.03, 8))
+
 
     @pytest.mark.parametrize("flags", [
         ["--kernel", "non-markov", "--xi", 50, "--eta", 0.01, "--omega", 1, "--kT", 0.001, "--t-end", 100],
-        ["--rtol", 0.9, "--atol", 1, "--t-end", 10],
+        # loose tolerances act only where coefficients vary in time (xi > 0)
+        ["--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1, "--rtol", 0.9, "--atol", 1, "--t-end", 10],
     ], ids=["negative-variance", "cauchy-schwarz"])
     def test_invalid_moment_state_is_numerical_failure(self, tmp_path, capsys, flags):
         # the integrator, not the input, produced moments no density can have
@@ -744,6 +765,14 @@ class TestConfigParsing:
         assert err.startswith(f"usage error: argument --{key}: invalid choice: 'bogus'"), err
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_negative_exponent_value_reads_as_a_number(self, tmp_path):
+        # argparse's own pattern took "-1e-6" for an option
+        common = ["eval", "--formula", "variance", "--sx2-0", 1, "--start", 0, "--end", 1, "--points", 3]
+        assert run([*common, "--spx-0", "-1e-6", "--out", tmp_path / "a.csv"]) == 0
+        assert run([*common, "--spx-0=-1e-6", "--out", tmp_path / "b.csv"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert json.loads((tmp_path / "a.csv.manifest.json").read_text())["config"]["spx_0"] == -1e-6
+
     @pytest.mark.parametrize("first, second, key", [
         ("gamma = 1", "gamma = 2", "gamma"),
         ("n-paths = 1000", "N_PATHS = 2000", "n_paths"),
@@ -816,6 +845,30 @@ print(json.dumps(loaded))
         assert "scipy.optimize" in loaded.pop(ran[-1])
         assert loaded == {step: [] for step in loaded}
 
+
+    def test_moments_load_integrate_only_for_time_dependent_coefficients(self, tmp_path):
+        # constant coefficients (markov, or xi = 0) are propagated exactly;
+        # step names are their first three tokens, so the flags are ordered to differ
+        common = ["--x2", "1", "--t-end", "1", "--points", "3", "--out-prefix", "m"]
+        steps = [
+            ["simulate", "--mode", "moments", *common],
+            ["simulate", "--kernel", "non-markov", "--mode", "moments", "--xi", "0", "--eta", "1", "--omega", "1",
+             *common],
+            ["simulate", "--xi", "0.1", "--mode", "moments", "--kernel", "non-markov", "--eta", "1", "--omega", "1",
+             *common],
+        ]
+        watched = (*self.SCIPY_ON_DEMAND, "scipy.linalg")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(steps), *watched],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        ran = ["import qbmarket", "--version"] + [" ".join(s[:3]) + " -> exit 0" for s in steps]
+        assert list(loaded) == ran, proc.stderr
+        assert "scipy.integrate" in loaded.pop(ran[-1])
+        assert loaded == {step: [] for step in loaded}
 
     def test_startup_loads_no_thread_pool(self, tmp_path):
         # only the sde ensemble needs concurrent.futures; `qbm --version` must not pay for it

@@ -1,5 +1,8 @@
 """Moment recursion and trajectory evolution, validated against the variance
-closed form and the analytic properties of the linear generator."""
+closed form, an adaptive ODE integration and the analytic properties of the
+linear generator."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from qbmarket.dynamics import (
     evolve_moments,
     moment_derivative,
 )
+from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _generator_matrices
 
 from conftest import linear_fit_r2
 
@@ -179,3 +183,119 @@ class TestKernelSchedule:
         for t in (0.0, 17.0, 400.0):
             assert sched.delta(t) == delta_coefficient(kurtosis_params, nm_9904, t)
             assert sched.lam(t) == lambda_coefficient(kurtosis_params, nm_9904, t)
+
+
+def dop853_reference(init: MomentState, schedule: KernelSchedule, t: np.ndarray) -> np.ndarray:
+    """The moment ODE integrated by DOP853 at rtol 1e-12 in physical units,
+    one row of MOMENT_KEYS per time; the absolute tolerance of each moment is
+    1e-14 of its initial spread scale."""
+    from scipy.integrate import solve_ivp
+
+    p = schedule.params
+    a, b, c = _generator_matrices(p.M, p.gamma)
+    x_s = math.sqrt(init[(2, 0)])
+    p_s = math.sqrt(max(init[(0, 2)], p.M * p.kT))
+    scale = np.array([x_s**j * p_s**k for (j, k) in MOMENT_KEYS])
+
+    def rhs(tt, y):
+        delta, lam = schedule.coefficients(tt)
+        return (a + p.hbar**2 * delta * b + p.hbar**2 * lam * c) @ y
+
+    sol = solve_ivp(rhs, (t[0], t[-1]), init.vector(), method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14 * scale)
+    assert sol.success, sol.message
+    return sol.y.T
+
+
+def constant_coefficient_cases():
+    kurt = ModelParams(M=20.0, gamma=1.0, kT=1.0, hbar=1.0)
+    stiff = ModelParams(M=10.0, gamma=1e3, kT=0.1, hbar=0.01)
+    return {
+        "fig2c": (fig2c_init(), KernelSchedule.markov(kurt), np.linspace(0.0, 12.0, 49)),
+        "gamma-1e3": (
+            MomentState.from_init(SecondMomentInit.minimal_uncertainty(stiff, 1e-7)),
+            KernelSchedule.markov(stiff),
+            np.linspace(0.0, 10.0, 49),
+        ),
+        "cross-moment": (
+            MomentState.gaussian(1.2, 2.1, -0.4),
+            KernelSchedule.markov(ModelParams(M=2.0, gamma=0.8, kT=1.4, hbar=0.7)),
+            np.linspace(0.0, 6.0, 25),
+        ),
+        "non-markov-xi-0": (
+            fig2c_init(),
+            KernelSchedule.non_markov(kurt, NonMarkovParams(xi=0.0, eta=5.56e-3, omega=0.026)),
+            np.linspace(0.0, 8.0, 33),
+        ),
+        "zero-temperature": (
+            MomentState.gaussian(1.0, 2.0, 0.3).with_value(4, 0, 5.0),
+            KernelSchedule.markov(ModelParams(M=1.0, gamma=0.3, kT=0.0, hbar=1.0)),
+            np.linspace(0.0, 20.0, 41),
+        ),
+        "weak-damping": (
+            MomentState.gaussian(0.2, 3.0, 0.1),
+            KernelSchedule.markov(ModelParams(M=5.0, gamma=1e-3, kT=2.0, hbar=0.5)),
+            np.linspace(0.0, 50.0, 26),
+        ),
+    }
+
+
+class TestExactPropagation:
+    def test_generator_is_lower_triangular_in_propagation_order(self):
+        a, b, c = _generator_matrices(3.0, 2.0)
+        g = (a + b + c)[np.ix_(_TRIANGULAR, _TRIANGULAR)]
+        assert np.all(np.triu(g, 1) == 0.0)
+        assert np.any(np.triu(a + b + c, 1) != 0.0)  # as stored, it is not
+
+    @pytest.mark.parametrize("case", list(constant_coefficient_cases()))
+    def test_matches_dop853_reference(self, case):
+        # within 1e-8 of each moment's largest value on the grid; the largest
+        # gap (6e-9, gamma = 1e3) is the integrator's: see the next test
+        init, schedule, t = constant_coefficient_cases()[case]
+        assert schedule.constant
+        exact = np.array([s.vector() for s in evolve_moments(init, schedule, t).states])
+        ref = dop853_reference(init, schedule, t)
+        size = np.abs(ref).max(axis=0)
+        gap = np.abs(exact - ref).max(axis=0)
+        assert np.all(gap <= 1e-8 * size), (gap / np.where(size > 0, size, 1.0)).max()
+
+    def test_stiff_case_matches_high_precision_exponential(self):
+        # every moment within 1e-14 of exp(G t) m(0) in 40-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        init, schedule, t = constant_coefficient_cases()["gamma-1e3"]
+        p = schedule.params
+        a, b, _ = _generator_matrices(p.M, p.gamma)
+        gen = mp.matrix((a + p.hbar**2 * schedule.delta(0.0) * b).tolist())
+        traj = evolve_moments(init, schedule, t)
+        with mp.workdps(40):
+            for k in (1, 10, len(t) - 1):
+                ref = np.array([float(v) for v in mp.expm(gen * mp.mpf(t[k])) * mp.matrix(init.vector().tolist())])
+                np.testing.assert_allclose(traj.states[k].vector(), ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("case", ["fig2c", "gamma-1e3", "cross-moment", "weak-damping"])
+    def test_variance_matches_closed_form(self, case):
+        # without the exact diagonal in the squaring phase, gamma = 1e3 was off by 5e-12
+        init, schedule, t = constant_coefficient_cases()[case]
+        sx2 = init[(2, 0)]
+        start = SecondMomentInit(sx2_0=sx2, sp2_0=init[(0, 2)], spx_0=2.0 * init[(1, 1)])
+        exact = np.asarray(variance_closed_form(schedule.params, start, t))
+        np.testing.assert_allclose(evolve_moments(init, schedule, t).moment(2, 0), exact, rtol=1e-14)
+
+    @pytest.mark.parametrize("case", ["gamma-1e3", "cross-moment"])
+    def test_centered_gaussian_keeps_exact_norm_and_zero_odd_moments(self, case):
+        init, schedule, t = constant_coefficient_cases()[case]
+        traj = evolve_moments(init, schedule, t)
+        assert np.all(traj.moment(0, 0) == 1.0)
+        for key in MOMENT_KEYS:
+            if sum(key) % 2:
+                odd = traj.moment(*key)
+                assert np.all(odd == 0.0) and not np.any(np.signbit(odd)), key
+
+    def test_one_propagator_per_distinct_interval(self, monkeypatch, kurtosis_params):
+        from qbmarket.dynamics import moments
+
+        calls = []
+        real = moments._expm_lower
+        monkeypatch.setattr(moments, "_expm_lower", lambda a: calls.append(a) or real(a))
+        t = np.array([0.0, 0.5, 1.0, 1.5, 2.5, 3.0])
+        evolve_moments(fig2c_init(), KernelSchedule.markov(kurtosis_params), t)
+        assert len(calls) == 2
