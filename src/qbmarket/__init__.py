@@ -59,6 +59,7 @@ from .model import (
     SecondMomentInit,
     acf_model,
     classical_variance,
+    cross_diffusion,
     delta_coefficient,
     delta_limit,
     lambda_coefficient,
@@ -66,6 +67,7 @@ from .model import (
     markov_validity,
     minimal_uncertainty_momentum,
     noise_kernel,
+    normal_diffusion,
     spectral_density,
     variance_closed_form,
     variance_short_time,

@@ -16,10 +16,11 @@ leaves none of its outputs and no temp file. Outputs carry no timestamps: a
 rerun from the same manifest is bit-identical.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure. An
---input that is missing or cannot be read is a data error; a --config that
-cannot be read, or an output that cannot be written, is a usage error. A
-result holding a non-finite number is a numerical failure and is not written;
-the one exception is the ACF standard error at a lag with a single pair (NaN).
+--input that is missing, cannot be read or is not UTF-8 text is a data error;
+a --config that cannot be read, or an output that cannot be written, is a
+usage error. A result holding a non-finite number is a numerical failure and
+is not written; the one exception is the ACF standard error at a lag with a
+single pair (NaN).
 Unconverged fits exit 0 with converged=false in the report (scriptable).
 The environment variable QBM_SEED is the fallback seed source; flags win.
 """
@@ -439,14 +440,6 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def _moment_columns(times: np.ndarray, states) -> dict[str, np.ndarray]:
-    columns: dict[str, np.ndarray] = {"t": times}
-    for (j, k) in MOMENT_KEYS:
-        columns[f"m{j}{k}"] = np.array([s[(j, k)] for s in states])
-    columns["kurtosis_x"] = np.array([s.kurtosis_x() for s in states])
-    return columns
-
-
 def cmd_simulate(cfg: dict) -> int:
     _require(cfg, "mode", "t_end", "out_prefix")
     mode = cfg["mode"]
@@ -475,7 +468,8 @@ def cmd_simulate(cfg: dict) -> int:
         if cfg.get("x4") is not None:
             init = init.with_value(4, 0, cfg["x4"])
         traj = evolve_moments(init, schedule, times, rtol=cfg["rtol"], atol=cfg["atol"])
-        columns = _moment_columns(traj.times, traj.states)
+        columns = {"t": traj.times, **{f"m{j}{k}": traj.moment(j, k) for (j, k) in MOMENT_KEYS},
+                   "kurtosis_x": traj.kurtosis_x()}
     elif mode == "sde":
         if seed is None:
             raise ValueError("sde mode requires --seed (or QBM_SEED)")
@@ -486,9 +480,7 @@ def cmd_simulate(cfg: dict) -> int:
         init = SecondMomentInit(sx2_0=x2, sp2_0=p2, spx_0=cfg["xp"])
         ens = simulate_sde_markov(params, init, int(cfg["n_paths"]), cfg["dt"], t_end, seed, t_eval=times)
         columns = {"t": ens.times}
-        for (j, k) in MOMENT_KEYS:
-            if (j, k) == (0, 0):
-                continue
+        for (j, k) in MOMENT_KEYS[1:]:  # all but m00 = 1
             columns[f"m{j}{k}"] = ens.mean[(j, k)]
             columns[f"m{j}{k}_se"] = ens.stderr[(j, k)]
     else:  # pde
@@ -572,7 +564,11 @@ def cmd_analyze(cfg: dict) -> int:
 def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.ndarray]:
     rows = []
     header: list[str] | None = None
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+    for raw in text.splitlines():
         if not raw.strip() or raw.lstrip().startswith("#"):
             continue
         if header is None:
@@ -595,6 +591,8 @@ def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.n
                 raise DataError(f"{path}: row {i}: cannot parse {cell!r}") from exc
             if c != _NAN_COLUMN and not math.isfinite(value):
                 raise DataError(f"{path}: row {i}: {c} is not finite ({cell.strip()!r})")
+            if c in ("lag", "count") and not (value.is_integer() and abs(value) < 2.0**63):
+                raise DataError(f"{path}: row {i}: {c} is not a 64-bit integer ({cell.strip()!r})")
             data[c].append(value)
     return {c: np.asarray(v) for c, v in data.items()}
 

@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import IntegrationError
-from ..model import ModelParams, NonMarkovParams, SecondMomentInit, _markov_delta, delta_coefficient, lambda_coefficient
+from ..errors import IntegrationError, NumericalError
+from ..model import ModelParams, NonMarkovParams, SecondMomentInit, _markov_diffusion, cross_diffusion, normal_diffusion
 
 __all__ = [
     "MOMENT_KEYS",
@@ -135,9 +135,9 @@ class MomentState:
 @dataclass(frozen=True)
 class KernelSchedule:
     """Diffusion-coefficient schedule driving the moment and phase-space
-    evolution.
+    evolution: the pair D(t) = hbar^2 Delta(t), L(t) = hbar^2 Lambda(t).
 
-    kind "markov" holds the constant pair (2 M gamma kT / hbar^2, 0);
+    kind "markov" holds the constant pair (2 M gamma kT, 0);
     kind "non-markov" evaluates the time-dependent closed forms and needs nm.
     A non-Markovian schedule with xi = 0 reproduces the Markovian one exactly.
     """
@@ -160,55 +160,45 @@ class KernelSchedule:
     def non_markov(cls, params: ModelParams, nm: NonMarkovParams) -> "KernelSchedule":
         return cls("non-markov", params, nm)
 
-    def delta(self, t: float) -> float:
+    def coefficients(self, t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+        """(D(t), L(t)) at a time or an array of times (the Markovian pair is
+        scalar). One that is not finite, say 2 M gamma kT overflowing, is
+        refused by name: an integrator fed inf may never return."""
         if self.kind == "markov":
-            return _markov_delta(self.params)
-        return float(delta_coefficient(self.params, self.nm, t))
-
-    def lam(self, t: float) -> float:
-        if self.kind == "markov":
-            return 0.0
-        return float(lambda_coefficient(self.params, self.nm, t))
-
-    def coefficients(self, t: float) -> tuple[float, float]:
-        return self.delta(t), self.lam(t)
+            pair = (_markov_diffusion(self.params), 0.0)
+        else:
+            pair = (normal_diffusion(self.params, self.nm, t), cross_diffusion(self.params, self.nm, t))
+        *values, ts = np.broadcast_arrays(*pair, t)
+        for name, value in zip("DL", values):
+            bad = ~np.isfinite(value)
+            if bad.any():
+                raise NumericalError(f"diffusion coefficient {name} is {value[bad][0]} at t = {ts[bad][0]:.6g}")
+        return pair
 
     @property
     def constant(self) -> bool:
-        """Whether Delta and Lambda are the same at every t: the Markovian
-        kernel, or a non-Markovian one with xi = 0."""
+        """Whether D and L are the same at every t: the Markovian kernel, or a
+        non-Markovian one with xi = 0."""
         return self.kind == "markov" or self.nm.xi == 0.0
 
 
-def _check_hbar2_terms(hbar: float, hb2_delta: float, hb2_lam: float, t: float) -> None:
-    """Refuse a generator term hbar^2 Delta(t) or hbar^2 Lambda(t) that is not
-    finite: at a tiny hbar, 1/hbar^2 overflows to inf (or hbar^2 underflows to
-    0 and the product is nan), and an integrator fed inf may never return."""
-    for name, value in (("Delta", hb2_delta), ("Lambda", hb2_lam)):
-        if not math.isfinite(value):
-            raise IntegrationError(f"hbar^2 {name} is {value} at t = {t:.6g}, hbar = {hbar:g}")
-
-
-def moment_derivative(
-    state: MomentState, params: ModelParams, delta: float, lam: float
-) -> dict[tuple[int, int], float]:
-    """Time derivative of every tracked moment for the free-particle generator.
+def moment_derivative(state: MomentState, params: ModelParams, D: float, L: float) -> dict[tuple[int, int], float]:
+    """Time derivative of every tracked moment for the free-particle generator
+    with diffusion pair (D, L) (see KernelSchedule.coefficients).
 
     dm(j,k)/dt = (j/M) m(j-1,k+1) - 2 gamma k m(j,k)
-                 + hbar^2 delta k(k-1) m(j,k-2) - hbar^2 lam j k m(j-1,k-1)
+                 + D k(k-1) m(j,k-2) - L j k m(j-1,k-1)
 
     with out-of-range indices contributing zero. Evaluated with the structure
     matrices :func:`evolve_moments` integrates.
     """
     a_mat, b_mat, c_mat = _generator_matrices(params.M, params.gamma)
-    hb2 = np.float64(params.hbar) ** 2
-    rates = (a_mat + (hb2 * delta) * b_mat + (hb2 * lam) * c_mat) @ state.vector()
+    rates = (a_mat + D * b_mat + L * c_mat) @ state.vector()
     return dict(zip(MOMENT_KEYS, map(float, rates)))
 
 
 def _generator_matrices(M: float, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant structure matrices: dm/dt = (A + delta*B + lam*C) m, with the
-    hbar^2 factor folded into the delta/lam coefficients by the caller."""
+    """Constant structure matrices: dm/dt = (A + D B + L C) m."""
     a = np.zeros((_N, _N))
     b = np.zeros((_N, _N))
     c = np.zeros((_N, _N))
@@ -319,25 +309,21 @@ def evolve_moments(
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly ascending")
 
+    schedule.coefficients(t)  # a non-finite D or L stops the run here, by name, not in the scaling below
     p = schedule.params
     x_scale = math.sqrt(init[(2, 0)])
     p_scale = math.sqrt(max(init[(0, 2)], p.M * p.kT))
     scale = np.array([x_scale**j * p_scale**k for (j, k) in MOMENT_KEYS])
 
-    # scaled system: M -> M x_scale / p_scale, delta -> delta/p_scale^2,
-    # lam -> lam/(x_scale p_scale); same matrix structure.
+    # scaled system: M -> M x_scale / p_scale, D -> D/p_scale^2,
+    # L -> L/(x_scale p_scale); same matrix structure.
     a_mat, b_mat, c_mat = _generator_matrices(p.M * x_scale / p_scale, p.gamma)
-    hb2 = np.float64(p.hbar) ** 2  # overflows to inf, not OverflowError
-    if not math.isfinite(hb2):
-        raise IntegrationError(f"hbar^2 overflows at hbar = {p.hbar:g}")
     inv_xp = 1.0 / (x_scale * p_scale)
     inv_pp = 1.0 / p_scale**2
 
     def generator(tt: float) -> np.ndarray:
-        delta, lam = schedule.coefficients(tt)
-        hb2_delta, hb2_lam = hb2 * delta, hb2 * lam
-        _check_hbar2_terms(p.hbar, hb2_delta, hb2_lam, tt)
-        return a_mat + (hb2_delta * inv_pp) * b_mat + (hb2_lam * inv_xp) * c_mat
+        D, L = schedule.coefficients(tt)
+        return a_mat + (D * inv_pp) * b_mat + (L * inv_xp) * c_mat
 
     y0 = init.vector() / scale
     if schedule.constant:

@@ -1,10 +1,10 @@
 """Euler-Maruyama ensemble oracle for the Markovian kernel.
 
-Paths follow dx = (p/M) dt, dp = -2 gamma p dt + sqrt(2 hbar^2 Delta) dW with
-the constant Markovian Delta. This stochastic representation exists only for
-the Markovian kernel; the non-Markovian cross term makes the diffusion matrix
-indefinite, so there the validation path is the xi = 0 reduction and the
-moment/PDE cross-check instead.
+Paths follow dx = (p/M) dt, dp = -2 gamma p dt + sqrt(2 D) dW with the
+constant Markovian D = hbar^2 Delta = 2 M gamma kT. This stochastic
+representation exists only for the Markovian kernel; the non-Markovian cross
+term makes the diffusion matrix indefinite, so there the validation path is
+the xi = 0 reduction and the moment/PDE cross-check instead.
 
 Randomness comes from the counter-based Philox generator. Paths are laid out
 in fixed-size blocks and block b of seed s draws from Philox(key=(s, b)), so
@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import StabilityError
 from ..model import ModelParams, SecondMomentInit
-from .moments import MOMENT_KEYS
+from .moments import MOMENT_KEYS, KernelSchedule
 
 __all__ = ["EnsembleMoments", "simulate_sde_markov", "PATH_BLOCK"]
 
@@ -102,7 +102,8 @@ def simulate_sde_markov(
     record_idx = np.unique(np.clip(np.round(want / dt).astype(int), 0, n_steps))
     times = record_idx * dt
 
-    noise_sd = math.sqrt(4.0 * params.M * params.gamma * params.kT * dt)
+    D, _ = KernelSchedule.markov(params).coefficients(0.0)
+    noise_sd = math.sqrt(2.0 * D * dt)
     damp = 2.0 * params.gamma * dt
     inv_m = dt / params.M
 

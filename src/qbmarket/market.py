@@ -376,7 +376,10 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return load_prices(handle, base_minutes=base_minutes)
+            try:
+                return load_prices(handle, base_minutes=base_minutes)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{source}: not UTF-8 text ({exc})") from exc
 
     columns = None
     if source.seekable():

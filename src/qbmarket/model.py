@@ -29,6 +29,8 @@ __all__ = [
     "MARKOV_WARN_RATIO",
     "acf_model",
     "noise_kernel",
+    "normal_diffusion",
+    "cross_diffusion",
     "delta_coefficient",
     "delta_limit",
     "lambda_coefficient",
@@ -203,29 +205,33 @@ def noise_kernel(params: ModelParams, nm: NonMarkovParams, tau) -> NoiseKernel:
     )
 
 
-# The hbar-scaled prefactors are formed in np.float64, so a tiny hbar gives an
-# inf (or, where hbar^2 underflows to 0, a nan) that the engines and the CSV
-# writer refuse by name, not an OverflowError or ZeroDivisionError.
+# hbar^2 Delta and hbar^2 Lambda, the diffusion terms of the master equation,
+# do not contain hbar; Delta and Lambda divide them by hbar^2 in np.float64, so
+# a tiny hbar gives an inf (or, where hbar^2 underflows to 0, a nan) that the
+# CSV writer refuses by name, not an OverflowError or ZeroDivisionError.
 
 
-def _markov_delta(params: ModelParams) -> float:
-    return float(2.0 * params.M * params.gamma * params.kT / np.float64(params.hbar) ** 2)
+def _markov_diffusion(params: ModelParams) -> float:
+    return 2.0 * params.M * params.gamma * params.kT
 
 
 def _delta_prefactor(params: ModelParams, nm: NonMarkovParams) -> float:
-    return float(2.0 * (params.M * params.gamma * nm.xi / np.float64(params.hbar)) ** 2)
+    return 2.0 * np.float64(params.M * params.gamma * nm.xi) ** 2
 
 
 def _lambda_prefactor(params: ModelParams, nm: NonMarkovParams) -> float:
-    gamma, xi = np.float64(params.gamma), np.float64(nm.xi)
-    return float(2.0 * params.M * gamma**2 * xi**2 / np.float64(params.hbar) ** 2)
+    return 2.0 * params.M * np.float64(params.gamma) ** 2 * np.float64(nm.xi) ** 2
 
 
-def delta_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np.ndarray:
-    """Time-dependent normal diffusion coefficient.
+def _over_hbar2(value, params: ModelParams, like) -> float | np.ndarray:
+    return _like_input(np.divide(value, np.float64(params.hbar) ** 2), like)
 
-    Equals the Markovian value 2 M gamma kT / hbar^2 at t = 0, grows
-    monotonically and saturates at :func:`delta_limit`.
+
+def normal_diffusion(params: ModelParams, nm: NonMarkovParams, t) -> float | np.ndarray:
+    """hbar^2 Delta(t), the normal diffusion the dynamics engines integrate.
+
+    Equals the Markovian value 2 M gamma kT at t = 0, grows monotonically and
+    saturates at hbar^2 :func:`delta_limit`.
     """
     tt = _as_nonnegative(t, "t")
     eta, om = nm.eta, nm.omega
@@ -237,21 +243,27 @@ def delta_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np
     brace2 = (eta / (eta**2 + 4.0 * om**2)) * (
         one_minus + decay * 2.0 * np.sin(om * tt) ** 2 + decay * (2.0 * om / eta) * np.sin(2.0 * om * tt)
     )
-    out = _markov_delta(params) + pref * (brace1 + brace2)
+    out = _markov_diffusion(params) + pref * (brace1 + brace2)
     return _like_input(out, t)
+
+
+def delta_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np.ndarray:
+    """Time-dependent normal diffusion coefficient Delta(t), :func:`normal_diffusion` / hbar^2."""
+    return _over_hbar2(normal_diffusion(params, nm, t), params, t)
 
 
 def delta_limit(params: ModelParams, nm: NonMarkovParams) -> float:
     """Long-time limit of :func:`delta_coefficient`."""
     pref = _delta_prefactor(params, nm)
-    return _markov_delta(params) + pref * (1.0 / nm.eta + nm.eta / (nm.eta**2 + 4.0 * nm.omega**2))
+    limit = _markov_diffusion(params) + pref * (1.0 / nm.eta + nm.eta / (nm.eta**2 + 4.0 * nm.omega**2))
+    return _over_hbar2(limit, params, 0.0)
 
 
-def lambda_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np.ndarray:
-    """Time-dependent cross-diffusion coefficient.
+def cross_diffusion(params: ModelParams, nm: NonMarkovParams, t) -> float | np.ndarray:
+    """hbar^2 Lambda(t), the cross diffusion the dynamics engines integrate.
 
     Vanishes identically at t = 0 and for xi = 0, and saturates at
-    :func:`lambda_limit`. For eta*t below 1e-6 the value comes from the
+    hbar^2 :func:`lambda_limit`. For eta*t below 1e-6 the value comes from the
     second-order Taylor expansion; the direct expression loses all relative
     precision to cancellation there.
     """
@@ -278,12 +290,17 @@ def lambda_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | n
     return _like_input(out, t)
 
 
+def lambda_coefficient(params: ModelParams, nm: NonMarkovParams, t) -> float | np.ndarray:
+    """Time-dependent cross-diffusion coefficient, :func:`cross_diffusion` / hbar^2."""
+    return _over_hbar2(cross_diffusion(params, nm, t), params, t)
+
+
 def lambda_limit(params: ModelParams, nm: NonMarkovParams) -> float:
     """Long-time limit of :func:`lambda_coefficient`."""
     eta, om = nm.eta, nm.omega
     d = eta**2 + 4.0 * om**2
     c = _lambda_prefactor(params, nm)
-    return c / eta**2 + c * (eta**2 - 4.0 * om**2) / d**2
+    return _over_hbar2(c / eta**2 + c * (eta**2 - 4.0 * om**2) / d**2, params, 0.0)
 
 
 def spectral_density(params: ModelParams, spec: BathSpectrum, omega) -> float | np.ndarray:

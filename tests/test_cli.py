@@ -113,13 +113,10 @@ class TestEval:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, named", [
-        # the default momentum spread hbar^2 / (4 sx2_0)
+        # the default momentum spread hbar^2 / (4 sx2_0); with --p2 the run
+        # does not depend on hbar (TestSimulate::test_explicit_p2_rows_do_not_depend_on_hbar)
         (["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--out-prefix", "m"], "minimal-uncertainty sp2_0"),
-        # hbar^2 in the moment generator and in the phase-space diffusion step
-        (["simulate", "--mode", "moments", "--x2", 1, "--p2", 1, "--t-end", 1, "--out-prefix", "m"],
-         "hbar^2 overflows"),
-        (["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--t-end", 1, "--out-prefix", "p"], "hbar^2 overflows"),
-    ], ids=["moments", "moments-p2", "pde"])
+    ], ids=["moments"])
     def test_overflowing_hbar_squared_is_named(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
         assert run([*argv, "--hbar", 1e200, "--points", 3]) == 3
@@ -268,34 +265,56 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, named", [
-        (["simulate", "--mode", "moments", "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--t-end", "1",
-          "--out-prefix", "m"], "hbar^2 Delta is inf"),
-        (["simulate", "--mode", "moments", "--x2", "1", "--p2", "1", "--hbar", "1e-200", "--t-end", "1",
-          "--out-prefix", "m"], "hbar^2 Delta is nan"),
-        (["simulate", "--mode", "moments", "--kernel", "non-markov", "--xi", "1", "--eta", "1", "--omega", "1",
-          "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--t-end", "1", "--out-prefix", "m"], "hbar^2 Delta is nan"),
-        (["simulate", "--mode", "pde", "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--nx", "32", "--np", "32",
-          "--t-end", "0.01", "--out-prefix", "p"], "hbar^2 Delta is inf"),
-        (["simulate", "--mode", "pde", "--kernel", "non-markov", "--xi", "1", "--eta", "1", "--omega", "1",
-          "--x2", "1", "--p2", "1", "--hbar", "1e-160", "--nx", "32", "--np", "32", "--t-end", "0.01",
-          "--out-prefix", "p"], "hbar^2 Lambda is nan"),
         (["simulate", "--mode", "moments", "--x2", "1", "--hbar", "1e-200", "--t-end", "1", "--out-prefix", "m"],
          "minimal-uncertainty sp2_0 = hbar^2/(4 sx2_0) underflows to 0"),
         *[(["eval", "--formula", formula, "--hbar", hbar, "--xi", "1", "--eta", "1", "--omega", "1",
             "--start", "0", "--end", "1", "--out", "e.csv"], f"non-finite values in column '{formula}'")
           for formula in ("delta", "lambda") for hbar in ("1e-160", "1e-200")],
-    ], ids=["moments", "moments-underflow", "moments-non-markov", "pde", "pde-non-markov", "default-p2",
-            "delta", "delta-underflow", "lambda", "lambda-underflow"])
+    ], ids=["default-p2", "delta", "delta-underflow", "lambda", "lambda-underflow"])
     def test_tiny_hbar_is_named(self, tmp_path, argv, named):
-        # 1/hbar^2 overflows, or hbar^2 underflows to 0. The moment integrator
-        # fed the resulting inf never returned, so each run gets its own
-        # process and a deadline.
+        # hbar^2 underflows to 0 in the default momentum spread, and 1/hbar^2
+        # overflows (or hbar^2 underflows to 0) in Delta and Lambda. Each run
+        # gets its own process, so its warnings would show on stderr.
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-m", "qbmarket.cli", *argv, "--points", "3"], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.startswith("numerical failure: ") and named in proc.stderr, proc.stderr
         assert proc.stderr.count("\n") == 1, proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "moments", "--t-end", 1],
+        ["--mode", "moments", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1, "--t-end", 1],
+        ["--mode", "pde", "--nx", 32, "--np", 32, "--t-end", 0.01],
+        ["--mode", "pde", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1, "--nx", 32, "--np", 32,
+         "--t-end", 0.01],
+    ], ids=["moments", "moments-non-markov", "pde", "pde-non-markov"])
+    def test_explicit_p2_rows_do_not_depend_on_hbar(self, tmp_path, flags):
+        # the engines take hbar^2 Delta and hbar^2 Lambda, which do not contain
+        # hbar, so with --p2 given hbar reaches only the header's config digest.
+        # 1e-160 and 1e-200 made 1/hbar^2 inf and hbar^2 0, 1e200 hbar^2 inf.
+        rows = {}
+        for hbar in (1, 0.37, 1e-160, 1e-200, 1e200):
+            prefix = tmp_path / f"h{hbar}"
+            assert run(["simulate", *flags, "--x2", 1, "--p2", 1, "--hbar", hbar, "--points", 3,
+                        "--out-prefix", prefix]) == 0
+            header, *rows[hbar] = Path(f"{prefix}.csv").read_text().splitlines()
+            assert header.startswith("# qbmarket")
+        assert all(r == rows[1] for r in rows.values())
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "moments"],
+        ["--mode", "moments", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1],
+        ["--mode", "pde", "--nx", 32, "--np", 32],
+        ["--mode", "pde", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1, "--nx", 32, "--np", 32],
+        ["--mode", "sde", "--dt", 1e-3, "--n-paths", 1000, "--seed", 1],
+    ], ids=["moments", "moments-non-markov", "pde", "pde-non-markov", "sde"])
+    def test_overflowing_diffusion_is_named(self, tmp_path, capsys, flags):
+        # 2 M gamma kT overflows to inf
+        assert run(["simulate", *flags, "--M", 10, "--kT", 1e308, "--x2", 1, "--p2", 1, "--t-end", 0.01,
+                    "--points", 3, "--out-prefix", tmp_path / "s"]) == 3
+        assert "numerical failure: diffusion coefficient D is inf at t = 0\n" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_pde_mass_leak_is_numerical_failure(self, tmp_path):
@@ -513,6 +532,14 @@ class TestSynthAndAnalyze:
         assert f"data error: cannot read input {tmp_path}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_analyze_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, which used to exit 1 as a usage error
+        prices = tmp_path / "prices.csv"
+        prices.write_bytes(b"timestamp,close\n2021-01-04T09:30,100\n2021-01-04T09:31,10\xff1\n")
+        assert run(["analyze", "--input", prices, "--out-prefix", tmp_path / "run"]) == 2
+        assert f"data error: {prices}: not UTF-8 text" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["prices.csv"]
+
     def test_unwritable_table_leaves_no_output_of_the_run(self, tmp_path, capsys):
         prices = tmp_path / "prices.csv"
         assert run(["synth", "--kind", "gbm", "--n", 2000, "--seed", 1, "--out", prices]) == 0
@@ -628,6 +655,32 @@ class TestFitCommand:
         path = tmp_path / "bad.csv"
         path.write_text("lag,acf\n0,zero\n")
         assert run(["fit", "--kind", "acf", "--input", path, "--out", tmp_path / "o.json"]) == 2
+
+    @pytest.mark.parametrize("kind, text", [
+        ("acf", b"lag,acf\n0,1\n5,0.\xff5\n10,0.25\n"),
+        ("kurtosis", b"tau,kurtosis\n5,1\n10,0.\xff5\n15,0.25\n"),
+    ], ids=["acf", "kurtosis"])
+    def test_non_utf8_estimator_csv_is_data_error(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "est.csv"
+        path.write_bytes(text)
+        assert run(["fit", "--kind", kind, "--input", path, "--out", tmp_path / "o.json"]) == 2
+        assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
+
+    @pytest.mark.parametrize("header, row", [("lag,acf", "5.5,0.5"), ("lag,acf,count", "5,0.5,99.5"),
+                                             ("lag,acf", "1e30,0.5")], ids=["lag", "count", "lag-beyond-int64"])
+    def test_non_integer_lag_or_count_is_data_error(self, tmp_path, capsys, header, row):
+        # astype(np.int64) truncated 5.5 to 5, or cast 1e30 to -2**63, and the fit converged on it
+        path, _ = self.make_acf_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        if header.endswith("count"):
+            lines = [header] + [f"{line},100" for line in lines[1:]]
+        lines[2] = row
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["fit", "--kind", "acf", "--input", path, "--out", tmp_path / "o.json"]) == 2
+        column = header.split(",")[-1] if header.endswith("count") else "lag"
+        assert f"data error: {path}: row 2: {column} is not a 64-bit integer" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["acf.csv"]
 
 
 class TestConfigFile:

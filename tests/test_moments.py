@@ -2,8 +2,10 @@
 closed form, an adaptive ODE integration and the analytic properties of the
 linear generator."""
 
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from qbmarket.dynamics import (
     moment_derivative,
 )
 from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _generator_matrices
+from qbmarket.errors import NumericalError
 
 from conftest import linear_fit_r2
 
@@ -65,18 +68,18 @@ class TestMomentState:
 
 class TestMomentDerivative:
     def test_equipartition_is_stationary_for_p_variance(self):
-        # m(0,2) = M kT under the Markovian coefficient: -4 g M kT + 2 hb^2 delta = 0
+        # m(0,2) = M kT under the Markovian coefficient: -4 g M kT + 2 D = 0
         params = ModelParams(M=3.0, gamma=0.7, kT=1.3, hbar=0.5)
-        delta = 2 * 3.0 * 0.7 * 1.3 / 0.5**2
+        D = 2 * 3.0 * 0.7 * 1.3  # hbar^2 Delta, whatever hbar
         state = MomentState.gaussian(1.0, 3.0 * 1.3, 0.0)
-        deriv = moment_derivative(state, params, delta, 0.0)
+        deriv = moment_derivative(state, params, D, 0.0)
         assert deriv[(0, 2)] == pytest.approx(0.0, abs=1e-12)
 
     def test_coordinate_variance_rate_is_pure_drift(self):
         params = ModelParams(M=2.5, gamma=1.1, kT=0.2, hbar=1.0)
         state = MomentState.gaussian(1.0, 2.0, 0.4)
-        for delta, lam in [(0.0, 0.0), (3.0, 0.5), (10.0, -2.0)]:
-            deriv = moment_derivative(state, params, delta, lam)
+        for D, L in [(0.0, 0.0), (3.0, 0.5), (10.0, -2.0)]:
+            deriv = moment_derivative(state, params, D, L)
             assert deriv[(2, 0)] == pytest.approx((2.0 / 2.5) * 0.4, rel=1e-14)
 
     def test_normalization_is_conserved(self):
@@ -85,12 +88,12 @@ class TestMomentDerivative:
         assert deriv[(0, 0)] == 0.0
 
     def test_full_table_against_hand_expansion(self):
-        # spot-check the highest-order row: dm(0,4)/dt = -8 g m04 + 12 hb^2 delta m02
+        # spot-check the highest-order row: dm(0,4)/dt = -8 g m04 + 12 D m02
         params = ModelParams(M=20.0, gamma=1.0, kT=1.0, hbar=1.0)
         state = fig2c_init()
         deriv = moment_derivative(state, params, 40.0, 0.0)
         assert deriv[(0, 4)] == pytest.approx(-8.0 * 0.75 + 12.0 * 40.0 * 0.5, rel=1e-14)
-        # and the cross term: dm(1,3)/dt = m04/M - 6 g m13 + 6 hb^2 delta m11 - 3 hb^2 lam m02
+        # and the cross term: dm(1,3)/dt = m04/M - 6 g m13 + 6 D m11 - 3 L m02
         deriv = moment_derivative(state, params, 40.0, 2.0)
         assert deriv[(1, 3)] == pytest.approx(0.75 / 20.0 - 0.0 + 0.0 - 3.0 * 2.0 * 0.5, rel=1e-14)
 
@@ -168,21 +171,36 @@ class TestEvolveMoments:
 
 class TestKernelSchedule:
     def test_markov_constants(self, kurtosis_params):
-        sched = KernelSchedule.markov(kurtosis_params)
-        assert sched.delta(0.0) == sched.delta(5.0) == 40.0
-        assert sched.lam(3.0) == 0.0
+        # D = hbar^2 Delta = 2 M gamma kT, L = 0, whatever hbar
+        for hbar in (1.0, 1e-200, 1e200):
+            sched = KernelSchedule.markov(dataclasses.replace(kurtosis_params, hbar=hbar))
+            assert sched.coefficients(0.0) == sched.coefficients(5.0) == (40.0, 0.0)
 
     def test_non_markov_requires_nm(self, kurtosis_params):
         with pytest.raises(ValueError):
             KernelSchedule("non-markov", kurtosis_params)
 
     def test_non_markov_tracks_closed_forms(self, kurtosis_params, nm_9904):
-        from qbmarket import delta_coefficient, lambda_coefficient
+        from qbmarket import cross_diffusion, delta_coefficient, lambda_coefficient, normal_diffusion
 
         sched = KernelSchedule.non_markov(kurtosis_params, nm_9904)
         for t in (0.0, 17.0, 400.0):
-            assert sched.delta(t) == delta_coefficient(kurtosis_params, nm_9904, t)
-            assert sched.lam(t) == lambda_coefficient(kurtosis_params, nm_9904, t)
+            D, L = sched.coefficients(t)
+            assert (D, L) == (normal_diffusion(kurtosis_params, nm_9904, t), cross_diffusion(kurtosis_params, nm_9904, t))
+            # at hbar = 1 the pair is (Delta, Lambda) itself
+            assert (D, L) == (delta_coefficient(kurtosis_params, nm_9904, t), lambda_coefficient(kurtosis_params, nm_9904, t))
+        ts = np.array([0.0, 17.0, 400.0])
+        np.testing.assert_array_equal(sched.coefficients(ts), [[sched.coefficients(t)[k] for t in ts] for k in (0, 1)])
+
+    @pytest.mark.parametrize("kind", ["markov", "non-markov"])
+    def test_non_finite_coefficient_is_named(self, kind, nm_9904):
+        # 2 M gamma kT overflows
+        params = ModelParams(M=10.0, gamma=1.0, kT=1e308, hbar=1.0)
+        sched = KernelSchedule(kind, params, nm_9904 if kind == "non-markov" else None)
+        with pytest.raises(NumericalError, match=r"diffusion coefficient D is inf at t = 0\.5"):
+            sched.coefficients(0.5)
+        with pytest.raises(NumericalError, match=r"diffusion coefficient D is inf at t = 0$"):
+            sched.coefficients(np.array([0.0, 0.5]))
 
 
 def dop853_reference(init: MomentState, schedule: KernelSchedule, t: np.ndarray) -> np.ndarray:
@@ -198,8 +216,8 @@ def dop853_reference(init: MomentState, schedule: KernelSchedule, t: np.ndarray)
     scale = np.array([x_s**j * p_s**k for (j, k) in MOMENT_KEYS])
 
     def rhs(tt, y):
-        delta, lam = schedule.coefficients(tt)
-        return (a + p.hbar**2 * delta * b + p.hbar**2 * lam * c) @ y
+        D, L = schedule.coefficients(tt)
+        return (a + D * b + L * c) @ y
 
     sol = solve_ivp(rhs, (t[0], t[-1]), init.vector(), method="DOP853", t_eval=t, rtol=1e-12, atol=1e-14 * scale)
     assert sol.success, sol.message
@@ -260,11 +278,10 @@ class TestExactPropagation:
 
     def test_stiff_case_matches_high_precision_exponential(self):
         # every moment within 1e-14 of exp(G t) m(0) in 40-digit arithmetic
-        mp = pytest.importorskip("mpmath")
         init, schedule, t = constant_coefficient_cases()["gamma-1e3"]
         p = schedule.params
         a, b, _ = _generator_matrices(p.M, p.gamma)
-        gen = mp.matrix((a + p.hbar**2 * schedule.delta(0.0) * b).tolist())
+        gen = mp.matrix((a + schedule.coefficients(0.0)[0] * b).tolist())
         traj = evolve_moments(init, schedule, t)
         with mp.workdps(40):
             for k in (1, 10, len(t) - 1):

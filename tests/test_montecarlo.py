@@ -110,13 +110,13 @@ class TestDerivativeOracle:
         params = kurtosis_params
         x = np.sqrt(0.5) * rng.standard_normal(n)
         p = np.sqrt(0.5) * rng.standard_normal(n)
-        delta = 2 * params.M * params.gamma * params.kT / params.hbar**2
-        noise_sd = np.sqrt(2 * params.hbar**2 * delta * dt)
+        D = 2 * params.M * params.gamma * params.kT  # hbar^2 Delta
+        noise_sd = np.sqrt(2 * D * dt)
         x1 = x + p / params.M * dt
         p1 = p - 2 * params.gamma * p * dt + noise_sd * rng.standard_normal(n)
 
         state = MomentState.gaussian(0.5, 0.5, 0.0)
-        deriv = moment_derivative(state, params, delta, 0.0)
+        deriv = moment_derivative(state, params, D, 0.0)
         for (j, k) in MOMENT_KEYS:
             if (j, k) == (0, 0):
                 continue

@@ -105,16 +105,16 @@ class TestStability:
             evolve_wigner_pde(grid, sched, t_end=1.5, sample_times=[0.0])
 
     def test_mixed_term_sets_the_bound_when_it_is_the_smallest(self):
-        # strong colored noise on a coarse grid: hbar^2 max|Lambda| is ~15, so
-        # dx dp / (hbar^2 max|Lambda|) is below both transport terms
+        # strong colored noise on a coarse grid: max|L| = hbar^2 max|Lambda| is
+        # ~15, so dx dp / max|L| is below both transport terms
         from qbmarket import NonMarkovParams
 
         params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0)
         sched = KernelSchedule.non_markov(params, NonMarkovParams(xi=8.0, eta=2.0, omega=1.0))
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=32, n_p=32)
         t_end = 1.0
-        lam_max = max(abs(sched.lam(float(t))) for t in np.linspace(0.0, t_end, 513))
-        mixed = grid.dx * grid.dp / (params.hbar**2 * lam_max)
+        lam_max = max(abs(sched.coefficients(float(t))[1]) for t in np.linspace(0.0, t_end, 513))
+        mixed = grid.dx * grid.dp / lam_max
         p_max = grid.p_max
         assert mixed < min(grid.dx * params.M / p_max, grid.dp / (2.0 * params.gamma * p_max))
         bound = stable_time_step(grid, sched, t_end)
