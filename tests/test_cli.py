@@ -116,7 +116,9 @@ class TestEval:
         # the default momentum spread hbar^2 / (4 sx2_0); with --p2 the run
         # does not depend on hbar (TestSimulate::test_explicit_p2_rows_do_not_depend_on_hbar)
         (["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--out-prefix", "m"], "minimal-uncertainty sp2_0"),
-    ], ids=["moments"])
+        (["simulate", "--mode", "pde", "--x2", 1, "--nx", 32, "--np", 32, "--t-end", 0.01, "--out-prefix", "p"],
+         "minimal-uncertainty sp2_0"),
+    ], ids=["moments", "pde"])
     def test_overflowing_hbar_squared_is_named(self, tmp_path, monkeypatch, capsys, argv, named):
         monkeypatch.chdir(tmp_path)
         assert run([*argv, "--hbar", 1e200, "--points", 3]) == 3
@@ -267,10 +269,12 @@ class TestSimulate:
     @pytest.mark.parametrize("argv, named", [
         (["simulate", "--mode", "moments", "--x2", "1", "--hbar", "1e-200", "--t-end", "1", "--out-prefix", "m"],
          "minimal-uncertainty sp2_0 = hbar^2/(4 sx2_0) underflows to 0"),
+        (["simulate", "--mode", "pde", "--x2", "1", "--hbar", "1e-200", "--nx", "32", "--np", "32", "--t-end", "0.01",
+          "--out-prefix", "p"], "minimal-uncertainty sp2_0 = hbar^2/(4 sx2_0) underflows to 0"),
         *[(["eval", "--formula", formula, "--hbar", hbar, "--xi", "1", "--eta", "1", "--omega", "1",
             "--start", "0", "--end", "1", "--out", "e.csv"], f"non-finite values in column '{formula}'")
           for formula in ("delta", "lambda") for hbar in ("1e-160", "1e-200")],
-    ], ids=["default-p2", "delta", "delta-underflow", "lambda", "lambda-underflow"])
+    ], ids=["default-p2", "pde", "delta", "delta-underflow", "lambda", "lambda-underflow"])
     def test_tiny_hbar_is_named(self, tmp_path, argv, named):
         # hbar^2 underflows to 0 in the default momentum spread, and 1/hbar^2
         # overflows (or hbar^2 underflows to 0) in Delta and Lambda. Each run
@@ -283,23 +287,28 @@ class TestSimulate:
         assert proc.stderr.count("\n") == 1, proc.stderr
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flags", [
-        ["--mode", "moments", "--t-end", 1],
-        ["--mode", "moments", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1, "--t-end", 1],
-        ["--mode", "pde", "--nx", 32, "--np", 32, "--t-end", 0.01],
-        ["--mode", "pde", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1, "--nx", 32, "--np", 32,
-         "--t-end", 0.01],
-    ], ids=["moments", "moments-non-markov", "pde", "pde-non-markov"])
-    def test_explicit_p2_rows_do_not_depend_on_hbar(self, tmp_path, flags):
+    @pytest.mark.parametrize("flags, hbar", [
+        pytest.param(flags, hbar, id=engine + extreme)
+        for engine, flags in {
+            "moments": ["--mode", "moments", "--t-end", 1],
+            "moments-non-markov": ["--mode", "moments", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1,
+                                   "--t-end", 1],
+            "pde": ["--mode", "pde", "--nx", 32, "--np", 32, "--t-end", 0.01],
+            "pde-non-markov": ["--mode", "pde", "--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1,
+                               "--nx", 32, "--np", 32, "--t-end", 0.01],
+        }.items()
+        for extreme, hbar in {"": 1e-160, "-underflow": 1e-200, "-overflow": 1e200}.items()
+    ])
+    def test_explicit_p2_rows_do_not_depend_on_hbar(self, tmp_path, flags, hbar):
         # the engines take hbar^2 Delta and hbar^2 Lambda, which do not contain
         # hbar, so with --p2 given hbar reaches only the header's config digest.
         # 1e-160 and 1e-200 made 1/hbar^2 inf and hbar^2 0, 1e200 hbar^2 inf.
         rows = {}
-        for hbar in (1, 0.37, 1e-160, 1e-200, 1e200):
-            prefix = tmp_path / f"h{hbar}"
-            assert run(["simulate", *flags, "--x2", 1, "--p2", 1, "--hbar", hbar, "--points", 3,
+        for h in (1, 0.37, hbar):
+            prefix = tmp_path / f"h{h}"
+            assert run(["simulate", *flags, "--x2", 1, "--p2", 1, "--hbar", h, "--points", 3,
                         "--out-prefix", prefix]) == 0
-            header, *rows[hbar] = Path(f"{prefix}.csv").read_text().splitlines()
+            header, *rows[h] = Path(f"{prefix}.csv").read_text().splitlines()
             assert header.startswith("# qbmarket")
         assert all(r == rows[1] for r in rows.values())
 
