@@ -331,10 +331,6 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, str]]]:
         ("--x4", "x4", float, None, "initial <X^4> override (default: Gaussian value 3 <X^2>^2)"),
         ("--t-end", "t_end", float, None, "end time (model time units)"),
         ("--points", "points", int, 101, "number of output times"),
-        ("--rtol", "rtol", float, 1e-8,
-         "moment integrator relative tolerance (non-markov runs with xi > 0; other runs are propagated exactly)"),
-        ("--atol", "atol", float, 1e-12,
-         "moment integrator absolute tolerance (non-markov runs with xi > 0; other runs are propagated exactly)"),
         ("--n-paths", "n_paths", int, 100000, "SDE ensemble size"),
         ("--dt", "dt", float, None, "SDE/PDE time step (default for pde: stability bound)"),
         ("--seed", "seed", int, None, "RNG seed (mandatory for sde; QBM_SEED fallback)"),
@@ -442,6 +438,8 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     _require(cfg, "mode", "t_end", "out_prefix")
+    if cfg["points"] < 2:
+        raise ValueError("--points must be at least 2")
     mode = cfg["mode"]
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
@@ -467,7 +465,7 @@ def cmd_simulate(cfg: dict) -> int:
         init = MomentState.gaussian(x2, p2, m11)
         if cfg.get("x4") is not None:
             init = init.with_value(4, 0, cfg["x4"])
-        traj = evolve_moments(init, schedule, times, rtol=cfg["rtol"], atol=cfg["atol"])
+        traj = evolve_moments(init, schedule, times)
         columns = {"t": traj.times, **{f"m{j}{k}": traj.moment(j, k) for (j, k) in MOMENT_KEYS},
                    "kurtosis_x": traj.kurtosis_x()}
     elif mode == "sde":
@@ -657,6 +655,8 @@ def cmd_synth(cfg: dict) -> int:
     seed = _seed_from(cfg)
     if seed is None:
         raise ValueError("synth requires --seed (or QBM_SEED)")
+    if not cfg["s0"] > 0:
+        raise ValueError("--s0 must be positive")
     cfg["seed"] = seed
     n = int(cfg["n"])
     dt = int(cfg["dt"])

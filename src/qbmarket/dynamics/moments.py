@@ -5,9 +5,11 @@ so the moments through total order four form a closed linear ODE system. The
 recursion is derived from the phase-space equation by integration by parts and
 is validated against an independent Monte-Carlo oracle in the test suite.
 
-When the diffusion coefficients are constant the system m' = G m is solved
-exactly, m(t + h) = exp(G h) m(t) (Moler & Van Loan, SIAM Rev. 45 (2003) 3);
-only time-dependent coefficients go through an ODE integrator.
+The system is solved exactly on every kernel: m(t + h) = exp(G h) m(t)
+(Moler & Van Loan, SIAM Rev. 45 (2003) 3), with no step size or tolerance.
+Time-dependent coefficients are themselves the outputs of a small constant
+linear system, so the moments and their products with them form one larger
+constant system (Van Loan, IEEE TAC 23 (1978) 395), propagated the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import IntegrationError, NumericalError
-from ..model import ModelParams, NonMarkovParams, SecondMomentInit, _markov_diffusion, cross_diffusion, normal_diffusion
+from ..model import (ModelParams, NonMarkovParams, SecondMomentInit, _delta_prefactor, _lambda_prefactor,
+                     _markov_diffusion, cross_diffusion, normal_diffusion)
 
 __all__ = [
     "MOMENT_KEYS",
@@ -163,7 +166,7 @@ class KernelSchedule:
     def coefficients(self, t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(D(t), L(t)) at a time or an array of times (the Markovian pair is
         scalar). One that is not finite, say 2 M gamma kT overflowing, is
-        refused by name: an integrator fed inf may never return."""
+        refused by name: a propagator built from inf holds nothing but nan."""
         if self.kind == "markov":
             pair = (_markov_diffusion(self.params), 0.0)
         else:
@@ -175,11 +178,23 @@ class KernelSchedule:
                 raise NumericalError(f"diffusion coefficient {name} is {value[bad][0]} at t = {ts[bad][0]:.6g}")
         return pair
 
-    @property
-    def constant(self) -> bool:
-        """Whether D and L are the same at every t: the Markovian kernel, or a
-        non-Markovian one with xi = 0."""
-        return self.kind == "markov" or self.nm.xi == 0.0
+    def drivers(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, z0) of the constant system z' = F z, z(0) = z0, whose last two states
+        are D(t) - D(0) and L(t); empty if D and L are constant (Markov, or xi = 0).
+        The others are e^{-eta t}, e^{-mu t}, conj(e^{-mu t}) and t times each, with
+        mu = eta - 2i omega, b = 2 omega and the model's prefactors P_D, P_L, so F is
+        lower triangular: D' = P_D (e^{-eta t} + Re e^{-mu t}) and L' = P_L (t e^{-eta t}
+        + Re[(mu/conj mu) t e^{-mu t} - (2ib/conj mu^2) e^{-mu t}])."""
+        if self.kind == "markov" or self.nm.xi == 0.0:
+            return np.zeros((0, 0)), np.zeros(0)
+        mu = complex(self.nm.eta, -2.0 * self.nm.omega)  # b = -Im mu
+        ratio, lead = mu / mu.conjugate(), 2j * mu.imag / mu.conjugate() ** 2
+        f = np.diag(-np.array([mu.real, mu, mu.conjugate()] * 2 + [0.0, 0.0]))
+        f[3:6, :3] = np.eye(3)
+        f[6, :3] = _delta_prefactor(self.params, self.nm) * np.array([1.0, 0.5, 0.5])
+        f[7, :6] = _lambda_prefactor(self.params, self.nm) / 2 * np.array(
+            [0.0, lead, lead.conjugate(), 2.0, ratio, ratio.conjugate()])
+        return f, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def moment_derivative(state: MomentState, params: ModelParams, D: float, L: float) -> dict[tuple[int, int], float]:
@@ -244,22 +259,18 @@ def _expm_lower(a: np.ndarray) -> np.ndarray:
 
 
 def _propagate(gen: np.ndarray, t: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Exact solution of y' = gen y on the grid t from y(t[0]) = y0, one row
-    per time: one propagator exp(gen h) per distinct interval h of the grid."""
+    """Exact solution of y' = gen y (gen lower triangular) on the grid t from y(t[0]) = y0,
+    one row per time: one propagator exp(gen h) per distinct interval h of the grid."""
     steps = np.diff(t)
     if not np.all(np.isfinite(gen * steps.max())):
         raise IntegrationError(f"moment generator over a step of {steps.max():.6g} is not finite")
-    tri = _TRIANGULAR
-    gen = gen[np.ix_(tri, tri)]
     propagators: dict[float, np.ndarray] = {}
-    ys = np.empty((len(t), len(y0)))
-    ys[0] = y0
-    y = y0[tri]
+    ys = np.empty((len(t), len(y0)), dtype=gen.dtype)
+    ys[0] = y = y0
     for k, h in enumerate(steps, 1):
         if h not in propagators:
             propagators[h] = _expm_lower(gen * h)
-        y = propagators[h] @ y
-        ys[k, tri] = y
+        ys[k] = y = propagators[h] @ y
     return ys
 
 
@@ -285,21 +296,13 @@ class MomentTrajectory:
         return len(self.states)
 
 
-def evolve_moments(
-    init: MomentState,
-    schedule: KernelSchedule,
-    t_grid: Sequence[float],
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
-) -> MomentTrajectory:
+def evolve_moments(init: MomentState, schedule: KernelSchedule, t_grid: Sequence[float]) -> MomentTrajectory:
     """Evolve the moments over an ascending grid starting at 0.
 
     The state is nondimensionalized internally (x and p scaled by the initial
-    spread and the larger of the initial and equilibrium momentum spread).
-    With constant coefficients (see KernelSchedule.constant) the linear system
-    is propagated exactly, one matrix exponential per distinct grid interval.
-    Otherwise an adaptive high-order Runge-Kutta scheme integrates it; rtol and
-    atol act on that integration only, on order-one scaled quantities.
+    spread and the larger of the initial and equilibrium momentum spread), and
+    propagated exactly on every kernel: one matrix exponential per distinct
+    grid interval.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or len(t) < 2:
@@ -311,32 +314,33 @@ def evolve_moments(
 
     schedule.coefficients(t)  # a non-finite D or L stops the run here, by name, not in the scaling below
     p = schedule.params
+    if not math.isfinite(p.M * p.kT):
+        raise NumericalError(f"momentum scale M kT overflows at M = {p.M:g}, kT = {p.kT:g}")
     x_scale = math.sqrt(init[(2, 0)])
     p_scale = math.sqrt(max(init[(0, 2)], p.M * p.kT))
     scale = np.array([x_scale**j * p_scale**k for (j, k) in MOMENT_KEYS])
 
     # scaled system: M -> M x_scale / p_scale, D -> D/p_scale^2,
     # L -> L/(x_scale p_scale); same matrix structure.
-    a_mat, b_mat, c_mat = _generator_matrices(p.M * x_scale / p_scale, p.gamma)
+    tri = np.ix_(_TRIANGULAR, _TRIANGULAR)
+    a_mat, b_mat, c_mat = (g[tri] for g in _generator_matrices(p.M * x_scale / p_scale, p.gamma))
     inv_xp = 1.0 / (x_scale * p_scale)
     inv_pp = 1.0 / p_scale**2
+    D, L = schedule.coefficients(0.0)
+    gen = a_mat + (D * inv_pp) * b_mat + (L * inv_xp) * c_mat
+    y0 = (init.vector() / scale)[_TRIANGULAR]
 
-    def generator(tt: float) -> np.ndarray:
-        D, L = schedule.coefficients(tt)
-        return a_mat + (D * inv_pp) * b_mat + (L * inv_xp) * c_mat
-
-    y0 = init.vector() / scale
-    if schedule.constant:
-        ys = _propagate(generator(0.0), t, y0)
-    else:
-        from scipy.integrate import solve_ivp  # here, not at the top: `import qbmarket` loads numpy only
-
-        sol = solve_ivp(lambda tt, y: generator(tt) @ y, (t[0], t[-1]), y0, method="DOP853", t_eval=t,
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            t_fail = sol.t[-1] if len(sol.t) else t[0]
-            raise IntegrationError(f"moment integration failed near t = {t_fail:.6g}: {sol.message}")
-        ys = sol.y.T
+    # D(t) - D(0) and L(t) are the last states of z' = F z (KernelSchedule.drivers). B and C lower the
+    # order by two, so products close on (z(x)z(x)m_0, z(x)m_<=2, m), each block fed by the one before.
+    f, z0 = schedule.drivers()
+    pick = np.eye(2, len(z0), len(z0) - 2) * [[inv_pp], [inv_xp]]  # (D - D(0), L), scaled
+    g, y = gen[:1, :1], y0[:1]  # m(0,0), which B and C do not feed
+    for n, inner in ((6, 1), (_N, 6)):  # moments of order <= 2 and <= 4 lead the triangular order
+        g = np.kron(g, np.eye(len(z0))) + np.kron(np.eye(len(g)), f)
+        feed = np.kron(b_mat[:n, :inner], pick[:1]) + np.kron(c_mat[:n, :inner], pick[1:])
+        g = np.block([[g, np.zeros((len(g), n))], [np.zeros((n, len(g) - feed.shape[1])), feed, gen[:n, :n]]])
+        y = np.concatenate([np.kron(y, z0), y0[:n]])
+    ys = _propagate(g, t, y)[:, -_N:].real[:, np.argsort(_TRIANGULAR)]
 
     states = []
     for t_i, y in zip(t, ys):

@@ -28,7 +28,7 @@ class NumericalError(QbmError):
 
 
 class IntegrationError(NumericalError):
-    """ODE integration failed; the message names the offending time."""
+    """Moment propagation failed; the message names the offending time or step."""
 
 
 class StabilityError(NumericalError):

@@ -822,6 +822,8 @@ def synth_colored(
     envelope carries exactly the model ACF (the square of a Gaussian process
     with autocovariance C has autocovariance 2 C^2).
     """
+    if dt_minutes <= 0:
+        raise ValueError("dt_minutes must be positive")
     if nm.eta * dt_minutes > 0.5:
         raise ValueError(f"filter instability: eta*dt = {nm.eta * dt_minutes:.3g} > 0.5")
     n_min = 10.0 / (nm.eta * dt_minutes)

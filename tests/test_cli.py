@@ -217,13 +217,14 @@ class TestSimulate:
         assert (tmp_path / "env.csv").read_text() == (tmp_path / "flag.csv").read_text()
 
     def test_sde_bytes_are_pinned(self, tmp_path):
-        # three path blocks (4096 + 4096 + 808); the digest is that of the
-        # serial block loop, so any change to any bit of the ensemble fails
+        # three path blocks (4096 + 4096 + 808); the rows are those of the
+        # serial block loop, so any change to any bit of the ensemble fails.
+        # The header carries the config digest, which moves with the flag set.
         assert run(["simulate", "--mode", "sde", "--M", 20, "--gamma", 1, "--kT", 1, "--hbar", 1,
                     "--x2", 0.5, "--p2", 0.5, "--xp", 0.2, "--t-end", 0.5, "--points", 6, "--dt", 5e-3,
                     "--n-paths", 9000, "--seed", 8, "--out-prefix", tmp_path / "sde"]) == 0
         digest = hashlib.sha256((tmp_path / "sde.csv").read_bytes()).hexdigest()
-        assert digest == "f7839f9dc9f33f17c405ebe534cd1a520371a0d8720fbdfe30264c335f4d0b7c"
+        assert digest == "fc186ec58ae3119e359f2e87d11a1a3a9b1c318826d9d361114af6e334f73992"
 
     def test_sde_indefinite_initial_covariance_is_usage_error(self, tmp_path, capsys):
         assert run(["simulate", "--mode", "sde", "--x2", 1, "--p2", 1, "--xp", 5, "--t-end", 0.1,
@@ -253,17 +254,34 @@ class TestSimulate:
         assert code == 3
         assert not (tmp_path / "bad.csv").exists()
 
-    def test_non_finite_tolerance_is_usage_error(self, tmp_path):
-        # a NaN rtol that reached the moment integrator would never return,
-        # so the run gets its own process and a deadline
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qbmarket.cli", "simulate", "--mode", "moments", "--x2", "1",
-             "--t-end", "1", "--rtol", "nan", "--out-prefix", str(tmp_path / "m")],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 1
-        assert "--rtol must be finite" in proc.stderr
+    def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys):
+        assert run(["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--gamma", "nan",
+                    "--out-prefix", tmp_path / "m"]) == 1
+        assert "usage error: --gamma must be finite\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_removed_tolerance_keys_are_usage_errors(self, tmp_path, capsys):
+        # moments are propagated exactly: no run has an integrator tolerance to set
+        common = ["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--points", 3,
+                  "--out-prefix", tmp_path / "m"]
+        assert run([*common, "--rtol", "1e-9"]) == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --rtol 1e-9\n"
+        (tmp_path / "run.cfg").write_text("atol = 1e-13\n")
+        assert run([*common, "--config", tmp_path / "run.cfg"]) == 1
+        assert capsys.readouterr().err == "usage error: config key 'atol' is not a flag of this command\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "moments"],
+        ["--mode", "sde", "--dt", 0.01, "--n-paths", 1000, "--seed", 1],
+        ["--mode", "pde", "--nx", 16, "--np", 16],
+    ], ids=["moments", "sde", "pde"])
+    def test_fewer_than_two_points_is_usage_error(self, tmp_path, capsys, flags, points):
+        # sde and pde ran the whole simulation and wrote a CSV without rows at 0 points
+        assert run(["simulate", *flags, "--x2", 1, "--p2", 1, "--t-end", 0.1, "--points", points,
+                    "--out-prefix", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err == "usage error: --points must be at least 2\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, named", [
@@ -346,6 +364,25 @@ class TestSimulate:
         np.testing.assert_allclose(rows[:, header.index("m20")], 1.0, rtol=1e-15)
         np.testing.assert_allclose(rows[:, header.index("m02")], 1.0, rtol=1e-15)
 
+    def test_stiff_damping_with_time_dependent_kernel_returns(self, tmp_path):
+        # explicit DOP853 did not return on this run within the deadline
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qbmarket.cli", "simulate", "--mode", "moments", "--kernel",
+                               "non-markov", "--xi", "1e-3", "--eta", "1", "--omega", "1", "--x2", "1", "--p2", "1",
+                               "--gamma", "1e5", "--t-end", "1", "--points", "3", "--out-prefix", "m"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        header, rows = read_csv(tmp_path / "m.csv")
+        assert np.all(rows[:, header.index("m00")] == 1.0)
+        assert np.all(rows[1:, header.index("m02")] > 1.0)
+
+    def test_overflowing_momentum_scale_is_named(self, tmp_path, capsys):
+        # M kT overflows although D = 2 M gamma kT = 2e100 is finite
+        assert run(["simulate", "--mode", "moments", "--M", 1e200, "--kT", 1e200, "--gamma", 1e-300, "--x2", 1,
+                    "--p2", 1, "--t-end", 1, "--points", 3, "--out-prefix", tmp_path / "m"]) == 3
+        assert capsys.readouterr().err == "numerical failure: momentum scale M kT overflows at M = 1e+200, kT = 1e+200\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_pde_time_column_is_the_requested_grid(self, tmp_path):
         # 7 steps of 0.03/7: step 3 lands at 3 * dt, an ulp off linspace's 0.03 * 3/7
         assert run(["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.03,
@@ -356,11 +393,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flags", [
         ["--kernel", "non-markov", "--xi", 50, "--eta", 0.01, "--omega", 1, "--kT", 0.001, "--t-end", 100],
-        # loose tolerances act only where coefficients vary in time (xi > 0)
-        ["--kernel", "non-markov", "--xi", 1, "--eta", 1, "--omega", 1, "--rtol", 0.9, "--atol", 1, "--t-end", 10],
-    ], ids=["negative-variance", "cauchy-schwarz"])
+    ], ids=["negative-variance"])
     def test_invalid_moment_state_is_numerical_failure(self, tmp_path, capsys, flags):
-        # the integrator, not the input, produced moments no density can have
+        # the dynamics, not the input, produced moments no density can have
         assert run(["simulate", "--mode", "moments", "--M", 1, "--gamma", 1, "--hbar", 1, "--x2", 1, *flags,
                     "--out-prefix", tmp_path / "m"]) == 3
         assert "moment integration invalid at t =" in capsys.readouterr().err
@@ -401,6 +436,19 @@ class TestSynthAndAnalyze:
         assert run(["synth", "--kind", "gbm", "--n", 50, f"--sigma={value}", "--seed", 1,
                     "--out", tmp_path / "p.csv"]) == 1
         assert "--sigma must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--kind", "colored", "--dt", 0], "dt_minutes must be positive"),
+        (["--kind", "colored", "--dt", -1], "dt_minutes must be positive"),
+        (["--kind", "colored", "--s0", -5], "--s0 must be positive"),
+        (["--kind", "gbm", "--s0", -5], "--s0 must be positive"),
+    ], ids=["colored-dt-0", "colored-dt-negative", "colored-s0", "gbm-s0"])
+    def test_nonpositive_spacing_or_price_is_named(self, tmp_path, capsys, flags, named):
+        # a zero spacing divided by zero (exit 3), a negative one or price hit a math domain error
+        assert run(["synth", *flags, "--n", 4000, "--xi", 5e-4, "--eta", 5e-3, "--omega", 0.02, "--seed", 1,
+                    "--out", tmp_path / "s.csv"]) == 1
+        assert capsys.readouterr().err == f"usage error: {named}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_gbm_zero_vol_is_monotone_exponential(self, tmp_path):
@@ -761,8 +809,7 @@ FULL_RUNS = {
              "--points", "11", "--out", "e.csv"],
     "simulate": ["--mode", "moments", "--M", "2", "--gamma", "0.5", "--kT", "0.7", "--hbar", "0.9",
                  "--kernel", "non-markov", "--xi", "0.3", "--eta", "0.5", "--omega", "0.7", "--x2", "1",
-                 "--p2", "1.5", "--xp", "-0.25", "--x4", "3.5", "--t-end", "1", "--points", "3", "--rtol", "1e-9",
-                 "--atol", "1e-13", "--n-paths", "2000", "--dt", "0.01", "--seed", "4", "--nx", "16", "--np", "16",
+                 "--p2", "1.5", "--xp", "-0.25", "--x4", "3.5", "--t-end", "1", "--points", "3", "--n-paths", "2000", "--dt", "0.01", "--seed", "4", "--nx", "16", "--np", "16",
                  "--x-width", "9", "--p-width", "9", "--potential", "harmonic", "--omega0", "1.5",
                  "--out-prefix", "m"],
     "analyze": ["--input", "prices.csv", "--taus", "1:6:1", "--max-lag", "20", "--return-tau", "2",
@@ -908,9 +955,9 @@ print(json.dumps(loaded))
         assert loaded == {step: [] for step in loaded}
 
 
-    def test_moments_load_integrate_only_for_time_dependent_coefficients(self, tmp_path):
-        # constant coefficients (markov, or xi = 0) are propagated exactly;
-        # step names are their first three tokens, so the flags are ordered to differ
+    def test_moments_load_no_scipy_submodule(self, tmp_path):
+        # every kernel is propagated exactly by numpy; step names are their
+        # first three tokens, so the flags are ordered to differ
         common = ["--x2", "1", "--t-end", "1", "--points", "3", "--out-prefix", "m"]
         steps = [
             ["simulate", "--mode", "moments", *common],
@@ -918,6 +965,9 @@ print(json.dumps(loaded))
              *common],
             ["simulate", "--xi", "0.1", "--mode", "moments", "--kernel", "non-markov", "--eta", "1", "--omega", "1",
              *common],
+            # the last step does load scipy.ndimage, so the probe is seen to work
+            ["simulate", "--mode", "pde", "--p2", "1", "--nx", "16", "--np", "16", "--x2", "1", "--t-end", "0.01",
+             "--points", "3", "--out-prefix", "p"],
         ]
         watched = (*self.SCIPY_ON_DEMAND, "scipy.linalg")
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -929,7 +979,7 @@ print(json.dumps(loaded))
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         ran = ["import qbmarket", "--version"] + [" ".join(s[:3]) + " -> exit 0" for s in steps]
         assert list(loaded) == ran, proc.stderr
-        assert "scipy.integrate" in loaded.pop(ran[-1])
+        assert loaded.pop(ran[-1]) == ["scipy.ndimage"]
         assert loaded == {step: [] for step in loaded}
 
     def test_startup_loads_no_thread_pool(self, tmp_path):

@@ -1,6 +1,7 @@
-"""Moment recursion and trajectory evolution, validated against the variance
-closed form, an adaptive ODE integration and the analytic properties of the
-linear generator."""
+"""Moment recursion and exact trajectory propagation, validated against the
+variance closed form, an adaptive ODE integration (a test-only reference), a
+40-digit matrix exponential and the analytic properties of the linear
+generator."""
 
 import dataclasses
 import math
@@ -13,6 +14,8 @@ from qbmarket import (
     ModelParams,
     NonMarkovParams,
     SecondMomentInit,
+    cross_diffusion,
+    normal_diffusion,
     variance_closed_form,
 )
 from qbmarket.dynamics import (
@@ -21,10 +24,10 @@ from qbmarket.dynamics import (
     evolve_moments,
     moment_derivative,
 )
-from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _generator_matrices
+from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _expm_lower, _generator_matrices
 from qbmarket.errors import NumericalError
 
-from conftest import linear_fit_r2
+from conftest import FIT_TRIPLES, linear_fit_r2
 
 
 def fig2c_init() -> MomentState:
@@ -131,7 +134,7 @@ class TestEvolveMoments:
         params = ModelParams(M=2.0, gamma=0.8, kT=1.4, hbar=0.7)
         init = MomentState.gaussian(1.2, 2.1, -0.4)
         t = np.linspace(0.0, 6.0, 25)
-        traj = evolve_moments(init, KernelSchedule.markov(params), t, atol=1e-13)
+        traj = evolve_moments(init, KernelSchedule.markov(params), t)
         assert np.max(np.abs(traj.kurtosis_x())) < 1e-8
         # all fourth moments keep their Gaussian relation to the second moments
         for state in traj.states[:: len(traj.states) // 4]:
@@ -181,7 +184,7 @@ class TestKernelSchedule:
             KernelSchedule("non-markov", kurtosis_params)
 
     def test_non_markov_tracks_closed_forms(self, kurtosis_params, nm_9904):
-        from qbmarket import cross_diffusion, delta_coefficient, lambda_coefficient, normal_diffusion
+        from qbmarket import delta_coefficient, lambda_coefficient
 
         sched = KernelSchedule.non_markov(kurtosis_params, nm_9904)
         for t in (0.0, 17.0, 400.0):
@@ -191,6 +194,18 @@ class TestKernelSchedule:
             assert (D, L) == (delta_coefficient(kurtosis_params, nm_9904, t), lambda_coefficient(kurtosis_params, nm_9904, t))
         ts = np.array([0.0, 17.0, 400.0])
         np.testing.assert_array_equal(sched.coefficients(ts), [[sched.coefficients(t)[k] for t in ts] for k in (0, 1)])
+
+    @pytest.mark.parametrize("case", ["fit-1999-2004", "omega-0", "slow-eta", "unit-triple"])
+    def test_driver_states_track_closed_forms(self, case):
+        # z' = F z from z0: its last two states are D(t) - D(0) and L(t)
+        _, schedule, _ = driven_cases()[case]
+        f, z0 = schedule.drivers()
+        assert np.all(np.triu(f, 1) == 0.0)
+        p, nm = schedule.params, schedule.nm
+        for t in (0.0, 0.37, 17.0, 400.0):
+            d, lam = (_expm_lower(f * t) @ z0)[-2:]
+            expected = (normal_diffusion(p, nm, t) - normal_diffusion(p, nm, 0.0), cross_diffusion(p, nm, t))
+            np.testing.assert_allclose([d.real, lam.real], expected, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("kind", ["markov", "non-markov"])
     def test_non_finite_coefficient_is_named(self, kind, nm_9904):
@@ -257,6 +272,36 @@ def constant_coefficient_cases():
     }
 
 
+def driven_cases():
+    # time-dependent pairs: the published fit triple, no oscillation, a slow
+    # decay and the unit triple
+    return {
+        "fit-1999-2004": (
+            fig2c_init(),
+            KernelSchedule.non_markov(ModelParams(M=20.0, gamma=1.0, kT=1.0, hbar=1.0), FIT_TRIPLES["1999-2004"]),
+            np.linspace(0.0, 12.0, 49),
+        ),
+        "omega-0": (
+            MomentState.gaussian(1.2, 2.1, -0.4),
+            KernelSchedule.non_markov(ModelParams(M=2.0, gamma=0.8, kT=1.4, hbar=0.7),
+                                      NonMarkovParams(xi=0.3, eta=0.5, omega=0.0)),
+            np.linspace(0.0, 6.0, 25),
+        ),
+        "slow-eta": (
+            MomentState.gaussian(1.0, 2.0, 0.3).with_value(4, 0, 5.0),
+            KernelSchedule.non_markov(ModelParams(M=1.0, gamma=0.5, kT=0.3, hbar=1.0),
+                                      NonMarkovParams(xi=0.05, eta=1e-4, omega=0.026)),
+            np.linspace(0.0, 30.0, 31),
+        ),
+        "unit-triple": (
+            MomentState.gaussian(1.0, 1.0),
+            KernelSchedule.non_markov(ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0),
+                                      NonMarkovParams(xi=1.0, eta=1.0, omega=1.0)),
+            np.linspace(0.0, 5.0, 21),
+        ),
+    }
+
+
 class TestExactPropagation:
     def test_generator_is_lower_triangular_in_propagation_order(self):
         a, b, c = _generator_matrices(3.0, 2.0)
@@ -269,12 +314,23 @@ class TestExactPropagation:
         # within 1e-8 of each moment's largest value on the grid; the largest
         # gap (6e-9, gamma = 1e3) is the integrator's: see the next test
         init, schedule, t = constant_coefficient_cases()[case]
-        assert schedule.constant
+        assert not len(schedule.drivers()[0])
         exact = np.array([s.vector() for s in evolve_moments(init, schedule, t).states])
         ref = dop853_reference(init, schedule, t)
         size = np.abs(ref).max(axis=0)
         gap = np.abs(exact - ref).max(axis=0)
         assert np.all(gap <= 1e-8 * size), (gap / np.where(size > 0, size, 1.0)).max()
+
+    @pytest.mark.parametrize("case", list(driven_cases()))
+    def test_time_dependent_pair_matches_dop853_reference(self, case):
+        # the moments and their products with the drivers of D and L, propagated
+        # as one system: within 1e-10 of each moment's largest value on the grid
+        init, schedule, t = driven_cases()[case]
+        exact = np.array([s.vector() for s in evolve_moments(init, schedule, t).states])
+        ref = dop853_reference(init, schedule, t)
+        size = np.abs(ref).max(axis=0)
+        gap = np.abs(exact - ref).max(axis=0)
+        assert np.all(gap <= 1e-10 * size), (gap / np.where(size > 0, size, 1.0)).max()
 
     def test_stiff_case_matches_high_precision_exponential(self):
         # every moment within 1e-14 of exp(G t) m(0) in 40-digit arithmetic

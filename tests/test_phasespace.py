@@ -249,7 +249,7 @@ class TestAgainstMomentOde:
         assert evo.n_steps == 8
         assert evo.mass_drift() < 1e-8
         assert evo.eps_neg < 1e-20
-        traj = evolve_moments(MomentState.gaussian(1.0, 0.9, 0.0), sched, evo.times, rtol=1e-12, atol=1e-14)
+        traj = evolve_moments(MomentState.gaussian(1.0, 0.9, 0.0), sched, evo.times)
         scale = np.sqrt(traj.moment(2, 0) * traj.moment(0, 2))
         for key in [(2, 0), (1, 1), (0, 2)]:
             rel = np.abs(evo.moment(*key) - traj.moment(*key)) / np.maximum(np.abs(traj.moment(*key)), 1e-3 * scale)
