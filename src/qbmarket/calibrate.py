@@ -1,12 +1,16 @@
 """Fitting model parameters to empirical statistics.
 
 fit_acf recovers the damped oscillatory autocorrelation triple (xi, eta,
-omega) from a lag-ACF estimate by damped nonlinear least squares. The model is
+omega) from a lag-ACF estimate by variable projection: the model
+xi^2 u(tau; eta, omega) is linear in the amplitude xi^2, whose best
+nonnegative value has a closed form at every (eta, omega), so a
+Levenberg-Marquardt descent runs in (eta, omega) alone. The model is
 multimodal in the frequency, so initialization does the heavy lifting: the
-amplitude seeds from the smallest positive lag, the decay rate from the
-log-slope of the upper envelope, and the frequency from the first local
-maximum refined by the periodogram peak, with a deterministic coarse frequency
-grid as fallback when the peak is ambiguous.
+decay rate seeds from the log-slope of the upper envelope and the frequency
+from the first local maximum refined by the periodogram peak, with a
+deterministic coarse frequency grid as fallback when the peak is ambiguous or
+the best amplitude at the start is zero. The starting amplitude, from the
+smallest positive lag, sets the cost the fit must not end above.
 
 Lag 0 is always excluded from the ACF fit: it carries the white-noise Dirac
 weight of the noise kernel and would bias the amplitude upward.
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +41,14 @@ __all__ = [
     "fit_kurtosis_decay",
 ]
 
-# Convergence policy: relative step below 1e-10 or relative residual change
-# below 1e-12, at most 200 iterations (~4 evaluations each for the 3-parameter
-# trust-region steps).
+# Convergence policy of each frequency candidate's descent in (eta, omega): a
+# step below 1e-10 relative to the point, or an accepted step that lowers the
+# cost by less than 1e-12 relative; at most 800 model evaluations, one a step.
 _XTOL = 1e-10
 _FTOL = 1e-12
 _MAX_NFEV = 800
 ETA_MAX_PER_MIN = 1.0
+_LOWER = np.array([1e-12, 0.0])  # eta, omega
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,92 @@ def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> t
     return NonMarkovParams(xi=xi0, eta=eta0, omega=omega0), clear_peak
 
 
+class _Descent(NamedTuple):
+    """One frequency candidate's local fit in (eta, omega)."""
+
+    theta: np.ndarray
+    shape: np.ndarray  # the weighted model at xi = 1
+    amplitude: float  # xi^2, the best nonnegative one at theta
+    cost: float
+    nfev: int
+    converged: bool
+    start_clamped: bool
+
+
+def _shape_derivatives(tau: np.ndarray, w: np.ndarray, shape: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Columns d/d eta and d/d omega of shape = w 0.5 exp(-eta tau) (cos 2 omega tau + 1)."""
+    eta, omega = theta
+    return np.column_stack([-tau * shape, -w * tau * np.exp(-eta * tau) * np.sin(2.0 * omega * tau)])
+
+
+def _descend(tau: np.ndarray, v: np.ndarray, w: np.ndarray, theta: np.ndarray, upper: np.ndarray) -> _Descent:
+    """Levenberg-Marquardt in theta = (eta, omega) on the residual a u(theta) - v,
+    with the amplitude a = xi^2 projected out (variable projection, Golub &
+    Pereyra 1973, with Kaufman's 1975 Jacobian a (I - u u^T / |u|^2) du).
+
+    Where the best amplitude <u, v> / |u|^2 is positive the descent uses it.
+    Where it clamps to zero the cost is flat in theta, so the descent steers
+    with a = |v| / |u|: that residual shrinks as u turns toward v, and every
+    point with a positive amplitude costs less than every clamped one.
+    """
+    vv = float(v @ v)
+    nfev = 0
+
+    def evaluate(th: np.ndarray):
+        nonlocal nfev
+        nfev += 1
+        u = w * acf_model(NonMarkovParams(xi=1.0, eta=float(th[0]), omega=float(th[1])), tau)
+        uu = float(u @ u)
+        if not uu > 0:  # the model underflows at every lag: a point no step may take
+            return u, 0.0, -v, math.inf, None
+        free = float(u @ v) / uu
+        steer = free if free > 0 else math.sqrt(vv / uu)
+        r = steer * u - v
+        du = _shape_derivatives(tau, w, u, th)
+        return u, free, r, float(r @ r), steer * (du - np.outer(u, (u @ du) / uu))
+
+    u, free, r, merit, jac = evaluate(theta)
+    start_clamped = free <= 0
+    scale = np.zeros(2)
+    lam, growth = 1e-3, 2.0
+    converged = False
+    while nfev < _MAX_NFEV and jac is not None:
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        scale = np.maximum(scale, np.sqrt(np.diag(hess)))
+        # a parameter on a bound that the gradient pushes beyond stays there
+        move = ~(((theta <= _LOWER) & (grad > 0)) | ((theta >= upper) & (grad < 0)))
+        if not np.any(grad[move]):
+            converged = True
+            break
+        damped = hess + lam * np.diag(np.where(scale > 0, scale, 1.0) ** 2)
+        step = np.zeros(2)
+        step[move] = np.linalg.solve(damped[np.ix_(move, move)], -grad[move])
+        trial = np.clip(theta + step, _LOWER, upper)
+        step = trial - theta
+        predicted = -(2.0 * grad @ step + step @ hess @ step)
+        t_u, t_free, t_r, t_merit, t_jac = evaluate(trial)
+        actual = merit - t_merit
+        if predicted > 0 and actual > 1e-4 * predicted:
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
+            growth = 2.0
+            settled = actual <= _FTOL * merit
+            theta, u, free, r, merit, jac = trial, t_u, t_free, t_r, t_merit, t_jac
+            if settled:
+                converged = True
+                break
+        else:
+            lam *= growth
+            growth *= 2.0
+        if np.linalg.norm(step) <= _XTOL * (_XTOL + np.linalg.norm(theta)):
+            converged = True
+            break
+
+    amplitude = max(free, 0.0)
+    cost = float(np.sum((amplitude * u - v) ** 2))
+    return _Descent(theta, u, amplitude, cost, nfev, converged, start_clamped)
+
+
 def fit_acf(
     acf: AcfEstimate,
     guess: NonMarkovParams | str = "auto",
@@ -162,6 +254,7 @@ def fit_acf(
         )
 
     w = np.sqrt(counts / counts.mean()) if weights == "count-weighted" else np.ones_like(values)
+    v = w * values
     omega_nyquist = math.pi / acf.base_minutes
 
     if isinstance(guess, NonMarkovParams):
@@ -169,68 +262,54 @@ def fit_acf(
     else:
         start, clear_peak = _auto_guess(lags, values, omega_nyquist)
 
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        nm = NonMarkovParams(xi=max(theta[0], 0.0), eta=max(theta[1], 1e-300), omega=max(theta[2], 0.0))
-        return w * (acf_model(nm, lags) - values)
+    upper = np.array([ETA_MAX_PER_MIN, omega_nyquist * (1.0 - 1e-12)])
+    inner = np.array([ETA_MAX_PER_MIN, omega_nyquist * (1.0 - 1e-9)])
 
-    lower = np.array([0.0, 1e-12, 0.0])
-    upper = np.array([np.inf, ETA_MAX_PER_MIN, omega_nyquist * (1.0 - 1e-12)])
+    def run(omega: float) -> _Descent:
+        return _descend(lags, v, w, np.clip([start.eta, omega], _LOWER, inner), upper)
 
-    candidates = [start]
-    if not clear_peak:
+    best = run(start.omega)
+    # a start whose best amplitude is zero says nothing about the frequency,
+    # so it is searched like an ambiguous periodogram peak
+    if not clear_peak or best.start_clamped:
         for om in np.linspace(0.0, omega_nyquist, 15)[1:-1]:
-            candidates.append(NonMarkovParams(xi=start.xi, eta=start.eta, omega=float(om)))
+            cand = run(float(om))
+            if cand.cost < best.cost * (1.0 - 1e-12) or (
+                abs(cand.cost - best.cost) <= best.cost * 1e-12 and cand.theta[1] < best.theta[1]
+            ):
+                best = cand
 
-    from scipy.optimize import least_squares  # here, not at the top: `import qbmarket` loads numpy only
-
-    best = None
-    for cand in candidates:
-        x0 = np.clip(
-            np.array([cand.xi, cand.eta, cand.omega]),
-            lower,
-            np.minimum(upper, [np.finfo(float).max, ETA_MAX_PER_MIN, omega_nyquist * (1 - 1e-9)]),
-        )
-        res = least_squares(
-            residuals,
-            x0,
-            bounds=(lower, upper),
-            method="trf",
-            xtol=_XTOL,
-            ftol=_FTOL,
-            gtol=None,
-            max_nfev=_MAX_NFEV,
-        )
-        cost = 2.0 * res.cost
-        if best is None or cost < best[0] * (1.0 - 1e-12) or (
-            abs(cost - best[0]) <= best[0] * 1e-12 and res.x[2] < best[1].x[2]
-        ):
-            best = (cost, res)
-
-    cost, res = best
-    converged = res.status > 0
-    sse_start = float(np.sum(residuals(np.array([start.xi, start.eta, start.omega])) ** 2))
-    if converged and cost > sse_start * (1.0 + 1e-9):
+    eta, omega = (float(x) for x in best.theta)
+    nm = NonMarkovParams(xi=math.sqrt(best.amplitude), eta=eta, omega=omega)
+    converged = best.converged
+    sse_start = float(np.sum((w * acf_model(start, lags) - v) ** 2))
+    diagnostic = None if converged else f"did not converge ({best.nfev} model evaluations)"
+    # a cost is known to within rounding, about eps^2 |v|^2
+    slack = np.finfo(float).eps ** 2 * float(v @ v)
+    if converged and best.cost > sse_start * (1.0 + 1e-9) + slack:
         converged = False
+        diagnostic = "did not converge: residual above the starting guess"
 
     stderr = None
     dof = len(lags) - 3
     if dof > 0:
+        # the model xi^2 u(eta, omega) differentiated in (xi, eta, omega)
+        jac = np.column_stack(
+            [2.0 * nm.xi * best.shape, best.amplitude * _shape_derivatives(lags, w, best.shape, best.theta)]
+        )
         try:
-            jtj = res.jac.T @ res.jac
-            cov = np.linalg.inv(jtj) * (cost / dof)
+            cov = np.linalg.inv(jac.T @ jac) * (best.cost / dof)
             diag = np.diag(cov)
             if np.all(diag >= 0):
                 stderr = tuple(float(s) for s in np.sqrt(diag))
         except np.linalg.LinAlgError:
             stderr = None
 
-    nm = NonMarkovParams(xi=float(res.x[0]), eta=float(res.x[1]), omega=float(res.x[2]))
-    diagnostic = None if converged else f"did not converge: {res.message}"
     return AcfFit(
         nm=nm,
-        residual=float(cost),
+        residual=best.cost,
         stderr=stderr,
-        iterations=int(res.nfev),
+        iterations=best.nfev,
         converged=converged,
         diagnostic=diagnostic,
         guess=start,

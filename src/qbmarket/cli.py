@@ -396,7 +396,7 @@ def cmd_eval(cfg: dict) -> int:
     if start < 0:
         raise ValueError("range must be nonnegative")
     if points < 2:
-        raise ValueError("points must be at least 2")
+        raise ValueError("--points must be at least 2")
     grid = np.linspace(start, end, points)
     formula = cfg["formula"]
     digest = _sha256_config(cfg)
@@ -441,6 +441,8 @@ def cmd_simulate(cfg: dict) -> int:
     if cfg["points"] < 2:
         raise ValueError("--points must be at least 2")
     mode = cfg["mode"]
+    if mode != "moments" and cfg.get("dt") is not None and not cfg["dt"] > 0:
+        raise ValueError("--dt must be positive")
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
         schedule = KernelSchedule.non_markov(params, _nm_params(cfg))
@@ -475,6 +477,8 @@ def cmd_simulate(cfg: dict) -> int:
             raise ValueError("sde mode supports only the markov kernel (no stochastic representation otherwise)")
         if cfg.get("dt") is None:
             raise ValueError("sde mode requires --dt")
+        if cfg["n_paths"] < 1000:
+            raise ValueError("--n-paths must be at least 1000")
         init = SecondMomentInit(sx2_0=x2, sp2_0=p2, spx_0=cfg["xp"])
         ens = simulate_sde_markov(params, init, int(cfg["n_paths"]), cfg["dt"], t_end, seed, t_eval=times)
         columns = {"t": ens.times}
@@ -605,9 +609,14 @@ def cmd_fit(cfg: dict) -> int:
     if cfg["kind"] == "acf":
         data = _read_estimator_csv(in_path, ("lag", "acf"))
         lags = data["lag"].astype(np.int64)
+        bad = np.flatnonzero((lags < 0) | (np.diff(lags, prepend=-1) <= 0))
+        if len(bad):
+            i = bad[0]
+            fault = "is negative" if lags[i] < 0 else f"does not exceed the lag {lags[i - 1]} before it"
+            raise DataError(f"{in_path}: row {i + 1}: lag {lags[i]} {fault}; lags must be nonnegative and strictly increasing")
         counts = data.get("count", np.ones(len(lags))).astype(np.int64)
         stderr = data.get("stderr", np.full(len(lags), np.nan))
-        base = int(cfg["base_minutes"]) if cfg.get("base_minutes") is not None else int(np.min(np.diff(np.unique(lags[lags > 0])))) if np.sum(lags > 0) > 1 else 1
+        base = int(cfg["base_minutes"]) if cfg.get("base_minutes") is not None else int(np.min(np.diff(lags[lags > 0]))) if np.sum(lags > 0) > 1 else 1
         est = AcfEstimate(
             lags=lags,
             values=data["acf"],
@@ -660,6 +669,10 @@ def cmd_synth(cfg: dict) -> int:
     cfg["seed"] = seed
     n = int(cfg["n"])
     dt = int(cfg["dt"])
+    if n < 2:
+        raise ValueError("--n must be at least 2")
+    if dt <= 0:
+        raise ValueError("--dt must be positive")
     digest = _sha256_config(cfg)
     out = Path(cfg["out"])
 

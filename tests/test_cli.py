@@ -74,6 +74,12 @@ class TestEval:
         assert run(["eval", "--formula", "classical", "--start", 5, "--end", 1,
                     "--out", tmp_path / "x.csv"]) == 1
 
+    def test_too_few_points_names_the_flag(self, tmp_path, capsys):
+        assert run(["eval", "--formula", "classical", "--start", 0, "--end", 1, "--points", 1,
+                    "--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err == "usage error: --points must be at least 2\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "v.csv"
         run(["eval", "--formula", "classical", "--start", 0, "--end", 1, "--out", out])
@@ -225,6 +231,23 @@ class TestSimulate:
                     "--n-paths", 9000, "--seed", 8, "--out-prefix", tmp_path / "sde"]) == 0
         digest = hashlib.sha256((tmp_path / "sde.csv").read_bytes()).hexdigest()
         assert digest == "fc186ec58ae3119e359f2e87d11a1a3a9b1c318826d9d361114af6e334f73992"
+
+    @pytest.mark.parametrize("dt", [0, -1])
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "sde", "--n-paths", 1000, "--seed", 1],
+        ["--mode", "pde", "--p2", 1, "--nx", 16, "--np", 16],
+    ], ids=["sde", "pde"])
+    def test_nonpositive_step_names_the_flag(self, tmp_path, capsys, flags, dt):
+        # pde at --dt 0 divided by zero (exit 3) and at --dt -1 said "dt must divide t_end evenly"
+        assert run(["simulate", *flags, "--x2", 1, "--t-end", 0.1, f"--dt={dt}", "--out-prefix", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err == "usage error: --dt must be positive\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_small_ensemble_names_the_flag(self, tmp_path, capsys):
+        assert run(["simulate", "--mode", "sde", "--x2", 1, "--t-end", 0.1, "--dt", 1e-3, "--n-paths", 100,
+                    "--seed", 1, "--out-prefix", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err == "usage error: --n-paths must be at least 1000\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_sde_indefinite_initial_covariance_is_usage_error(self, tmp_path, capsys):
         assert run(["simulate", "--mode", "sde", "--x2", 1, "--p2", 1, "--xp", 5, "--t-end", 0.1,
@@ -439,16 +462,23 @@ class TestSynthAndAnalyze:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, named", [
-        (["--kind", "colored", "--dt", 0], "dt_minutes must be positive"),
-        (["--kind", "colored", "--dt", -1], "dt_minutes must be positive"),
+        (["--kind", "colored", "--dt", 0], "--dt must be positive"),
+        (["--kind", "colored", "--dt", -1], "--dt must be positive"),
+        (["--kind", "gbm", "--dt", 0], "--dt must be positive"),
         (["--kind", "colored", "--s0", -5], "--s0 must be positive"),
         (["--kind", "gbm", "--s0", -5], "--s0 must be positive"),
-    ], ids=["colored-dt-0", "colored-dt-negative", "colored-s0", "gbm-s0"])
+    ], ids=["colored-dt-0", "colored-dt-negative", "gbm-dt-0", "colored-s0", "gbm-s0"])
     def test_nonpositive_spacing_or_price_is_named(self, tmp_path, capsys, flags, named):
         # a zero spacing divided by zero (exit 3), a negative one or price hit a math domain error
         assert run(["synth", *flags, "--n", 4000, "--xi", 5e-4, "--eta", 5e-3, "--omega", 0.02, "--seed", 1,
                     "--out", tmp_path / "s.csv"]) == 1
         assert capsys.readouterr().err == f"usage error: {named}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_too_few_bars_names_the_flag(self, tmp_path, capsys, n):
+        assert run(["synth", "--kind", "gbm", "--n", n, "--seed", 1, "--out", tmp_path / "s.csv"]) == 1
+        assert capsys.readouterr().err == "usage error: --n must be at least 2\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_gbm_zero_vol_is_monotone_exponential(self, tmp_path):
@@ -708,6 +738,21 @@ class TestFitCommand:
         assert f"data error: cannot read input {tmp_path}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("edit, row, named", [
+        (lambda rows: rows[:2] + ["5,0.4"] + rows[2:], 3, "lag 5 does not exceed the lag 5"),
+        (lambda rows: rows[:3] + ["-5,0.1"] + rows[3:], 4, "lag -5 is negative"),
+        (lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:], 4, "lag 10 does not exceed the lag 15"),
+    ], ids=["duplicated", "negative", "decreasing"])
+    def test_malformed_lags_are_data_errors(self, tmp_path, capsys, edit, row, named):
+        # a duplicated lag used to be fitted twice and a negative one dropped, both with exit 0
+        path, _ = self.make_acf_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0]] + edit(lines[1:])) + "\n")
+        assert run(["fit", "--kind", "acf", "--input", path, "--out", tmp_path / "o.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: row {row}: {named}" in err, err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["acf.csv"]
+
     def test_malformed_estimator_csv_is_data_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("lag,acf\n0,zero\n")
@@ -939,8 +984,10 @@ print(json.dumps(loaded))
              "--dt", "0.01", "--seed", "1", "--out-prefix", "sde"],
             ["synth", "--kind", "colored", "--n", "4000", "--xi", "5e-4", "--eta", "5e-3", "--omega", "0.02",
              "--seed", "1", "--out", "c.csv"],
-            # the last step does call scipy, so the probe is seen to work
             ["fit", "--kind", "acf", "--input", "a.csv", "--out", "a.json"],
+            # the last step does load scipy.ndimage, so the probe is seen to work
+            ["simulate", "--mode", "pde", "--x2", "1", "--p2", "1", "--nx", "16", "--np", "16", "--t-end", "0.01",
+             "--points", "3", "--out-prefix", "pde"],
         ]
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run(
@@ -951,9 +998,8 @@ print(json.dumps(loaded))
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         ran = ["import qbmarket", "--version"] + [" ".join(s[:3]) + " -> exit 0" for s in steps]
         assert list(loaded) == ran, proc.stderr
-        assert "scipy.optimize" in loaded.pop(ran[-1])
+        assert loaded.pop(ran[-1]) == ["scipy.ndimage"]
         assert loaded == {step: [] for step in loaded}
-
 
     def test_moments_load_no_scipy_submodule(self, tmp_path):
         # every kernel is propagated exactly by numpy; step names are their
