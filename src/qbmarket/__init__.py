@@ -5,8 +5,8 @@ quantum Brownian particle, moment-closure / Monte-Carlo / phase-space
 evolution, a minute-bar market-data pipeline, and autocorrelation
 calibration, wired together by the ``qbm`` command-line tool.
 
-``import qbmarket`` loads numpy only: each function that calls into scipy
-imports the scipy submodule it needs when it runs.
+The package needs numpy only: no module imports scipy, which the test
+suite uses as an independent reference.
 """
 
 __version__ = "0.1.0"

@@ -486,6 +486,9 @@ def cmd_simulate(cfg: dict) -> int:
             columns[f"m{j}{k}"] = ens.mean[(j, k)]
             columns[f"m{j}{k}_se"] = ens.stderr[(j, k)]
     else:  # pde
+        for flag in ("nx", "np"):
+            if cfg[flag] < 16:
+                raise ValueError(f"--{flag} must be at least 16")
         grid = PhaseSpaceGrid.gaussian(
             x2,
             p2,
@@ -680,6 +683,14 @@ def cmd_synth(cfg: dict) -> int:
         series = synth_gbm(mu=cfg["mu"], sigma=cfg["sigma"], n=n, dt_minutes=dt, seed=seed, s0=cfg["s0"])
     else:
         nm = _nm_params(cfg)
+        # synth_colored's own checks, with the flags named
+        eta_dt = nm.eta * dt
+        if eta_dt > 0.5:
+            raise ValueError(f"--eta times --dt must be at most 0.5 for a stable filter: got {eta_dt:.3g}")
+        need = 10.0 / eta_dt
+        if n < need:
+            need = need if math.isinf(need) else math.ceil(need)  # inf where --eta * --dt is subnormal
+            raise ValueError(f"--n must cover ten decay times, 10 / (--eta * --dt): need --n >= {need}")
         returns = synth_colored(nm, n=n, dt_minutes=dt, base_noise=cfg["base_noise"], seed=seed)
         # integrate tau-normalized returns into a price path so the output is
         # a prices CSV the analyze command can consume directly

@@ -1,6 +1,7 @@
 """Command-line interface: every command end to end, exit codes, config-file
 merging, seeding, and reproducibility."""
 
+import ast
 import hashlib
 import json
 import math
@@ -243,6 +244,14 @@ class TestSimulate:
         assert capsys.readouterr().err == "usage error: --dt must be positive\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--nx", "--np"])
+    def test_small_grid_names_the_flag(self, tmp_path, capsys, flag):
+        # used to say "grid must have at least 16 cells per axis"
+        assert run(["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--t-end", 0.1, flag, 8,
+                    "--out-prefix", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err == f"usage error: {flag} must be at least 16\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_small_ensemble_names_the_flag(self, tmp_path, capsys):
         assert run(["simulate", "--mode", "sde", "--x2", 1, "--t-end", 0.1, "--dt", 1e-3, "--n-paths", 100,
                     "--seed", 1, "--out-prefix", tmp_path / "s"]) == 1
@@ -479,6 +488,27 @@ class TestSynthAndAnalyze:
     def test_too_few_bars_names_the_flag(self, tmp_path, capsys, n):
         assert run(["synth", "--kind", "gbm", "--n", n, "--seed", 1, "--out", tmp_path / "s.csv"]) == 1
         assert capsys.readouterr().err == "usage error: --n must be at least 2\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("eta, need", [(5e-3, "2000"), (1e-320, "inf")], ids=["short", "eta-subnormal"])
+    def test_short_colored_series_names_the_flags(self, tmp_path, capsys, eta, need):
+        # used to say "n must cover ten decay times: need n >= 2000", and at a
+        # subnormal --eta to exit 3 with "cannot convert float infinity to integer"
+        assert run(["synth", "--kind", "colored", "--n", 100, "--xi", 5e-4, "--eta", eta, "--omega", 0.02,
+                    "--seed", 1, "--out", tmp_path / "c.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --n must cover ten decay times, 10 / (--eta * --dt): need --n >= {need}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("eta, dt, product", [(0.9, 1, "0.9"), (0.3, 2, "0.6")], ids=["eta", "eta-dt"])
+    def test_unstable_colored_filter_names_the_flags(self, tmp_path, capsys, eta, dt, product):
+        # used to say "filter instability: eta*dt = 0.9 > 0.5"
+        assert run(["synth", "--kind", "colored", "--n", 4000, "--xi", 5e-4, "--eta", eta, "--dt", dt,
+                    "--omega", 0.02, "--seed", 1, "--out", tmp_path / "c.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --eta times --dt must be at most 0.5 for a stable filter: got {product}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_gbm_zero_vol_is_monotone_exponential(self, tmp_path):
@@ -942,10 +972,12 @@ class TestConfigParsing:
 
 class TestImports:
     # The steps run in order in one fresh interpreter; after each, the script
-    # records which of these scipy submodules sys.modules holds.
+    # records which of these scipy submodules sys.modules holds. A step is a
+    # `qbm` argument list, or the name of a module to import: the probe's
+    # control, which must be seen.
     SCIPY_ON_DEMAND = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.ndimage")
     SCRIPT = """
-import json, sys
+import importlib, json, sys
 
 loaded = {}
 def note(step):
@@ -960,11 +992,35 @@ try:
 except SystemExit:
     pass
 note("--version")
-for argv in json.loads(sys.argv[1]):
-    code = main(argv)
-    note(" ".join(argv[:3]) + " -> exit %d" % code)
+for step in json.loads(sys.argv[1]):
+    if isinstance(step, str):
+        importlib.import_module(step)
+        note("import " + step)
+        continue
+    code = main(step)
+    note(" ".join(step[:3]) + " -> exit %d" % code)
 print(json.dumps(loaded))
 """
+
+    def probe(self, tmp_path, steps, watched):
+        """Run the steps; what each loaded of ``watched``, keyed by step, after
+        checking that every command exited 0."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(steps), *watched],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        ran = ["import qbmarket", "--version"]
+        ran += ["import " + s if isinstance(s, str) else " ".join(s[:3]) + " -> exit 0" for s in steps]
+        assert list(loaded) == ran, proc.stderr
+        return loaded
+
+    def assert_only_control_loads_scipy(self, loaded):
+        # the last step imports scipy.ndimage, so the probe is seen to work
+        assert "scipy.ndimage" in loaded.pop("import scipy.ndimage")
+        assert loaded == {step: [] for step in loaded}
 
     def test_numpy_only_commands_load_no_scipy_submodule(self, tmp_path):
         taus = np.arange(5, 205, 5)
@@ -985,21 +1041,11 @@ print(json.dumps(loaded))
             ["synth", "--kind", "colored", "--n", "4000", "--xi", "5e-4", "--eta", "5e-3", "--omega", "0.02",
              "--seed", "1", "--out", "c.csv"],
             ["fit", "--kind", "acf", "--input", "a.csv", "--out", "a.json"],
-            # the last step does load scipy.ndimage, so the probe is seen to work
             ["simulate", "--mode", "pde", "--x2", "1", "--p2", "1", "--nx", "16", "--np", "16", "--t-end", "0.01",
              "--points", "3", "--out-prefix", "pde"],
+            "scipy.ndimage",
         ]
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(steps), *self.SCIPY_ON_DEMAND],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-        ran = ["import qbmarket", "--version"] + [" ".join(s[:3]) + " -> exit 0" for s in steps]
-        assert list(loaded) == ran, proc.stderr
-        assert loaded.pop(ran[-1]) == ["scipy.ndimage"]
-        assert loaded == {step: [] for step in loaded}
+        self.assert_only_control_loads_scipy(self.probe(tmp_path, steps, self.SCIPY_ON_DEMAND))
 
     def test_moments_load_no_scipy_submodule(self, tmp_path):
         # every kernel is propagated exactly by numpy; step names are their
@@ -1011,53 +1057,51 @@ print(json.dumps(loaded))
              *common],
             ["simulate", "--xi", "0.1", "--mode", "moments", "--kernel", "non-markov", "--eta", "1", "--omega", "1",
              *common],
-            # the last step does load scipy.ndimage, so the probe is seen to work
             ["simulate", "--mode", "pde", "--p2", "1", "--nx", "16", "--np", "16", "--x2", "1", "--t-end", "0.01",
              "--points", "3", "--out-prefix", "p"],
+            "scipy.ndimage",
         ]
         watched = (*self.SCIPY_ON_DEMAND, "scipy.linalg")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(steps), *watched],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-        ran = ["import qbmarket", "--version"] + [" ".join(s[:3]) + " -> exit 0" for s in steps]
-        assert list(loaded) == ran, proc.stderr
-        assert loaded.pop(ran[-1]) == ["scipy.ndimage"]
-        assert loaded == {step: [] for step in loaded}
+        self.assert_only_control_loads_scipy(self.probe(tmp_path, steps, watched))
 
     def test_startup_loads_no_thread_pool(self, tmp_path):
         # only the sde ensemble needs concurrent.futures; `qbm --version` must not pay for it
         step = ["simulate", "--mode", "sde", "--x2", "1", "--t-end", "0.1", "--points", "3", "--n-paths", "1000",
                 "--dt", "0.01", "--seed", "1", "--out-prefix", "sde"]
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps([step]), "concurrent.futures"],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert loaded == {
+        assert self.probe(tmp_path, [step], ["concurrent.futures"]) == {
             "import qbmarket": [],
             "--version": [],
             " ".join(step[:3]) + " -> exit 0": ["concurrent.futures"],
         }
 
-    def test_pde_loads_ndimage_only(self, tmp_path):
-        # the p-diffusion substep is a numpy transform, not a scipy.linalg or scipy.fft call
-        step = ["simulate", "--mode", "pde", "--x2", "1", "--p2", "1", "--nx", "32", "--np", "32",
-                "--t-end", "0.05", "--points", "3", "--out-prefix", "pde"]
+    def test_pde_loads_no_scipy_submodule(self, tmp_path):
+        # the spline prefilter is a numpy matrix product and the p diffusion a
+        # numpy transform, for the free particle and in the harmonic well
+        common = ["--x2", "1", "--p2", "1", "--nx", "32", "--np", "24", "--t-end", "0.05", "--points", "3"]
+        steps = [
+            ["simulate", "--mode", "pde", *common, "--out-prefix", "free"],
+            ["simulate", "--potential", "harmonic", "--mode", "pde", "--omega0", "1.5", *common,
+             "--out-prefix", "well"],
+            "scipy.ndimage",
+        ]
         watched = (*self.SCIPY_ON_DEMAND, "scipy.linalg", "scipy.fft", "scipy.sparse")
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps([step]), *watched],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert loaded[" ".join(step[:3]) + " -> exit 0"] == ["scipy.ndimage"]
+        self.assert_only_control_loads_scipy(self.probe(tmp_path, steps, watched))
+
+    def test_no_module_imports_scipy(self):
+        package = Path(cli.__file__).parent
+        modules = sorted(package.rglob("*.py"))
+        assert len(modules) >= 9
+        found = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.relative_to(package)}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+        assert found == []
 
 
 class TestHelp:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.ndimage import map_coordinates
+from scipy.ndimage import map_coordinates, spline_filter1d
 
 from qbmarket import ModelParams, StabilityError
 from qbmarket.dynamics import (
@@ -18,7 +18,12 @@ from qbmarket.dynamics import (
     grid_moments,
     stable_time_step,
 )
-from qbmarket.dynamics.phasespace import _p_diffusion_modes, _transport_substeps
+from qbmarket.dynamics.phasespace import (
+    _p_diffusion_modes,
+    _spline_coefficients,
+    _spline_prefilter,
+    _transport_substeps,
+)
 
 
 def free_params() -> ModelParams:
@@ -149,6 +154,29 @@ class TestDiffusionSubstep:
         evo = evolve_wigner_pde(grid, KernelSchedule.markov(params), t_end=0.03, sample_times=tgrid)
         assert evo.n_steps == 8
         assert np.array_equal(evo.times, tgrid)
+
+
+class TestSplinePrefilter:
+    """The cubic B-spline prefilter matrix: the inverse of the mirror-folded
+    stencil [1, 4, 1]/6, and scipy's recursive filter to roundoff."""
+
+    @pytest.mark.parametrize("n", [16, 17, 40, 256])
+    def test_inverts_the_folded_stencil(self, n):
+        diagonal, off_diagonal = _spline_prefilter(n)
+        stencil = (np.diag(np.full(n, 4.0)) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
+        stencil[0, 1] = stencil[-1, -2] = 2.0 / 6.0
+        assert np.max(np.abs(stencil @ (off_diagonal + np.diag(diagonal)) - np.eye(n))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [16, 17, 40, 256])
+    def test_matches_spline_filter1d(self, n):
+        prefilter = _spline_prefilter(n)
+        rng = np.random.default_rng(n)
+        for axis in (0, 1):
+            for _ in range(3):
+                w = rng.standard_normal((n, n))
+                expected = spline_filter1d(w, 3, axis=axis, mode="mirror")
+                got = _spline_coefficients(prefilter, w, axis, np.empty_like(w))
+                assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 class TestTransportSubsteps:
