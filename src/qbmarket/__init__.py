@@ -23,7 +23,6 @@ from .dynamics import (
     evolve_moments,
     evolve_wigner_pde,
     grid_moments,
-    moment_derivative,
     simulate_sde_markov,
 )
 from .errors import (

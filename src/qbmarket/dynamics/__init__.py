@@ -7,7 +7,6 @@ from .moments import (
     MomentState,
     MomentTrajectory,
     evolve_moments,
-    moment_derivative,
 )
 from .montecarlo import EnsembleMoments, simulate_sde_markov
 from .phasespace import (
@@ -25,7 +24,6 @@ __all__ = [
     "MomentState",
     "MomentTrajectory",
     "evolve_moments",
-    "moment_derivative",
     "EnsembleMoments",
     "simulate_sde_markov",
     "HarmonicPotential",

@@ -30,7 +30,6 @@ __all__ = [
     "MomentState",
     "KernelSchedule",
     "MomentTrajectory",
-    "moment_derivative",
     "evolve_moments",
 ]
 
@@ -195,21 +194,6 @@ class KernelSchedule:
         f[7, :6] = _lambda_prefactor(self.params, self.nm) / 2 * np.array(
             [0.0, lead, lead.conjugate(), 2.0, ratio, ratio.conjugate()])
         return f, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-
-def moment_derivative(state: MomentState, params: ModelParams, D: float, L: float) -> dict[tuple[int, int], float]:
-    """Time derivative of every tracked moment for the free-particle generator
-    with diffusion pair (D, L) (see KernelSchedule.coefficients).
-
-    dm(j,k)/dt = (j/M) m(j-1,k+1) - 2 gamma k m(j,k)
-                 + D k(k-1) m(j,k-2) - L j k m(j-1,k-1)
-
-    with out-of-range indices contributing zero. Evaluated with the structure
-    matrices :func:`evolve_moments` integrates.
-    """
-    a_mat, b_mat, c_mat = _generator_matrices(params.M, params.gamma)
-    rates = (a_mat + D * b_mat + L * c_mat) @ state.vector()
-    return dict(zip(MOMENT_KEYS, map(float, rates)))
 
 
 def _generator_matrices(M: float, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

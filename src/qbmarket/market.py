@@ -416,9 +416,14 @@ def _pair_indices(
 
     The rows are placed once on slots of the gcd time step, with every gap
     longer than the largest lag shrunk to that lag + 1 slots (no pair at a
-    requested lag spans one), so the pairs at lag k are the slots s where s
-    and s + k both hold a row. Where no slot is empty and no pair can span a
-    session, the pairs are row shifts and come back as slices.
+    requested lag spans one). Under "intraday-only", a gap that no session
+    label spans (every label before it is below every label after it) shrinks
+    to one slot, since no pair crosses it. A held slot carries a code, its
+    session label when sessions are checked and 0 otherwise; an empty slot
+    carries a negative code no other slot has. The pairs at lag k are then
+    the slots s whose codes at s and s + k are equal. Where no slot is empty
+    and no pair can span a session, the pairs are row shifts and come back
+    as slices.
     """
     lags = [int(lag) for lag in lags]
     if any(lag < 0 for lag in lags):
@@ -429,17 +434,20 @@ def _pair_indices(
         raise ValueError("times must be strictly increasing")
     unit = int(np.gcd.reduce(steps)) or 1
     max_slots = max(lags, default=0) // unit
-    slot = np.concatenate([[0], np.cumsum(np.minimum(steps // unit, max_slots + 1))])
-    n_slots = int(slot[-1]) + 1
+    steps = np.minimum(steps // unit, max_slots + 1)
     check_session = policy == "intraday-only" and bool(np.any(session_idx[1:] != session_idx[:-1]))
+    if check_session:
+        label = session_idx - session_idx.min()
+        unspanned = np.maximum.accumulate(label[:-1]) < np.minimum.accumulate(label[:0:-1])[::-1]
+        steps[unspanned] = 1
+    slot = np.concatenate([[0], np.cumsum(steps)])
+    n_slots = int(slot[-1]) + 1
     shifts = n_slots == n and not check_session
     if not shifts:
         row = np.full(n_slots, -1, dtype=np.int64)
         row[slot] = np.arange(n)
-        held = row >= 0
-        if check_session:
-            label = np.zeros(n_slots, dtype=np.int64)
-            label[slot] = session_idx
+        code = np.arange(-1, -1 - n_slots, -1, dtype=np.int64)
+        code[slot] = label if check_session else 0
     for lag in lags:
         k = lag // unit
         if lag % unit:
@@ -449,10 +457,7 @@ def _pair_indices(
         elif shifts:
             yield slice(0, max(n - k, 0)), slice(k, n)
         else:
-            keep = held[:-k] & held[k:]
-            if check_session:
-                keep &= label[:-k] == label[k:]
-            anchors = np.flatnonzero(keep)
+            anchors = np.flatnonzero(code[:-k] == code[k:])
             yield row[anchors], row[anchors + k]
 
 
@@ -475,7 +480,9 @@ def _tau_returns(
                 f"no admissible pairs at tau = {tau_minutes} min: horizon exceeds every session"
             )
         raise DataError(f"no admissible pairs at tau = {tau_minutes} min")
-    return values - values.mean() if remove_drift else values
+    if remove_drift:
+        values -= values.mean()
+    return values
 
 
 def log_returns(
@@ -526,6 +533,18 @@ class ScalingResult:
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
 
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
+    """x.mean() and x.std(ddof=1) (nan for one element), bit for bit, from one
+    pass for the mean; x is overwritten with its squared deviations."""
+    n = len(x)
+    mean = np.add.reduce(x) / n
+    if n < 2:
+        return float(mean), math.nan
+    x -= mean
+    x *= x
+    return float(mean), math.sqrt(np.add.reduce(x) / (n - 1))
+
+
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
     """Least-squares line through at least 3 points: slope, intercept, slope
     standard error and the residual sum of squares."""
@@ -556,8 +575,9 @@ def drift_vol_scaling(
         inc = lp[partners] - lp[anchors]
         if len(inc) < 2:
             raise InsufficientDataError(f"fewer than 2 increments at tau = {tau} min")
-        means.append(float(inc.mean()))
-        sigmas.append(float(inc.std(ddof=1)))
+        mean, sigma = _mean_std(inc)
+        means.append(mean)
+        sigmas.append(sigma)
         counts.append(len(inc))
     taus_arr = np.asarray(taus, dtype=float)
     sigma_arr = np.asarray(sigmas)
@@ -687,13 +707,11 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
         if len(products) == 0:
             omitted.append(lag)
             continue
+        mean, std = _mean_std(products)
         lags.append(lag)
-        values.append(float(products.mean()))
+        values.append(mean)
         counts.append(len(products))
-        if len(products) > 1:
-            stderrs.append(float(products.std(ddof=1) / math.sqrt(len(products))))
-        else:
-            stderrs.append(float("nan"))
+        stderrs.append(std / math.sqrt(len(products)))
     return AcfEstimate(
         lags=np.asarray(lags, dtype=np.int64),
         values=np.asarray(values),
@@ -744,8 +762,11 @@ def empirical_kurtosis(
         if n < MIN_KURTOSIS_SAMPLES:
             omitted.append((tau, n))
             continue
-        m2 = float(np.mean(v**2))
-        m4 = float(np.mean(v**4))
+        # (v^2)^2 in place: v**4 calls libm pow once per sample
+        v *= v
+        m2 = float(np.add.reduce(v)) / n
+        v *= v
+        m4 = float(np.add.reduce(v)) / n
         if m2 == 0:
             omitted.append((tau, n))
             continue
@@ -828,7 +849,8 @@ def synth_colored(
         raise ValueError(f"filter instability: eta*dt = {nm.eta * dt_minutes:.3g} > 0.5")
     n_min = 10.0 / (nm.eta * dt_minutes)
     if n < n_min:
-        raise ValueError(f"n must cover ten decay times: need n >= {math.ceil(n_min)}")
+        n_min = n_min if math.isinf(n_min) else math.ceil(n_min)  # inf where eta * dt is subnormal
+        raise ValueError(f"n must cover ten decay times: need n >= {n_min}")
     rng = np.random.default_rng(seed)
     dt = float(dt_minutes)
 

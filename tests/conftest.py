@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qbmarket import ModelParams, NonMarkovParams, SecondMomentInit
+from qbmarket.dynamics import MomentState
+from qbmarket.dynamics.moments import MOMENT_KEYS, _generator_matrices
 
 OMEGA_FIG3 = 8.33e-3 * math.pi
 
@@ -45,3 +47,17 @@ def linear_fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else float("nan")
     return float(coef[0]), float(coef[1]), r2
+
+
+def moment_derivative(state: MomentState, params: ModelParams, D: float, L: float) -> dict[tuple[int, int], float]:
+    """Time derivative of every tracked moment for the free-particle generator
+    with diffusion pair (D, L), from the structure matrices evolve_moments
+    propagates:
+
+    dm(j,k)/dt = (j/M) m(j-1,k+1) - 2 gamma k m(j,k)
+                 + D k(k-1) m(j,k-2) - L j k m(j-1,k-1)
+
+    with out-of-range indices contributing zero."""
+    a_mat, b_mat, c_mat = _generator_matrices(params.M, params.gamma)
+    rates = (a_mat + D * b_mat + L * c_mat) @ state.vector()
+    return dict(zip(MOMENT_KEYS, map(float, rates)))

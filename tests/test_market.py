@@ -398,7 +398,8 @@ class TestStatisticsOnReferencePairs:
                 omitted.append((tau, len(v)))
                 continue
             v = v - v.mean()
-            kappas.append(float(np.mean(v**4)) / float(np.mean(v**2)) ** 2 - 3.0)
+            v2 = v * v
+            kappas.append(float(np.mean(v2 * v2)) / float(np.mean(v2)) ** 2 - 3.0)
             counts.append(len(v))
         assert np.array_equal(res.kappa, kappas)
         assert np.array_equal(res.counts, counts)
@@ -644,7 +645,43 @@ class TestEmpiricalAcf:
             empirical_acf(rs, 100)
 
 
+def pow_kurtosis(increments: np.ndarray, tau: int) -> float:
+    """Excess kurtosis by the libm formula mean(v**4) / mean(v**2)**2 - 3."""
+    v = increments / float(tau)
+    v = v - v.mean()
+    return float(np.mean(v**4)) / float(np.mean(v**2)) ** 2 - 3.0
+
+
+def colored_prices(n: int) -> PriceSeries:
+    returns = synth_colored(NonMarkovParams(xi=5.48e-4, eta=5.56e-3, omega=0.02617), n=n, seed=31)
+    return PriceSeries.synthetic(math.log(100.0) + np.concatenate([[0.0], np.cumsum(returns.values)]), 1)
+
+
+def shifted_increments(series: PriceSeries, tau: int, policy: str) -> np.ndarray:
+    """Increments of a gapless one-session series at tau bars."""
+    lp = series.log_price()
+    return lp[tau:] - lp[:-tau]
+
+
 class TestEmpiricalKurtosis:
+    @pytest.mark.parametrize(
+        "make, increments, policy, taus",
+        [
+            (gapped_series, reference_increments, "intraday-only", [1, 3, 10]),
+            (gapped_series, reference_increments, "contiguous", [1, 3, 10]),
+            (lambda: colored_prices(100_000), shifted_increments, "contiguous", list(range(5, 101, 5))),
+        ],
+        ids=["gapped-intraday", "gapped-contiguous", "colored-1e5"],
+    )
+    def test_within_tolerance_of_pow_formula(self, make, increments, policy, taus):
+        # the fourth power is taken as (v^2)^2, not by libm pow: stated
+        # tolerance 1e-15 of kappa + 3 (the fourth moment over m2^2)
+        series = make()
+        res = empirical_kurtosis(series, taus, policy=policy)
+        assert res.taus.tolist() == taus
+        ref = np.array([pow_kurtosis(increments(series, tau, policy), tau) for tau in taus])
+        assert np.all(np.abs(res.kappa - ref) <= 1e-15 * (ref + 3.0))
+
     def test_gaussian_within_sampling_band(self):
         series = synth_gbm(mu=0.0, sigma=0.01, n=50_000, dt_minutes=1, seed=21)
         res = empirical_kurtosis(series, [1, 5, 10])
@@ -729,6 +766,11 @@ class TestSynthColored:
     def test_sample_count_floor(self, nm_9904):
         with pytest.raises(ValueError, match="decay times"):
             synth_colored(nm_9904, n=100, dt_minutes=5, base_noise=1e-3, seed=1)
+
+    def test_subnormal_eta_is_sample_count_error(self):
+        # 10 / (eta * dt) overflows to inf, which math.ceil cannot convert
+        with pytest.raises(ValueError, match=r"decay times: need n >= inf"):
+            synth_colored(NonMarkovParams(xi=5e-4, eta=1e-320, omega=0.02), n=100)
 
     def test_bit_reproducibility(self, nm_9904):
         a = synth_colored(nm_9904, n=20_000, dt_minutes=5, base_noise=1e-3, seed=42)

@@ -22,12 +22,11 @@ from qbmarket.dynamics import (
     KernelSchedule,
     MomentState,
     evolve_moments,
-    moment_derivative,
 )
 from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _expm_lower, _generator_matrices
 from qbmarket.errors import NumericalError
 
-from conftest import FIT_TRIPLES, linear_fit_r2
+from conftest import FIT_TRIPLES, linear_fit_r2, moment_derivative
 
 
 def fig2c_init() -> MomentState:

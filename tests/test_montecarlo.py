@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbmarket import ModelParams, SecondMomentInit, StabilityError, variance_closed_form
-from qbmarket.dynamics import KernelSchedule, MomentState, evolve_moments, moment_derivative, simulate_sde_markov
+from qbmarket.dynamics import KernelSchedule, MomentState, evolve_moments, simulate_sde_markov
 from qbmarket.dynamics import montecarlo
 from qbmarket.dynamics.moments import MOMENT_KEYS
+
+from conftest import moment_derivative
 
 
 class TestPreconditions:
