@@ -534,8 +534,9 @@ class ScalingResult:
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
-    """x.mean() and x.std(ddof=1) (nan for one element), bit for bit, from one
-    pass for the mean; x is overwritten with its squared deviations."""
+    """x.mean() and x.std(ddof=1), bit for bit (the std is nan for one
+    element), summing x once for both; x is overwritten with its squared
+    deviations."""
     n = len(x)
     mean = np.add.reduce(x) / n
     if n < 2:
