@@ -36,7 +36,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -54,6 +54,8 @@ from .dynamics import (
 from .dynamics.moments import MOMENT_KEYS
 from .errors import DataError, NumericalError
 from .market import (
+    STAMP_MINUTES,
+    SYNTH_START_MINUTE,
     AcfEstimate,
     PriceSeries,
     drift_vol_scaling,
@@ -61,6 +63,7 @@ from .market import (
     empirical_kurtosis,
     load_prices,
     log_returns,
+    minute_stamps,
     return_histogram,
     synth_colored,
     synth_gbm,
@@ -126,29 +129,37 @@ def _json_text(name: str, payload: dict) -> str:
 
 # the one column allowed to hold NaN: the ACF standard error at a lag with a single pair
 _NAN_COLUMN = "stderr"
+# rows formatted into one string of a CSV file's text
+_CSV_BLOCK = 4096
 
 
 def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Iterable[str]:
-    """The text of one CSV file, checked now and formatted as it is consumed.
+    """The text of one CSV file, checked now and formatted as it is consumed,
+    one string per block of rows.
 
     Numeric columns are written with 17 significant digits, string columns as
     they are. A non-finite number outside the ``stderr`` column raises a
     NumericalError before anything is produced.
     """
-    cells, fields = [], []
+    arrays, fields = [], []
     for key, col in columns.items():
         if col.dtype.kind == "U":
-            cells.append(col.tolist())
             fields.append("%s")
-            continue
-        values = col.astype(float)
-        if key != _NAN_COLUMN and not np.isfinite(values).all():
-            raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
-        cells.append(values.tolist())
-        fields.append("%.17g")
+        else:
+            col = col.astype(float)
+            if key != _NAN_COLUMN and not np.isfinite(col).all():
+                raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
+            fields.append("%.17g")
+        arrays.append(col)
     header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
     row = ",".join(fields) + "\n"
-    return itertools.chain([header], map(row.__mod__, zip(*cells)))
+
+    def blocks() -> Iterator[str]:
+        for start in range(0, len(arrays[0]), _CSV_BLOCK):
+            cells = [col[start:start + _CSV_BLOCK].tolist() for col in arrays]
+            yield (row * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
+
+    return itertools.chain([header], blocks())
 
 
 def _publish(command: str, cfg: dict, digest: str | None, files: dict[Path, Iterable[str]], prefix: Path) -> None:
@@ -676,6 +687,11 @@ def cmd_synth(cfg: dict) -> int:
         raise ValueError("--n must be at least 2")
     if dt <= 0:
         raise ValueError("--dt must be positive")
+    if SYNTH_START_MINUTE + (n - 1) * dt > STAMP_MINUTES[1]:
+        raise ValueError(
+            "--n and --dt put the last bar after 9999-12-31T23:59: "
+            f"need (--n - 1) * --dt <= {STAMP_MINUTES[1] - SYNTH_START_MINUTE}"
+        )
     digest = _sha256_config(cfg)
     out = Path(cfg["out"])
 
@@ -697,8 +713,7 @@ def cmd_synth(cfg: dict) -> int:
         log_price = math.log(cfg["s0"]) + np.concatenate([[0.0], np.cumsum(returns.values * dt)])
         series = PriceSeries.synthetic(log_price, dt)
 
-    stamps = np.datetime_as_string(series.times.astype("datetime64[m]"), unit="m")
-    columns = {"timestamp": stamps, "close": series.close}
+    columns = {"timestamp": minute_stamps(series.times), "close": series.close}
     _publish("synth", cfg, digest, {out: _csv_chunks(out.name, digest, columns)}, out)
     print(f"wrote {out}")
     return 0

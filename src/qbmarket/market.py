@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,6 +36,7 @@ __all__ = [
     "HistogramResult",
     "KurtosisResult",
     "load_prices",
+    "minute_stamps",
     "log_returns",
     "drift_vol_scaling",
     "return_histogram",
@@ -252,6 +253,45 @@ def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np
     return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
+def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Year, month and day of each count of days from 1970-01-01: the inverse
+    of _days_from_civil (same source), in int64."""
+    z = days + 719468
+    era = z // 146097
+    doe = z - era * 146097
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
+    mp = (5 * doy + 2) // 153
+    month = mp + np.where(mp < 10, 3, -9)
+    return yoe + era * 400 + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
+
+
+# code points of "00" to "99", one row each
+_TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)]).view(np.uint32).reshape(100, 2)
+# the first and last minutes that a four-digit-year stamp can name
+STAMP_MINUTES = tuple(
+    int((datetime(*date, tzinfo=timezone.utc) - _EPOCH).total_seconds() // 60)
+    for date in ((1, 1, 1), (9999, 12, 31, 23, 59))
+)
+
+
+def minute_stamps(times: np.ndarray) -> np.ndarray:
+    """`YYYY-MM-DDTHH:MM` text of minutes since the epoch, as
+    np.datetime_as_string(times.astype("datetime64[m]"), unit="m") writes
+    it, built from two-digit code points in integer arithmetic. Years
+    outside 1-9999 are refused: their stamps would not have this form."""
+    times = np.asarray(times, dtype=np.int64)
+    if len(times) and not (STAMP_MINUTES[0] <= times.min() and times.max() <= STAMP_MINUTES[1]):
+        raise ValueError("minute stamps need years 1 to 9999")
+    days, minutes = np.divmod(times, 1440)
+    year, month, day = _civil_from_days(days.astype(np.int32))  # under 3e6 days
+    fields = (*np.divmod(year, 100), month, day, *np.divmod(minutes, 60))
+    text = np.tile(np.array(["0000-00-00T00:00"]).view(np.uint32), (len(times), 1))
+    for value, column in zip(fields, (0, 2, 5, 8, 11, 14)):
+        text[:, column : column + 2] = _TWO_DIGITS[value]
+    return text.view("U16").ravel()
+
+
 def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Read the rest of source by column, if every stamp has one form
     `YYYY-MM-DD{T| }HH:MM`, then an optional `:00`, then an optional `Z` or
@@ -409,21 +449,27 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
 
 def _pair_indices(
     times: np.ndarray, session_idx: np.ndarray, lags: Sequence[int], policy: str
-) -> Iterator[tuple[slice | np.ndarray, slice | np.ndarray]]:
-    """For each lag in turn, the rows (anchors, partners) whose times are lag
-    minutes apart, anchors ascending; under "intraday-only" both rows of a
-    pair lie in one session. Times must be strictly increasing.
+) -> tuple[Callable[[np.ndarray], np.ndarray], Iterator[tuple[int, np.ndarray | None]]]:
+    """The pairs of rows whose times are lag minutes apart, as one boolean
+    mask per lag over slot-aligned arrays; under "intraday-only" both rows of
+    a pair lie in one session. Times must be strictly increasing.
 
     The rows are placed once on slots of the gcd time step, with every gap
     longer than the largest lag shrunk to that lag + 1 slots (no pair at a
     requested lag spans one). Under "intraday-only", a gap that no session
     label spans (every label before it is below every label after it) shrinks
     to one slot, since no pair crosses it. A held slot carries a code, its
-    session label when sessions are checked and 0 otherwise; an empty slot
-    carries a negative code no other slot has. The pairs at lag k are then
-    the slots s whose codes at s and s + k are equal. Where no slot is empty
-    and no pair can span a session, the pairs are row shifts and come back
-    as slices.
+    session label when sessions are checked and 0 otherwise; an empty slot s
+    carries the negative code -1 - s mod (largest lag + 1), which no slot a
+    requested lag away shares. The pairs at lag k are then the slots s whose
+    codes at s and s + k are equal.
+
+    Returns (place, masks). place(x) lays a per-row array on the slots, 0 at
+    empty slots (x itself when the rows fill every slot). masks yields (k,
+    mask) for each lag in turn: the lag's anchors and partners in a placed x
+    are _at_pairs(x, k, mask), anchors ascending. mask is None where no slot
+    is empty and no pair can span a session, so the pairs are row shifts;
+    otherwise it is a view of one buffer that the next lag overwrites.
     """
     lags = [int(lag) for lag in lags]
     if any(lag < 0 for lag in lags):
@@ -442,23 +488,41 @@ def _pair_indices(
         steps[unspanned] = 1
     slot = np.concatenate([[0], np.cumsum(steps)])
     n_slots = int(slot[-1]) + 1
-    shifts = n_slots == n and not check_session
-    if not shifts:
-        row = np.full(n_slots, -1, dtype=np.int64)
-        row[slot] = np.arange(n)
-        code = np.arange(-1, -1 - n_slots, -1, dtype=np.int64)
-        code[slot] = label if check_session else 0
-    for lag in lags:
-        k = lag // unit
-        if lag % unit:
-            yield np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        elif k == 0:
-            yield slice(0, n), slice(0, n)
-        elif shifts:
-            yield slice(0, max(n - k, 0)), slice(k, n)
-        else:
-            anchors = np.flatnonzero(code[:-k] == code[k:])
-            yield row[anchors], row[anchors + k]
+
+    if n_slots == n and not check_session:
+        return (lambda x: x), ((lag // unit if lag % unit == 0 else n, None) for lag in lags)
+
+    def place(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(n_slots, dtype=x.dtype)
+        out[slot] = x
+        return out
+
+    top = max(max_slots, int(label.max()) if check_session else 0)
+    cycle = np.arange(-1, -2 - max_slots, -1, dtype=np.min_scalar_type(-1 - top))
+    code = np.tile(cycle, -(-n_slots // len(cycle)))[:n_slots]
+    code[slot] = label if check_session else 0
+
+    def masks() -> Iterator[tuple[int, np.ndarray | None]]:
+        buf = np.empty(n_slots, dtype=bool)
+        for lag in lags:
+            k = lag // unit
+            if lag % unit:
+                yield n_slots, None
+            elif k == 0:
+                yield 0, np.greater_equal(code, 0, out=buf)
+            else:
+                yield k, np.equal(code[:-k], code[k:], out=buf[:-k])
+
+    return place, masks()
+
+
+def _at_pairs(x: np.ndarray, k: int, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor and partner values, in a placed array x, of the pairs at one
+    lag of _pair_indices."""
+    anchors, partners = x[: max(len(x) - k, 0)], x[k:]
+    if mask is None:
+        return anchors, partners
+    return anchors[mask], partners[mask]
 
 
 def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:
@@ -470,10 +534,8 @@ def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:
         )
 
 
-def _tau_returns(
-    log_price: np.ndarray, anchors, partners, tau_minutes: int, policy: str, remove_drift: bool
-) -> np.ndarray:
-    values = (log_price[partners] - log_price[anchors]) / float(tau_minutes)
+def _tau_returns(increments: np.ndarray, tau_minutes: int, policy: str, remove_drift: bool) -> np.ndarray:
+    values = increments / float(tau_minutes)
     if len(values) == 0:
         if policy == "intraday-only":
             raise DataError(
@@ -494,13 +556,15 @@ def log_returns(
     """Tau-normalized log returns [ln S(t+tau) - ln S(t)] / tau, one sample
     per admissible bar pair. Drift removal subtracts the sample mean."""
     _check_tau(series, tau_minutes, policy)
-    [(anchors, partners)] = _pair_indices(series.times, series.session_idx, [tau_minutes], policy)
+    place, masks = _pair_indices(series.times, series.session_idx, [tau_minutes], policy)
+    [(k, mask)] = masks
+    start, end = _at_pairs(place(series.log_price()), k, mask)
     return ReturnSeries(
         tau_minutes=int(tau_minutes),
-        values=_tau_returns(series.log_price(), anchors, partners, tau_minutes, policy, remove_drift),
+        values=_tau_returns(end - start, tau_minutes, policy, remove_drift),
         drift_removed=remove_drift,
-        times=series.times[anchors],
-        session_idx=series.session_idx[anchors],
+        times=_at_pairs(place(series.times), k, mask)[0],
+        session_idx=_at_pairs(place(series.session_idx), k, mask)[0],
         base_minutes=series.base_minutes,
         policy=policy,
     )
@@ -570,10 +634,12 @@ def drift_vol_scaling(
         raise InsufficientDataError("drift/vol scaling needs at least 3 horizons")
     for tau in taus:
         _check_tau(series, tau, policy)
-    lp = series.log_price()
+    place, masks = _pair_indices(series.times, series.session_idx, taus, policy)
+    lp = place(series.log_price())
     means, sigmas, counts = [], [], []
-    for tau, (anchors, partners) in zip(taus, _pair_indices(series.times, series.session_idx, taus, policy)):
-        inc = lp[partners] - lp[anchors]
+    for tau, (k, mask) in zip(taus, masks):
+        start, end = _at_pairs(lp, k, mask)
+        inc = end - start
         if len(inc) < 2:
             raise InsufficientDataError(f"fewer than 2 increments at tau = {tau} min")
         mean, sigma = _mean_std(inc)
@@ -703,8 +769,12 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
     lags, values, counts, stderrs = [], [], [], []
     omitted: list[int] = []
     all_lags = range(0, max_lag + 1, base)
-    for lag, (anchors, partners) in zip(all_lags, _pair_indices(t, returns.session_idx, all_lags, returns.policy)):
-        products = r[anchors] * r[partners]
+    place, masks = _pair_indices(t, returns.session_idx, all_lags, returns.policy)
+    r = place(r)
+    buf = np.empty(len(t))
+    for lag, (k, mask) in zip(all_lags, masks):
+        anchors, partners = _at_pairs(r, k, mask)
+        products = np.multiply(anchors, partners, out=buf[: len(anchors)])
         if len(products) == 0:
             omitted.append(lag)
             continue
@@ -750,12 +820,14 @@ def empirical_kurtosis(
     taus = [int(t) for t in taus]
     for tau in taus:
         _check_tau(series, tau, policy)
-    lp = series.log_price()
+    place, masks = _pair_indices(series.times, series.session_idx, taus, policy)
+    lp = place(series.log_price())
     kept_taus, kappas, counts = [], [], []
     omitted: list[tuple[int, int]] = []
-    for tau, (anchors, partners) in zip(taus, _pair_indices(series.times, series.session_idx, taus, policy)):
+    for tau, (k, mask) in zip(taus, masks):
+        start, end = _at_pairs(lp, k, mask)
         try:
-            v = _tau_returns(lp, anchors, partners, tau, policy, remove_drift=True)
+            v = _tau_returns(end - start, tau, policy, remove_drift=True)
         except DataError:
             omitted.append((tau, 0))
             continue

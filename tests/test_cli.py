@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qbmarket import NonMarkovParams, acf_model, cli
+from qbmarket import NonMarkovParams, acf_model, cli, market
 from qbmarket.cli import main
 from qbmarket.errors import NumericalError
 
@@ -504,6 +504,27 @@ class TestSynthAndAnalyze:
         assert capsys.readouterr().err == "usage error: --n must be at least 2\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["gbm", "colored"])
+    def test_last_bar_after_year_9999_is_refused(self, tmp_path, capsys, kind):
+        # used to exit 0 with stamps like 10023-08-05T22:50, which analyze
+        # then refused with "cannot parse timestamp"
+        assert run(["synth", "--kind", kind, "--n", 2000, "--dt", 3_000_000, "--xi", 5e-4, "--eta", 1e-6,
+                    "--omega", 0.02, "--seed", 1, "--out", tmp_path / "s.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --n and --dt put the last bar after 9999-12-31T23:59")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_last_bar_at_year_9999_is_read_back(self, tmp_path, capsys):
+        limit = int(np.datetime64("9999-12-31T23:59").astype(np.int64)) - market.SYNTH_START_MINUTE
+        prices = tmp_path / "s.csv"
+        flags = ["synth", "--kind", "gbm", "--n", 2, "--mu", 0, "--sigma", 1e-9, "--seed", 1, "--out", prices]
+        assert run(flags + ["--dt", limit + 1]) == 1
+        assert f"need (--n - 1) * --dt <= {limit}" in capsys.readouterr().err
+        assert run(flags + ["--dt", limit]) == 0
+        assert prices.read_text().splitlines()[-1].startswith("9999-12-31T23:59,")
+        series = market.load_prices(prices)
+        assert series.times[-1] - series.times[0] == limit
+
     @pytest.mark.parametrize("eta, need", [(5e-3, "2000"), (1e-320, "inf")], ids=["short", "eta-subnormal"])
     def test_short_colored_series_names_the_flags(self, tmp_path, capsys, eta, need):
         # used to say "n must cover ten decay times: need n >= 2000", and at a
@@ -610,6 +631,38 @@ class TestSynthAndAnalyze:
             "acf": "0b4912ec75973196305d3294fda6a5c29d4320891248c18547937059c676d461",
             "kurtosis": "56b209e4e857bbd1932c02bad73b01208aca1645851fc8f342c41a1c768b30c2",
         }
+
+    def test_twenty_sessions_bytes_are_pinned(self, tmp_path):
+        # twenty sessions at -05:00 without seconds, so the column reader
+        # runs, with about 2% of bars missing; lags past the 390-minute
+        # session are omitted under intraday-only
+        rng = np.random.default_rng(19)
+        lines = ["timestamp,close,session"]
+        log_price = math.log(100.0)
+        for day in np.busday_offset("2021-03-01", np.arange(20)).astype(str):
+            walk = log_price + np.cumsum(1e-3 * rng.standard_normal(390))
+            for minute in np.flatnonzero(rng.random(390) >= 0.02):
+                hh, mm = divmod(570 + int(minute), 60)
+                lines.append(f"{day}T{hh:02d}:{mm:02d}-05:00,{math.exp(walk[minute]):.12g},{day}")
+            log_price = walk[-1]
+        prices = tmp_path / "sessions.csv"
+        prices.write_text("\n".join(lines) + "\n")
+        with open(prices) as handle:
+            assert market._read_plain(handle) is not None
+        assert run(["analyze", "--input", prices, "--policy", "intraday-only", "--taus", "5:100:5",
+                    "--max-lag", 480, "--out-prefix", tmp_path / "s"]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / f"s.{name}.csv").read_bytes()).hexdigest()
+            for name in ("scaling", "histogram", "acf", "kurtosis")
+        }
+        assert digests == {
+            "scaling": "bf8f765bc5854fac32555d705a9b759486302432065df24abba979939a079df3",
+            "histogram": "5b9fbd39912e4aab348edbcc22a90202fea7f91674a8405398cdee4c3a5522a6",
+            "acf": "bbb3c1867bfb8375646c53083b1d3d8fa0286cf2608207e21b6862a535551a2a",
+            "kurtosis": "5aed22a3150e54d13f3b5c3bfbbb87fb2d5fa9466cfa59eeec8e0b8cc289d053",
+        }
+        header, rows = read_csv(tmp_path / "s.acf.csv")
+        assert rows[-1, header.index("lag")] < 390
 
     def test_analyze_colored_input_acf_matches_model(self, tmp_path):
         nm_flags = ["--xi", 5.48e-4, "--eta", 5.56e-3, "--omega", 8.33e-3 * math.pi]

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbmarket import (
@@ -329,18 +329,109 @@ class TestPairMatcher:
     @given(case=gapped_times(), policy=st.sampled_from(PAIRING_POLICIES))
     def test_matches_direct_search(self, case, policy):
         times, session_idx, lags = case
-        rows = np.arange(len(times))
-        matched = list(market._pair_indices(times, session_idx, lags, policy))
-        assert len(matched) == len(lags)
-        for lag, (anchors, partners) in zip(lags, matched):
+        place, masks = market._pair_indices(times, session_idx, lags, policy)
+        # rows count from 1, so an empty slot (0) never passes for row 0
+        rows = place(np.arange(1, len(times) + 1))
+        matched = 0
+        for lag, (k, mask) in zip(lags, masks):
+            anchors, partners = market._at_pairs(rows, k, mask)
             ref_a, ref_p = reference_pairs(times, session_idx, lag, policy)
-            np.testing.assert_array_equal(rows[anchors], ref_a)
-            np.testing.assert_array_equal(rows[partners], ref_p)
+            np.testing.assert_array_equal(anchors, ref_a + 1)
+            np.testing.assert_array_equal(partners, ref_p + 1)
+            matched += 1
+        assert matched == len(lags)
 
     def test_negative_lag_rejected(self):
         times = np.arange(10, dtype=np.int64)
         with pytest.raises(ValueError, match="nonnegative"):
-            list(market._pair_indices(times, np.zeros(10, dtype=np.int64), [3, -1], "contiguous"))
+            market._pair_indices(times, np.zeros(10, dtype=np.int64), [3, -1], "contiguous")
+
+
+@st.composite
+def gapped_cases(draw):
+    """A gapped layout with random prices and returns, its tick and the
+    positive multiples of that tick drawn from its lags."""
+    times, session_idx, lags = draw(gapped_times())
+    assume(len(times) >= 2)
+    base = int(np.gcd.reduce(np.diff(times)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = PriceSeries(
+        times=times,
+        close=np.exp(1e-2 * rng.standard_normal(len(times))),
+        sessions=((int(times[0]), int(times[-1])),),
+        session_idx=session_idx,
+        base_minutes=base,
+    )
+    taus = sorted({base * (1 + lag // base) for lag in lags})
+    return series, rng.standard_normal(len(times)), taus
+
+
+@pytest.mark.parametrize("policy", PAIRING_POLICIES)
+class TestStatisticsOnGappedLayouts:
+    """On random gapped layouts, each estimator equals its formula applied to
+    directly searched pairs, bit for bit."""
+
+    @given(case=gapped_cases())
+    def test_empirical_acf(self, case, policy):
+        series, values, _ = case
+        returns = ReturnSeries(
+            tau_minutes=series.base_minutes, values=values, drift_removed=False, times=series.times,
+            session_idx=series.session_idx, base_minutes=series.base_minutes, policy=policy,
+        )
+        max_lag = min(int(series.times[-1] - series.times[0]) - 1, 240)
+        acf = empirical_acf(returns, max_lag)
+        r = values - values.mean()
+        lags, means, counts, stderr, omitted = [], [], [], [], []
+        for lag in range(0, max_lag + 1, series.base_minutes):
+            a, p = reference_pairs(series.times, series.session_idx, lag, policy)
+            products = r[a] * r[p]
+            if len(products) == 0:
+                omitted.append(lag)
+                continue
+            lags.append(lag)
+            means.append(float(products.mean()))
+            counts.append(len(products))
+            stderr.append(float(products.std(ddof=1) / math.sqrt(len(products))) if len(products) > 1 else math.nan)
+        np.testing.assert_array_equal(acf.lags, lags)
+        assert np.array_equal(acf.values, means)
+        assert np.array_equal(acf.counts, counts)
+        assert np.array_equal(acf.stderr, stderr, equal_nan=True)
+        assert acf.omitted_lags == tuple(omitted)
+
+    @given(case=gapped_cases())
+    def test_drift_vol_scaling(self, case, policy):
+        series, _, taus = case
+        incs = {tau: reference_increments(series, tau, policy) for tau in taus}
+        taus = [tau for tau in taus if len(incs[tau]) >= 2]
+        assume(len(taus) >= 3)
+        sc = drift_vol_scaling(series, taus, policy=policy)
+        assert np.array_equal(sc.mean_increment, [float(incs[tau].mean()) for tau in taus])
+        assert np.array_equal(sc.sigma, [float(incs[tau].std(ddof=1)) for tau in taus])
+        assert np.array_equal(sc.counts, [len(incs[tau]) for tau in taus])
+
+    @given(case=gapped_cases())
+    def test_empirical_kurtosis(self, case, policy):
+        series, _, taus = case
+        kappas, counts, omitted = [], [], []
+        for tau in taus:
+            v = reference_increments(series, tau, policy) / float(tau)
+            if len(v) < 2:
+                omitted.append((tau, len(v)))
+                continue
+            v = v - v.mean()
+            v2 = v * v
+            if float(np.mean(v2)) == 0:
+                omitted.append((tau, len(v)))
+                continue
+            kappas.append(float(np.mean(v2 * v2)) / float(np.mean(v2)) ** 2 - 3.0)
+            counts.append(len(v))
+        # the layouts hold at most 40 bars: keep every horizon with 2 samples
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market, "MIN_KURTOSIS_SAMPLES", 2)
+            res = empirical_kurtosis(series, taus, policy=policy)
+        assert np.array_equal(res.kappa, kappas)
+        assert np.array_equal(res.counts, counts)
+        assert res.omitted == tuple(omitted)
 
 
 def gapped_series() -> PriceSeries:
@@ -747,6 +838,31 @@ class TestSynthGbm:
     def test_length_floor(self):
         with pytest.raises(ValueError):
             synth_gbm(mu=0.0, sigma=0.01, n=1, dt_minutes=1, seed=1)
+
+
+class TestMinuteStamps:
+    @pytest.mark.parametrize("date", [
+        "0001-01-01", "1600-02-28", "1700-02-28", "1899-12-31", "1900-02-28", "1969-12-31", "2000-02-28",
+        "2024-02-28", "2100-02-28", "2400-02-28", "9999-12-30",
+    ])
+    def test_equal_datetime_as_string(self, date):
+        # two days of minutes, across Feb 29 in leap years (1600, 2000, 2024,
+        # 2400) and across Mar 1 in century years that are not (1700, 1900, 2100)
+        start = int(np.datetime64(date, "m").astype(np.int64))
+        times = start + np.arange(2 * 1440, dtype=np.int64)
+        expected = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
+        np.testing.assert_array_equal(market.minute_stamps(times), expected)
+
+    def test_random_minutes_equal_datetime_as_string(self):
+        lo, hi = market.STAMP_MINUTES
+        times = np.random.default_rng(3).integers(lo, hi + 1, 100_000)
+        expected = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
+        np.testing.assert_array_equal(market.minute_stamps(times), expected)
+
+    @pytest.mark.parametrize("stamp", ["0000-12-31T23:59", "+10000-01-01T00:00"])
+    def test_years_outside_four_digits_refused(self, stamp):
+        with pytest.raises(ValueError, match="years 1 to 9999"):
+            market.minute_stamps(np.array([np.datetime64(stamp, "m").astype(np.int64)]))
 
 
 class TestSynthColored:
