@@ -460,16 +460,18 @@ def _pair_indices(
     label spans (every label before it is below every label after it) shrinks
     to one slot, since no pair crosses it. A held slot carries a code, its
     session label when sessions are checked and 0 otherwise; an empty slot s
-    carries the negative code -1 - s mod (largest lag + 1), which no slot a
-    requested lag away shares. The pairs at lag k are then the slots s whose
+    carries the negative code -1 - s mod (m + 1), where m is the largest lag
+    in slots, so no slot 1 to m slots away shares it and the codes fit a
+    narrow integer type. The pairs at lag k slots are then the slots s whose
     codes at s and s + k are equal.
 
     Returns (place, masks). place(x) lays a per-row array on the slots, 0 at
     empty slots (x itself when the rows fill every slot). masks yields (k,
     mask) for each lag in turn: the lag's anchors and partners in a placed x
     are _at_pairs(x, k, mask), anchors ascending. mask is None where no slot
-    is empty and no pair can span a session, so the pairs are row shifts;
-    otherwise it is a view of one buffer that the next lag overwrites.
+    is empty and no pair can span a session, so the pairs are row shifts,
+    and at a lag off the slot step, whose k leaves no pair; otherwise it is
+    a view of one buffer that the next lag overwrites.
     """
     lags = [int(lag) for lag in lags]
     if any(lag < 0 for lag in lags):

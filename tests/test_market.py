@@ -349,8 +349,8 @@ class TestPairMatcher:
 
 @st.composite
 def gapped_cases(draw):
-    """A gapped layout with random prices and returns, its tick and the
-    positive multiples of that tick drawn from its lags."""
+    """A gapped layout with random prices and returns, and horizons: positive
+    multiples of its tick drawn from its lags, and spacings of its bars."""
     times, session_idx, lags = draw(gapped_times())
     assume(len(times) >= 2)
     base = int(np.gcd.reduce(np.diff(times)))
@@ -362,8 +362,10 @@ def gapped_cases(draw):
         session_idx=session_idx,
         base_minutes=base,
     )
-    taus = sorted({base * (1 + lag // base) for lag in lags})
-    return series, rng.standard_normal(len(times)), taus
+    spacings = np.unique((times[None, :] - times[:, None])[np.triu_indices(len(times), 1)])
+    taus = {base * (1 + lag // base) for lag in lags}
+    taus |= set(draw(st.lists(st.sampled_from(spacings.tolist()), max_size=6)))
+    return series, rng.standard_normal(len(times)), sorted(taus)
 
 
 @pytest.mark.parametrize("policy", PAIRING_POLICIES)
@@ -371,6 +373,7 @@ class TestStatisticsOnGappedLayouts:
     """On random gapped layouts, each estimator equals its formula applied to
     directly searched pairs, bit for bit."""
 
+    @settings(deadline=None)
     @given(case=gapped_cases())
     def test_empirical_acf(self, case, policy):
         series, values, _ = case
@@ -398,17 +401,23 @@ class TestStatisticsOnGappedLayouts:
         assert np.array_equal(acf.stderr, stderr, equal_nan=True)
         assert acf.omitted_lags == tuple(omitted)
 
+    @settings(deadline=None)
     @given(case=gapped_cases())
     def test_drift_vol_scaling(self, case, policy):
         series, _, taus = case
         incs = {tau: reference_increments(series, tau, policy) for tau in taus}
-        taus = [tau for tau in taus if len(incs[tau]) >= 2]
-        assume(len(taus) >= 3)
+        admissible = [tau for tau in taus if len(incs[tau]) >= 2]
+        if len(admissible) < 3:
+            with pytest.raises(InsufficientDataError):
+                drift_vol_scaling(series, taus, policy=policy)
+            return
+        taus = admissible
         sc = drift_vol_scaling(series, taus, policy=policy)
         assert np.array_equal(sc.mean_increment, [float(incs[tau].mean()) for tau in taus])
         assert np.array_equal(sc.sigma, [float(incs[tau].std(ddof=1)) for tau in taus])
         assert np.array_equal(sc.counts, [len(incs[tau]) for tau in taus])
 
+    @settings(deadline=None)
     @given(case=gapped_cases())
     def test_empirical_kurtosis(self, case, policy):
         series, _, taus = case
