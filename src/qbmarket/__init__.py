@@ -53,7 +53,6 @@ from .market import (
 from .model import (
     BathSpectrum,
     ModelParams,
-    NoiseKernel,
     NonMarkovParams,
     SecondMomentInit,
     acf_model,
@@ -65,7 +64,6 @@ from .model import (
     lambda_limit,
     markov_validity,
     minimal_uncertainty_momentum,
-    noise_kernel,
     normal_diffusion,
     spectral_density,
     variance_closed_form,

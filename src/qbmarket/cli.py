@@ -343,7 +343,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, str]]]:
         ("--t-end", "t_end", float, None, "end time (model time units)"),
         ("--points", "points", int, 101, "number of output times"),
         ("--n-paths", "n_paths", int, 100000, "SDE ensemble size"),
-        ("--dt", "dt", float, None, "SDE/PDE time step (default for pde: stability bound)"),
+        ("--dt", "dt", float, None, "SDE time step (sde mode only: pde has no time step)"),
         ("--seed", "seed", int, None, "RNG seed (mandatory for sde; QBM_SEED fallback)"),
         ("--nx", "nx", int, 256, "grid cells along x"),
         ("--np", "np", int, 256, "grid cells along p"),
@@ -452,7 +452,9 @@ def cmd_simulate(cfg: dict) -> int:
     if cfg["points"] < 2:
         raise ValueError("--points must be at least 2")
     mode = cfg["mode"]
-    if mode != "moments" and cfg.get("dt") is not None and not cfg["dt"] > 0:
+    if mode == "pde" and cfg.get("dt") is not None:
+        raise ValueError("--dt is an sde flag: pde maps each output interval exactly, with no time step")
+    if mode == "sde" and cfg.get("dt") is not None and not cfg["dt"] > 0:
         raise ValueError("--dt must be positive")
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
@@ -513,12 +515,12 @@ def cmd_simulate(cfg: dict) -> int:
         if cfg["potential"] == "harmonic":
             _require(cfg, "omega0")
             potential = HarmonicPotential(cfg["omega0"])
-        evo = evolve_wigner_pde(grid, schedule, potential=potential, t_end=t_end, dt=cfg.get("dt"), sample_times=times)
+        evo = evolve_wigner_pde(grid, schedule, times, potential=potential)
         columns = {"t": evo.times, "mass": evo.masses}
         for (j, k) in [(2, 0), (1, 1), (0, 2), (4, 0), (0, 4)]:
             columns[f"m{j}{k}"] = evo.moment(j, k)
         columns["kurtosis_x"] = np.array([s.kurtosis_x() for s in evo.moments])
-        columns["eps_neg"] = np.full(len(evo.times), evo.eps_neg)
+        columns["eps_neg"] = evo.negative_fractions
 
     out_csv = Path(f"{prefix}.csv")
     _publish("simulate", cfg, digest, {out_csv: _csv_chunks(out_csv.name, digest, columns)}, prefix)

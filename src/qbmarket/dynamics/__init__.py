@@ -15,7 +15,6 @@ from .phasespace import (
     WignerEvolution,
     evolve_wigner_pde,
     grid_moments,
-    stable_time_step,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "WignerEvolution",
     "evolve_wigner_pde",
     "grid_moments",
-    "stable_time_step",
 ]

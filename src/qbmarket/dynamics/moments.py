@@ -196,8 +196,10 @@ class KernelSchedule:
         return f, np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def _generator_matrices(M: float, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant structure matrices: dm/dt = (A + D B + L C) m."""
+def _generator_matrices(M: float, gamma: float, omega0: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant structure matrices: dm/dt = (A + D B + L C) m. A harmonic well
+    0.5 M omega0^2 x^2 adds its force to A; that coupling raises the x-power, so
+    it is the one term that breaks the triangular order below."""
     a = np.zeros((_N, _N))
     b = np.zeros((_N, _N))
     c = np.zeros((_N, _N))
@@ -206,6 +208,8 @@ def _generator_matrices(M: float, gamma: float) -> tuple[np.ndarray, np.ndarray,
         a[row, row] += -2.0 * gamma * k
         if j >= 1:
             a[row, _KEY_INDEX[(j - 1, k + 1)]] += j / M
+        if k >= 1 and omega0:
+            a[row, _KEY_INDEX[(j + 1, k - 1)]] += -k * M * omega0**2
         if k >= 2:
             b[row, _KEY_INDEX[(j, k - 2)]] += k * (k - 1)
         if j >= 1 and k >= 1:
@@ -213,15 +217,17 @@ def _generator_matrices(M: float, gamma: float) -> tuple[np.ndarray, np.ndarray,
     return a, b, c
 
 
-def _expm_lower(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a lower-triangular matrix by Pade-13 scaling and squaring.
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by Pade-13 scaling and squaring.
 
-    The diagonal of exp(a) is exp(diag(a)), and it is set exactly after each
+    Where a is lower triangular, so is exp(a), and its diagonal is exp(diag(a)):
+    the upper triangle is zeroed and the diagonal set exactly after each
     squaring (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31 (2009) 970).
     Squared s times instead, an approximant diagonal one ulp below 1 drifts by
-    2^s ulps: at gamma = 1e3 (s = 10), m(2,0) lost 1e-13 per step. The upper
-    triangle is zeroed, so a row fed by nothing else (m(0,0)) stays exact.
+    2^s ulps: at gamma = 1e3 (s = 10), m(2,0) lost 1e-13 per step. With the
+    upper triangle zeroed, a row fed by nothing else (m(0,0)) stays exact.
     """
+    lower = not np.triu(a, 1).any()
     norm = np.abs(a).sum(axis=0).max()
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     x = a / 2.0**s
@@ -232,19 +238,22 @@ def _expm_lower(a: np.ndarray) -> np.ndarray:
     x6 = x4 @ x2
     u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
     v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
-    r = np.tril(np.linalg.solve(v - u, v + u))
+    r = np.linalg.solve(v - u, v + u)
     d = np.diag(x)
-    np.fill_diagonal(r, np.exp(d))
+    if lower:
+        r = np.tril(r)
+        np.fill_diagonal(r, np.exp(d))
     for _ in range(s):
         d = 2.0 * d
         r = r @ r
-        np.fill_diagonal(r, np.exp(d))
+        if lower:
+            np.fill_diagonal(r, np.exp(d))
     return r
 
 
 def _propagate(gen: np.ndarray, t: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Exact solution of y' = gen y (gen lower triangular) on the grid t from y(t[0]) = y0,
-    one row per time: one propagator exp(gen h) per distinct interval h of the grid."""
+    """Exact solution of y' = gen y on the grid t from y(t[0]) = y0, one row
+    per time: one propagator exp(gen h) per distinct interval h of the grid."""
     steps = np.diff(t)
     if not np.all(np.isfinite(gen * steps.max())):
         raise IntegrationError(f"moment generator over a step of {steps.max():.6g} is not finite")
@@ -253,7 +262,7 @@ def _propagate(gen: np.ndarray, t: np.ndarray, y0: np.ndarray) -> np.ndarray:
     ys[0] = y = y0
     for k, h in enumerate(steps, 1):
         if h not in propagators:
-            propagators[h] = _expm_lower(gen * h)
+            propagators[h] = _expm(gen * h)
         ys[k] = y = propagators[h] @ y
     return ys
 
@@ -280,6 +289,47 @@ class MomentTrajectory:
         return len(self.states)
 
 
+def _time_grid(schedule: KernelSchedule, t_grid: Sequence[float]) -> np.ndarray:
+    """The time grid as an array, checked: ascending from 0, at least two times, and D and L finite on it."""
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or len(t) < 2:
+        raise ValueError("the time grid must contain at least two times")
+    if t[0] != 0.0:
+        raise ValueError("the time grid must start at 0")
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("the time grid must be strictly ascending")
+    schedule.coefficients(t)  # a non-finite D or L stops the run here, by name, not in a scaling
+    return t
+
+
+def _closed_system(
+    schedule: KernelSchedule, x_scale: float, p_scale: float, y0: np.ndarray, n: int = _N, omega0: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(generator, initial state) of the moments through order 2 (n = 6) or 4 (n = 15) in the triangular
+    order, y0 their initial values, with x and p in units of x_scale and p_scale (M -> M x_scale / p_scale,
+    D -> D / p_scale^2, L -> L / (x_scale p_scale)), led by their products with the drivers of D and L."""
+    p = schedule.params
+    tri = np.ix_(_TRIANGULAR, _TRIANGULAR)
+    a_mat, b_mat, c_mat = (g[tri] for g in _generator_matrices(p.M * x_scale / p_scale, p.gamma, omega0))
+    inv_xp = 1.0 / (x_scale * p_scale)
+    inv_pp = 1.0 / p_scale**2
+    D, L = schedule.coefficients(0.0)
+    gen = a_mat + (D * inv_pp) * b_mat + (L * inv_xp) * c_mat
+
+    # D(t) - D(0) and L(t) are the last states of z' = F z (KernelSchedule.drivers). B and C lower the
+    # order by two, so products close on (z(x)z(x)m_0, z(x)m_<=2, m), each block fed by the one before.
+    f, z0 = schedule.drivers()
+    pick = np.eye(2, len(z0), len(z0) - 2) * [[inv_pp], [inv_xp]]  # (D - D(0), L), scaled
+    g, y = gen[:1, :1], y0[:1]  # m(0,0), which B and C do not feed
+    for block, inner in ((6, 1), (_N, 6))[: 1 if n == 6 else 2]:  # orders <= 2 and <= 4 lead the order
+        g = np.kron(g, np.eye(len(z0))) + np.kron(np.eye(len(g)), f)
+        feed = np.kron(b_mat[:block, :inner], pick[:1]) + np.kron(c_mat[:block, :inner], pick[1:])
+        g = np.block([[g, np.zeros((len(g), block))], [np.zeros((block, len(g) - feed.shape[1])), feed,
+                                                        gen[:block, :block]]])
+        y = np.concatenate([np.kron(y, z0), y0[:block]])
+    return g, y
+
+
 def evolve_moments(init: MomentState, schedule: KernelSchedule, t_grid: Sequence[float]) -> MomentTrajectory:
     """Evolve the moments over an ascending grid starting at 0.
 
@@ -288,42 +338,14 @@ def evolve_moments(init: MomentState, schedule: KernelSchedule, t_grid: Sequence
     propagated exactly on every kernel: one matrix exponential per distinct
     grid interval.
     """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 2:
-        raise ValueError("t_grid must contain at least two times")
-    if t[0] != 0.0:
-        raise ValueError("t_grid must start at 0")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be strictly ascending")
-
-    schedule.coefficients(t)  # a non-finite D or L stops the run here, by name, not in the scaling below
+    t = _time_grid(schedule, t_grid)
     p = schedule.params
     if not math.isfinite(p.M * p.kT):
         raise NumericalError(f"momentum scale M kT overflows at M = {p.M:g}, kT = {p.kT:g}")
     x_scale = math.sqrt(init[(2, 0)])
     p_scale = math.sqrt(max(init[(0, 2)], p.M * p.kT))
     scale = np.array([x_scale**j * p_scale**k for (j, k) in MOMENT_KEYS])
-
-    # scaled system: M -> M x_scale / p_scale, D -> D/p_scale^2,
-    # L -> L/(x_scale p_scale); same matrix structure.
-    tri = np.ix_(_TRIANGULAR, _TRIANGULAR)
-    a_mat, b_mat, c_mat = (g[tri] for g in _generator_matrices(p.M * x_scale / p_scale, p.gamma))
-    inv_xp = 1.0 / (x_scale * p_scale)
-    inv_pp = 1.0 / p_scale**2
-    D, L = schedule.coefficients(0.0)
-    gen = a_mat + (D * inv_pp) * b_mat + (L * inv_xp) * c_mat
-    y0 = (init.vector() / scale)[_TRIANGULAR]
-
-    # D(t) - D(0) and L(t) are the last states of z' = F z (KernelSchedule.drivers). B and C lower the
-    # order by two, so products close on (z(x)z(x)m_0, z(x)m_<=2, m), each block fed by the one before.
-    f, z0 = schedule.drivers()
-    pick = np.eye(2, len(z0), len(z0) - 2) * [[inv_pp], [inv_xp]]  # (D - D(0), L), scaled
-    g, y = gen[:1, :1], y0[:1]  # m(0,0), which B and C do not feed
-    for n, inner in ((6, 1), (_N, 6)):  # moments of order <= 2 and <= 4 lead the triangular order
-        g = np.kron(g, np.eye(len(z0))) + np.kron(np.eye(len(g)), f)
-        feed = np.kron(b_mat[:n, :inner], pick[:1]) + np.kron(c_mat[:n, :inner], pick[1:])
-        g = np.block([[g, np.zeros((len(g), n))], [np.zeros((n, len(g) - feed.shape[1])), feed, gen[:n, :n]]])
-        y = np.concatenate([np.kron(y, z0), y0[:n]])
+    g, y = _closed_system(schedule, x_scale, p_scale, (init.vector() / scale)[_TRIANGULAR])
     ys = _propagate(g, t, y)[:, -_N:].real[:, np.argsort(_TRIANGULAR)]
 
     states = []

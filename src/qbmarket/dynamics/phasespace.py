@@ -6,25 +6,29 @@ generated by the kernel schedule, whose diffusion pair D(t), L(t) is
 hbar^2 Delta(t), hbar^2 Lambda(t); all Kramers-Moyal terms of order three and
 higher are identically zero.
 
-Scheme: Strang splitting. The x-transport and the p drift/damping substeps are
-semi-Lagrangian (exact characteristics, analytic Jacobian for the damping
-compression). Each is a shift along one axis whose departure points do not
-change from step to step, so its cubic B-spline interpolation is built once
-per run: the 4-tap weights and the tap indices of every cell. A substep then
-prefilters the density along that axis and applies the 4-tap operator;
-departure points outside the grid give 0. The prefilter (mirror-extended
-spline coefficients) is a fixed linear map along the axis: a dense matrix in
-closed form, built once per distinct axis length per run and applied as one
-matrix product plus its diagonal.
+The equation is linear with a linear drift, so it needs no time step: over an
+interval [t, t + h] the density is moved by the drift's flow Phi(h) = exp(A h)
+and smoothed by a Gaussian of covariance Sigma(t, t + h) (Wang & Uhlenbeck,
+Rev. Mod. Phys. 17 (1945) 323). Phi and Sigma are the first- and second-order
+blocks of the moment propagator, in grid cells, started from a point mass at t.
 
-The normal diffusion term is integrated exactly in time for its zero-padded
-3-point stencil along p: the orthonormal DST-I matrix diagonalizes that
-stencil, so a substep is one transform, a per-mode decay factor and the
-inverse transform (unconditionally stable, and high-p modes decay rather than
-ring). The mixed term is an explicit central difference with its own time-step
-bound. It is not positivity preserving, so small negative densities are
-expected; they are tracked and reported, never clipped, because clipping would
-corrupt the moments.
+The move, W(Phi^-1 z) |det Phi^-1|, is two or three remaps along one axis,
+built once per distinct interval: each cell takes the cubic B-spline
+interpolant at its departure point (4 taps of the spline coefficients, which a
+closed-form prefilter matrix gives per axis length; 0 outside the grid).
+
+The smoothing multiplies the density's 2-D real FFT by the Gaussian's
+exp(-k^T Sigma k / 2) with k and k^2 replaced by the symbols of the
+fourth-order central differences, which agree with them to order k^3 and k^4.
+So every moment through order four is smoothed exactly, while the kernel stays
+a few cells wide (the Gaussian's own symbol, cut off at the grid's highest
+frequency, rings across the grid where a density is under-resolved). It keeps
+mass exactly and takes a correlated or an indefinite Sigma alike; its wrap at
+the edges is bounded by the boundary-mass abort. A non-Markov kernel's cross
+diffusion can make Sigma indefinite, and then the highest grid modes grow: that
+growth per interval is the engine's one bound. Small negative densities (spline
+overshoot, the stencils' negative weights) are tracked, never clipped, because
+clipping would corrupt the moments.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import StabilityError
-from ..model import ModelParams
-from .moments import MomentState, KernelSchedule
+from .moments import KernelSchedule, MomentState, _closed_system, _expm, _time_grid
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -45,17 +48,19 @@ __all__ = [
     "WignerEvolution",
     "grid_moments",
     "evolve_wigner_pde",
-    "stable_time_step",
 ]
 
 # Declared normalization tolerance for a valid grid.
 NORMALIZATION_TOL = 1e-6
 # Negative densities down to this fraction of the peak are tolerated (tracked,
-# not clipped); they come from spline overshoot and the mixed-derivative term.
+# not clipped).
 NEGATIVE_TOL = 1e-8
 # Initial boundary-mass precondition and the runtime abort level.
 BOUNDARY_INIT_FRACTION = 1e-10
 BOUNDARY_ABORT_FRACTION = 1e-6
+# Largest factor by which one interval's smoothing may grow a grid mode. Only an
+# indefinite Sigma grows one, and what it grows at the highest modes is roundoff.
+GROWTH_LIMIT = 10.0
 
 
 @dataclass(frozen=True)
@@ -187,64 +192,35 @@ def grid_moments(grid: PhaseSpaceGrid) -> MomentState:
 
 @dataclass(frozen=True)
 class WignerEvolution:
-    """Sampled diagnostics of a phase-space run.
+    """Diagnostics of a phase-space run at each requested time.
 
-    eps_neg is the largest negative density fraction seen at sample times;
-    values up to NEGATIVE_TOL are the expected overshoot scale.
+    negative_fractions holds each time's most negative density as a fraction
+    of the peak; values up to NEGATIVE_TOL are the expected overshoot scale.
     """
 
     times: np.ndarray
     moments: tuple[MomentState, ...]
     masses: np.ndarray
-    eps_neg: float
+    negative_fractions: np.ndarray
     final: PhaseSpaceGrid
-    dt: float
-    n_steps: int
+
+    @property
+    def eps_neg(self) -> float:  # the run's largest negative fraction
+        return float(self.negative_fractions.max())
+
+    @property
+    def n_steps(self) -> int:  # maps applied, one per interval
+        return len(self.times) - 1
+
+    @property
+    def dt(self) -> float:  # the longest interval
+        return float(np.diff(self.times).max())
 
     def moment(self, j: int, k: int) -> np.ndarray:
         return np.array([s[(j, k)] for s in self.moments])
 
     def mass_drift(self) -> float:
         return float(np.max(np.abs(self.masses - self.masses[0])))
-
-
-def stable_time_step(grid: PhaseSpaceGrid, schedule: KernelSchedule, t_end: float) -> float:
-    """Largest step the scheme accepts: half the smallest of
-
-    - dx M / p_max: a step carries no density more than one cell along x;
-    - dp / (2 gamma p_max): the same along p for the damping drift;
-    - dx dp / max|L(t)| over 513 times in [0, t_end], for the explicit mixed
-      term. Its central difference D_x D_p factors into two antisymmetric
-      difference matrices with imaginary eigenvalues of modulus at most 1/dx
-      and 1/dp, so the substep operator -L D_x D_p has real eigenvalues mu
-      with |mu| <= |L| / (dx dp). An explicit step multiplies a mode by
-      1 + mu dt, which stays in [0, 2] (no sign flip, no growth beyond the
-      factor e^{mu dt} >= 1 + mu dt of the exact flow) when |mu| dt <= 1.
-
-    The normal diffusion term is integrated exactly and sets no bound.
-    """
-    params = schedule.params
-    p_max = max(abs(grid.p_min), abs(grid.p_max))
-    bounds = [grid.dx * params.M / p_max, grid.dp / (2.0 * params.gamma * p_max)]
-    mixed_max = np.max(np.abs(schedule.coefficients(np.linspace(0.0, t_end, 513))[1]))
-    if mixed_max > 0:
-        bounds.append(grid.dx * grid.dp / mixed_max)
-    return 0.5 * min(bounds)
-
-
-def _p_diffusion_modes(n_p: int, dp: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DST-I matrix Q (symmetric, its own inverse) and the
-    eigenvalues of the zero-padded stencil (w[j+1] - 2 w[j] + w[j-1]) / dp^2:
-    that stencil equals Q diag(eig) Q."""
-    k = np.arange(1, n_p + 1)
-    q = math.sqrt(2.0 / (n_p + 1)) * np.sin(np.outer(k, k) * (math.pi / (n_p + 1)))
-    eig = -4.0 * np.sin(k * (0.5 * math.pi / (n_p + 1))) ** 2 / dp**2
-    return q, eig
-
-
-def _mixed_xp(w: np.ndarray, dx: float, dp: float) -> np.ndarray:
-    padded = np.pad(w, ((1, 1), (1, 1)))
-    return (padded[2:, 2:] - padded[2:, :-2] - padded[:-2, 2:] + padded[:-2, :-2]) / (4.0 * dx * dp)
 
 
 def _spline_prefilter(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,13 +276,12 @@ def _cubic_shift(
     axis: int,
     shape: tuple[int, int],
     prefilter: tuple[np.ndarray, np.ndarray],
-    scale: float = 1.0,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Precomputed semi-Lagrangian substep along one axis.
+    """Precomputed semi-Lagrangian remap along one axis.
 
     Cell k (counted along ``axis``) takes the cubic B-spline interpolant of the
-    density at the departure point k + offset, times ``scale``; ``offset``
-    broadcasts to ``shape``. ``prefilter`` is ``_spline_prefilter`` of the
+    density at the departure point k + offset; ``offset`` broadcasts to
+    ``shape``. ``prefilter`` is ``_spline_prefilter`` of the
     axis length: it turns the density into spline coefficients that are
     mirror-extended past the edges. Departure points outside [0, n-1] give 0.
     The result is that of ``map_coordinates(order=3, mode="constant",
@@ -318,7 +293,7 @@ def _cubic_shift(
     t = offset - base
     s = 1.0 - t
     # weights of the taps at floor - 1 .. floor + 2; they broadcast like offset
-    weights = (scale / 6.0) * np.stack([s**3, 4.0 - 6.0 * t**2 + 3.0 * t**3, 4.0 - 6.0 * s**2 + 3.0 * s**3, t**3])
+    weights = np.stack([s**3, 4.0 - 6.0 * t**2 + 3.0 * t**3, 4.0 - 6.0 * s**2 + 3.0 * s**3, t**3]) / 6.0
     rows, cols = np.indices(shape, sparse=True)
     index = rows if axis == 0 else cols
     first = index + base.astype(np.intp) - 1
@@ -345,144 +320,145 @@ def _cubic_shift(
     return apply
 
 
-def _transport_substeps(
-    grid: PhaseSpaceGrid, params: ModelParams, potential: HarmonicPotential | None, h: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """The x-advection and p drift/damping substeps of length h.
+def _remap_factors(inv: np.ndarray) -> list[tuple[int, float, float]]:
+    """The departure map z -> inv z (cell units) as remaps along one axis, in
+    the order they are applied: (axis, u, v) takes the departure coordinate
+    along ``axis`` to be u x + v p and keeps the other.
 
-    x-advection: cell (i, j) departs from x_i - p_j h / M. p drift/damping:
-    the backtrace along the characteristics is p e^{2 gamma h} + V'(x)
-    expm1(2 gamma h) / (2 gamma) (cancellation-free), and the damping
-    compression multiplies the density by the Jacobian e^{2 gamma h}.
+    With inv = [[a, b], [c, d]], x then p remaps need d != 0, p then x need
+    a != 0, and x, p, x need c != 0 (the x remaps are pure shears, the p remap
+    keeps the determinant). The one taken has the smallest largest cross
+    coupling (v of an x remap, u of a p remap), counting every coupling up to
+    1 as 1 so that two remaps win those ties: no remap divides by a pivot that
+    a quarter turn of the flow has sent to 0.
     """
+    (a, b), (c, d) = inv
+    det = a * d - b * c
+    options = []
+    if d:
+        options.append([(0, det / d, b / d), (1, c, d)])
+    if a:
+        options.append([(1, c / a, det / a), (0, a, b)])
+    if c:
+        s = (a - 1.0) / c
+        options.append([(0, 1.0, s), (1, c, det), (0, 1.0, b - s * d)])
+    return min(options, key=lambda remaps: max(1.0, *(abs(v if axis == 0 else u) for axis, u, v in remaps)))
+
+
+def _remaps(
+    grid: PhaseSpaceGrid, inv: np.ndarray, prefilter: dict[int, tuple[np.ndarray, np.ndarray]]
+) -> list[Callable[[np.ndarray], np.ndarray]]:
+    """The remaps that take W to W(inv z), inv in grid-cell units."""
     shape = (grid.n_x, grid.n_p)
-    p = grid.p
-    prefilter = {n: _spline_prefilter(n) for n in set(shape)}
-    advect_x = _cubic_shift(-(p * h / (params.M * grid.dx))[None, :], 0, shape, prefilter[grid.n_x])
-    rate = 2.0 * params.gamma * h
-    shift_p = p[None, :] * math.expm1(rate)
-    if potential is not None:
-        kick = math.expm1(rate) / (2.0 * params.gamma)
-        shift_p = shift_p + (params.M * potential.omega0**2 * grid.x * kick)[:, None]
-    drift_p = _cubic_shift(shift_p / grid.dp, 1, shape, prefilter[grid.n_p], scale=math.exp(rate))
-    return advect_x, drift_p
+    x = (grid.x / grid.dx)[:, None]
+    p = (grid.p / grid.dp)[None, :]
+    remaps = []
+    for axis, u, v in _remap_factors(inv):
+        along_x, along_p = (u - 1.0, v) if axis == 0 else (u, v - 1.0)
+        # a zero coefficient keeps the offset, and the weights, one-dimensional
+        offset = (along_x * x if along_x else 0.0) + (along_p * p if along_p else 0.0)
+        remaps.append(_cubic_shift(np.asarray(offset), axis, shape, prefilter[shape[axis]]))
+    return remaps
+
+
+def _interval_map(
+    gen: np.ndarray, h: float, first: np.ndarray, grid: PhaseSpaceGrid, prefilter: dict
+) -> tuple[np.ndarray, float, list[Callable[[np.ndarray], np.ndarray]]]:
+    """(propagator exp(gen h), Jacobian |det Phi^-1|, remaps by Phi^-1) of one interval h;
+    ``first`` indexes the first-order moments, whose block of the propagator is Phi."""
+    step = gen * h
+    propagator = _expm(step) if np.all(np.isfinite(step)) else step
+    phi = propagator[np.ix_(first, first)].real
+    jacobian = 1.0 / np.linalg.det(phi)
+    if not (np.all(np.isfinite(propagator)) and math.isfinite(jacobian)):
+        raise StabilityError(f"phase-space flow over an interval of {h:.6g} is not finite")
+    return propagator, jacobian, _remaps(grid, np.linalg.inv(phi), prefilter)
 
 
 def evolve_wigner_pde(
     grid: PhaseSpaceGrid,
     schedule: KernelSchedule,
+    times: Sequence[float],
     potential: HarmonicPotential | None = None,
-    t_end: float = 1.0,
-    dt: float | None = None,
-    sample_times: Sequence[float] | None = None,
 ) -> WignerEvolution:
-    """Advance the phase-space density to t_end and record diagnostics.
+    """Evolve the phase-space density over an ascending grid of times starting
+    at 0, the last of them the end, and record diagnostics at each one.
 
-    Without dt, the step count is the smallest multiple of the number of
-    sample intervals (len(sample_times) - 1) whose step fits the stability
-    bound, so uniformly spaced sample times from 0 to t_end fall on steps. A
-    user-supplied dt above the bound is rejected. A sample time between steps
-    is recorded at the nearest step, with that step's time; one on a step keeps
-    its requested value. Aborts with a StabilityError if the density blows up
-    or substantial mass reaches the grid boundary (both checked after every
-    step), or if it leaks mass (checked at sample times and at the end).
+    Each interval is one exact map: remaps by Phi(h)^-1, then the Gaussian
+    smoothing of Sigma. Intervals that agree to 12 significant digits (those
+    of ``np.linspace`` differ in their last bits) share one propagator and one
+    set of remaps. Aborts with a StabilityError if an interval's smoothing
+    would grow a grid mode by more than GROWTH_LIMIT, or if at any time the
+    density is not finite, substantial mass sits on the grid boundary or mass
+    has leaked.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
-    params = schedule.params
+    t = _time_grid(schedule, times)
     if grid.boundary_fraction() > BOUNDARY_INIT_FRACTION:
         raise StabilityError(
             f"initial boundary density fraction {grid.boundary_fraction():.3g} exceeds "
             f"{BOUNDARY_INIT_FRACTION:g}; widen the grid"
         )
+    shape = (grid.n_x, grid.n_p)
+    prefilter = {n: _spline_prefilter(n) for n in set(shape)}
+    # the moments through order 2 from a point mass, in cells, after the driver
+    # states: (1, 0), (0, 1) carry Phi and (2, 0), (1, 1), (0, 2) Sigma
+    point = np.eye(6)[0]
+    gen, y = _closed_system(schedule, grid.dx, grid.dp, point, 6, potential.omega0 if potential else 0.0)
+    drivers = len(y) - 6
+    first, second = drivers + np.array([2, 1]), drivers + np.array([5, 4, 3])
+    kx = 2.0 * math.pi * np.fft.fftfreq(grid.n_x)[:, None]
+    kp = 2.0 * math.pi * np.fft.rfftfreq(grid.n_p)[None, :]
+    # k and k^2 as the fourth-order central differences see them: k - k^5/30 and
+    # k^2 - k^6/90, with (symbol of k)^2 <= (symbol of k^2), so q >= 0 for a
+    # positive semi-definite Sigma; -q/2 is the sum of these times Sigma's entries
+    sx, sp = ((8.0 * np.sin(k) - np.sin(2.0 * k)) / 6.0 for k in (kx, kp))
+    sxx, spp = ((30.0 - 32.0 * np.cos(k) + 2.0 * np.cos(2.0 * k)) / 12.0 for k in (kx, kp))
+    quadratic = (-0.5 * sxx, -sx * sp, -0.5 * spp)
 
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_end, 9)
-    dt_bound = stable_time_step(grid, schedule, t_end)
-    if dt is None:
-        # a multiple of the sample intervals, so a uniform sample grid lands on steps
-        k = max(1, len(sample_times) - 1)
-        n_steps = k * int(math.ceil(t_end / (k * dt_bound)))
-        dt = t_end / n_steps
-    else:
-        if dt > dt_bound * (1.0 + 1e-12):
-            raise StabilityError(f"dt = {dt:.3g} violates stability bound {dt_bound:.3g}")
-        n_steps = max(1, int(round(t_end / dt)))
-        if abs(n_steps * dt - t_end) > 1e-9 * t_end:
-            raise ValueError("dt must divide t_end evenly")
-
-    requested = np.asarray(sample_times, dtype=float)
-    sample_idx, first = np.unique(np.clip(np.round(requested / dt).astype(int), 0, n_steps), return_index=True)
-    # a sample time that falls on its step (to roundoff) is recorded as given,
-    # not as step * dt, which can differ from it in the last bit
-    step_times = sample_idx * dt
-    on_step = np.abs(requested[first] - step_times) <= 1e-9 * t_end
-    sample_t = np.where(on_step, requested[first], step_times)
-
-    dx, dp = grid.dx, grid.dp
-    advect_x, drift_p = _transport_substeps(grid, params, potential, 0.5 * dt)
-    q, eig = _p_diffusion_modes(grid.n_p, dp)
-
-    w = grid.w.copy()
-    times: list[float] = []
-    masses: list[float] = []
+    maps: dict[str, tuple] = {}
+    w = grid.w
     moments: list[MomentState] = []
-    eps_neg = 0.0
-
-    def check(step: int, w_now: np.ndarray) -> None:
-        total = w_now.sum()  # any non-finite cell makes the sum non-finite
+    masses: list[float] = []
+    negative: list[float] = []
+    for k, t_now in enumerate(t):
+        if k:
+            h = t_now - t[k - 1]
+            key = f"{h:.12g}"
+            if key not in maps:
+                maps[key] = _interval_map(gen, h, first, grid, prefilter)
+            propagator, jacobian, remaps = maps[key]
+            y = propagator @ y
+            factor = np.exp(sum(q * s for q, s in zip(quadratic, y[second].real)))
+            growth = factor.max()
+            if growth > GROWTH_LIMIT:
+                raise StabilityError(
+                    f"smoothing over [{t[k - 1]:.6g}, {t_now:.6g}] grows the highest grid modes by {growth:.3g}, "
+                    f"above the growth bound {GROWTH_LIMIT:g}: the cross diffusion makes Sigma indefinite there; "
+                    "use a coarser grid or shorter intervals"
+                )
+            for remap in remaps:
+                w = remap(w)
+            w = np.fft.irfft2(np.fft.rfft2(w) * (jacobian * factor), s=shape)
+            y = np.concatenate([y[:drivers], point])  # the next interval starts from a point mass
+        total = w.sum()  # any non-finite cell makes the sum non-finite
         if not math.isfinite(total):
-            raise StabilityError(f"density blew up at t = {step * dt:.6g}")
-        fraction = _boundary_fraction(w_now, total)
+            raise StabilityError(f"density blew up at t = {t_now:.6g}")
+        fraction = _boundary_fraction(w, total)
         if fraction > BOUNDARY_ABORT_FRACTION:
             raise StabilityError(
-                f"boundary-mass overflow at t = {step * dt:.6g}: fraction "
+                f"boundary-mass overflow at t = {t_now:.6g}: fraction "
                 f"{fraction:.3g} exceeds {BOUNDARY_ABORT_FRACTION:g}"
             )
-
-    def snapshot(step: int, w_now: np.ndarray) -> PhaseSpaceGrid:
         try:
-            return PhaseSpaceGrid(
-                grid.x_min, grid.x_max, grid.n_x, grid.p_min, grid.p_max, grid.n_p, w_now, norm_tol=1e-3
-            )
+            snap = PhaseSpaceGrid(grid.x_min, grid.x_max, grid.n_x, grid.p_min, grid.p_max, grid.n_p, w,
+                                  norm_tol=1e-3)
         except ValueError as exc:
-            raise StabilityError(f"mass leak at t = {step * dt:.6g}: {exc}") from exc
-
-    def record(step: int, t_now: float, w_now: np.ndarray) -> None:
-        nonlocal eps_neg
-        snap = snapshot(step, w_now)
-        times.append(t_now)
-        masses.append(snap.mass())
+            raise StabilityError(f"mass leak at t = {t_now:.6g}: {exc}") from exc
         moments.append(grid_moments(snap))
-        eps_neg = max(eps_neg, snap.negative_fraction())
+        masses.append(snap.mass())
+        negative.append(snap.negative_fraction())
 
-    rec_pos = 0
-    for step in range(n_steps + 1):
-        check(step, w)
-        while rec_pos < len(sample_idx) and sample_idx[rec_pos] == step:
-            record(step, float(sample_t[rec_pos]), w)
-            rec_pos += 1
-        if step == n_steps:
-            break
-        D, L = schedule.coefficients((step + 0.5) * dt)
-        w = advect_x(w)
-        w = drift_p(w)
-        if D != 0.0:
-            w = ((w @ q) * np.exp((dt * D) * eig)) @ q
-        if L != 0.0:
-            w = w - (dt * L) * _mixed_xp(w, dx, dp)
-        w = drift_p(w)
-        w = advect_x(w)
-
-    final = snapshot(n_steps, w)
-    t_arr = np.asarray(times)
-    t_arr.setflags(write=False)
-    return WignerEvolution(
-        times=t_arr,
-        moments=tuple(moments),
-        masses=np.asarray(masses),
-        eps_neg=eps_neg,
-        final=final,
-        dt=dt,
-        n_steps=n_steps,
-    )
+    t = t.copy()
+    t.setflags(write=False)
+    return WignerEvolution(times=t, moments=tuple(moments), masses=np.asarray(masses),
+                           negative_fractions=np.asarray(negative), final=snap)

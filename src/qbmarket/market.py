@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence, TextIO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, DegenerateDataError, InsufficientDataError
+from .errors import DataError, DegenerateDataError, InsufficientDataError, NumericalError
 from .model import NonMarkovParams
 
 __all__ = [
@@ -98,11 +98,17 @@ class PriceSeries:
 
     @classmethod
     def synthetic(cls, log_price: np.ndarray, dt_minutes: int) -> "PriceSeries":
-        """One-session series of bars dt_minutes apart from SYNTH_START_MINUTE."""
+        """One-session series of bars dt_minutes apart from SYNTH_START_MINUTE.
+        A price that exp takes out of the positive finite range is a numerical
+        failure of the generator, not bad data."""
+        close = np.exp(log_price)
+        for i in np.flatnonzero(~((close > 0) & (close < math.inf)))[:1]:
+            raise NumericalError(f"synthetic price of bar {i} is {close[i]:g}, outside the positive finite range "
+                                 f"(log price {log_price[i]:.6g})")
         times = SYNTH_START_MINUTE + np.arange(len(log_price), dtype=np.int64) * dt_minutes
         return cls(
             times=times,
-            close=np.exp(log_price),
+            close=close,
             sessions=((int(times[0]), int(times[-1])),),
             session_idx=np.zeros(len(times), dtype=np.int64),
             base_minutes=int(dt_minutes),

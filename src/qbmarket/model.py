@@ -25,10 +25,8 @@ __all__ = [
     "SecondMomentInit",
     "NonMarkovParams",
     "BathSpectrum",
-    "NoiseKernel",
     "MARKOV_WARN_RATIO",
     "acf_model",
-    "noise_kernel",
     "normal_diffusion",
     "cross_diffusion",
     "delta_coefficient",
@@ -170,19 +168,6 @@ class BathSpectrum:
             raise ValueError("composite spectrum requires nm parameters")
 
 
-@dataclass(frozen=True)
-class NoiseKernel:
-    """Bath noise autocorrelation split into its Dirac and smooth parts.
-
-    The Dirac term is never discretized: it is carried as the analytic weight
-    of delta(tau) and consumers add its integrated (Markovian) contribution in
-    closed form.
-    """
-
-    delta_weight: float
-    smooth: float | np.ndarray
-
-
 def acf_model(nm: NonMarkovParams, tau) -> float | np.ndarray:
     """Damped oscillatory return autocorrelation,
     R(tau) = 0.5 xi^2 exp(-eta tau) (cos(2 omega tau) + 1).
@@ -192,17 +177,6 @@ def acf_model(nm: NonMarkovParams, tau) -> float | np.ndarray:
     t = _as_nonnegative(tau, "tau")
     out = 0.5 * nm.xi**2 * np.exp(-nm.eta * t) * (np.cos(2.0 * nm.omega * t) + 1.0)
     return _like_input(out, tau)
-
-
-def noise_kernel(params: ModelParams, nm: NonMarkovParams, tau) -> NoiseKernel:
-    """Bath noise kernel: weight 8 M gamma kT on delta(tau) plus the smooth
-    part 8 M^2 gamma^2 R(tau)."""
-    t = _as_nonnegative(tau, "tau")
-    smooth = 8.0 * params.M**2 * params.gamma**2 * np.asarray(acf_model(nm, t))
-    return NoiseKernel(
-        delta_weight=8.0 * params.M * params.gamma * params.kT,
-        smooth=_like_input(smooth, tau),
-    )
 
 
 # hbar^2 Delta and hbar^2 Lambda, the diffusion terms of the master equation,

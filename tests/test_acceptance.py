@@ -257,9 +257,9 @@ def test_criterion_9_pde_solver():
             1.0, 1.0, 0.0, x_half_width=14.0, p_half_width=7.0, n_x=256, n_p=256
         )
         tgrid = np.linspace(0.0, 2.0, 9)
-        evo = evolve_wigner_pde(grid, sched, t_end=2.0, sample_times=tgrid)
+        evo = evolve_wigner_pde(grid, sched, tgrid)
         assert evo.mass_drift() < 1e-6
-        # compare at the actually recorded (step-snapped) times
+        # compare at the recorded times
         traj = evolve_moments(MomentState.gaussian(1.0, 1.0, 0.0), sched, evo.times)
         scale = np.sqrt(traj.moment(2, 0) * traj.moment(0, 2))
         for key in [(2, 0), (1, 1), (0, 2)]:
@@ -274,7 +274,7 @@ def test_criterion_9_pde_solver():
             1.0, 1.0, 0.0, x_half_width=16.0, p_half_width=8.0, n_x=256, n_p=256
         )
         t = 1.5
-        fs = evolve_wigner_pde(fs_grid, KernelSchedule.markov(free), t_end=t, sample_times=[0.0, t])
+        fs = evolve_wigner_pde(fs_grid, KernelSchedule.markov(free), [0.0, t])
         assert fs.mass_drift() < 1e-6
         mend = fs.moments[-1]
         assert mend[(2, 0)] == pytest.approx(1.0 + t * t, abs=1e-5)
@@ -294,7 +294,7 @@ def test_criterion_9_pde_solver():
         )
         h_times = np.linspace(0.0, np.pi, 9)
         h = evolve_wigner_pde(
-            h_grid, KernelSchedule.markov(free), potential=pot, t_end=float(np.pi), sample_times=h_times
+            h_grid, KernelSchedule.markov(free), h_times, potential=pot
         )
         expected = 1.5 * np.cos(h.times) ** 2 + 0.7 * np.sin(h.times) ** 2
         np.testing.assert_allclose(h.moment(2, 0), expected, atol=5e-3)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qbmarket import NonMarkovParams, acf_model, cli, market
+from qbmarket import ModelParams, NonMarkovParams, acf_model, cli, market
 from qbmarket.cli import main
 from qbmarket.errors import NumericalError
 
@@ -233,16 +233,33 @@ class TestSimulate:
         digest = hashlib.sha256((tmp_path / "sde.csv").read_bytes()).hexdigest()
         assert digest == "fc186ec58ae3119e359f2e87d11a1a3a9b1c318826d9d361114af6e334f73992"
 
+    PDE_HAS_NO_STEP = "--dt is an sde flag: pde maps each output interval exactly, with no time step"
+
     @pytest.mark.parametrize("dt", [0, -1])
-    @pytest.mark.parametrize("flags", [
-        ["--mode", "sde", "--n-paths", 1000, "--seed", 1],
-        ["--mode", "pde", "--p2", 1, "--nx", 16, "--np", 16],
+    @pytest.mark.parametrize("flags, named", [
+        (["--mode", "sde", "--n-paths", 1000, "--seed", 1], "--dt must be positive"),
+        (["--mode", "pde", "--p2", 1, "--nx", 16, "--np", 16], PDE_HAS_NO_STEP),
     ], ids=["sde", "pde"])
-    def test_nonpositive_step_names_the_flag(self, tmp_path, capsys, flags, dt):
-        # pde at --dt 0 divided by zero (exit 3) and at --dt -1 said "dt must divide t_end evenly"
+    def test_nonpositive_step_names_the_flag(self, tmp_path, capsys, flags, named, dt):
+        # pde at --dt 0 divided by zero (exit 3) and at --dt -1 said "dt must divide t_end evenly";
+        # it has no time step now, so any --dt is refused
         assert run(["simulate", *flags, "--x2", 1, "--t-end", 0.1, f"--dt={dt}", "--out-prefix", tmp_path / "s"]) == 1
-        assert capsys.readouterr().err == "usage error: --dt must be positive\n"
+        assert capsys.readouterr().err == f"usage error: {named}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_pde_refuses_a_time_step(self, tmp_path, capsys, source):
+        # the phase-space engine used to take --dt as its step; its maps are exact per interval
+        argv = ["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.03,
+                "--out-prefix", tmp_path / "p"]
+        if source == "flag":
+            argv += ["--dt", 0.03 / 7]
+        else:
+            (tmp_path / "run.cfg").write_text("dt = 0.004\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {self.PDE_HAS_NO_STEP}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if source == "flag" else ["run.cfg"])
 
     @pytest.mark.parametrize("flag", ["--nx", "--np"])
     def test_small_grid_names_the_flag(self, tmp_path, capsys, flag):
@@ -278,13 +295,19 @@ class TestSimulate:
         mass = prows[:, ph.index("mass")]
         assert np.max(np.abs(mass - 1.0)) < 1e-6
 
-    def test_unstable_pde_step_is_numerical_failure(self, tmp_path):
-        code = run(["simulate", "--mode", "pde", "--M", 1, "--gamma", 0.25, "--kT", 1,
-                    "--hbar", 1, "--x2", 1.0, "--p2", 1.0, "--t-end", 0.5, "--points", 3,
-                    "--nx", 64, "--np", 64, "--x-width", 10.0, "--p-width", 7.0,
-                    "--dt", 0.25, "--out-prefix", tmp_path / "bad"])
+    def test_unstable_pde_step_is_numerical_failure(self, tmp_path, capsys):
+        # strong colored noise makes Sigma indefinite: on this 128^2 grid the
+        # smoothing over the last eighth of [0, 1] would grow the highest grid
+        # modes 17.7-fold
+        code = run(["simulate", "--mode", "pde", "--kernel", "non-markov", "--xi", 8, "--eta", 2, "--omega", 1,
+                    "--M", 1, "--gamma", 1, "--kT", 1, "--x2", 1.0, "--p2", 1.0, "--t-end", 1, "--points", 9,
+                    "--nx", 128, "--np", 128, "--x-width", 16, "--p-width", 32, "--out-prefix", tmp_path / "bad"])
         assert code == 3
-        assert not (tmp_path / "bad.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: smoothing over [0.875, 1] grows the highest grid modes by 17.7, "
+                              "above the growth bound 10"), err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_float_flag_is_usage_error(self, tmp_path, capsys):
         assert run(["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--gamma", "nan",
@@ -416,11 +439,25 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     def test_pde_time_column_is_the_requested_grid(self, tmp_path):
-        # 7 steps of 0.03/7: step 3 lands at 3 * dt, an ulp off linspace's 0.03 * 3/7
+        # 7 intervals of 0.03/7: 3 * (0.03/7) is an ulp off linspace's 0.03 * 3/7
         assert run(["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.03,
-                    "--points", 8, "--dt", 0.03 / 7, "--out-prefix", tmp_path / "p"]) == 0
+                    "--points", 8, "--out-prefix", tmp_path / "p"]) == 0
         header, rows = read_csv(tmp_path / "p.csv")
         np.testing.assert_array_equal(rows[:, header.index("t")], np.linspace(0.0, 0.03, 8))
+
+    def test_pde_eps_neg_column_is_each_rows_own(self, tmp_path):
+        # it used to repeat the run's largest value in every row
+        from qbmarket.dynamics import KernelSchedule, PhaseSpaceGrid, evolve_wigner_pde
+
+        assert run(["simulate", "--mode", "pde", "--M", 1, "--gamma", 0.25, "--kT", 1, "--x2", 1, "--p2", 1,
+                    "--nx", 32, "--np", 32, "--t-end", 0.5, "--points", 5, "--out-prefix", tmp_path / "p"]) == 0
+        header, rows = read_csv(tmp_path / "p.csv")
+        eps_neg = rows[:, header.index("eps_neg")]
+        evo = evolve_wigner_pde(PhaseSpaceGrid.gaussian(1.0, 1.0, n_x=32, n_p=32),
+                                KernelSchedule.markov(ModelParams(M=1, gamma=0.25, kT=1, hbar=1)),
+                                np.linspace(0.0, 0.5, 5))
+        np.testing.assert_array_equal(eps_neg, evo.negative_fractions)
+        assert eps_neg[0] == 0.0 < eps_neg.max()  # the initial Gaussian has no negative cell
 
 
     @pytest.mark.parametrize("flags", [
@@ -496,6 +533,19 @@ class TestSynthAndAnalyze:
         assert run(["synth", *flags, "--n", 4000, "--xi", 5e-4, "--eta", 5e-3, "--omega", 0.02, "--seed", 1,
                     "--out", tmp_path / "s.csv"]) == 1
         assert capsys.readouterr().err == f"usage error: {named}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, bar, price", [
+        (["--n", 2, "--dt", 4207590149], 1, "0"),
+        (["--n", 3, "--dt", 1000, "--sigma", 1e3], 1, "0"),
+        (["--n", 3, "--dt", 1000000, "--mu", 1], 1, "inf"),
+    ], ids=["drift-underflow", "volatility-underflow", "overflow"])
+    def test_price_out_of_range_is_numerical_failure(self, tmp_path, capsys, flags, bar, price):
+        # an underflowing price was reported as a data error (exit 2), "prices must be positive"
+        assert run(["synth", "--kind", "gbm", *flags, "--seed", 1, "--out", tmp_path / "s.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: synthetic price of bar {bar} is {price}, outside the positive "
+                              "finite range"), err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", [1, 0])

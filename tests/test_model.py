@@ -22,7 +22,6 @@ from qbmarket import (
     lambda_limit,
     markov_validity,
     minimal_uncertainty_momentum,
-    noise_kernel,
     spectral_density,
     variance_closed_form,
 )
@@ -110,25 +109,6 @@ class TestAcfModel:
         assert abs(first_two[1] - 240) <= 5
 
 
-class TestNoiseKernel:
-    def test_delta_weight_is_product(self):
-        params = ModelParams(M=2.0, gamma=3.0, kT=0.5, hbar=1.0)
-        nm = NonMarkovParams(xi=1e-4, eta=1e-3, omega=0.0)
-        assert noise_kernel(params, nm, 0.0).delta_weight == pytest.approx(24.0, rel=1e-15)
-
-    def test_zero_intensity_kills_smooth_part(self):
-        params = ModelParams(M=1.5, gamma=2.0, kT=1.0, hbar=1.0)
-        nm = NonMarkovParams(xi=0.0, eta=1e-3, omega=1e-2)
-        kern = noise_kernel(params, nm, np.linspace(0, 500, 64))
-        assert np.all(np.asarray(kern.smooth) == 0.0)
-        assert kern.delta_weight == pytest.approx(8.0 * 1.5 * 2.0 * 1.0)
-
-    def test_smooth_at_zero_lag(self, nm_9904):
-        params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0)
-        kern = noise_kernel(params, nm_9904, 0.0)
-        assert kern.smooth == pytest.approx(8.0 * 5.48e-4**2, rel=1e-12)
-
-
 class TestDeltaCoefficient:
     def test_initial_value_is_markovian(self, kurtosis_params, nm_9904):
         markov = 2 * 20.0 * 1.0 * 1.0 / 1.0
@@ -136,7 +116,7 @@ class TestDeltaCoefficient:
 
     def test_against_quadrature_of_definition(self, kurtosis_params, nm_9904):
         # independent oracle: Markovian part plus the integral of the smooth
-        # noise kernel, 8 M^2 g^2 R(tau) / (2 hbar^2)
+        # part of the bath noise kernel, 8 M^2 gamma^2 R(tau), written out here, over 2 hbar^2
         for t in (30.0, 1.0 / nm_9904.eta, 500.0):
             smooth, _ = quad(
                 lambda u: 8.0 * 20.0**2 * acf_model(nm_9904, u) / 2.0, 0.0, t, limit=200

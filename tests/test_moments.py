@@ -23,7 +23,7 @@ from qbmarket.dynamics import (
     MomentState,
     evolve_moments,
 )
-from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _expm_lower, _generator_matrices
+from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _expm, _generator_matrices
 from qbmarket.errors import NumericalError
 
 from conftest import FIT_TRIPLES, linear_fit_r2, moment_derivative
@@ -202,7 +202,7 @@ class TestKernelSchedule:
         assert np.all(np.triu(f, 1) == 0.0)
         p, nm = schedule.params, schedule.nm
         for t in (0.0, 0.37, 17.0, 400.0):
-            d, lam = (_expm_lower(f * t) @ z0)[-2:]
+            d, lam = (_expm(f * t) @ z0)[-2:]
             expected = (normal_diffusion(p, nm, t) - normal_diffusion(p, nm, 0.0), cross_diffusion(p, nm, t))
             np.testing.assert_allclose([d.real, lam.real], expected, rtol=1e-11, atol=0)
 
@@ -366,8 +366,8 @@ class TestExactPropagation:
         from qbmarket.dynamics import moments
 
         calls = []
-        real = moments._expm_lower
-        monkeypatch.setattr(moments, "_expm_lower", lambda a: calls.append(a) or real(a))
+        real = moments._expm
+        monkeypatch.setattr(moments, "_expm", lambda a: calls.append(a) or real(a))
         t = np.array([0.0, 0.5, 1.0, 1.5, 2.5, 3.0])
         evolve_moments(fig2c_init(), KernelSchedule.markov(kurtosis_params), t)
         assert len(calls) == 2

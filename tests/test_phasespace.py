@@ -1,13 +1,15 @@
-"""Phase-space grid and PDE solver: quadrature moments, closed-form transport
-checks, and the cross-check against the moment ODE."""
+"""Phase-space grid and PDE solver: quadrature moments, the remaps and the
+growth bound of the exact map, closed-form transport checks, and the
+cross-check against the moment ODE."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.ndimage import map_coordinates, spline_filter1d
 
-from qbmarket import ModelParams, StabilityError
+from qbmarket import ModelParams, NonMarkovParams, StabilityError
 from qbmarket.dynamics import (
     HarmonicPotential,
     KernelSchedule,
@@ -16,13 +18,13 @@ from qbmarket.dynamics import (
     evolve_moments,
     evolve_wigner_pde,
     grid_moments,
-    stable_time_step,
+    phasespace,
 )
 from qbmarket.dynamics.phasespace import (
-    _p_diffusion_modes,
+    _remap_factors,
+    _remaps,
     _spline_coefficients,
     _spline_prefilter,
-    _transport_substeps,
 )
 
 
@@ -76,21 +78,26 @@ class TestGrid:
         assert grid.negative_fraction() == 0.0
 
 
+def colored_schedule() -> KernelSchedule:
+    # strong colored noise: its cross diffusion makes Sigma indefinite over short intervals
+    return KernelSchedule.non_markov(ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0), NonMarkovParams(8.0, 2.0, 1.0))
+
+
 class TestStability:
     def test_time_step_bound_enforced(self):
-        params = ModelParams(M=1.0, gamma=0.25, kT=1.0, hbar=1.0)
-        sched = KernelSchedule.markov(params)
-        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=10.0, p_half_width=7.0, n_x=64, n_p=64)
-        bound = stable_time_step(grid, sched, 1.0)
-        with pytest.raises(StabilityError):
-            evolve_wigner_pde(grid, sched, t_end=1.0, dt=4.0 * bound)
+        # the one bound left on an interval: on this 128^2 grid the smoothing
+        # over the last eighth of [0, 1] would grow the highest grid modes 17.7-fold
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=16.0, p_half_width=32.0, n_x=128, n_p=128)
+        with pytest.raises(StabilityError, match=r"over \[0.875, 1\] grows the highest grid modes by 17.7, above "
+                                                 r"the growth bound 10"):
+            evolve_wigner_pde(grid, colored_schedule(), np.linspace(0.0, 1.0, 9))
 
     def test_narrow_grid_rejected(self):
         # 6 sigma: normalized within tolerance but boundary density above 1e-10
         sched = KernelSchedule.markov(free_params())
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=6.0, p_half_width=6.0, n_x=64, n_p=64)
         with pytest.raises(StabilityError):
-            evolve_wigner_pde(grid, sched, t_end=0.1)
+            evolve_wigner_pde(grid, sched, [0.0, 0.1])
 
     def test_boundary_overflow_aborts(self):
         # free streaming long enough that the sheared density hits the p edge
@@ -98,62 +105,53 @@ class TestStability:
         sched = KernelSchedule.markov(free_params())
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=7.5, p_half_width=7.5, n_x=64, n_p=64)
         with pytest.raises(StabilityError):
-            evolve_wigner_pde(grid, sched, t_end=6.0, sample_times=np.linspace(0, 6.0, 25))
+            evolve_wigner_pde(grid, sched, np.linspace(0, 6.0, 25))
 
     def test_boundary_overflow_between_samples_aborts(self):
-        # same box: the ring fraction passes 1e-6 near t = 1.2, yet at t = 1.5
-        # the final grid still holds its mass within the 1e-3 leak tolerance,
-        # so only a check on every step can see the overflow
+        # same box: the ring fraction passes 1e-6 near t = 1.2, between the two
+        # times, and is 2.4e-5 at t = 1.5, where the grid still holds its mass
+        # within the 1e-3 leak tolerance; the ring is checked at every time
         sched = KernelSchedule.markov(free_params())
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=7.5, p_half_width=7.5, n_x=64, n_p=64)
-        with pytest.raises(StabilityError, match="boundary-mass overflow"):
-            evolve_wigner_pde(grid, sched, t_end=1.5, sample_times=[0.0])
+        with pytest.raises(StabilityError, match="boundary-mass overflow at t = 1.5"):
+            evolve_wigner_pde(grid, sched, [0.0, 1.5])
 
-    def test_mixed_term_sets_the_bound_when_it_is_the_smallest(self):
-        # strong colored noise on a coarse grid: max|L| = hbar^2 max|Lambda| is
-        # ~15, so dx dp / max|L| is below both transport terms
-        from qbmarket import NonMarkovParams
-
-        params = ModelParams(M=1.0, gamma=1.0, kT=1.0, hbar=1.0)
-        sched = KernelSchedule.non_markov(params, NonMarkovParams(xi=8.0, eta=2.0, omega=1.0))
-        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=32, n_p=32)
-        t_end = 1.0
-        lam_max = max(abs(sched.coefficients(float(t))[1]) for t in np.linspace(0.0, t_end, 513))
-        mixed = grid.dx * grid.dp / lam_max
-        p_max = grid.p_max
-        assert mixed < min(grid.dx * params.M / p_max, grid.dp / (2.0 * params.gamma * p_max))
-        bound = stable_time_step(grid, sched, t_end)
-        assert bound == pytest.approx(0.5 * mixed, rel=1e-12)
-        with pytest.raises(StabilityError, match="violates stability bound"):
-            evolve_wigner_pde(grid, sched, t_end=t_end, dt=t_end / math.floor(t_end / (1.25 * bound)))
-
-    def test_normal_diffusion_sets_no_bound(self):
-        # a thousand times the diffusion leaves dt at the x-transport term
+    def test_normal_diffusion_sets_no_bound(self, monkeypatch):
+        # a Markov kernel's Sigma is positive semi-definite, so its smoothing
+        # grows no grid mode at all, whatever the diffusion: not even a bound
+        # of 1 refuses a run, while the colored kernel's indefinite Sigma is
+        # refused by it
+        monkeypatch.setattr(phasespace, "GROWTH_LIMIT", 1.0)
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=10.0, p_half_width=7.0, n_x=64, n_p=64)
-        bounds = [
-            stable_time_step(grid, KernelSchedule.markov(ModelParams(M=1.0, gamma=0.25, kT=kT, hbar=1.0)), 1.0)
-            for kT in (1.0, 1000.0)
-        ]
-        assert bounds[0] == bounds[1] == 0.5 * grid.dx / 7.0
+        for kT, t_end in ((1.0, 1.0), (1000.0, 2e-4)):
+            sched = KernelSchedule.markov(ModelParams(M=1.0, gamma=0.25, kT=kT, hbar=1.0))
+            tgrid = np.linspace(0.0, t_end, 5)
+            m02 = evolve_wigner_pde(grid, sched, tgrid).moment(0, 2)
+            np.testing.assert_allclose(m02, evolve_moments(MomentState.gaussian(1.0, 1.0), sched, tgrid).moment(0, 2),
+                                       rtol=1e-3)
+        with pytest.raises(StabilityError, match="growth bound 1:"):
+            evolve_wigner_pde(PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=32, n_p=32), colored_schedule(),
+                              np.linspace(0.0, 1.0, 9))
 
 
 class TestDiffusionSubstep:
-    def test_modes_diagonalize_the_zero_padded_stencil(self):
-        n, dp = 37, 0.3
-        q, eig = _p_diffusion_modes(n, dp)
-        stencil = (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1)) / dp**2
-        np.testing.assert_allclose(q @ q, np.eye(n), atol=1e-14)
-        np.testing.assert_allclose(q @ np.diag(eig) @ q, stencil, atol=1e-12 / dp**2)
-
     def test_uniform_samples_land_on_steps(self):
-        # 8 sample intervals: the step count is a multiple of 8 and every
-        # requested time is recorded as it was asked for
+        # one map per interval, ending on each requested time as it was asked for
         params = ModelParams(M=1.0, gamma=0.25, kT=1.0, hbar=1.0)
         grid = PhaseSpaceGrid.gaussian(1.0, 0.9, 0.0, x_half_width=14.0, p_half_width=7.0, n_x=64, n_p=64)
         tgrid = np.linspace(0.0, 0.03, 9)
-        evo = evolve_wigner_pde(grid, KernelSchedule.markov(params), t_end=0.03, sample_times=tgrid)
+        evo = evolve_wigner_pde(grid, KernelSchedule.markov(params), tgrid)
         assert evo.n_steps == 8
+        assert evo.dt == np.diff(tgrid).max()
         assert np.array_equal(evo.times, tgrid)
+        assert evo.negative_fractions.shape == tgrid.shape and evo.eps_neg == evo.negative_fractions.max()
+
+    @pytest.mark.parametrize("times", [[0.0], [0.5, 1.0], [0.0, 0.5, 0.5], [[0.0, 1.0]]],
+                             ids=["one", "late-start", "repeated", "2-d"])
+    def test_time_grid_is_checked(self, times):
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=16, n_p=16)
+        with pytest.raises(ValueError, match="the time grid must"):
+            evolve_wigner_pde(grid, KernelSchedule.markov(free_params()), times)
 
 
 class TestSplinePrefilter:
@@ -180,36 +178,45 @@ class TestSplinePrefilter:
 
 
 class TestTransportSubsteps:
-    """The precomputed semi-Lagrangian substeps against the 2-D cubic-spline
-    interpolation of the same backtrace, evaluated by scipy."""
+    """The remaps that move the density by the flow's inverse: their product
+    is Phi(h)^-1, and each one is the 2-D cubic-spline interpolation of its
+    own departure points, evaluated by scipy."""
 
-    @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega0=1.3)], ids=["free", "harmonic"])
-    def test_match_map_coordinates(self, potential):
+    @pytest.mark.parametrize("potential, h, count", [
+        (None, 0.4, 2),
+        (HarmonicPotential(omega0=1.3), 0.4, 2),
+        (HarmonicPotential(omega0=1.3), 1.2, 3),  # about a quarter turn: no pivot is left for two remaps
+    ], ids=["free", "harmonic", "quarter-turn"])
+    def test_match_map_coordinates(self, potential, h, count):
         params = ModelParams(M=0.7, gamma=0.25, kT=1.0, hbar=1.0)
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=48, n_p=40)
-        h = 0.4  # departure points up to ~14 cells away, many outside the grid
-        advect_x, drift_p = _transport_substeps(grid, params, potential, h)
+        omega2 = potential.omega0**2 if potential else 0.0
+        drift = np.array([[0.0, 1.0 / params.M], [-params.M * omega2, -2.0 * params.gamma]])
+        cells = np.diag([grid.dx, grid.dp])
+        inv = np.linalg.inv(cells) @ expm(-drift * h) @ cells  # Phi(h)^-1 in cell units
+        factors = _remap_factors(inv)
+        assert len(factors) == count
+        product = np.eye(2)
+        for axis, u, v in factors:
+            product = product @ (np.array([[u, v], [0.0, 1.0]]) if axis == 0 else np.array([[1.0, 0.0], [u, v]]))
+        np.testing.assert_allclose(product, inv, rtol=0, atol=1e-13 * np.abs(inv).max())
 
         shape = (grid.n_x, grid.n_p)
-        rows = np.broadcast_to(np.arange(grid.n_x, dtype=float)[:, None], shape)
-        cols = np.broadcast_to(np.arange(grid.n_p, dtype=float)[None, :], shape)
-        row_back = rows - grid.p[None, :] * h / (params.M * grid.dx)
-        force = np.zeros(grid.n_x) if potential is None else params.M * potential.omega0**2 * grid.x
-        growth = math.exp(2.0 * params.gamma * h)
-        p_back = grid.p[None, :] * growth + force[:, None] * math.expm1(2.0 * params.gamma * h) / (2.0 * params.gamma)
-        col_back = (p_back - grid.p_min) / grid.dp - 0.5
-        cases = [(advect_x, np.stack([row_back, cols]), 1.0, row_back, grid.n_x),
-                 (drift_p, np.stack([rows, col_back]), growth, col_back, grid.n_p)]
-
+        x, p = np.meshgrid(grid.x / grid.dx, grid.p / grid.dp, indexing="ij")
+        rows, cols = np.indices(shape, dtype=float)
+        remaps = _remaps(grid, inv, {n: _spline_prefilter(n) for n in set(shape)})
         rng = np.random.default_rng(11)
-        for substep, coords, jacobian, back, n in cases:
+        for remap, (axis, u, v) in zip(remaps, factors):
+            back = u * x + v * p - (x if axis == 0 else p)  # departure minus arrival, in cells
+            coords = np.stack([rows + back, cols] if axis == 0 else [rows, cols + back])
             # departure points inside, outside, and within one cell of either edge
-            assert (back < 0).any() and (back > n - 1).any()
-            assert ((back >= 0) & (back < 1)).any() and ((back > n - 2) & (back <= n - 1)).any()
+            depart, n = coords[axis], shape[axis]
+            assert (depart < 0).any() and (depart > n - 1).any()
+            assert ((depart >= 0) & (depart < 1)).any() and ((depart > n - 2) & (depart <= n - 1)).any()
             for _ in range(3):
                 w = rng.standard_normal(shape)
-                expected = jacobian * map_coordinates(w, coords, order=3, mode="constant", cval=0.0, prefilter=True)
-                assert np.max(np.abs(substep(w) - expected)) <= 1e-13 * np.max(np.abs(w))
+                expected = map_coordinates(w, coords, order=3, mode="constant", cval=0.0, prefilter=True)
+                assert np.max(np.abs(remap(w) - expected)) <= 1e-13 * np.max(np.abs(w))
 
 
 class TestClosedFormTransport:
@@ -217,7 +224,7 @@ class TestClosedFormTransport:
         sched = KernelSchedule.markov(free_params())
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=16.0, p_half_width=8.0, n_x=256, n_p=256)
         t = 1.5
-        evo = evolve_wigner_pde(grid, sched, t_end=t, sample_times=[0.0, t])
+        evo = evolve_wigner_pde(grid, sched, [0.0, t])
         mend = evo.moments[-1]
         assert mend[(2, 0)] == pytest.approx(1.0 + t * t, abs=5e-6)
         assert mend[(1, 1)] == pytest.approx(t, abs=5e-6)
@@ -236,7 +243,7 @@ class TestClosedFormTransport:
         pot = HarmonicPotential(omega0=1.0)
         grid = PhaseSpaceGrid.gaussian(1.5, 0.7, 0.0, x_half_width=12.0, p_half_width=12.0, n_x=192, n_p=192)
         tgrid = np.linspace(0.0, np.pi, 9)
-        evo = evolve_wigner_pde(grid, sched, potential=pot, t_end=float(np.pi), sample_times=tgrid)
+        evo = evolve_wigner_pde(grid, sched, tgrid, potential=pot)
         m20 = evo.moment(2, 0)
         expected = 1.5 * np.cos(evo.times) ** 2 + 0.7 * np.sin(evo.times) ** 2
         np.testing.assert_allclose(m20, expected, atol=5e-3)
@@ -251,7 +258,7 @@ class TestAgainstMomentOde:
         sched = KernelSchedule.markov(params)
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=12.0, p_half_width=7.0, n_x=128, n_p=128)
         tgrid = np.linspace(0.0, 1.0, 5)
-        evo = evolve_wigner_pde(grid, sched, t_end=1.0, sample_times=tgrid)
+        evo = evolve_wigner_pde(grid, sched, tgrid)
         traj = evolve_moments(MomentState.gaussian(1.0, 1.0, 0.0), sched, evo.times)
         scale = np.sqrt(traj.moment(2, 0) * traj.moment(0, 2))
         # measured scheme error at this reduced resolution is ~1e-3 (the
@@ -265,48 +272,57 @@ class TestAgainstMomentOde:
         assert evo.eps_neg < 1e-8
 
     def test_relaxation_at_the_transport_step(self):
-        # the benchmark's relaxation case: 8 steps of dt = 3.75e-3, five times
-        # the step the explicit diffusion bound used to allow. Stated
-        # tolerances, against the moment ODE and against the explicit scheme
-        # (41 steps) this solver replaced, whose final values are the constants below
+        # the benchmark's relaxation case: 8 intervals of 3.75e-3, each one map.
+        # Stated tolerances against the moment ODE: 1e-6 for every moment of
+        # order 2 and 4 (relative, floored at 1e-3 of the spread scale), 1e-8
+        # for the mass; measured 7e-8, 3.6e-7 and 1.1e-9
         params = ModelParams(M=1.0, gamma=0.25, kT=1.0, hbar=1.0)
         sched = KernelSchedule.markov(params)
         grid = PhaseSpaceGrid.gaussian(1.0, 0.9, 0.0, x_half_width=14.0, p_half_width=7.0, n_x=256, n_p=256)
         tgrid = np.linspace(0.0, 0.03, 9)
-        evo = evolve_wigner_pde(grid, sched, t_end=0.03, sample_times=tgrid)
+        evo = evolve_wigner_pde(grid, sched, tgrid)
         assert evo.n_steps == 8
         assert evo.mass_drift() < 1e-8
-        assert evo.eps_neg < 1e-20
+        assert evo.eps_neg < 1e-14
         traj = evolve_moments(MomentState.gaussian(1.0, 0.9, 0.0), sched, evo.times)
         scale = np.sqrt(traj.moment(2, 0) * traj.moment(0, 2))
-        for key in [(2, 0), (1, 1), (0, 2)]:
-            rel = np.abs(evo.moment(*key) - traj.moment(*key)) / np.maximum(np.abs(traj.moment(*key)), 1e-3 * scale)
-            assert np.max(rel) < 1e-5, key
+        for key in [(2, 0), (1, 1), (0, 2), (4, 0), (0, 4)]:
+            floor = 1e-3 * scale ** (sum(key) // 2)
+            rel = np.abs(evo.moment(*key) - traj.moment(*key)) / np.maximum(np.abs(traj.moment(*key)), floor)
+            assert np.max(rel) < 1e-6, key
 
-        explicit = {(2, 0): 1.0008068537644652, (1, 1): 0.026842839753691488, (0, 2): 0.9029554380620357,
-                    (4, 0): 3.0048429584711207, (0, 4): 2.4460726749275166}
-        final = evo.moments[-1]
-        assert abs(evo.masses[-1] - 1.000000000010906) < 1e-8
-        for key in [(2, 0), (0, 2)]:
-            assert final[key] == pytest.approx(explicit[key], rel=1e-6), key
-        assert abs(final[(1, 1)] - explicit[(1, 1)]) < 1e-6 * scale[-1]
-        for key in [(4, 0), (0, 4)]:
-            assert final[key] == pytest.approx(explicit[key], rel=1e-5), key
+    def test_indefinite_sigma_tracks_moment_ode(self):
+        # (xi, eta, omega) = (8, 2, 1) makes Sigma indefinite over these
+        # intervals, and the smoothing grows the highest modes by up to 1.09;
+        # the stepper ran this kernel only below its mixed-term bound (and was
+        # off by 1.2e-3 in m11 and 1.3e-2 in m04 here). Stated tolerance: 1e-3
+        # relative for the moments of order 2 and 4 and for the mass, the
+        # criterion-9 tolerance of the finer Markov run; measured at most
+        # 1.2e-4, 3.6e-4 and 1.3e-5
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=8.0, p_half_width=12.0, n_x=64, n_p=64)
+        tgrid = np.linspace(0.0, 0.1, 9)
+        evo = evolve_wigner_pde(grid, colored_schedule(), tgrid)
+        traj = evolve_moments(MomentState.gaussian(1.0, 1.0, 0.0), colored_schedule(), tgrid)
+        scale = np.sqrt(traj.moment(2, 0) * traj.moment(0, 2))
+        for key in [(2, 0), (1, 1), (0, 2), (4, 0), (0, 4)]:
+            floor = 1e-3 * scale ** (sum(key) // 2)
+            rel = np.abs(evo.moment(*key) - traj.moment(*key)) / np.maximum(np.abs(traj.moment(*key)), floor)
+            assert np.max(rel) < 1e-3, key
+        assert evo.mass_drift() < 1e-3
+        assert evo.eps_neg < 1e-8
 
     def test_non_markovian_cross_term_changes_the_flow(self, nm_9904):
         # a visible cross-diffusion coefficient must steer m11 away from the
         # Markovian track (regression against silently dropping the term);
         # minute-scale rates need long horizons, so rescale eta and omega up
-        from qbmarket import NonMarkovParams
-
         params = ModelParams(M=1.0, gamma=0.25, kT=1.0, hbar=1.0)
         nm = NonMarkovParams(xi=0.6, eta=2.0, omega=1.0)
         markov = KernelSchedule.markov(params)
         colored = KernelSchedule.non_markov(params, nm)
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, x_half_width=12.0, p_half_width=8.0, n_x=128, n_p=128)
         tgrid = np.linspace(0.0, 0.8, 3)
-        evo_m = evolve_wigner_pde(grid, markov, t_end=0.8, sample_times=tgrid)
-        evo_c = evolve_wigner_pde(grid, colored, t_end=0.8, sample_times=tgrid)
+        evo_m = evolve_wigner_pde(grid, markov, tgrid)
+        evo_c = evolve_wigner_pde(grid, colored, tgrid)
         traj_c = evolve_moments(MomentState.gaussian(1.0, 1.0, 0.0), colored, tgrid)
         gap = abs(evo_c.moment(1, 1)[-1] - evo_m.moment(1, 1)[-1])
         assert gap > 1e-3
