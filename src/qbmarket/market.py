@@ -102,7 +102,9 @@ class PriceSeries:
         A price that exp takes out of the positive finite range is a numerical
         failure of the generator, not bad data."""
         close = np.exp(log_price)
-        for i in np.flatnonzero(~((close > 0) & (close < math.inf)))[:1]:
+        bad = np.flatnonzero(~((close > 0) & (close < math.inf)))
+        if bad.size:
+            i = bad[0]
             raise NumericalError(f"synthetic price of bar {i} is {close[i]:g}, outside the positive finite range "
                                  f"(log price {log_price[i]:.6g})")
         times = SYNTH_START_MINUTE + np.arange(len(log_price), dtype=np.int64) * dt_minutes

@@ -247,19 +247,12 @@ class TestSimulate:
         assert capsys.readouterr().err == f"usage error: {named}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_pde_refuses_a_time_step(self, tmp_path, capsys, source):
+    def test_pde_refuses_a_time_step(self, tmp_path, capsys):
         # the phase-space engine used to take --dt as its step; its maps are exact per interval
-        argv = ["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.03,
-                "--out-prefix", tmp_path / "p"]
-        if source == "flag":
-            argv += ["--dt", 0.03 / 7]
-        else:
-            (tmp_path / "run.cfg").write_text("dt = 0.004\n")
-            argv += ["--config", tmp_path / "run.cfg"]
-        assert run(argv) == 1
+        assert run(["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 16, "--np", 16, "--t-end", 0.03,
+                    "--dt", 0.03 / 7, "--out-prefix", tmp_path / "p"]) == 1
         assert capsys.readouterr().err == f"usage error: {self.PDE_HAS_NO_STEP}\n"
-        assert [p.name for p in tmp_path.iterdir()] == ([] if source == "flag" else ["run.cfg"])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--nx", "--np"])
     def test_small_grid_names_the_flag(self, tmp_path, capsys, flag):

@@ -308,6 +308,18 @@ class TestExactPropagation:
         assert np.all(np.triu(g, 1) == 0.0)
         assert np.any(np.triu(a + b + c, 1) != 0.0)  # as stored, it is not
 
+    def test_harmonic_generator_exponential_matches_scipy(self):
+        # the harmonic force is the one coupling that breaks the triangular
+        # order, so _expm must take such a matrix without its triangular fix-ups
+        from scipy.linalg import expm
+
+        a, b, c = _generator_matrices(0.7, 0.25, omega0=1.3)
+        g = (a + 2.0 * b - 0.5 * c)[np.ix_(_TRIANGULAR, _TRIANGULAR)]
+        assert np.any(np.triu(g, 1) != 0.0)
+        for h in (0.01, 1.0, 30.0):
+            ref = expm(g * h)
+            assert np.max(np.abs(_expm(g * h) - ref)) <= 1e-12 * np.max(np.abs(ref)), h
+
     @pytest.mark.parametrize("case", list(constant_coefficient_cases()))
     def test_matches_dop853_reference(self, case):
         # within 1e-8 of each moment's largest value on the grid; the largest

@@ -92,6 +92,13 @@ class TestStability:
                                                  r"the growth bound 10"):
             evolve_wigner_pde(grid, colored_schedule(), np.linspace(0.0, 1.0, 9))
 
+    @pytest.mark.parametrize("times", [[0.0], [0.5, 1.0], [0.0, 0.5, 0.5], [[0.0, 1.0]]],
+                             ids=["one", "late-start", "repeated", "2-d"])
+    def test_time_grid_is_checked(self, times):
+        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=16, n_p=16)
+        with pytest.raises(ValueError, match="the time grid must"):
+            evolve_wigner_pde(grid, KernelSchedule.markov(free_params()), times)
+
     def test_narrow_grid_rejected(self):
         # 6 sigma: normalized within tolerance but boundary density above 1e-10
         sched = KernelSchedule.markov(free_params())
@@ -145,13 +152,6 @@ class TestDiffusionSubstep:
         assert evo.dt == np.diff(tgrid).max()
         assert np.array_equal(evo.times, tgrid)
         assert evo.negative_fractions.shape == tgrid.shape and evo.eps_neg == evo.negative_fractions.max()
-
-    @pytest.mark.parametrize("times", [[0.0], [0.5, 1.0], [0.0, 0.5, 0.5], [[0.0, 1.0]]],
-                             ids=["one", "late-start", "repeated", "2-d"])
-    def test_time_grid_is_checked(self, times):
-        grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=16, n_p=16)
-        with pytest.raises(ValueError, match="the time grid must"):
-            evolve_wigner_pde(grid, KernelSchedule.markov(free_params()), times)
 
 
 class TestSplinePrefilter:
