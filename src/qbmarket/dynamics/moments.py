@@ -251,6 +251,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _interval_key(h: float) -> float:
+    """h to 12 digits: intervals with one key share a propagator (``np.linspace``'s differ in the last bits)."""
+    return float(f"{h:.12g}")
+
+
 def _propagate(gen: np.ndarray, t: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Exact solution of y' = gen y on the grid t from y(t[0]) = y0, one row
     per time: one propagator exp(gen h) per distinct interval h of the grid."""
@@ -261,9 +266,10 @@ def _propagate(gen: np.ndarray, t: np.ndarray, y0: np.ndarray) -> np.ndarray:
     ys = np.empty((len(t), len(y0)), dtype=gen.dtype)
     ys[0] = y = y0
     for k, h in enumerate(steps, 1):
-        if h not in propagators:
-            propagators[h] = _expm(gen * h)
-        ys[k] = y = propagators[h] @ y
+        key = _interval_key(h)
+        if key not in propagators:
+            propagators[key] = _expm(gen * h)
+        ys[k] = y = propagators[key] @ y
     return ys
 
 

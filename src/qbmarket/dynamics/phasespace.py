@@ -13,9 +13,11 @@ Rev. Mod. Phys. 17 (1945) 323). Phi and Sigma are the first- and second-order
 blocks of the moment propagator, in grid cells, started from a point mass at t.
 
 The move, W(Phi^-1 z) |det Phi^-1|, is two or three remaps along one axis,
-built once per distinct interval: each cell takes the cubic B-spline
-interpolant at its departure point (4 taps of the spline coefficients, which a
-closed-form prefilter matrix gives per axis length; 0 outside the grid).
+built once per distinct interval, each the transpose of cubic B-spline
+interpolation at the cells' arrival points: it keeps the mass and the moments
+through order three exactly, however the damping compresses p. An interval
+that compresses the area by more than e^MAX_LOG_COMPRESSION is split into equal
+maps, so the density stays resolved between the remaps and the smoothing.
 
 The smoothing multiplies the density's 2-D real FFT by the Gaussian's
 exp(-k^T Sigma k / 2) with k and k^2 replaced by the symbols of the
@@ -40,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import StabilityError
-from .moments import KernelSchedule, MomentState, _closed_system, _expm, _time_grid
+from .moments import KernelSchedule, MomentState, _closed_system, _expm, _interval_key, _time_grid
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -52,8 +54,9 @@ __all__ = [
 
 # Declared normalization tolerance for a valid grid.
 NORMALIZATION_TOL = 1e-6
-# Negative densities down to this fraction of the peak are tolerated (tracked,
-# not clipped).
+# Negative densities down to this fraction of the peak are the overshoot scale
+# (tracked, not clipped) at 8 or more cells per standard deviation, where at most
+# 2e-11 was seen; 2 or 4 cells reach 2.6e-5 (16^2) or 3.8e-6 (32^2).
 NEGATIVE_TOL = 1e-8
 # Initial boundary-mass precondition and the runtime abort level.
 BOUNDARY_INIT_FRACTION = 1e-10
@@ -61,6 +64,10 @@ BOUNDARY_ABORT_FRACTION = 1e-6
 # Largest factor by which one interval's smoothing may grow a grid mode. Only an
 # indefinite Sigma grows one, and what it grows at the highest modes is roundoff.
 GROWTH_LIMIT = 10.0
+# Largest log of one map's area compression e^{2 gamma h}; longer intervals are
+# split. The remaps squeeze the density before the smoothing widens it again,
+# and one squeezed below a cell spreads into cells that take nothing (_cubic_shift).
+MAX_LOG_COMPRESSION = 0.5
 
 
 @dataclass(frozen=True)
@@ -203,18 +210,12 @@ class WignerEvolution:
     masses: np.ndarray
     negative_fractions: np.ndarray
     final: PhaseSpaceGrid
+    n_steps: int  # maps applied
+    dt: float  # the longest span of one map
 
     @property
     def eps_neg(self) -> float:  # the run's largest negative fraction
         return float(self.negative_fractions.max())
-
-    @property
-    def n_steps(self) -> int:  # maps applied, one per interval
-        return len(self.times) - 1
-
-    @property
-    def dt(self) -> float:  # the longest interval
-        return float(np.diff(self.times).max())
 
     def moment(self, j: int, k: int) -> np.ndarray:
         return np.array([s[(j, k)] for s in self.moments])
@@ -276,19 +277,25 @@ def _cubic_shift(
     axis: int,
     shape: tuple[int, int],
     prefilter: tuple[np.ndarray, np.ndarray],
+    inflow: np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Precomputed semi-Lagrangian remap along one axis.
+    """Precomputed remap along one axis: the transpose of ``map_coordinates(order=3,
+    mode="constant", cval=0.0, prefilter=True)`` at the arrival points k + offset
+    of the cells k (``offset`` broadcasts to ``shape``), then 0 where ``inflow`` is
+    False (the departure point is off the grid: nothing enters from there).
 
-    Cell k (counted along ``axis``) takes the cubic B-spline interpolant of the
-    density at the departure point k + offset; ``offset`` broadcasts to
-    ``shape``. ``prefilter`` is ``_spline_prefilter`` of the
-    axis length: it turns the density into spline coefficients that are
-    mirror-extended past the edges. Departure points outside [0, n-1] give 0.
-    The result is that of ``map_coordinates(order=3, mode="constant",
-    cval=0.0, prefilter=True)`` when the other coordinate is the cell's own
-    index, to roundoff.
+    Each cell spreads over the spline coefficients of the four cells nearest its
+    arrival point with the B-spline weights (folded back at the edges, dropped
+    outside [0, n-1]), and the transposed ``prefilter`` (``_spline_prefilter`` of
+    the axis length) turns them into cell values. A sum of f(k) times the result
+    is the sum of the cells times the spline of f at their arrival points, so the
+    mass and the moments through order three are kept exactly however the axis is
+    compressed (sampling the spline at the departure points lost 1e-4 of the mass
+    per interval at two cells per standard deviation). What the transposed prefilter
+    spreads where ``inflow`` is False, a share of a density a cell or two wide, is lost.
     """
     n = shape[axis]
+    offset = np.atleast_2d(offset)
     base = np.floor(offset)
     t = offset - base
     s = 1.0 - t
@@ -299,23 +306,18 @@ def _cubic_shift(
     first = index + base.astype(np.intp) - 1
     outside = (index + offset < 0) | (index + offset > n - 1)
     size = shape[0] * shape[1]
-    # flat indices of the four taps; outside points read the zero slot at `size`
+    # flat indices of the four taps; arrivals outside the grid go to the dropped slot `size`
     flat = np.empty((4,) + shape, dtype=np.int32)
     for k in range(4):
-        # taps of departure points inside the grid reach one cell past either edge
+        # taps of arrival points inside the grid reach one cell past either edge
         tap = np.abs(first + k)
         tap = np.where(tap < n, tap, 2 * n - 2 - tap)
         flat[k] = np.where(outside, size, tap * shape[1] + cols if axis == 0 else rows * shape[1] + tap)
-    # spline coefficients, then the zero slot
-    coeffs = np.zeros(size + 1)
-    grid_coeffs = coeffs[:size].reshape(shape)
+    transposed = (prefilter[0], np.ascontiguousarray(prefilter[1].T))
 
     def apply(w: np.ndarray) -> np.ndarray:
-        _spline_coefficients(prefilter, w, axis, grid_coeffs)
-        out = weights[0] * coeffs.take(flat[0])
-        for k in range(1, 4):
-            out += weights[k] * coeffs.take(flat[k])
-        return out
+        coeffs = sum(np.bincount(flat[k].ravel(), (weights[k] * w).ravel(), size + 1)[:size] for k in range(4))
+        return _spline_coefficients(transposed, coeffs.reshape(shape), axis, np.empty(shape)) * inflow
 
     return apply
 
@@ -348,31 +350,19 @@ def _remap_factors(inv: np.ndarray) -> list[tuple[int, float, float]]:
 def _remaps(
     grid: PhaseSpaceGrid, inv: np.ndarray, prefilter: dict[int, tuple[np.ndarray, np.ndarray]]
 ) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """The remaps that take W to W(inv z), inv in grid-cell units."""
+    """The remaps that take W to W(inv z) |det inv|, inv in grid-cell units."""
     shape = (grid.n_x, grid.n_p)
     x = (grid.x / grid.dx)[:, None]
     p = (grid.p / grid.dp)[None, :]
     remaps = []
     for axis, u, v in _remap_factors(inv):
-        along_x, along_p = (u - 1.0, v) if axis == 0 else (u, v - 1.0)
-        # a zero coefficient keeps the offset, and the weights, one-dimensional
+        depart = u * x + v * p - (x if axis == 0 else p)[0, 0]  # cell index of the departure point
+        # the departure coordinate u x + v p inverted: the arrival point (one-dimensional if a coefficient is 0)
+        along_x, along_p = (1.0 / u - 1.0, -v / u) if axis == 0 else (-u / v, 1.0 / v - 1.0)
         offset = (along_x * x if along_x else 0.0) + (along_p * p if along_p else 0.0)
-        remaps.append(_cubic_shift(np.asarray(offset), axis, shape, prefilter[shape[axis]]))
+        n = shape[axis]
+        remaps.append(_cubic_shift(offset, axis, shape, prefilter[n], (depart >= 0) & (depart <= n - 1)))
     return remaps
-
-
-def _interval_map(
-    gen: np.ndarray, h: float, first: np.ndarray, grid: PhaseSpaceGrid, prefilter: dict
-) -> tuple[np.ndarray, float, list[Callable[[np.ndarray], np.ndarray]]]:
-    """(propagator exp(gen h), Jacobian |det Phi^-1|, remaps by Phi^-1) of one interval h;
-    ``first`` indexes the first-order moments, whose block of the propagator is Phi."""
-    step = gen * h
-    propagator = _expm(step) if np.all(np.isfinite(step)) else step
-    phi = propagator[np.ix_(first, first)].real
-    jacobian = 1.0 / np.linalg.det(phi)
-    if not (np.all(np.isfinite(propagator)) and math.isfinite(jacobian)):
-        raise StabilityError(f"phase-space flow over an interval of {h:.6g} is not finite")
-    return propagator, jacobian, _remaps(grid, np.linalg.inv(phi), prefilter)
 
 
 def evolve_wigner_pde(
@@ -384,13 +374,12 @@ def evolve_wigner_pde(
     """Evolve the phase-space density over an ascending grid of times starting
     at 0, the last of them the end, and record diagnostics at each one.
 
-    Each interval is one exact map: remaps by Phi(h)^-1, then the Gaussian
-    smoothing of Sigma. Intervals that agree to 12 significant digits (those
-    of ``np.linspace`` differ in their last bits) share one propagator and one
-    set of remaps. Aborts with a StabilityError if an interval's smoothing
-    would grow a grid mode by more than GROWTH_LIMIT, or if at any time the
-    density is not finite, substantial mass sits on the grid boundary or mass
-    has leaked.
+    Each interval is ceil(2 gamma h / MAX_LOG_COMPRESSION) equal exact maps
+    (one unless the damping is strong), each remaps by Phi^-1 and then the
+    Gaussian smoothing of Sigma; intervals with one ``moments._interval_key``
+    share them. Aborts with a StabilityError if an interval's smoothing would
+    grow a grid mode by more than GROWTH_LIMIT, or if at any time the density
+    is not finite, substantial mass sits on the grid boundary or mass leaked.
     """
     t = _time_grid(schedule, times)
     if grid.boundary_fraction() > BOUNDARY_INIT_FRACTION:
@@ -415,7 +404,8 @@ def evolve_wigner_pde(
     sxx, spp = ((30.0 - 32.0 * np.cos(k) + 2.0 * np.cos(2.0 * k)) / 12.0 for k in (kx, kp))
     quadratic = (-0.5 * sxx, -sx * sp, -0.5 * spp)
 
-    maps: dict[str, tuple] = {}
+    maps: dict[float, tuple] = {}
+    n_maps, longest = 0, 0.0
     w = grid.w
     moments: list[MomentState] = []
     masses: list[float] = []
@@ -423,23 +413,35 @@ def evolve_wigner_pde(
     for k, t_now in enumerate(t):
         if k:
             h = t_now - t[k - 1]
-            key = f"{h:.12g}"
+            key = _interval_key(h)
             if key not in maps:
-                maps[key] = _interval_map(gen, h, first, grid, prefilter)
-            propagator, jacobian, remaps = maps[key]
-            y = propagator @ y
-            factor = np.exp(sum(q * s for q, s in zip(quadratic, y[second].real)))
-            growth = factor.max()
+                m = max(1, math.ceil(2.0 * schedule.params.gamma * h / MAX_LOG_COMPRESSION))
+                if not np.all(np.isfinite(gen * h)):
+                    raise StabilityError(f"phase-space generator over an interval of {h:.6g} is not finite")
+                propagator = _expm(gen * (h / m))  # its block of the first-order moments is Phi
+                inv = np.linalg.inv(propagator[np.ix_(first, first)].real)
+                if not (np.all(np.isfinite(propagator)) and np.all(np.isfinite(inv))):
+                    raise StabilityError(f"phase-space flow over an interval of {h:.6g} is not finite")
+                maps[key] = (m, propagator, _remaps(grid, inv, prefilter))
+            m, propagator, remaps = maps[key]
+            factors = []
+            for _ in range(m):  # each map starts from a point mass
+                y = propagator @ y
+                factors.append(np.exp(sum(q * s for q, s in zip(quadratic, y[second].real))))
+                y = np.concatenate([y[:drivers], point])
+            growth = math.prod(factor.max() for factor in factors)
             if growth > GROWTH_LIMIT:
                 raise StabilityError(
                     f"smoothing over [{t[k - 1]:.6g}, {t_now:.6g}] grows the highest grid modes by {growth:.3g}, "
                     f"above the growth bound {GROWTH_LIMIT:g}: the cross diffusion makes Sigma indefinite there; "
                     "use a coarser grid or shorter intervals"
                 )
-            for remap in remaps:
-                w = remap(w)
-            w = np.fft.irfft2(np.fft.rfft2(w) * (jacobian * factor), s=shape)
-            y = np.concatenate([y[:drivers], point])  # the next interval starts from a point mass
+            for factor in factors:
+                for remap in remaps:
+                    w = remap(w)
+                w = np.fft.irfft2(np.fft.rfft2(w) * factor, s=shape)
+            n_maps += m
+            longest = max(longest, h / m)
         total = w.sum()  # any non-finite cell makes the sum non-finite
         if not math.isfinite(total):
             raise StabilityError(f"density blew up at t = {t_now:.6g}")
@@ -461,4 +463,4 @@ def evolve_wigner_pde(
     t = t.copy()
     t.setflags(write=False)
     return WignerEvolution(times=t, moments=tuple(moments), masses=np.asarray(masses),
-                           negative_fractions=np.asarray(negative), final=snap)
+                           negative_fractions=np.asarray(negative), final=snap, n_steps=n_maps, dt=longest)
