@@ -54,9 +54,8 @@ __all__ = [
 
 # Declared normalization tolerance for a valid grid.
 NORMALIZATION_TOL = 1e-6
-# Negative densities down to this fraction of the peak are the overshoot scale
-# (tracked, not clipped) at 8 or more cells per standard deviation, where at most
-# 2e-11 was seen; 2 or 4 cells reach 2.6e-5 (16^2) or 3.8e-6 (32^2).
+# Negative densities down to this fraction of the peak are the overshoot scale at 4 or more cells per
+# standard deviation (at most 2e-11 seen; 1 or 2 cells reach 2.6e-5 on 16^2, 3.8e-6 on 32^2); tracked, not clipped.
 NEGATIVE_TOL = 1e-8
 # Initial boundary-mass precondition and the runtime abort level.
 BOUNDARY_INIT_FRACTION = 1e-10
@@ -277,22 +276,21 @@ def _cubic_shift(
     axis: int,
     shape: tuple[int, int],
     prefilter: tuple[np.ndarray, np.ndarray],
-    inflow: np.ndarray,
+    depart: np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Precomputed remap along one axis: the transpose of ``map_coordinates(order=3,
-    mode="constant", cval=0.0, prefilter=True)`` at the arrival points k + offset
-    of the cells k (``offset`` broadcasts to ``shape``), then 0 where ``inflow`` is
-    False (the departure point is off the grid: nothing enters from there).
+    """Precomputed remap along one axis: the transpose of ``map_coordinates(order=3, mode="constant",
+    cval=0.0, prefilter=True)`` at the arrival points k + offset of the cells k, then 0 where the
+    departure point ``depart`` is off the grid: nothing enters from there (``offset`` and ``depart``,
+    in cells along ``axis``, broadcast to ``shape``).
 
-    Each cell spreads over the spline coefficients of the four cells nearest its
-    arrival point with the B-spline weights (folded back at the edges, dropped
-    outside [0, n-1]), and the transposed ``prefilter`` (``_spline_prefilter`` of
-    the axis length) turns them into cell values. A sum of f(k) times the result
-    is the sum of the cells times the spline of f at their arrival points, so the
-    mass and the moments through order three are kept exactly however the axis is
-    compressed (sampling the spline at the departure points lost 1e-4 of the mass
-    per interval at two cells per standard deviation). What the transposed prefilter
-    spreads where ``inflow`` is False, a share of a density a cell or two wide, is lost.
+    Each cell spreads over the spline coefficients of the four cells nearest its arrival point with
+    the B-spline weights (folded back at the edges, dropped outside [0, n-1]), and the transposed
+    ``prefilter`` (``_spline_prefilter`` of the axis length) turns them into cell values. A sum of
+    f(k) times the result is the sum of the cells times the spline of f at their arrival points, so
+    the mass and the moments through order three are kept exactly however the axis is compressed
+    (sampling the spline at the departure points lost 1e-4 of the mass per interval at two cells per
+    standard deviation). What the transposed prefilter spreads off those cells, a share of a density
+    a cell or two wide, is lost.
     """
     n = shape[axis]
     offset = np.atleast_2d(offset)
@@ -305,6 +303,7 @@ def _cubic_shift(
     index = rows if axis == 0 else cols
     first = index + base.astype(np.intp) - 1
     outside = (index + offset < 0) | (index + offset > n - 1)
+    inflow = (depart >= 0) & (depart <= n - 1)
     size = shape[0] * shape[1]
     # flat indices of the four taps; arrivals outside the grid go to the dropped slot `size`
     flat = np.empty((4,) + shape, dtype=np.int32)
@@ -313,11 +312,15 @@ def _cubic_shift(
         tap = np.abs(first + k)
         tap = np.where(tap < n, tap, 2 * n - 2 - tap)
         flat[k] = np.where(outside, size, tap * shape[1] + cols if axis == 0 else rows * shape[1] + tap)
-    transposed = (prefilter[0], np.ascontiguousarray(prefilter[1].T))
+    transposed = (prefilter[0], prefilter[1].T)
 
     def apply(w: np.ndarray) -> np.ndarray:
-        coeffs = sum(np.bincount(flat[k].ravel(), (weights[k] * w).ravel(), size + 1)[:size] for k in range(4))
-        return _spline_coefficients(transposed, coeffs.reshape(shape), axis, np.empty(shape)) * inflow
+        coeffs = np.bincount(flat[0].ravel(), (weights[0] * w).ravel(), size + 1)
+        for k in range(1, 4):
+            coeffs += np.bincount(flat[k].ravel(), (weights[k] * w).ravel(), size + 1)
+        out = _spline_coefficients(transposed, coeffs[:size].reshape(shape), axis, np.empty(shape))
+        out *= inflow
+        return out
 
     return apply
 
@@ -357,11 +360,9 @@ def _remaps(
     remaps = []
     for axis, u, v in _remap_factors(inv):
         depart = u * x + v * p - (x if axis == 0 else p)[0, 0]  # cell index of the departure point
-        # the departure coordinate u x + v p inverted: the arrival point (one-dimensional if a coefficient is 0)
-        along_x, along_p = (1.0 / u - 1.0, -v / u) if axis == 0 else (-u / v, 1.0 / v - 1.0)
-        offset = (along_x * x if along_x else 0.0) + (along_p * p if along_p else 0.0)
-        n = shape[axis]
-        remaps.append(_cubic_shift(offset, axis, shape, prefilter[n], (depart >= 0) & (depart <= n - 1)))
+        along_x, along_p = (1.0 / u - 1.0, -v / u) if axis == 0 else (-u / v, 1.0 / v - 1.0)  # u x + v p inverted
+        offset = (along_x * x if along_x else 0.0) + (along_p * p if along_p else 0.0)  # 1-D if a coefficient is 0
+        remaps.append(_cubic_shift(offset, axis, shape, prefilter[shape[axis]], depart))
     return remaps
 
 
@@ -377,9 +378,10 @@ def evolve_wigner_pde(
     Each interval is ceil(2 gamma h / MAX_LOG_COMPRESSION) equal exact maps
     (one unless the damping is strong), each remaps by Phi^-1 and then the
     Gaussian smoothing of Sigma; intervals with one ``moments._interval_key``
-    share them. Aborts with a StabilityError if an interval's smoothing would
-    grow a grid mode by more than GROWTH_LIMIT, or if at any time the density
-    is not finite, substantial mass sits on the grid boundary or mass leaked.
+    share them. Aborts with a StabilityError if an interval's flow or its area
+    compression e^{2 gamma h} is not finite, if its smoothing would grow a grid
+    mode by more than GROWTH_LIMIT, or if at any time the density is not finite,
+    substantial mass sits on the grid boundary or mass leaked.
     """
     t = _time_grid(schedule, times)
     if grid.boundary_fraction() > BOUNDARY_INIT_FRACTION:
@@ -405,7 +407,6 @@ def evolve_wigner_pde(
     quadratic = (-0.5 * sxx, -sx * sp, -0.5 * spp)
 
     maps: dict[float, tuple] = {}
-    n_maps, longest = 0, 0.0
     w = grid.w
     moments: list[MomentState] = []
     masses: list[float] = []
@@ -416,32 +417,29 @@ def evolve_wigner_pde(
             key = _interval_key(h)
             if key not in maps:
                 m = max(1, math.ceil(2.0 * schedule.params.gamma * h / MAX_LOG_COMPRESSION))
-                if not np.all(np.isfinite(gen * h)):
-                    raise StabilityError(f"phase-space generator over an interval of {h:.6g} is not finite")
+                if not np.all(np.isfinite(gen * h)) or m * MAX_LOG_COMPRESSION > np.log(np.finfo(float).max):
+                    raise StabilityError(f"phase-space flow over an interval of {h:.6g} is not finite")
                 propagator = _expm(gen * (h / m))  # its block of the first-order moments is Phi
                 inv = np.linalg.inv(propagator[np.ix_(first, first)].real)
                 if not (np.all(np.isfinite(propagator)) and np.all(np.isfinite(inv))):
                     raise StabilityError(f"phase-space flow over an interval of {h:.6g} is not finite")
                 maps[key] = (m, propagator, _remaps(grid, inv, prefilter))
             m, propagator, remaps = maps[key]
-            factors = []
+            growth = 1.0
             for _ in range(m):  # each map starts from a point mass
                 y = propagator @ y
-                factors.append(np.exp(sum(q * s for q, s in zip(quadratic, y[second].real))))
+                factor = np.exp(sum(q * s for q, s in zip(quadratic, y[second].real)))
                 y = np.concatenate([y[:drivers], point])
-            growth = math.prod(factor.max() for factor in factors)
-            if growth > GROWTH_LIMIT:
-                raise StabilityError(
-                    f"smoothing over [{t[k - 1]:.6g}, {t_now:.6g}] grows the highest grid modes by {growth:.3g}, "
-                    f"above the growth bound {GROWTH_LIMIT:g}: the cross diffusion makes Sigma indefinite there; "
-                    "use a coarser grid or shorter intervals"
-                )
-            for factor in factors:
+                growth *= factor.max()
+                if growth > GROWTH_LIMIT:
+                    raise StabilityError(
+                        f"smoothing over [{t[k - 1]:.6g}, {t_now:.6g}] grows the highest grid modes by {growth:.3g}, "
+                        f"above the growth bound {GROWTH_LIMIT:g}: the cross diffusion makes Sigma indefinite there; "
+                        "use a coarser grid or shorter intervals"
+                    )
                 for remap in remaps:
                     w = remap(w)
                 w = np.fft.irfft2(np.fft.rfft2(w) * factor, s=shape)
-            n_maps += m
-            longest = max(longest, h / m)
         total = w.sum()  # any non-finite cell makes the sum non-finite
         if not math.isfinite(total):
             raise StabilityError(f"density blew up at t = {t_now:.6g}")
@@ -462,5 +460,7 @@ def evolve_wigner_pde(
 
     t = t.copy()
     t.setflags(write=False)
+    spans = [(h, maps[_interval_key(h)][0]) for h in np.diff(t)]  # (interval, maps applied over it)
     return WignerEvolution(times=t, moments=tuple(moments), masses=np.asarray(masses),
-                           negative_fractions=np.asarray(negative), final=snap, n_steps=n_maps, dt=longest)
+                           negative_fractions=np.asarray(negative), final=snap,
+                           n_steps=sum(m for _, m in spans), dt=max(h / m for h, m in spans))
