@@ -62,7 +62,6 @@ from .model import (
     delta_limit,
     lambda_coefficient,
     lambda_limit,
-    markov_validity,
     minimal_uncertainty_momentum,
     normal_diffusion,
     spectral_density,

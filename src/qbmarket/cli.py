@@ -343,13 +343,13 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, str]]]:
         ("--t-end", "t_end", float, None, "end time (model time units)"),
         ("--points", "points", int, 101, "number of output times"),
         ("--n-paths", "n_paths", int, 100000, "SDE ensemble size"),
-        ("--dt", "dt", float, None, "SDE time step (sde mode only: pde has no time step)"),
+        ("--dt", "dt", float, None, "ignored: sde samples each output interval exactly (pde refuses it)"),
         ("--seed", "seed", int, None, "RNG seed (mandatory for sde; QBM_SEED fallback)"),
         ("--nx", "nx", int, 256, "grid cells along x"),
         ("--np", "np", int, 256, "grid cells along p"),
         ("--x-width", "x_width", float, None, "grid half-width in x (default 8 sqrt(<X^2>))"),
         ("--p-width", "p_width", float, None, "grid half-width in p (default 8 sqrt(<P^2>))"),
-        ("--potential", "potential", ("none", "harmonic"), "none", "potential for pde mode"),
+        ("--potential", "potential", ("none", "harmonic"), "none", "potential for moments and pde modes"),
         ("--omega0", "omega0", float, None, "harmonic potential frequency (1/time unit)"),
         ("--out-prefix", "out_prefix", str, None, "output prefix: writes <prefix>.csv and <prefix>.manifest.json"),
     ]
@@ -454,8 +454,10 @@ def cmd_simulate(cfg: dict) -> int:
     mode = cfg["mode"]
     if mode == "pde" and cfg.get("dt") is not None:
         raise ValueError("--dt is an sde flag: pde maps each output interval exactly, with no time step")
-    if mode == "sde" and cfg.get("dt") is not None and not cfg["dt"] > 0:
-        raise ValueError("--dt must be positive")
+    if mode == "sde":
+        if cfg.get("dt") is not None and not cfg["dt"] > 0:
+            raise ValueError("--dt must be positive")
+        del cfg["dt"]  # the sampler is exact in time: a step changes nothing, so it stays out of the digest
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
         schedule = KernelSchedule.non_markov(params, _nm_params(cfg))
@@ -476,11 +478,18 @@ def cmd_simulate(cfg: dict) -> int:
         cfg["seed"] = seed
     digest = _sha256_config(cfg)
 
+    potential = None
+    if cfg["potential"] == "harmonic":
+        if mode == "sde":
+            raise ValueError("--potential harmonic is not modelled in sde mode")
+        _require(cfg, "omega0")
+        potential = HarmonicPotential(cfg["omega0"])
+
     if mode == "moments":
         init = MomentState.gaussian(x2, p2, m11)
         if cfg.get("x4") is not None:
             init = init.with_value(4, 0, cfg["x4"])
-        traj = evolve_moments(init, schedule, times)
+        traj = evolve_moments(init, schedule, times, potential=potential)
         columns = {"t": traj.times, **{f"m{j}{k}": traj.moment(j, k) for (j, k) in MOMENT_KEYS},
                    "kurtosis_x": traj.kurtosis_x()}
     elif mode == "sde":
@@ -488,12 +497,10 @@ def cmd_simulate(cfg: dict) -> int:
             raise ValueError("sde mode requires --seed (or QBM_SEED)")
         if cfg["kernel"] != "markov":
             raise ValueError("sde mode supports only the markov kernel (no stochastic representation otherwise)")
-        if cfg.get("dt") is None:
-            raise ValueError("sde mode requires --dt")
         if cfg["n_paths"] < 1000:
             raise ValueError("--n-paths must be at least 1000")
         init = SecondMomentInit(sx2_0=x2, sp2_0=p2, spx_0=cfg["xp"])
-        ens = simulate_sde_markov(params, init, int(cfg["n_paths"]), cfg["dt"], t_end, seed, t_eval=times)
+        ens = simulate_sde_markov(params, init, int(cfg["n_paths"]), t_end / (len(times) - 1), t_end, seed)
         columns = {"t": ens.times}
         for (j, k) in MOMENT_KEYS[1:]:  # all but m00 = 1
             columns[f"m{j}{k}"] = ens.mean[(j, k)]
@@ -511,10 +518,6 @@ def cmd_simulate(cfg: dict) -> int:
             n_x=int(cfg["nx"]),
             n_p=int(cfg["np"]),
         )
-        potential = None
-        if cfg["potential"] == "harmonic":
-            _require(cfg, "omega0")
-            potential = HarmonicPotential(cfg["omega0"])
         evo = evolve_wigner_pde(grid, schedule, times, potential=potential)
         columns = {"t": evo.times, "mass": evo.masses}
         for (j, k) in [(2, 0), (1, 1), (0, 2), (4, 0), (0, 4)]:

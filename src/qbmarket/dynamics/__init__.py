@@ -3,6 +3,7 @@ oracle, and a phase-space PDE solver."""
 
 from .moments import (
     MOMENT_KEYS,
+    HarmonicPotential,
     KernelSchedule,
     MomentState,
     MomentTrajectory,
@@ -10,7 +11,6 @@ from .moments import (
 )
 from .montecarlo import EnsembleMoments, simulate_sde_markov
 from .phasespace import (
-    HarmonicPotential,
     PhaseSpaceGrid,
     WignerEvolution,
     evolve_wigner_pde,

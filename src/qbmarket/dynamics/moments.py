@@ -22,11 +22,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import IntegrationError, NumericalError
-from ..model import (ModelParams, NonMarkovParams, SecondMomentInit, _delta_prefactor, _lambda_prefactor,
+from ..model import (ModelParams, NonMarkovParams, _delta_prefactor, _lambda_prefactor,
                      _markov_diffusion, cross_diffusion, normal_diffusion)
 
 __all__ = [
     "MOMENT_KEYS",
+    "HarmonicPotential",
     "MomentState",
     "KernelSchedule",
     "MomentTrajectory",
@@ -116,11 +117,6 @@ class MomentState:
         m[(0, 4)] = 3.0 * sp2**2
         return cls(m)
 
-    @classmethod
-    def from_init(cls, init: SecondMomentInit) -> "MomentState":
-        """Gaussian state matching a SecondMomentInit (spx_0 is <XP+PX>)."""
-        return cls.gaussian(init.sx2_0, init.sp2_0, init.spx_0 / 2.0)
-
     def with_value(self, j: int, k: int, value: float) -> "MomentState":
         m = dict(self.m)
         m[(j, k)] = float(value)
@@ -132,6 +128,17 @@ class MomentState:
         if not sx2 > 0:
             raise ValueError("vanishing coordinate variance")
         return self.m[(4, 0)] / sx2**2 - 3.0
+
+
+@dataclass(frozen=True)
+class HarmonicPotential:
+    """Harmonic well 0.5 M omega0^2 x^2 (force enters the p characteristics)."""
+
+    omega0: float
+
+    def __post_init__(self) -> None:
+        if not self.omega0 > 0:
+            raise ValueError("omega0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -336,8 +343,10 @@ def _closed_system(
     return g, y
 
 
-def evolve_moments(init: MomentState, schedule: KernelSchedule, t_grid: Sequence[float]) -> MomentTrajectory:
-    """Evolve the moments over an ascending grid starting at 0.
+def evolve_moments(
+    init: MomentState, schedule: KernelSchedule, t_grid: Sequence[float], potential: HarmonicPotential | None = None
+) -> MomentTrajectory:
+    """Evolve the moments over an ascending grid starting at 0, free or in a harmonic well.
 
     The state is nondimensionalized internally (x and p scaled by the initial
     spread and the larger of the initial and equilibrium momentum spread), and
@@ -351,7 +360,8 @@ def evolve_moments(init: MomentState, schedule: KernelSchedule, t_grid: Sequence
     x_scale = math.sqrt(init[(2, 0)])
     p_scale = math.sqrt(max(init[(0, 2)], p.M * p.kT))
     scale = np.array([x_scale**j * p_scale**k for (j, k) in MOMENT_KEYS])
-    g, y = _closed_system(schedule, x_scale, p_scale, (init.vector() / scale)[_TRIANGULAR])
+    omega0 = potential.omega0 if potential else 0.0
+    g, y = _closed_system(schedule, x_scale, p_scale, (init.vector() / scale)[_TRIANGULAR], omega0=omega0)
     ys = _propagate(g, t, y)[:, -_N:].real[:, np.argsort(_TRIANGULAR)]
 
     states = []

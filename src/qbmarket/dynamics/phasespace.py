@@ -42,11 +42,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import StabilityError
-from .moments import KernelSchedule, MomentState, _closed_system, _expm, _interval_key, _time_grid
+from .moments import HarmonicPotential, KernelSchedule, MomentState, _closed_system, _expm, _interval_key, _time_grid
 
 __all__ = [
     "PhaseSpaceGrid",
-    "HarmonicPotential",
     "WignerEvolution",
     "grid_moments",
     "evolve_wigner_pde",
@@ -67,17 +66,6 @@ GROWTH_LIMIT = 10.0
 # split. The remaps squeeze the density before the smoothing widens it again,
 # and one squeezed below a cell spreads into cells that take nothing (_cubic_shift).
 MAX_LOG_COMPRESSION = 0.5
-
-
-@dataclass(frozen=True)
-class HarmonicPotential:
-    """Harmonic well 0.5 M omega0^2 x^2 (force enters the p characteristics)."""
-
-    omega0: float
-
-    def __post_init__(self) -> None:
-        if not self.omega0 > 0:
-            raise ValueError("omega0 must be positive")
 
 
 def _boundary_fraction(w: np.ndarray, total: float) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "SecondMomentInit",
     "NonMarkovParams",
     "BathSpectrum",
-    "MARKOV_WARN_RATIO",
     "acf_model",
     "normal_diffusion",
     "cross_diffusion",
@@ -37,13 +36,8 @@ __all__ = [
     "variance_closed_form",
     "variance_short_time",
     "classical_variance",
-    "markov_validity",
     "minimal_uncertainty_momentum",
 ]
-
-# Default warning threshold for the Markov-validity ratio: an order of
-# magnitude of margin on "much smaller than one".
-MARKOV_WARN_RATIO = 0.1
 
 # Below eta*t = 1e-6 the cross-diffusion coefficient is evaluated by its
 # second-order Taylor expansion; the direct expression is a difference of
@@ -112,15 +106,6 @@ class SecondMomentInit:
             raise ValueError("sx2_0 must be positive")
         if not self.sp2_0 > 0:
             raise ValueError("sp2_0 must be positive")
-
-    def is_quantum_admissible(self, hbar: float) -> bool:
-        """Heisenberg bound sx2_0 * sp2_0 >= hbar^2 / 4, up to rounding."""
-        return self.sx2_0 * self.sp2_0 >= hbar**2 / 4.0 * (1.0 - 1e-12)
-
-    @classmethod
-    def minimal_uncertainty(cls, params: ModelParams, sx2_0: float) -> "SecondMomentInit":
-        """Minimal-uncertainty state: sp2_0 = hbar^2 / (4 sx2_0), no cross term."""
-        return cls(sx2_0=sx2_0, sp2_0=minimal_uncertainty_momentum(params, sx2_0), spx_0=0.0)
 
 
 @dataclass(frozen=True)
@@ -309,32 +294,38 @@ def spectral_density(params: ModelParams, spec: BathSpectrum, omega) -> float | 
     return _like_input(out, omega)
 
 
+def _thermal_spread(gamma: float, t: np.ndarray) -> np.ndarray:
+    """(x - u - u^2/2) / gamma^2 with x = 2 gamma t and u = 1 - e^{-x}: the
+    coordinate variance that thermal noise of unit kT/(2 M) builds up over t.
+
+    The bracket equals sum_{n>=3} u^n / n, which is summed directly below
+    u = 0.1, where the difference of the three terms would lose most of its
+    digits (and could turn negative). There the 1/gamma^2 goes in as
+    (u/gamma)^2, which tends to (2t)^2 as gamma -> 0, so no factor overflows
+    or underflows at tiny gamma.
+    """
+    x = 2.0 * gamma * t
+    u = -np.expm1(-x)
+    series = np.zeros_like(u)
+    for n in range(20, 2, -1):  # Horner form of sum_{n=3}^{20} u^(n-2) / n; u^18 < 1e-18
+        series = u * (series + 1.0 / n)
+    series *= (u / gamma) ** 2
+    return np.where(u < 0.1, series, (x - u - 0.5 * u**2) / gamma / gamma)
+
+
 def variance_closed_form(params: ModelParams, init: SecondMomentInit, t) -> float | np.ndarray:
     """Exact coordinate variance of the damped free model.
 
     Reduces to the initial value at t = 0; for gamma*t >> 1 the variance grows
     at the classical rate kT/(M gamma) per unit time on top of the floor set
-    by the initial momentum spread.
-
-    The thermal term is kT/(2 M gamma^2) (x - u - u^2/2) with x = 2 gamma t and
-    u = 1 - e^{-x}. That bracket equals sum_{n>=3} u^n / n, which is summed
-    directly below u = 0.1, where the difference of the three terms would lose
-    most of its digits (and could turn negative). There the 1/gamma^2 goes in
-    as (u/gamma)^2, which tends to (2t)^2 as gamma -> 0, so no factor
-    overflows or underflows at tiny gamma.
+    by the initial momentum spread. The thermal term is kT/(2 M) times
+    :func:`_thermal_spread`.
     """
     tt = _as_nonnegative(t, "t")
-    g, M, kT = params.gamma, params.M, params.kT
-    x = 2.0 * g * tt
-    u = -np.expm1(-x)
-    u_g = u / g
-    relax = u_g / (2.0 * M)
-    series = np.zeros_like(u)
-    for n in range(20, 2, -1):  # Horner form of sum_{n=3}^{20} u^(n-2) / n; u^18 < 1e-18
-        series = u * (series + 1.0 / n)
-    series *= u_g**2
-    thermal = np.where(u < 0.1, series, (x - u - 0.5 * u**2) / g / g)
-    out = init.sx2_0 + relax**2 * init.sp2_0 + relax * init.spx_0 + (kT / (2.0 * M)) * thermal
+    g, M = params.gamma, params.M
+    relax = -np.expm1(-2.0 * g * tt) / g / (2.0 * M)
+    thermal = (params.kT / (2.0 * M)) * _thermal_spread(g, tt)
+    out = init.sx2_0 + relax**2 * init.sp2_0 + relax * init.spx_0 + thermal
     return _like_input(out, t)
 
 
@@ -362,21 +353,6 @@ def classical_variance(params: ModelParams, t) -> float | np.ndarray:
     tt = _as_nonnegative(t, "t")
     out = (params.kT / (params.M * params.gamma)) * tt
     return _like_input(out, t)
-
-
-def markov_validity(params: ModelParams, cutoff: float) -> float:
-    """Ratio of the slower environment time scale (bath cutoff or thermal) to
-    the relaxation time: max(1/cutoff, hbar/(2 pi kT)) * gamma.
-
-    The Markovian description is trustworthy when the ratio is well below one;
-    callers conventionally warn above :data:`MARKOV_WARN_RATIO`.
-    """
-    if not cutoff > 0:
-        raise ValueError("cutoff must be positive")
-    if not params.kT > 0:
-        raise ValueError("markov_validity requires kT > 0 (thermal time undefined)")
-    thermal_time = params.hbar / (2.0 * math.pi * params.kT)
-    return max(1.0 / cutoff, thermal_time) * params.gamma
 
 
 def minimal_uncertainty_momentum(params: ModelParams, sx2_0: float) -> float:

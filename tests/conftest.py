@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qbmarket import ModelParams, NonMarkovParams, SecondMomentInit
+from qbmarket import ModelParams, NonMarkovParams, SecondMomentInit, minimal_uncertainty_momentum
 from qbmarket.dynamics import MomentState
 from qbmarket.dynamics.moments import MOMENT_KEYS, _generator_matrices
 
@@ -30,7 +30,7 @@ def variance_params() -> ModelParams:
 
 @pytest.fixture
 def variance_init(variance_params) -> SecondMomentInit:
-    return SecondMomentInit.minimal_uncertainty(variance_params, 1e-7)
+    return minimal_uncertainty(variance_params, 1e-7)
 
 
 @pytest.fixture
@@ -61,3 +61,38 @@ def moment_derivative(state: MomentState, params: ModelParams, D: float, L: floa
     a_mat, b_mat, c_mat = _generator_matrices(params.M, params.gamma)
     rates = (a_mat + D * b_mat + L * c_mat) @ state.vector()
     return dict(zip(MOMENT_KEYS, map(float, rates)))
+
+
+# Default warning threshold for the Markov-validity ratio: an order of
+# magnitude of margin on "much smaller than one".
+MARKOV_WARN_RATIO = 0.1
+
+
+def markov_validity(params: ModelParams, cutoff: float) -> float:
+    """Ratio of the slower environment time scale (bath cutoff or thermal) to
+    the relaxation time: max(1/cutoff, hbar/(2 pi kT)) * gamma.
+
+    The Markovian description is trustworthy when the ratio is well below one;
+    callers conventionally warn above MARKOV_WARN_RATIO.
+    """
+    if not cutoff > 0:
+        raise ValueError("cutoff must be positive")
+    if not params.kT > 0:
+        raise ValueError("markov_validity requires kT > 0 (thermal time undefined)")
+    thermal_time = params.hbar / (2.0 * math.pi * params.kT)
+    return max(1.0 / cutoff, thermal_time) * params.gamma
+
+
+def is_quantum_admissible(init: SecondMomentInit, hbar: float) -> bool:
+    """Heisenberg bound sx2_0 * sp2_0 >= hbar^2 / 4, up to rounding."""
+    return init.sx2_0 * init.sp2_0 >= hbar**2 / 4.0 * (1.0 - 1e-12)
+
+
+def minimal_uncertainty(params: ModelParams, sx2_0: float) -> SecondMomentInit:
+    """Minimal-uncertainty state: sp2_0 = hbar^2 / (4 sx2_0), no cross term."""
+    return SecondMomentInit(sx2_0=sx2_0, sp2_0=minimal_uncertainty_momentum(params, sx2_0), spx_0=0.0)
+
+
+def moment_state(init: SecondMomentInit) -> MomentState:
+    """Gaussian moments matching a SecondMomentInit (spx_0 is <XP+PX>)."""
+    return MomentState.gaussian(init.sx2_0, init.sp2_0, init.spx_0 / 2.0)

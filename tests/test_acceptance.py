@@ -47,7 +47,7 @@ from qbmarket.dynamics import (
 )
 from qbmarket.market import AcfEstimate, ReturnSeries, SYNTH_START_MINUTE
 
-from conftest import FIT_TRIPLES, linear_fit_r2
+from conftest import FIT_TRIPLES, linear_fit_r2, moment_state
 
 
 @contextmanager
@@ -120,7 +120,7 @@ def test_criterion_2_moment_ode_matches_closed_form_randomized():
             spx = 2.0 * rho * math.sqrt(sx2 * sp2)
             init = SecondMomentInit(sx2_0=sx2, sp2_0=sp2, spx_0=spx)
             t = np.linspace(0.0, 10.0 / params.gamma, 21)
-            traj = evolve_moments(MomentState.from_init(init), KernelSchedule.markov(params), t)
+            traj = evolve_moments(moment_state(init), KernelSchedule.markov(params), t)
             exact = np.asarray(variance_closed_form(params, init, t))
             worst = max(worst, float(np.max(np.abs(traj.moment(2, 0) - exact) / exact)))
         assert worst < 1e-6, worst
@@ -130,12 +130,9 @@ def test_criterion_3_moment_ode_vs_monte_carlo():
     with criterion(3, "moment ODE vs Monte-Carlo oracle within 3 standard errors at 1e5 paths"):
         init = SecondMomentInit(sx2_0=0.5, sp2_0=0.5, spx_0=0.0)
         t_eval = [0.0, 2.5, 5.0, 7.5, 10.0]
-        ens = simulate_sde_markov(
-            KURT_PARAMS, init, n_paths=100_000, dt=2e-3, t_end=10.0, seed=7, t_eval=t_eval
-        )
-        traj = evolve_moments(
-            MomentState.from_init(init), KernelSchedule.markov(KURT_PARAMS), t_eval
-        )
+        ens = simulate_sde_markov(KURT_PARAMS, init, n_paths=100_000, interval=2.5, t_end=10.0, seed=7)
+        np.testing.assert_array_equal(ens.times, t_eval)
+        traj = evolve_moments(moment_state(init), KernelSchedule.markov(KURT_PARAMS), t_eval)
         for key in [(2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)]:
             mc = ens.mean[key]
             se = np.where(ens.stderr[key] > 0, ens.stderr[key], np.inf)

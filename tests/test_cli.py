@@ -224,14 +224,55 @@ class TestSimulate:
         assert (tmp_path / "env.csv").read_text() == (tmp_path / "flag.csv").read_text()
 
     def test_sde_bytes_are_pinned(self, tmp_path):
-        # three path blocks (4096 + 4096 + 808); the rows are those of the
-        # serial block loop, so any change to any bit of the ensemble fails.
-        # The header carries the config digest, which moves with the flag set.
+        # three path blocks (4096 + 4096 + 808) and five exact transitions, so
+        # any change to any bit of the ensemble fails. The header carries the
+        # config digest, which moves with the flag set.
         assert run(["simulate", "--mode", "sde", "--M", 20, "--gamma", 1, "--kT", 1, "--hbar", 1,
-                    "--x2", 0.5, "--p2", 0.5, "--xp", 0.2, "--t-end", 0.5, "--points", 6, "--dt", 5e-3,
+                    "--x2", 0.5, "--p2", 0.5, "--xp", 0.2, "--t-end", 0.5, "--points", 6,
                     "--n-paths", 9000, "--seed", 8, "--out-prefix", tmp_path / "sde"]) == 0
         digest = hashlib.sha256((tmp_path / "sde.csv").read_bytes()).hexdigest()
-        assert digest == "fc186ec58ae3119e359f2e87d11a1a3a9b1c318826d9d361114af6e334f73992"
+        assert digest == "304bb660ca120687e538896ff29d7c7274aaabec6ca7b6a26992ac3882d4b66f"
+
+    def test_sde_ignores_the_time_step(self, tmp_path):
+        # the sampler is exact in time: --dt is accepted, has no effect and stays out of the manifest
+        common = ["simulate", "--mode", "sde", "--M", 20, "--gamma", 1, "--kT", 1, "--hbar", 1, "--x2", 0.5,
+                  "--p2", 0.5, "--t-end", 1, "--points", 5, "--n-paths", 5000, "--seed", 3]
+        outputs = []
+        for name, extra in [("a", ["--dt", 2e-3]), ("b", ["--dt", 1e-2]), ("c", [])]:
+            assert run([*common, *extra, "--out-prefix", tmp_path / "run"]) == 0
+            outputs.append([(tmp_path / f"run.{ext}").read_bytes() for ext in ("csv", "manifest.json")])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "dt" not in json.loads(outputs[2][1])["config"]
+
+    def test_sde_refuses_the_harmonic_well(self, tmp_path, capsys):
+        # the well's force was dropped: the run wrote the free particle's rows and exited 0
+        assert run(["simulate", "--mode", "sde", "--x2", 1, "--p2", 1, "--t-end", 1, "--points", 3,
+                    "--n-paths", 1000, "--seed", 1, "--potential", "harmonic", "--omega0", 3,
+                    "--out-prefix", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err == "usage error: --potential harmonic is not modelled in sde mode\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("points", [9, 4], ids=["eighth-turns", "quarter-turns"])
+    def test_moments_honour_the_harmonic_well(self, tmp_path, points):
+        # the moment engine dropped the well and wrote the free particle's rows. In the well its rows
+        # now match the phase-space engine's, whose remaps keep the moments through order three
+        # exactly. Stated tolerance, relative to each moment's largest value: 1e-11 for the second
+        # moments and 1e-4 for m40 and m04 (measured 7e-14 and 3e-6 at 9 points)
+        common = ["--M", 1, "--gamma", 0.25, "--kT", 1, "--x2", 1.5, "--p2", 0.7, "--t-end", math.pi,
+                  "--points", points]
+        well = ["--potential", "harmonic", "--omega0", 1.5]
+        assert run(["simulate", "--mode", "moments", *common, "--out-prefix", tmp_path / "free"]) == 0
+        assert run(["simulate", "--mode", "moments", *common, *well, "--out-prefix", tmp_path / "m"]) == 0
+        assert run(["simulate", "--mode", "pde", *common, *well, "--nx", 192, "--np", 192, "--x-width", 10,
+                    "--p-width", 14, "--out-prefix", tmp_path / "p"]) == 0
+        fh, frows = read_csv(tmp_path / "free.csv")
+        mh, mrows = read_csv(tmp_path / "m.csv")
+        ph, prows = read_csv(tmp_path / "p.csv")
+        for key, tol in [("m20", 1e-11), ("m11", 1e-11), ("m02", 1e-11), ("m40", 1e-4), ("m04", 1e-4)]:
+            moments, pde, free = mrows[:, mh.index(key)], prows[:, ph.index(key)], frows[:, fh.index(key)]
+            scale = np.abs(moments).max()
+            assert np.abs(moments - pde).max() < tol * scale, key
+            assert np.abs(moments - free).max() > 0.1 * scale, key
 
     PDE_HAS_NO_STEP = "--dt is an sde flag: pde maps each output interval exactly, with no time step"
 
@@ -1191,13 +1232,13 @@ print(json.dumps(loaded))
         self.assert_only_control_loads_scipy(self.probe(tmp_path, steps, watched))
 
     def test_startup_loads_no_thread_pool(self, tmp_path):
-        # only the sde ensemble needs concurrent.futures; `qbm --version` must not pay for it
+        # the sde ensemble ran its blocks on a thread pool; its blocks now run one after another
         step = ["simulate", "--mode", "sde", "--x2", "1", "--t-end", "0.1", "--points", "3", "--n-paths", "1000",
-                "--dt", "0.01", "--seed", "1", "--out-prefix", "sde"]
+                "--seed", "1", "--out-prefix", "sde"]
         assert self.probe(tmp_path, [step], ["concurrent.futures"]) == {
             "import qbmarket": [],
             "--version": [],
-            " ".join(step[:3]) + " -> exit 0": ["concurrent.futures"],
+            " ".join(step[:3]) + " -> exit 0": [],
         }
 
     def test_pde_loads_no_scipy_submodule(self, tmp_path):

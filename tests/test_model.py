@@ -20,13 +20,13 @@ from qbmarket import (
     delta_limit,
     lambda_coefficient,
     lambda_limit,
-    markov_validity,
     minimal_uncertainty_momentum,
     spectral_density,
     variance_closed_form,
 )
 from qbmarket.errors import NumericalError
-from qbmarket.model import MARKOV_WARN_RATIO
+
+from conftest import MARKOV_WARN_RATIO, is_quantum_admissible, markov_validity
 
 
 class TestParamTypes:
@@ -52,8 +52,8 @@ class TestParamTypes:
         with pytest.raises(ValueError):
             SecondMomentInit(sx2_0=0.0, sp2_0=1.0)
         init = SecondMomentInit(sx2_0=1e-7, sp2_0=250.0)
-        assert init.is_quantum_admissible(hbar=0.01)
-        assert not SecondMomentInit(sx2_0=1e-7, sp2_0=1.0).is_quantum_admissible(hbar=0.01)
+        assert is_quantum_admissible(init, hbar=0.01)
+        assert not is_quantum_admissible(SecondMomentInit(sx2_0=1e-7, sp2_0=1.0), hbar=0.01)
 
     @pytest.mark.parametrize("cls", [ModelParams, NonMarkovParams, SecondMomentInit])
     @given(data=st.data())

@@ -26,7 +26,7 @@ from qbmarket.dynamics import (
 from qbmarket.dynamics.moments import MOMENT_KEYS, _TRIANGULAR, _expm, _generator_matrices
 from qbmarket.errors import NumericalError
 
-from conftest import FIT_TRIPLES, linear_fit_r2, moment_derivative
+from conftest import FIT_TRIPLES, linear_fit_r2, minimal_uncertainty, moment_derivative, moment_state
 
 
 def fig2c_init() -> MomentState:
@@ -54,7 +54,7 @@ class TestMomentState:
 
     def test_from_init_uses_symmetrized_cross_moment(self):
         init = SecondMomentInit(sx2_0=1.0, sp2_0=2.0, spx_0=0.6)
-        state = MomentState.from_init(init)
+        state = moment_state(init)
         assert state[(1, 1)] == pytest.approx(0.3)
 
     def test_kurtosis_fig2c(self):
@@ -104,7 +104,7 @@ class TestEvolveMoments:
     def test_markovian_variance_matches_closed_form(self, kurtosis_params):
         init = SecondMomentInit(sx2_0=0.5, sp2_0=0.5, spx_0=0.0)
         t = np.linspace(0.0, 10.0, 41)
-        traj = evolve_moments(MomentState.from_init(init), KernelSchedule.markov(kurtosis_params), t)
+        traj = evolve_moments(moment_state(init), KernelSchedule.markov(kurtosis_params), t)
         exact = np.asarray(variance_closed_form(kurtosis_params, init, t))
         np.testing.assert_allclose(traj.moment(2, 0), exact, rtol=1e-8)
 
@@ -112,7 +112,7 @@ class TestEvolveMoments:
         # the nondimensionalization keeps mixed magnitudes (1e-7 vs 250) accurate
         t = np.linspace(0.0, 10.0 / variance_params.gamma, 21)
         traj = evolve_moments(
-            MomentState.from_init(variance_init), KernelSchedule.markov(variance_params), t
+            moment_state(variance_init), KernelSchedule.markov(variance_params), t
         )
         exact = np.asarray(variance_closed_form(variance_params, variance_init, t))
         np.testing.assert_allclose(traj.moment(2, 0), exact, rtol=1e-7)
@@ -244,7 +244,7 @@ def constant_coefficient_cases():
     return {
         "fig2c": (fig2c_init(), KernelSchedule.markov(kurt), np.linspace(0.0, 12.0, 49)),
         "gamma-1e3": (
-            MomentState.from_init(SecondMomentInit.minimal_uncertainty(stiff, 1e-7)),
+            moment_state(minimal_uncertainty(stiff, 1e-7)),
             KernelSchedule.markov(stiff),
             np.linspace(0.0, 10.0, 49),
         ),
