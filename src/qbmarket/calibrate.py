@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .market import AcfEstimate, _ols_line
+from .market import AcfEstimate
 from .model import NonMarkovParams, acf_model
 
 __all__ = [
@@ -86,6 +86,19 @@ class DecayFit:
     n_used: int
     n_excluded: int
     diagnostic: str | None = None
+
+
+def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line through at least 3 points: slope, intercept, slope
+    standard error and the residual sum of squares."""
+    n = len(x)
+    a = np.vstack([x, np.ones(n)]).T
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    resid = y - a @ coef
+    sse = float(resid @ resid)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    stderr = math.sqrt(sse / (n - 2) / sxx) if sxx > 0 else float("inf")
+    return float(coef[0]), float(coef[1]), stderr, sse
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:

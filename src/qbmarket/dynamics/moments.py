@@ -298,9 +298,6 @@ class MomentTrajectory:
     def kurtosis_x(self) -> np.ndarray:
         return np.array([s.kurtosis_x() for s in self.states])
 
-    def __len__(self) -> int:
-        return len(self.states)
-
 
 def _time_grid(schedule: KernelSchedule, t_grid: Sequence[float]) -> np.ndarray:
     """The time grid as an array, checked: ascending from 0, at least two times, and D and L finite on it."""

@@ -68,14 +68,12 @@ class PriceSeries:
 
     times        : minutes since epoch, strictly increasing int64
     close        : positive prices
-    sessions     : [first, last] minute windows, one per trading session
-    session_idx  : session index per row
+    session_idx  : session index per row, counting from 0
     base_minutes : bar resolution (gcd of within-session spacings)
     """
 
     times: np.ndarray
     close: np.ndarray
-    sessions: tuple[tuple[int, int], ...]
     session_idx: np.ndarray
     base_minutes: int
 
@@ -111,7 +109,6 @@ class PriceSeries:
         return cls(
             times=times,
             close=close,
-            sessions=((int(times[0]), int(times[-1])),),
             session_idx=np.zeros(len(times), dtype=np.int64),
             base_minutes=int(dt_minutes),
         )
@@ -412,7 +409,7 @@ def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     return times, close, new_session
 
 
-def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) -> PriceSeries:
+def load_prices(source: str | Path | TextIO) -> PriceSeries:
     """Read and validate a `timestamp,close[,session]` CSV.
 
     Timestamps must be ISO-8601 at minute resolution, strictly increasing;
@@ -425,7 +422,7 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             try:
-                return load_prices(handle, base_minutes=base_minutes)
+                return load_prices(handle)
             except UnicodeDecodeError as exc:
                 raise DataError(f"{source}: not UTF-8 text ({exc})") from exc
 
@@ -438,20 +435,12 @@ def load_prices(source: str | Path | TextIO, base_minutes: int | None = None) ->
     times, close, new_session = columns if columns is not None else _read_lines(source)
 
     session_idx = np.concatenate([[0], np.cumsum(new_session, dtype=np.int64)])
-    first = np.flatnonzero(np.diff(session_idx, prepend=-1))
-    last = np.append(first[1:] - 1, len(times) - 1)
-    sessions = tuple(zip(times[first].tolist(), times[last].tolist()))
-
-    if base_minutes is None:
-        within = np.diff(times)[np.diff(session_idx) == 0]
-        base_minutes = int(np.gcd.reduce(within)) or 1
-
+    within = np.diff(times)[np.diff(session_idx) == 0]
     return PriceSeries(
         times=times,
         close=close,
-        sessions=sessions,
         session_idx=session_idx,
-        base_minutes=int(base_minutes),
+        base_minutes=int(np.gcd.reduce(within)) or 1,
     )
 
 
@@ -582,12 +571,13 @@ def log_returns(
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Per-horizon drift and volatility of un-normalized increments, with the
-    power-law fit of sigma(tau) and the linear fit of the drift estimate.
+    """Per-horizon drift and volatility of un-normalized increments: the
+    columns of `qbm analyze`'s scaling table.
 
     mean_increment is the raw sample mean of ln S(t+tau) - ln S(t); mu is the
     drift-rate estimate mean + sigma^2/2, which grows linearly in tau with
-    slope equal to the price drift rate.
+    slope equal to the price drift rate. The exponent of sigma(tau) is fitted
+    from this table by calibrate.fit_power_law.
     """
 
     taus: np.ndarray
@@ -595,12 +585,6 @@ class ScalingResult:
     sigma: np.ndarray
     mu: np.ndarray
     counts: np.ndarray
-    sigma_exponent: float
-    sigma_prefactor: float
-    sigma_exponent_stderr: float
-    mu_slope: float
-    mu_intercept: float
-    mu_slope_stderr: float
 
     def __post_init__(self) -> None:
         for name in ("taus", "mean_increment", "sigma", "mu", "counts"):
@@ -620,25 +604,12 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(x) / (n - 1))
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares line through at least 3 points: slope, intercept, slope
-    standard error and the residual sum of squares."""
-    n = len(x)
-    a = np.vstack([x, np.ones(n)]).T
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-    resid = y - a @ coef
-    sse = float(resid @ resid)
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(sse / (n - 2) / sxx) if sxx > 0 else float("inf")
-    return float(coef[0]), float(coef[1]), stderr, sse
-
-
 def drift_vol_scaling(
     series: PriceSeries, taus: Sequence[int], policy: str = "intraday-only"
 ) -> ScalingResult:
-    """Mean and standard deviation of un-normalized increments per horizon,
-    plus the sigma power-law exponent (log-log least squares) and the drift
-    slope (linear least squares). Requires at least 3 horizons."""
+    """Mean and standard deviation of un-normalized increments, and the drift
+    estimate mu, per horizon. Requires at least 3 horizons, and refuses a zero
+    volatility, on which no power law in tau can be fitted."""
     taus = [int(t) for t in taus]
     if len(taus) < 3:
         raise InsufficientDataError("drift/vol scaling needs at least 3 horizons")
@@ -656,65 +627,35 @@ def drift_vol_scaling(
         means.append(mean)
         sigmas.append(sigma)
         counts.append(len(inc))
-    taus_arr = np.asarray(taus, dtype=float)
     sigma_arr = np.asarray(sigmas)
     mean_arr = np.asarray(means)
     if np.any(sigma_arr <= 1e-12 * np.maximum(np.abs(mean_arr), 1e-300)):
         raise DegenerateDataError(
-            "zero volatility at some horizon: power-law fit refused (deterministic price path?)"
+            "zero volatility at some horizon: sigma(tau) has no power law (deterministic price path?)"
         )
-    sig_slope, sig_icept, sig_err, _ = _ols_line(np.log(taus_arr), np.log(sigma_arr))
-    mu_arr = mean_arr + sigma_arr**2 / 2.0
-    mu_slope, mu_icept, mu_err, _ = _ols_line(taus_arr, mu_arr)
     return ScalingResult(
         taus=np.asarray(taus, dtype=np.int64),
         mean_increment=mean_arr,
         sigma=sigma_arr,
-        mu=mu_arr,
+        mu=mean_arr + sigma_arr**2 / 2.0,
         counts=np.asarray(counts, dtype=np.int64),
-        sigma_exponent=sig_slope,
-        sigma_prefactor=math.exp(sig_icept),
-        sigma_exponent_stderr=sig_err,
-        mu_slope=mu_slope,
-        mu_intercept=mu_icept,
-        mu_slope_stderr=mu_err,
     )
 
 
 @dataclass(frozen=True)
 class HistogramResult:
     """Density-normalized return histogram with a moment-matched Gaussian
-    reference at the bin centers."""
+    reference at the bin centers: the columns of `qbm analyze`'s histogram
+    table."""
 
-    edges: np.ndarray
     centers: np.ndarray
     density: np.ndarray
     counts: np.ndarray
     gaussian_ref: np.ndarray
-    n_samples: int
-    sample_mean: float
-    sample_std: float
 
     def __post_init__(self) -> None:
-        for name in ("edges", "centers", "density", "counts", "gaussian_ref"):
+        for name in ("centers", "density", "counts", "gaussian_ref"):
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
-
-    def bin_stderr(self) -> np.ndarray:
-        """Poisson standard error of each bin in density units."""
-        width = self.edges[1] - self.edges[0]
-        return np.sqrt(np.maximum(self.counts, 1.0)) / (self.n_samples * width)
-
-    def significant_tail_bins(self, n_se: float = 5.0, tail_stds: float = 3.0) -> np.ndarray:
-        """Indices of tail bins (|center - mean| > tail_stds * std) whose density
-        exceeds the Gaussian reference by more than n_se binomial standard
-        errors. Empty for Gaussian data at these bounds."""
-        tail = np.abs(self.centers - self.sample_mean) > tail_stds * self.sample_std
-        excess = self.density - self.gaussian_ref
-        ref_se = np.sqrt(np.maximum(self.gaussian_ref * self.n_samples * (self.edges[1] - self.edges[0]), 1.0)) / (
-            self.n_samples * (self.edges[1] - self.edges[0])
-        )
-        bound = n_se * np.maximum(self.bin_stderr(), ref_se)
-        return np.nonzero(tail & (excess > bound))[0]
 
 
 def return_histogram(returns: ReturnSeries, bins: int | None = None) -> HistogramResult:
@@ -742,19 +683,12 @@ def return_histogram(returns: ReturnSeries, bins: int | None = None) -> Histogra
             width = 3.5 * std / n ** (1.0 / 3.0)
         bins = int(np.clip(math.ceil((hi - lo) / width), 16, 1024))
     counts, edges = np.histogram(x, bins=bins, range=(lo, hi))
-    widths = np.diff(edges)
-    density = counts / (n * widths)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    ref = np.exp(-0.5 * ((centers - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
     return HistogramResult(
-        edges=edges,
         centers=centers,
-        density=density,
+        density=counts / (n * np.diff(edges)),
         counts=counts,
-        gaussian_ref=ref,
-        n_samples=n,
-        sample_mean=mean,
-        sample_std=std,
+        gaussian_ref=np.exp(-0.5 * ((centers - mean) / std) ** 2) / (std * math.sqrt(2.0 * math.pi)),
     )
 
 

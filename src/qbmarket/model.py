@@ -336,8 +336,8 @@ def variance_short_time(params: ModelParams, sx2_0: float, t) -> float | np.ndar
     The quadratic term is the wave-packet broadening set by the uncertainty
     floor; the cubic term is the onset of relaxation.
     """
-    if sx2_0 == 0:
-        raise ValueError("sx2_0 must be nonzero")
+    if not sx2_0 > 0:
+        raise ValueError("sx2_0 must be positive")
     tt = _as_nonnegative(t, "t")
     hbar, M = np.float64(params.hbar), np.float64(params.M)  # their squares overflow to inf, not OverflowError
     out = (

@@ -49,6 +49,18 @@ def linear_fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
+def significant_tail_bins(hist, values: np.ndarray, n_se: float = 5.0, tail_stds: float = 3.0) -> np.ndarray:
+    """Indices of the tail bins of a return histogram of values (|center -
+    mean| > tail_stds sample standard deviations) whose density exceeds the
+    Gaussian reference by more than n_se Poisson standard errors, of the bin's
+    count or of the reference's, whichever is larger. Empty for Gaussian data
+    at these bounds."""
+    per_count = len(values) * (hist.centers[1] - hist.centers[0])  # samples times bin width
+    tail = np.abs(hist.centers - values.mean()) > tail_stds * values.std(ddof=1)
+    stderr = np.sqrt(np.maximum(np.maximum(hist.counts, hist.gaussian_ref * per_count), 1.0)) / per_count
+    return np.flatnonzero(tail & (hist.density - hist.gaussian_ref > n_se * stderr))
+
+
 def moment_derivative(state: MomentState, params: ModelParams, D: float, L: float) -> dict[tuple[int, int], float]:
     """Time derivative of every tracked moment for the free-particle generator
     with diffusion pair (D, L), from the structure matrices evolve_moments

@@ -47,7 +47,7 @@ from qbmarket.dynamics import (
 )
 from qbmarket.market import AcfEstimate, ReturnSeries, SYNTH_START_MINUTE
 
-from conftest import FIT_TRIPLES, linear_fit_r2, moment_state
+from conftest import FIT_TRIPLES, linear_fit_r2, moment_state, significant_tail_bins
 
 
 @contextmanager
@@ -315,8 +315,8 @@ def test_criterion_10_fat_tail_detection():
             )
 
         rng = np.random.default_rng(10)
-        heavy = return_histogram(returns_from(rng.standard_t(3, size=100_000) * 1e-4), bins=64)
-        assert len(heavy.significant_tail_bins()) > 0
+        heavy = rng.standard_t(3, size=100_000) * 1e-4
+        assert len(significant_tail_bins(return_histogram(returns_from(heavy), bins=64), heavy)) > 0
         rng = np.random.default_rng(11)
-        clean = return_histogram(returns_from(rng.standard_normal(100_000) * 1e-4), bins=64)
-        assert len(clean.significant_tail_bins()) == 0
+        clean = rng.standard_normal(100_000) * 1e-4
+        assert len(significant_tail_bins(return_histogram(returns_from(clean), bins=64), clean)) == 0

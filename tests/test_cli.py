@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qbmarket import ModelParams, NonMarkovParams, acf_model, cli, market
+from qbmarket import ModelParams, NonMarkovParams, acf_model, cli, delta_coefficient, lambda_coefficient, market
 from qbmarket.cli import main
 from qbmarket.errors import NumericalError
 
@@ -92,6 +92,29 @@ class TestEval:
         assert run(["eval", "--formula", "classical", "--kT", "nan", "--start", 0, "--end", 1,
                     "--out", tmp_path / "nan.csv"]) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sx2", [-1, 0])
+    def test_nonpositive_short_time_variance_is_usage_error(self, tmp_path, capsys, sx2):
+        # a negative start variance used to exit 0 with negative variances in every row
+        assert run(["eval", "--formula", "variance-short", "--sx2-0", sx2, "--start", 0, "--end", 1,
+                    "--points", 3, "--out", tmp_path / "v.csv"]) == 1
+        assert capsys.readouterr().err == "usage error: sx2_0 must be positive\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("formula", ["delta", "lambda"])
+    def test_coefficient_columns_are_the_library_values(self, tmp_path, formula):
+        params = ModelParams(M=2.0, gamma=0.5, kT=0.3, hbar=0.7)
+        nm = NonMarkovParams(xi=5.48e-4, eta=5.56e-3, omega=8.33e-3 * math.pi)
+        out = tmp_path / "c.csv"
+        assert run(["eval", "--formula", formula, "--M", params.M, "--gamma", params.gamma, "--kT", params.kT,
+                    "--hbar", params.hbar, "--xi", nm.xi, "--eta", nm.eta, "--omega", nm.omega,
+                    "--start", 0, "--end", 400, "--points", 41, "--out", out]) == 0
+        header, rows = read_csv(out)
+        assert header == ["t", formula]
+        grid = np.linspace(0.0, 400.0, 41)
+        coefficient = delta_coefficient if formula == "delta" else lambda_coefficient
+        np.testing.assert_array_equal(rows[:, 0], grid)
+        np.testing.assert_array_equal(rows[:, 1], coefficient(params, nm, grid))
 
     def test_leftover_temp_directory_does_not_block_write(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -250,6 +273,13 @@ class TestSimulate:
                     "--n-paths", 1000, "--seed", 1, "--potential", "harmonic", "--omega0", 3,
                     "--out-prefix", tmp_path / "s"]) == 1
         assert capsys.readouterr().err == "usage error: --potential harmonic is not modelled in sde mode\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sde_refuses_the_non_markov_kernel(self, tmp_path, capsys):
+        assert run(["simulate", "--mode", "sde", "--kernel", "non-markov", "--xi", 1e-3, "--eta", 1, "--omega", 1,
+                    "--x2", 1, "--p2", 1, "--t-end", 1, "--points", 3, "--n-paths", 1000, "--seed", 1,
+                    "--out-prefix", tmp_path / "s"]) == 1
+        assert "usage error: sde mode supports only the markov kernel" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("points", [9, 4], ids=["eighth-turns", "quarter-turns"])
@@ -690,6 +720,20 @@ class TestSynthAndAnalyze:
         run(args + ["--out", tmp_path / "b.csv"])
         assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
+    def test_synth_requires_a_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QBM_SEED", raising=False)
+        assert run(["synth", "--kind", "gbm", "--n", 500, "--out", tmp_path / "p.csv"]) == 1
+        assert capsys.readouterr().err == "usage error: synth requires --seed (or QBM_SEED)\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_too_few_horizons_on_the_bar_grid_is_data_error(self, tmp_path, capsys):
+        # only 5 and 10 of the horizons 1 to 12 are multiples of the 5-minute bars
+        prices = tmp_path / "prices.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 500, "--dt", 5, "--seed", 1, "--out", prices]) == 0
+        assert run(["analyze", "--input", prices, "--taus", "1:12:1", "--out-prefix", tmp_path / "run"]) == 2
+        assert "data error: fewer than 3 usable horizons" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
     def test_analyze_pipeline_on_gbm(self, tmp_path):
         prices = tmp_path / "prices.csv"
         assert run(["synth", "--kind", "gbm", "--n", 100000, "--mu", 1e-5, "--sigma", 0.01,
@@ -954,6 +998,18 @@ class TestFitCommand:
         path = tmp_path / "bad.csv"
         path.write_text("lag,acf\n0,zero\n")
         assert run(["fit", "--kind", "acf", "--input", path, "--out", tmp_path / "o.json"]) == 2
+
+    @pytest.mark.parametrize("text, named", [
+        ("# qbmarket\nlag,acf\n", "no data rows"),
+        ("lag,value\n0,1\n5,0.5\n", "missing column(s) ['acf']"),
+        ("lag,acf,count\n0,1,10\n5,0.5\n", "row 2 has 2 fields, expected 3"),
+    ], ids=["no-rows", "missing-column", "short-row"])
+    def test_malformed_estimator_table_is_data_error(self, tmp_path, capsys, text, named):
+        path = tmp_path / "est.csv"
+        path.write_text(text)
+        assert run(["fit", "--kind", "acf", "--input", path, "--out", tmp_path / "o.json"]) == 2
+        assert f"data error: {path}: {named}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
 
     @pytest.mark.parametrize("kind, text", [
         ("acf", b"lag,acf\n0,1\n5,0.\xff5\n10,0.25\n"),

@@ -18,6 +18,7 @@ from qbmarket import (
     drift_vol_scaling,
     empirical_acf,
     empirical_kurtosis,
+    fit_power_law,
     load_prices,
     log_returns,
     return_histogram,
@@ -26,6 +27,8 @@ from qbmarket import (
 )
 from qbmarket import market
 from qbmarket.market import PAIRING_POLICIES, PriceSeries, ReturnSeries, SYNTH_START_MINUTE
+
+from conftest import linear_fit_r2, significant_tail_bins
 
 
 def make_prices(text: str):
@@ -44,7 +47,7 @@ class TestLoadPrices:
         series = make_prices(CSV_OK)
         assert len(series) == 3
         assert series.base_minutes == 1
-        assert len(series.sessions) == 1
+        assert series.session_idx.tolist() == [0, 0, 0]
 
     def test_zero_price_names_line(self):
         bad = "timestamp,close\n2020-01-06T09:30,100.0\n2020-01-06T09:31,0\n"
@@ -85,7 +88,6 @@ class TestLoadPrices:
             "2020-01-06T13:01,103,b\n"
         )
         series = make_prices(text)
-        assert len(series.sessions) == 2
         assert series.session_idx.tolist() == [0, 0, 1, 1]
 
     def test_comment_lines_skipped(self):
@@ -108,7 +110,6 @@ def assert_same_series(a: PriceSeries, b: PriceSeries) -> None:
     for name in ("times", "close", "session_idx"):
         assert getattr(a, name).dtype == getattr(b, name).dtype
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert a.sessions == b.sessions
     assert a.base_minutes == b.base_minutes
 
 
@@ -133,7 +134,7 @@ class TestLoadPricesPaths:
         monkeypatch.setattr(market, "_parse_minute", None)
         column_read = load_prices(io.StringIO(text))
         assert_same_series(column_read, line_read)
-        assert len(column_read.sessions) == 3
+        assert column_read.session_idx[-1] == 2
 
     def test_seconds_and_offsets_read_line_by_line(self):
         text = plain_csv()
@@ -358,7 +359,6 @@ def gapped_cases(draw):
     series = PriceSeries(
         times=times,
         close=np.exp(1e-2 * rng.standard_normal(len(times))),
-        sessions=((int(times[0]), int(times[-1])),),
         session_idx=session_idx,
         base_minutes=base,
     )
@@ -586,17 +586,17 @@ class TestDriftVolScaling:
     def test_gbm_recovers_half_exponent_and_drift(self):
         series = synth_gbm(mu=1e-5, sigma=0.01, n=200_000, dt_minutes=1, seed=11)
         sc = drift_vol_scaling(series, list(range(5, 101, 5)))
-        assert abs(sc.sigma_exponent - 0.5) < 0.05
-        assert sc.sigma_prefactor == pytest.approx(0.01, rel=0.05)
+        fit = fit_power_law(sc.taus, sc.sigma)
+        assert abs(fit.exponent - 0.5) < 0.05
+        assert fit.prefactor == pytest.approx(0.01, rel=0.05)
         # drift-rate estimate carries sampling error sigma/sqrt(N) per minute
         drift_se = 0.01 / math.sqrt(len(series))
-        assert abs(sc.mu_slope - 1e-5) < 3.0 * drift_se
+        mu_slope, _, _ = linear_fit_r2(sc.taus.astype(float), sc.mu)
+        assert abs(mu_slope - 1e-5) < 3.0 * drift_se
 
     def test_mu_is_linear_in_tau(self):
         series = synth_gbm(mu=1e-5, sigma=0.01, n=200_000, dt_minutes=1, seed=11)
         sc = drift_vol_scaling(series, list(range(5, 101, 5)))
-        from conftest import linear_fit_r2
-
         _, _, r2 = linear_fit_r2(sc.taus.astype(float), sc.mu)
         assert r2 > 0.99
 
@@ -628,13 +628,12 @@ class TestReturnHistogram:
         rs = _returns_from(rng.standard_normal(100_000) * 1e-4)
         hist = return_histogram(rs)
         gap = np.abs(hist.density - hist.gaussian_ref)
-        bound = 5.0 * np.sqrt(np.maximum(hist.counts, 1.0)) / (
-            hist.n_samples * (hist.edges[1] - hist.edges[0])
-        )
+        per_count = len(rs) * (hist.centers[1] - hist.centers[0])  # samples times bin width
+        bound = 5.0 * np.sqrt(np.maximum(hist.counts, 1.0)) / per_count
         # only bins with meaningful expected counts are sharp
-        busy = hist.gaussian_ref * hist.n_samples * (hist.edges[1] - hist.edges[0]) > 5
+        busy = hist.gaussian_ref * per_count > 5
         assert np.all(gap[busy] < bound[busy])
-        assert len(hist.significant_tail_bins()) == 0
+        assert len(significant_tail_bins(hist, rs.values)) == 0
 
     def test_student_t3_fat_tails_detected(self):
         # moderately coarse bins so the tail bins collect enough counts for a
@@ -642,13 +641,13 @@ class TestReturnHistogram:
         rng = np.random.default_rng(9)
         rs = _returns_from(rng.standard_t(3, size=100_000) * 1e-4)
         hist = return_histogram(rs, bins=64)
-        assert len(hist.significant_tail_bins()) > 0
+        assert len(significant_tail_bins(hist, rs.values)) > 0
 
     def test_gaussian_clean_at_detection_binning(self):
         rng = np.random.default_rng(10)
         rs = _returns_from(rng.standard_normal(100_000) * 1e-4)
         hist = return_histogram(rs, bins=64)
-        assert len(hist.significant_tail_bins()) == 0
+        assert len(significant_tail_bins(hist, rs.values)) == 0
 
     def test_degenerate_sample_rejected(self):
         rs = _returns_from(np.full(500, 1e-4))
@@ -707,7 +706,6 @@ class TestEmpiricalAcf:
         mk = lambda lp: PriceSeries(
             times=times,
             close=np.exp(lp),
-            sessions=((int(times[0]), int(times[-1])),),
             session_idx=np.zeros(4000, dtype=np.int64),
             base_minutes=1,
         )
@@ -721,7 +719,6 @@ class TestEmpiricalAcf:
         scaled = PriceSeries(
             times=series.times,
             close=series.close * 7.3,
-            sessions=series.sessions,
             session_idx=series.session_idx,
             base_minutes=series.base_minutes,
         )
@@ -797,7 +794,6 @@ class TestEmpiricalKurtosis:
         series = PriceSeries(
             times=times,
             close=np.exp(lp),
-            sessions=((int(times[0]), int(times[-1])),),
             session_idx=np.zeros(len(lp), dtype=np.int64),
             base_minutes=1,
         )
@@ -811,7 +807,6 @@ class TestEmpiricalKurtosis:
         series = PriceSeries(
             times=times,
             close=np.exp(lp),
-            sessions=((int(times[0]), int(times[-1])),),
             session_idx=np.zeros(len(lp), dtype=np.int64),
             base_minutes=1,
         )

@@ -3,8 +3,13 @@ names must exist, or a traced run would fail or time nothing."""
 
 import importlib
 import importlib.util
+import json
+import math
 from pathlib import Path
 
+import numpy as np
+
+from qbmarket import NonMarkovParams, acf_model
 from qbmarket.cli import main
 
 SPANS = Path(__file__).parents[1] / "perfbench" / "spans.py"
@@ -15,6 +20,19 @@ def load_spans():
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+def traced(argv):
+    """The tracer's spans over one in-process `qbm` run that exits 0."""
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        assert main([str(a) for a in argv]) == 0
+    return tracer.spans
+
+
+def only(spans, name):
+    (record,) = [s for s in spans if s["name"] == name]
+    return record
 
 
 def test_every_traced_attribute_resolves():
@@ -38,3 +56,43 @@ def test_traced_pde_run_carries_its_counts(tmp_path):
     assert record["n_steps"] == 2 and record["samples"] == 3
     assert record["dt"] == 0.005 and record["cells"] == 256
     assert 0.0 <= record["mass_drift"] < 1e-6 and 0.0 <= record["eps_neg"] < 1e-4  # a coarse 16^2 grid
+
+
+def test_traced_sde_run_carries_its_counts(tmp_path):
+    # the span reads the output interval and t_end as the 4th and 5th positional arguments
+    spans = traced(["simulate", "--mode", "sde", "--x2", 1, "--p2", 1, "--t-end", 1, "--points", 5,
+                    "--n-paths", 1000, "--seed", 1, "--out-prefix", tmp_path / "sde"])
+    record = only(spans, "montecarlo.simulate_sde_markov")
+    assert record["paths"] == 1000 and record["steps"] == 4
+
+
+def test_traced_moments_run_carries_its_counts(tmp_path):
+    spans = traced(["simulate", "--mode", "moments", "--x2", 1, "--p2", 1, "--t-end", 1, "--points", 5,
+                    "--out-prefix", tmp_path / "mom"])
+    assert only(spans, "moments.evolve_moments")["points"] == 5
+
+
+def test_traced_analyze_run_carries_its_counts(tmp_path):
+    prices = tmp_path / "prices.csv"
+    assert main(["synth", "--kind", "gbm", "--n", "500", "--seed", "1", "--out", str(prices)]) == 0
+    spans = traced(["analyze", "--input", prices, "--taus", "1:5:1", "--max-lag", 30,
+                    "--out-prefix", tmp_path / "run"])
+    assert only(spans, "market.load_prices")["rows"] == 500
+    # 499 one-minute returns in one session: every lag from 0 to 30 has 499 - lag pairs
+    acf = only(spans, "market.empirical_acf")
+    assert acf["lags"] == 31 and acf["pairs"] == sum(499 - lag for lag in range(31))
+    for name in ("market.drift_vol_scaling", "market.return_histogram", "market.empirical_kurtosis"):
+        only(spans, name)
+
+
+def test_traced_acf_fit_carries_its_counts(tmp_path):
+    lags = np.arange(0, 481, 5)
+    values = acf_model(NonMarkovParams(xi=5.48e-4, eta=5.56e-3, omega=8.33e-3 * math.pi), lags.astype(float))
+    table = tmp_path / "acf.csv"
+    table.write_text("lag,acf\n" + "".join(f"{lag},{value!r}\n" for lag, value in zip(lags, values.tolist())))
+    spans = traced(["fit", "--kind", "acf", "--input", table, "--out", tmp_path / "fit.json"])
+    report = json.loads((tmp_path / "fit.json").read_text())
+    record = only(spans, "calibrate.fit_acf")
+    assert record["nfev"] == report["iterations"] > 0
+    assert record["converged"] is report["converged"] is True
+    assert len([s for s in spans if s["name"] == "model.acf_model"]) >= record["nfev"]

@@ -116,8 +116,10 @@ class TestShortTime:
         assert ratios[2] < 1e-5
 
     def test_zero_initial_variance_rejected(self, variance_params):
-        with pytest.raises(ValueError):
-            variance_short_time(variance_params, 0.0, 1.0)
+        # a negative one gave negative variances
+        for sx2_0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sx2_0 must be positive"):
+                variance_short_time(variance_params, sx2_0, 1.0)
 
 
 class TestClassical:
