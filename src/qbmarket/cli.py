@@ -343,7 +343,7 @@ def build_parser() -> tuple[_Parser, dict[str, dict[str, str]]]:
         ("--t-end", "t_end", float, None, "end time (model time units)"),
         ("--points", "points", int, 101, "number of output times"),
         ("--n-paths", "n_paths", int, 100000, "SDE ensemble size"),
-        ("--dt", "dt", float, None, "ignored: sde samples each output interval exactly (pde refuses it)"),
+        ("--dt", "dt", float, None, "ignored: sde and moments are exact over each output interval (pde refuses it)"),
         ("--seed", "seed", int, None, "RNG seed (mandatory for sde; QBM_SEED fallback)"),
         ("--nx", "nx", int, 256, "grid cells along x"),
         ("--np", "np", int, 256, "grid cells along p"),
@@ -452,12 +452,15 @@ def cmd_simulate(cfg: dict) -> int:
     if cfg["points"] < 2:
         raise ValueError("--points must be at least 2")
     mode = cfg["mode"]
-    if mode == "pde" and cfg.get("dt") is not None:
-        raise ValueError("--dt is an sde flag: pde maps each output interval exactly, with no time step")
-    if mode == "sde":
-        if cfg.get("dt") is not None and not cfg["dt"] > 0:
+    if cfg.get("dt") is not None:
+        if mode == "pde":
+            raise ValueError("--dt is an sde flag: pde maps each output interval exactly, with no time step")
+        if not cfg["dt"] > 0:
             raise ValueError("--dt must be positive")
-        del cfg["dt"]  # the sampler is exact in time: a step changes nothing, so it stays out of the digest
+        # sde and moments are exact in time: a step changes nothing, so it stays out of the digest
+        cfg["dt"] = None
+    if mode == "sde":
+        del cfg["dt"]  # sde configs carry no dt key; moments keeps its null, and so its output bytes
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
         schedule = KernelSchedule.non_markov(params, _nm_params(cfg))

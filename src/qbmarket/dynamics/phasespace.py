@@ -12,11 +12,17 @@ and smoothed by a Gaussian of covariance Sigma(t, t + h) (Wang & Uhlenbeck,
 Rev. Mod. Phys. 17 (1945) 323). Phi and Sigma are the first- and second-order
 blocks of the moment propagator, in grid cells, started from a point mass at t.
 
-The move, W(Phi^-1 z) |det Phi^-1|, is two or three remaps along one axis,
+The move, W(Phi^-1 z) |det Phi^-1|, is two to four remaps along one axis,
 built once per distinct interval, each the transpose of cubic B-spline
 interpolation at the cells' arrival points: it keeps the mass and the moments
-through order three exactly, however the damping compresses p. An interval
-that compresses the area by more than e^MAX_LOG_COMPRESSION is split into equal
+through order three exactly, however the damping compresses p. Each remap is a
+scale or a shear (Unser, Thevenaz & Yaroslavsky, IEEE Trans. Image Process. 4
+(1995) 1371). A scale moves the cells of every line along the axis alike, so
+it is one n x n matrix applied to all lines at once: the free particle's p
+remap. A shear shifts each line by its own offset, so it deposits by shifted
+slices: the free particle's x remap. In a harmonic well each remap of the
+flow's factorization is a scale followed by a shear. An interval that
+compresses the area by more than e^MAX_LOG_COMPRESSION is split into equal
 maps, so the density stays resolved between the remaps and the smoothing.
 
 The smoothing multiplies the density's 2-D real FFT by the Gaussian's
@@ -64,7 +70,7 @@ BOUNDARY_ABORT_FRACTION = 1e-6
 GROWTH_LIMIT = 10.0
 # Largest log of one map's area compression e^{2 gamma h}; longer intervals are
 # split. The remaps squeeze the density before the smoothing widens it again,
-# and one squeezed below a cell spreads into cells that take nothing (_cubic_shift).
+# and one squeezed below a cell spreads into cells that take nothing (_scale).
 MAX_LOG_COMPRESSION = 0.5
 
 
@@ -259,55 +265,92 @@ def _spline_coefficients(
     return out
 
 
-def _cubic_shift(
-    offset: np.ndarray,
-    axis: int,
-    shape: tuple[int, int],
-    prefilter: tuple[np.ndarray, np.ndarray],
-    depart: np.ndarray,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Precomputed remap along one axis: the transpose of ``map_coordinates(order=3, mode="constant",
-    cval=0.0, prefilter=True)`` at the arrival points k + offset of the cells k, then 0 where the
-    departure point ``depart`` is off the grid: nothing enters from there (``offset`` and ``depart``,
-    in cells along ``axis``, broadcast to ``shape``).
-
-    Each cell spreads over the spline coefficients of the four cells nearest its arrival point with
-    the B-spline weights (folded back at the edges, dropped outside [0, n-1]), and the transposed
-    ``prefilter`` (``_spline_prefilter`` of the axis length) turns them into cell values. A sum of
-    f(k) times the result is the sum of the cells times the spline of f at their arrival points, so
-    the mass and the moments through order three are kept exactly however the axis is compressed
-    (sampling the spline at the departure points lost 1e-4 of the mass per interval at two cells per
-    standard deviation). What the transposed prefilter spreads off those cells, a share of a density
-    a cell or two wide, is lost.
-    """
-    n = shape[axis]
-    offset = np.atleast_2d(offset)
+def _taps(offset: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floor of each arrival offset and the cubic B-spline weights, shape (4,) + offset.shape, of the
+    taps at floor - 1 .. floor + 2 around the arrival point."""
     base = np.floor(offset)
     t = offset - base
     s = 1.0 - t
-    # weights of the taps at floor - 1 .. floor + 2; they broadcast like offset
-    weights = np.stack([s**3, 4.0 - 6.0 * t**2 + 3.0 * t**3, 4.0 - 6.0 * s**2 + 3.0 * s**3, t**3]) / 6.0
-    rows, cols = np.indices(shape, sparse=True)
-    index = rows if axis == 0 else cols
-    first = index + base.astype(np.intp) - 1
-    outside = (index + offset < 0) | (index + offset > n - 1)
-    inflow = (depart >= 0) & (depart <= n - 1)
-    size = shape[0] * shape[1]
-    # flat indices of the four taps; arrivals outside the grid go to the dropped slot `size`
-    flat = np.empty((4,) + shape, dtype=np.int32)
+    return base, np.stack([s**3, 4.0 - 6.0 * t**2 + 3.0 * t**3, 4.0 - 6.0 * s**2 + 3.0 * s**3, t**3]) / 6.0
+
+
+def _scale(
+    offset: np.ndarray, depart: np.ndarray, axis: int, prefilter: tuple[np.ndarray, np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Remap along ``axis`` whose arrival offset and departure point (in cells, one per cell of the
+    axis) vary only along the axis itself: one n x n matrix R = diag(inflow) P^T D on every line.
+
+    Column k of the deposit D spreads cell k over the spline coefficients of the four cells nearest
+    its arrival point k + offset[k] with the B-spline weights: folded back at the edges, dropped if
+    the arrival point is outside [0, n-1]. P^T is the transposed ``prefilter`` (``_spline_prefilter``
+    of the axis length), and a cell whose departure point is outside [0, n-1] takes nothing.
+    """
+    n = offset.size
+    base, weights = _taps(offset)
+    cells = np.arange(n)
+    inside = (cells + offset >= 0) & (cells + offset <= n - 1)
+    deposit = np.zeros((n, n))
     for k in range(4):
         # taps of arrival points inside the grid reach one cell past either edge
-        tap = np.abs(first + k)
+        tap = np.abs(cells + base.astype(np.intp) - 1 + k)
         tap = np.where(tap < n, tap, 2 * n - 2 - tap)
-        flat[k] = np.where(outside, size, tap * shape[1] + cols if axis == 0 else rows * shape[1] + tap)
+        deposit[tap[inside], cells[inside]] += weights[k, inside]  # one entry per column: no collision
+    diagonal, off_diagonal = prefilter
+    matrix = off_diagonal.T @ deposit + diagonal[:, None] * deposit
+    matrix *= ((depart >= 0) & (depart <= n - 1))[:, None]
+    if axis == 0:
+        return lambda w: matrix @ w
+    return lambda w: w @ matrix.T
+
+
+def _shear(
+    offset: np.ndarray, axis: int, shape: tuple[int, int], prefilter: tuple[np.ndarray, np.ndarray]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Remap along ``axis`` that shifts each line by its own arrival offset (in cells, one per line,
+    indexed by the other coordinate); a cell takes nothing from a departure point (cell index minus
+    the offset) outside [0, n-1].
+
+    Within one line every cell moves by the same offset, so the deposit needs no scatter. Each run of
+    lines whose offset has the same floor f and ceiling is copied f cells along, the cells whose
+    arrival point is outside [0, n-1] left out; the B-spline weights of each line then spread the
+    shifted lines over the taps, four slice adds over the whole array, into coefficients one cell
+    wider than the axis on either side, whose outer rows fold back onto their mirror images (tap
+    n + 1 is reached only from the arrival point n - 1, with weight 0). The transposed ``prefilter``
+    turns the coefficients into cell values, and the same runs bound the cells that take anything.
+    """
+    n = shape[axis]
+    base, weights = _taps(offset)
+    ceiling = np.ceil(offset)
+    # (floor, ceiling) is the same along a run of lines exactly where floor + ceiling is
+    starts = np.flatnonzero(np.diff(base + ceiling)) + 1
+    moves, empty = [], []
+    for first, last in zip([0, *starts], [*starts, offset.size]):
+        line, f, c = slice(first, last), int(base[first]), int(ceiling[first])
+        low = max(0, -f)  # cells low .. high - 1 arrive in [0, n-1]; none where the shift passes an edge
+        moves.append((line, f, low, max(low, min(n, n - c))))
+        empty.append((line, max(0, min(c, n)), max(0, n + f)))  # cells below and from these take nothing
     transposed = (prefilter[0], prefilter[1].T)
 
+    def lines(a: np.ndarray) -> np.ndarray:  # the lines of the axis along the first dimension
+        return a if axis == 0 else a.T
+
     def apply(w: np.ndarray) -> np.ndarray:
-        coeffs = np.bincount(flat[0].ravel(), (weights[0] * w).ravel(), size + 1)
+        source = lines(w)
+        # shifted[3 + j] holds the cells whose arrival floor is j (0 <= j < n, zero-padded for the
+        # taps); coeffs[1 + j] is the coefficient of tap j = -1 .. n
+        shifted = np.zeros((n + 5, source.shape[1]))
+        for line, f, low, high in moves:
+            shifted[3 + low + f : 3 + high + f, line] = source[low:high, line]
+        coeffs = weights[0] * shifted[3 : n + 5]  # tap k of a cell whose arrival floor is j lands on j - 1 + k
         for k in range(1, 4):
-            coeffs += np.bincount(flat[k].ravel(), (weights[k] * w).ravel(), size + 1)
-        out = _spline_coefficients(transposed, coeffs[:size].reshape(shape), axis, np.empty(shape))
-        out *= inflow
+            coeffs += weights[k] * shifted[3 - k : n + 5 - k]
+        coeffs[2] += coeffs[0]  # tap -1 is the mirror image of tap 1
+        coeffs[n - 1] += coeffs[n + 1]  # and tap n of tap n - 2
+        out = _spline_coefficients(transposed, lines(coeffs[1 : n + 1]), axis, np.empty(shape))
+        cells = lines(out)
+        for line, below, above in empty:
+            cells[:below, line] = 0.0
+            cells[above:, line] = 0.0
         return out
 
     return apply
@@ -316,14 +359,19 @@ def _cubic_shift(
 def _remap_factors(inv: np.ndarray) -> list[tuple[int, float, float]]:
     """The departure map z -> inv z (cell units) as remaps along one axis, in
     the order they are applied: (axis, u, v) takes the departure coordinate
-    along ``axis`` to be u x + v p and keeps the other.
+    along ``axis`` to be u x + v p and keeps the other. Each is a scale (its
+    cross coupling, v of an x remap and u of a p remap, is 0) or a shear (its
+    own coefficient is 1).
 
     With inv = [[a, b], [c, d]], x then p remaps need d != 0, p then x need
     a != 0, and x, p, x need c != 0 (the x remaps are pure shears, the p remap
     keeps the determinant). The one taken has the smallest largest cross
-    coupling (v of an x remap, u of a p remap), counting every coupling up to
-    1 as 1 so that two remaps win those ties: no remap divides by a pivot that
-    a quarter turn of the flow has sent to 0.
+    coupling, counting every coupling up to 1 as 1 so that the two-remap
+    options win those ties: no remap divides by a pivot that a quarter turn of
+    the flow has sent to 0. Each of its remaps is then a scale by its own
+    coefficient followed by a shear by the cross coupling over it
+    (u x + v p = u (x + v/u p) along x), leaving out either one that is the
+    identity.
     """
     (a, b), (c, d) = inv
     det = a * d - b * c
@@ -335,22 +383,40 @@ def _remap_factors(inv: np.ndarray) -> list[tuple[int, float, float]]:
     if c:
         s = (a - 1.0) / c
         options.append([(0, 1.0, s), (1, c, det), (0, 1.0, b - s * d)])
-    return min(options, key=lambda remaps: max(1.0, *(abs(v if axis == 0 else u) for axis, u, v in remaps)))
+    chosen = min(options, key=lambda remaps: max(1.0, *(abs(v if axis == 0 else u) for axis, u, v in remaps)))
+    factors = []
+    for axis, u, v in chosen:
+        own, cross = (u, v) if axis == 0 else (v, u)
+        if own != 1.0:
+            factors.append((0, own, 0.0) if axis == 0 else (1, 0.0, own))
+        if cross != 0.0:
+            factors.append((0, 1.0, cross / own) if axis == 0 else (1, cross / own, 1.0))
+    return factors
 
 
 def _remaps(
     grid: PhaseSpaceGrid, inv: np.ndarray, prefilter: dict[int, tuple[np.ndarray, np.ndarray]]
 ) -> list[Callable[[np.ndarray], np.ndarray]]:
-    """The remaps that take W to W(inv z) |det inv|, inv in grid-cell units."""
+    """The remaps that take W to W(inv z) |det inv|, inv in grid-cell units.
+
+    Each is a ``_scale`` or a ``_shear``: the transpose of ``map_coordinates(order=3,
+    mode="constant", cval=0.0, prefilter=True)`` at the cells' arrival points, then 0 where a cell's
+    departure point is off the grid. A sum of f(k) times the result is the sum of the cells times the
+    spline of f at their arrival points, so the mass and the moments through order three are kept
+    exactly however the axis is compressed (sampling the spline at the departure points lost 1e-4 of
+    the mass per interval at two cells per standard deviation). What the transposed prefilter spreads
+    onto cells that take nothing, a share of a density a cell or two wide, is lost.
+    """
     shape = (grid.n_x, grid.n_p)
-    x = (grid.x / grid.dx)[:, None]
-    p = (grid.p / grid.dp)[None, :]
+    coordinates = (grid.x / grid.dx, grid.p / grid.dp)  # cell coordinates along x and p
     remaps = []
     for axis, u, v in _remap_factors(inv):
-        depart = u * x + v * p - (x if axis == 0 else p)[0, 0]  # cell index of the departure point
-        along_x, along_p = (1.0 / u - 1.0, -v / u) if axis == 0 else (-u / v, 1.0 / v - 1.0)  # u x + v p inverted
-        offset = (along_x * x if along_x else 0.0) + (along_p * p if along_p else 0.0)  # 1-D if a coefficient is 0
-        remaps.append(_cubic_shift(offset, axis, shape, prefilter[shape[axis]], depart))
+        own, cross = (u, v) if axis == 0 else (v, u)
+        y = coordinates[axis]
+        if cross:  # the departure point y + cross * (other coordinate): arrival offset -cross * other
+            remaps.append(_shear(-cross * coordinates[1 - axis], axis, shape, prefilter[shape[axis]]))
+        else:  # the departure point own * y: arrival y / own
+            remaps.append(_scale((1.0 / own - 1.0) * y, own * y - y[0], axis, prefilter[shape[axis]]))
     return remaps
 
 

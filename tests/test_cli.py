@@ -267,6 +267,15 @@ class TestSimulate:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "dt" not in json.loads(outputs[2][1])["config"]
 
+    def test_moments_ignore_the_time_step(self, tmp_path):
+        # the moment engine is exact in time too: --dt used to change the header digest and the manifest
+        common = ["simulate", "--mode", "moments", "--x2", 1, "--t-end", 1, "--points", 3]
+        outputs = []
+        for extra in (["--dt", 5], []):
+            assert run([*common, *extra, "--out-prefix", tmp_path / "run"]) == 0
+            outputs.append([(tmp_path / f"run.{ext}").read_bytes() for ext in ("csv", "manifest.json")])
+        assert outputs[0] == outputs[1]
+
     def test_sde_refuses_the_harmonic_well(self, tmp_path, capsys):
         # the well's force was dropped: the run wrote the free particle's rows and exited 0
         assert run(["simulate", "--mode", "sde", "--x2", 1, "--p2", 1, "--t-end", 1, "--points", 3,
@@ -310,10 +319,11 @@ class TestSimulate:
     @pytest.mark.parametrize("flags, named", [
         (["--mode", "sde", "--n-paths", 1000, "--seed", 1], "--dt must be positive"),
         (["--mode", "pde", "--p2", 1, "--nx", 16, "--np", 16], PDE_HAS_NO_STEP),
-    ], ids=["sde", "pde"])
+        (["--mode", "moments"], "--dt must be positive"),
+    ], ids=["sde", "pde", "moments"])
     def test_nonpositive_step_names_the_flag(self, tmp_path, capsys, flags, named, dt):
         # pde at --dt 0 divided by zero (exit 3) and at --dt -1 said "dt must divide t_end evenly";
-        # it has no time step now, so any --dt is refused
+        # it has no time step now, so any --dt is refused. moments took any --dt without a word
         assert run(["simulate", *flags, "--x2", 1, "--t-end", 0.1, f"--dt={dt}", "--out-prefix", tmp_path / "s"]) == 1
         assert capsys.readouterr().err == f"usage error: {named}\n"
         assert list(tmp_path.iterdir()) == []

@@ -185,9 +185,11 @@ class TestTransportSubsteps:
 
     @pytest.mark.parametrize("potential, h, count", [
         (None, 0.4, 2),
-        (HarmonicPotential(omega0=1.3), 0.4, 2),
-        (HarmonicPotential(omega0=1.3), 1.2, 3),  # about a quarter turn: no pivot is left for two remaps
-    ], ids=["free", "harmonic", "quarter-turn"])
+        # the x shear moves the lines at the p edges by about 59 cells, more than the 48 of the grid
+        (None, 4.0, 2),
+        (HarmonicPotential(omega0=1.3), 0.4, 4),
+        (HarmonicPotential(omega0=1.3), 1.2, 4),  # about a quarter turn: no pivot is left for two remaps
+    ], ids=["free", "long-shear", "harmonic", "quarter-turn"])
     def test_match_map_coordinates(self, potential, h, count):
         params = ModelParams(M=0.7, gamma=0.25, kT=1.0, hbar=1.0)
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=48, n_p=40)
@@ -214,6 +216,10 @@ class TestTransportSubsteps:
             coords = np.stack([rows + ahead, cols] if axis == 0 else [rows, cols + ahead])
             arrive, n = coords[axis], shape[axis]
             edges += [arrive < 0, arrive > n - 1, (arrive >= 0) & (arrive < 1), (arrive > n - 2) & (arrive <= n - 1)]
+            if potential is None and h > 1.0 and axis == 0:
+                # many runs of lines with one floor of the offset, and whole lines past either edge
+                assert np.unique(np.floor(ahead)).size >= 10
+                assert np.any(np.all(arrive < 0, axis=0)) and np.any(np.all(arrive > n - 1, axis=0))
             # cells whose departure point is off the grid take nothing
             depart = u * x + v * p - (x if axis == 0 else p)[0, 0]
             inflow = (depart >= 0) & (depart <= n - 1)
@@ -225,19 +231,24 @@ class TestTransportSubsteps:
         # some remap has arrival points outside, and within one cell of, either edge
         assert all(np.any(edges[k::4]) for k in range(4))
 
-    @pytest.mark.parametrize("u", [0.8, 1.0, 1.1051709180756477, math.exp(phasespace.MAX_LOG_COMPRESSION)])
-    def test_keep_mass_and_moments_through_order_three(self, u):
-        # a density four cells wide in p, stretched (u < 1) or compressed (u > 1) about the
-        # center: the arrival p is p / u
-        grid = PhaseSpaceGrid.gaussian(1.0, 0.04, 0.0, x_half_width=8.0, p_half_width=2.0, n_x=32, n_p=80)
-        inv = np.array([[1.0, 0.0], [0.0, u]])
+    SCALES = [0.8, 1.0, 1.1051709180756477, math.exp(phasespace.MAX_LOG_COMPRESSION)]
+
+    @pytest.mark.parametrize("inv", [np.diag([1.0, u]) for u in SCALES] + [np.array([[1.0, 0.3], [0.0, 1.0]])],
+                             ids=[str(u) for u in SCALES] + ["shear"])
+    def test_keep_mass_and_moments_through_order_three(self, inv):
+        # a density four cells wide in p, stretched (u < 1) or compressed (u > 1) about the center,
+        # or sheared along x by 0.3 cells per cell of p: a cell at z arrives at inv^-1 z, so at p / u
+        # or at x - 0.3 p
+        grid = PhaseSpaceGrid.gaussian(1.0, 0.04, 0.0, x_half_width=12.0, p_half_width=2.0, n_x=48, n_p=80)
         moved = grid.w
-        for remap in _remaps(grid, inv, {n: _spline_prefilter(n) for n in (32, 80)}):
+        for remap in _remaps(grid, inv, {n: _spline_prefilter(n) for n in (48, 80)}):
             moved = remap(moved)
-        p = grid.p / grid.dp
-        for k in range(4):
-            before = np.sum(grid.w * (p / u) ** k)
-            assert np.sum(moved * p**k) == pytest.approx(before, rel=1e-12, abs=1e-12 * np.sum(grid.w))
+        z = np.meshgrid(grid.x / grid.dx, grid.p / grid.dp, indexing="ij")
+        arrival = np.tensordot(np.linalg.inv(inv), z, axes=1)
+        for axis in range(2):
+            for k in range(4):
+                before = np.sum(grid.w * arrival[axis] ** k)
+                assert np.sum(moved * z[axis] ** k) == pytest.approx(before, rel=1e-12, abs=1e-12 * np.sum(grid.w))
 
 
 class TestClosedFormTransport:
