@@ -36,54 +36,102 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import __version__
-from .calibrate import fit_acf, fit_kurtosis_decay
-from .dynamics import (
-    HarmonicPotential,
-    KernelSchedule,
-    MomentState,
-    PhaseSpaceGrid,
-    evolve_moments,
-    evolve_wigner_pde,
-    simulate_sde_markov,
-)
-from .dynamics.moments import MOMENT_KEYS
 from .errors import DataError, NumericalError
-from .market import (
-    STAMP_MINUTES,
-    SYNTH_START_MINUTE,
-    AcfEstimate,
-    PriceSeries,
-    drift_vol_scaling,
-    empirical_acf,
-    empirical_kurtosis,
-    load_prices,
-    log_returns,
-    minute_stamps,
-    return_histogram,
-    synth_colored,
-    synth_gbm,
-)
-from .model import (
-    BathSpectrum,
-    ModelParams,
-    NonMarkovParams,
-    SecondMomentInit,
-    acf_model,
-    classical_variance,
-    delta_coefficient,
-    lambda_coefficient,
-    minimal_uncertainty_momentum,
-    spectral_density,
-    variance_closed_form,
-    variance_short_time,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
+
+# The layers load when a command needs them, so `--version`, `--help` and the
+# usage errors argparse reports load no numpy. Each binder below imports one
+# layer and makes its names globals of this module, which the commands call. A
+# name already bound is kept: a tracer or a test may have replaced it.
+
+
+def _bind(names: dict) -> None:
+    namespace = globals()
+    for name, value in names.items():
+        namespace.setdefault(name, value)
+
+
+def _model() -> None:
+    from .model import (
+        BathSpectrum,
+        ModelParams,
+        NonMarkovParams,
+        SecondMomentInit,
+        acf_model,
+        classical_variance,
+        delta_coefficient,
+        lambda_coefficient,
+        minimal_uncertainty_momentum,
+        spectral_density,
+        variance_closed_form,
+        variance_short_time,
+    )
+
+    _bind(locals())
+
+
+def _market() -> None:
+    from .market import (
+        STAMP_MINUTES,
+        SYNTH_START_MINUTE,
+        AcfEstimate,
+        PriceSeries,
+        drift_vol_scaling,
+        empirical_acf,
+        empirical_kurtosis,
+        load_prices,
+        log_returns,
+        minute_stamps,
+        return_histogram,
+        synth_colored,
+        synth_gbm,
+    )
+
+    _bind(locals())
+
+
+def _calibrate() -> None:
+    from .calibrate import fit_acf, fit_kurtosis_decay
+
+    _bind(locals())
+
+
+def _moments() -> None:
+    from .dynamics.moments import MOMENT_KEYS, HarmonicPotential, KernelSchedule, MomentState, evolve_moments
+
+    _bind(locals())
+
+
+def _montecarlo() -> None:
+    from .dynamics.montecarlo import simulate_sde_markov
+
+    _bind(locals())
+
+
+def _phasespace() -> None:
+    from .dynamics.phasespace import PhaseSpaceGrid, evolve_wigner_pde
+
+    _bind(locals())
+
+
+def __getattr__(name: str):
+    """A layer name read from outside before a command bound it (a tracer
+    about to replace it, a test): bind the layers in turn until one has it.
+    No layer name is a dunder, and the import system probes `__path__`."""
+    namespace = globals()
+    if not name.startswith("__"):
+        for bind in (_model, _market, _calibrate, _moments, _montecarlo, _phasespace):
+            bind()
+            if name in namespace:
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,6 +189,8 @@ def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Itera
     they are. A non-finite number outside the ``stderr`` column raises a
     NumericalError before anything is produced.
     """
+    import numpy as np
+
     arrays, fields = [], []
     for key, col in columns.items():
         if col.dtype.kind == "U":
@@ -403,11 +453,14 @@ def cmd_eval(cfg: dict) -> int:
     _require(cfg, "formula", "start", "end", "out")
     start, end, points = cfg["start"], cfg["end"], int(cfg["points"])
     if not (end > start):
-        raise ValueError("range start must be below end")
+        raise ValueError("--start must be below --end")
     if start < 0:
-        raise ValueError("range must be nonnegative")
+        raise ValueError("--start must be nonnegative")
     if points < 2:
         raise ValueError("--points must be at least 2")
+    import numpy as np
+
+    _model()
     grid = np.linspace(start, end, points)
     formula = cfg["formula"]
     digest = _sha256_config(cfg)
@@ -451,6 +504,8 @@ def cmd_simulate(cfg: dict) -> int:
     _require(cfg, "mode", "t_end", "out_prefix")
     if cfg["points"] < 2:
         raise ValueError("--points must be at least 2")
+    if not cfg["t_end"] > 0:
+        raise ValueError("--t-end must be positive")
     mode = cfg["mode"]
     if cfg.get("dt") is not None:
         if mode == "pde":
@@ -461,6 +516,10 @@ def cmd_simulate(cfg: dict) -> int:
         cfg["dt"] = None
     if mode == "sde":
         del cfg["dt"]  # sde configs carry no dt key; moments keeps its null, and so its output bytes
+    import numpy as np
+
+    _model()
+    _moments()
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
         schedule = KernelSchedule.non_markov(params, _nm_params(cfg))
@@ -472,8 +531,6 @@ def cmd_simulate(cfg: dict) -> int:
     p2 = cfg["p2"] if cfg.get("p2") is not None else minimal_uncertainty_momentum(params, x2)
     m11 = cfg["xp"] / 2.0
     t_end = cfg["t_end"]
-    if not t_end > 0:
-        raise ValueError("t-end must be positive")
     times = np.linspace(0.0, t_end, int(cfg["points"]))
     prefix = Path(cfg["out_prefix"])
     seed = _seed_from(cfg)
@@ -503,6 +560,7 @@ def cmd_simulate(cfg: dict) -> int:
         if cfg["n_paths"] < 1000:
             raise ValueError("--n-paths must be at least 1000")
         init = SecondMomentInit(sx2_0=x2, sp2_0=p2, spx_0=cfg["xp"])
+        _montecarlo()
         ens = simulate_sde_markov(params, init, int(cfg["n_paths"]), t_end / (len(times) - 1), t_end, seed)
         columns = {"t": ens.times}
         for (j, k) in MOMENT_KEYS[1:]:  # all but m00 = 1
@@ -512,6 +570,7 @@ def cmd_simulate(cfg: dict) -> int:
         for flag in ("nx", "np"):
             if cfg[flag] < 16:
                 raise ValueError(f"--{flag} must be at least 16")
+        _phasespace()
         grid = PhaseSpaceGrid.gaussian(
             x2,
             p2,
@@ -536,11 +595,17 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_analyze(cfg: dict) -> int:
     _require(cfg, "input", "out_prefix")
+    taus = _parse_taus(cfg["taus"])
+    if cfg["max_lag"] < 0:
+        raise ValueError("--max-lag must be nonnegative")
+    for flag in ("bins", "return_tau"):
+        if cfg.get(flag) is not None and cfg[flag] <= 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be positive")
     in_path = Path(cfg["input"])
     digest = _sha256_file(in_path)
+    _market()
     series = load_prices(in_path)
     policy = cfg["policy"]
-    taus = _parse_taus(cfg["taus"])
     taus = [t for t in taus if t % series.base_minutes == 0]
     if len(taus) < 3:
         raise DataError("fewer than 3 usable horizons at this base resolution")
@@ -586,6 +651,8 @@ def cmd_analyze(cfg: dict) -> int:
 
 
 def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.ndarray]:
+    import numpy as np
+
     rows = []
     header: list[str] | None = None
     try:
@@ -627,6 +694,10 @@ def cmd_fit(cfg: dict) -> int:
         raise ValueError("--base-minutes must be positive")
     in_path = Path(cfg["input"])
     digest = _sha256_file(in_path)
+    import numpy as np
+
+    _market()
+    _calibrate()
 
     if cfg["kind"] == "acf":
         data = _read_estimator_csv(in_path, ("lag", "acf"))
@@ -695,6 +766,10 @@ def cmd_synth(cfg: dict) -> int:
         raise ValueError("--n must be at least 2")
     if dt <= 0:
         raise ValueError("--dt must be positive")
+    import numpy as np
+
+    _model()
+    _market()
     if SYNTH_START_MINUTE + (n - 1) * dt > STAMP_MINUTES[1]:
         raise ValueError(
             "--n and --dt put the last bar after 9999-12-31T23:59: "
@@ -740,6 +815,8 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in cfg.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{flags[args.command][dest]} must be finite")
+        import numpy as np
+
         # a non-finite result is reported once, by the check that refuses it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(cfg)

@@ -71,9 +71,15 @@ class TestEval:
         assert run(["eval", "--formula", "bogus", "--start", 0, "--end", 1,
                     "--out", tmp_path / "x.csv"]) == 1
 
-    def test_invalid_range_is_usage_error(self, tmp_path):
+    def test_invalid_range_is_usage_error(self, tmp_path, capsys):
         assert run(["eval", "--formula", "classical", "--start", 5, "--end", 1,
                     "--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err == "usage error: --start must be below --end\n"
+
+    def test_negative_range_start_names_the_flag(self, tmp_path, capsys):
+        assert run(["eval", "--formula", "classical", "--start", -1, "--end", 1,
+                    "--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err == "usage error: --start must be nonnegative\n"
 
     def test_too_few_points_names_the_flag(self, tmp_path, capsys):
         assert run(["eval", "--formula", "classical", "--start", 0, "--end", 1, "--points", 1,
@@ -412,6 +418,12 @@ class TestSimulate:
                     "--out-prefix", tmp_path / "s"]) == 1
         assert capsys.readouterr().err == "usage error: --points must be at least 2\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("t_end", [0, -1])
+    def test_nonpositive_end_time_names_the_flag(self, tmp_path, capsys, t_end):
+        assert run(["simulate", "--mode", "moments", "--x2", 1, f"--t-end={t_end}",
+                    "--out-prefix", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err == "usage error: --t-end must be positive\n"
 
     @pytest.mark.parametrize("argv, named", [
         (["simulate", "--mode", "moments", "--x2", "1", "--hbar", "1e-200", "--t-end", "1", "--out-prefix", "m"],
@@ -846,8 +858,24 @@ class TestSynthAndAnalyze:
         prices = tmp_path / "prices.csv"
         assert run(["synth", "--kind", "gbm", "--n", 500, "--seed", 1, "--out", prices]) == 0
         assert run(["analyze", "--input", prices, "--max-lag", -1, "--out-prefix", tmp_path / "run"]) == 1
-        assert "max_lag must be nonnegative" in capsys.readouterr().err
+        assert "--max-lag must be nonnegative" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--max-lag", -5, "--max-lag must be nonnegative"),
+        ("--bins", 0, "--bins must be positive"),
+        ("--return-tau", 0, "--return-tau must be positive"),
+    ], ids=["max-lag", "bins", "return-tau"])
+    def test_bad_flag_is_named_before_the_file_is_read(self, tmp_path, monkeypatch, capsys, flag, value, named):
+        prices = tmp_path / "prices.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 500, "--seed", 1, "--out", prices]) == 0
+
+        def unread(path):
+            raise AssertionError(f"{path} was read before the flags were checked")
+
+        monkeypatch.setattr(cli, "load_prices", unread)
+        assert run(["analyze", "--input", prices, flag, value, "--out-prefix", tmp_path / "run"]) == 1
+        assert capsys.readouterr().err == f"usage error: {named}\n"
 
     @pytest.mark.parametrize("taus", ["0:100:5", "-5:100:5"])
     def test_non_positive_tau_start_is_usage_error(self, tmp_path, capsys, taus):
@@ -1205,10 +1233,13 @@ class TestConfigParsing:
 
 class TestImports:
     # The steps run in order in one fresh interpreter; after each, the script
-    # records which of these scipy submodules sys.modules holds. A step is a
-    # `qbm` argument list, or the name of a module to import: the probe's
-    # control, which must be seen.
+    # records which of the watched modules sys.modules holds: the scipy
+    # submodules no command may load, or numpy and the package's layers, which
+    # a command loads only when it calls them. A step is a `qbm` argument list,
+    # or the name of a module to import: the probe's control, which must be seen.
     SCIPY_ON_DEMAND = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.ndimage")
+    LAYERS = ("numpy", "qbmarket.model", "qbmarket.market", "qbmarket.calibrate", "qbmarket.dynamics.moments",
+              "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace")
     SCRIPT = """
 import importlib, json, sys
 
@@ -1230,14 +1261,17 @@ for step in json.loads(sys.argv[1]):
         importlib.import_module(step)
         note("import " + step)
         continue
-    code = main(step)
+    try:
+        code = main(step)
+    except SystemExit as exc:  # --help
+        code = exc.code
     note(" ".join(step[:3]) + " -> exit %d" % code)
 print(json.dumps(loaded))
 """
 
-    def probe(self, tmp_path, steps, watched):
+    def probe(self, tmp_path, steps, watched, code=0):
         """Run the steps; what each loaded of ``watched``, keyed by step, after
-        checking that every command exited 0."""
+        checking that every command exited with ``code``."""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, json.dumps(steps), *watched],
@@ -1246,7 +1280,7 @@ print(json.dumps(loaded))
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         ran = ["import qbmarket", "--version"]
-        ran += ["import " + s if isinstance(s, str) else " ".join(s[:3]) + " -> exit 0" for s in steps]
+        ran += ["import " + s if isinstance(s, str) else " ".join(s[:3]) + f" -> exit {code}" for s in steps]
         assert list(loaded) == ran, proc.stderr
         return loaded
 
@@ -1296,6 +1330,38 @@ print(json.dumps(loaded))
         ]
         watched = (*self.SCIPY_ON_DEMAND, "scipy.linalg")
         self.assert_only_control_loads_scipy(self.probe(tmp_path, steps, watched))
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        ([], 1),
+        (["eval", "--formula", "nope"], 1),
+    ], ids=["help", "no-command", "usage-error"])
+    def test_startup_loads_no_numpy_and_no_layer(self, tmp_path, argv, code):
+        # the probe's own `import qbmarket` and `--version` steps are checked too
+        loaded = self.probe(tmp_path, [argv], self.LAYERS, code)
+        assert loaded == {step: [] for step in loaded}
+
+    SIM = ["--x2", "1", "--p2", "1", "--t-end", "0.01", "--points", "3"]
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["eval", "--formula", "classical", "--start", "0", "--end", "1", "--out", "e.csv"], ["model"]),
+        (["simulate", "--mode", "moments", *SIM, "--out-prefix", "m"], ["model", "dynamics.moments"]),
+        (["simulate", "--mode", "sde", *SIM, "--n-paths", "1000", "--seed", "1", "--out-prefix", "s"],
+         ["model", "dynamics.moments", "dynamics.montecarlo"]),
+        (["simulate", "--mode", "pde", *SIM, "--nx", "16", "--np", "16", "--out-prefix", "p"],
+         ["model", "dynamics.moments", "dynamics.phasespace"]),
+        (["synth", "--kind", "gbm", "--n", "600", "--seed", "1", "--out", "g.csv"], ["model", "market"]),
+        (["analyze", "--input", "prices.csv", "--taus", "1:3:1", "--max-lag", "5", "--out-prefix", "run"],
+         ["model", "market"]),
+        (["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"], ["model", "market", "calibrate"]),
+    ], ids=["eval", "moments", "sde", "pde", "synth", "analyze", "fit"])
+    def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):
+        assert run(["synth", "--kind", "gbm", "--n", 600, "--seed", 1, "--out", tmp_path / "prices.csv"]) == 0
+        (tmp_path / "k.csv").write_text("tau,kurtosis\n" + "".join(f"{t},{197 * math.exp(-0.01 * t)!r}\n"
+                                                                    for t in range(5, 205, 5)))
+        loaded = self.probe(tmp_path, [argv], self.LAYERS)
+        assert loaded.pop(" ".join(argv[:3]) + " -> exit 0") == ["numpy", *(f"qbmarket.{m}" for m in layers)]
+        assert loaded == {"import qbmarket": [], "--version": []}
 
     def test_startup_loads_no_thread_pool(self, tmp_path):
         # the sde ensemble ran its blocks on a thread pool; its blocks now run one after another

@@ -5,6 +5,9 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -96,3 +99,38 @@ def test_traced_acf_fit_carries_its_counts(tmp_path):
     assert record["nfev"] == report["iterations"] > 0
     assert record["converged"] is report["converged"] is True
     assert len([s for s in spans if s["name"] == "model.acf_model"]) >= record["nfev"]
+
+
+# The tracer installed in a fresh interpreter, before any command has bound
+# its layers into qbmarket.cli: the spans of one analyze and one pde run.
+FRESH_TRACE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+from qbmarket.cli import main
+tracer = spans.Tracer()
+with tracer.installed():
+    codes = [main(["analyze", "--input", "prices.csv", "--taus", "1:5:1", "--max-lag", "30", "--out-prefix", "run"]),
+             main(["simulate", "--mode", "pde", "--x2", "1", "--p2", "1", "--nx", "16", "--np", "16",
+                   "--t-end", "0.01", "--points", "3", "--out-prefix", "pde"])]
+print(json.dumps({"codes": codes, "spans": tracer.spans}))
+"""
+
+
+def test_replaced_names_survive_the_late_bind(tmp_path):
+    # a command binds its layers when it runs, and must keep the tracer's wrappers
+    assert main(["synth", "--kind", "gbm", "--n", "500", "--seed", "1", "--out", str(tmp_path / "prices.csv")]) == 0
+    src = Path(importlib.import_module("qbmarket").__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", FRESH_TRACE, str(SPANS)], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["codes"] == [0, 0]
+    spans = out["spans"]
+    assert only(spans, "market.load_prices")["rows"] == 500
+    acf = only(spans, "market.empirical_acf")
+    assert acf["lags"] == 31 and acf["pairs"] == sum(499 - lag for lag in range(31))
+    pde = only(spans, "phasespace.evolve_wigner_pde")
+    assert pde["n_steps"] == 2 and pde["samples"] == 3
+    assert len([s for s in spans if s["name"] == "phasespace.grid_moments"]) == 3
