@@ -35,10 +35,11 @@ import math
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import __version__
+from . import __version__, _lazy
 from .errors import DataError, NumericalError
 
 if TYPE_CHECKING:
@@ -47,91 +48,26 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 # The layers load when a command needs them, so `--version`, `--help` and the
-# usage errors argparse reports load no numpy. Each binder below imports one
-# layer and makes its names globals of this module, which the commands call. A
-# name already bound is kept: a tracer or a test may have replaced it.
-
-
-def _bind(names: dict) -> None:
-    namespace = globals()
-    for name, value in names.items():
-        namespace.setdefault(name, value)
-
-
-def _model() -> None:
-    from .model import (
-        BathSpectrum,
-        ModelParams,
-        NonMarkovParams,
-        SecondMomentInit,
-        acf_model,
-        classical_variance,
-        delta_coefficient,
-        lambda_coefficient,
-        minimal_uncertainty_momentum,
-        spectral_density,
-        variance_closed_form,
-        variance_short_time,
-    )
-
-    _bind(locals())
-
-
-def _market() -> None:
-    from .market import (
-        STAMP_MINUTES,
-        SYNTH_START_MINUTE,
-        AcfEstimate,
-        PriceSeries,
-        drift_vol_scaling,
-        empirical_acf,
-        empirical_kurtosis,
-        load_prices,
-        log_returns,
-        minute_stamps,
-        return_histogram,
-        synth_colored,
-        synth_gbm,
-    )
-
-    _bind(locals())
-
-
-def _calibrate() -> None:
-    from .calibrate import fit_acf, fit_kurtosis_decay
-
-    _bind(locals())
-
-
-def _moments() -> None:
-    from .dynamics.moments import MOMENT_KEYS, HarmonicPotential, KernelSchedule, MomentState, evolve_moments
-
-    _bind(locals())
-
-
-def _montecarlo() -> None:
-    from .dynamics.montecarlo import simulate_sde_markov
-
-    _bind(locals())
-
-
-def _phasespace() -> None:
-    from .dynamics.phasespace import PhaseSpaceGrid, evolve_wigner_pde
-
-    _bind(locals())
-
-
-def __getattr__(name: str):
-    """A layer name read from outside before a command bound it (a tracer
-    about to replace it, a test): bind the layers in turn until one has it.
-    No layer name is a dunder, and the import system probes `__path__`."""
-    namespace = globals()
-    if not name.startswith("__"):
-        for bind in (_model, _market, _calibrate, _moments, _montecarlo, _phasespace):
-            bind()
-            if name in namespace:
-                return namespace[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# usage errors load no numpy. Each command binds the modules it calls, and a
+# name read from outside binds its own (`qbmarket._lazy`); a name already bound
+# is kept: a tracer or a test may have replaced it.
+_HOMES = {
+    ".model": (
+        "BathSpectrum", "ModelParams", "NonMarkovParams", "SecondMomentInit", "acf_model", "classical_variance",
+        "delta_coefficient", "lambda_coefficient", "minimal_uncertainty_momentum", "spectral_density",
+        "variance_closed_form", "variance_short_time",
+    ),
+    ".market": (
+        "STAMP_MINUTES", "SYNTH_START_MINUTE", "AcfEstimate", "PriceSeries", "drift_vol_scaling", "empirical_acf",
+        "empirical_kurtosis", "load_prices", "log_returns", "minute_stamps", "return_histogram", "synth_colored",
+        "synth_gbm",
+    ),
+    ".calibrate": ("fit_acf", "fit_kurtosis_decay"),
+    ".dynamics.moments": ("MOMENT_KEYS", "HarmonicPotential", "KernelSchedule", "MomentState", "evolve_moments"),
+    ".dynamics.montecarlo": ("simulate_sde_markov",),
+    ".dynamics.phasespace": ("PhaseSpaceGrid", "evolve_wigner_pde"),
+}
+_bind, __getattr__ = _lazy(globals(), _HOMES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -460,7 +396,7 @@ def cmd_eval(cfg: dict) -> int:
         raise ValueError("--points must be at least 2")
     import numpy as np
 
-    _model()
+    _bind(".model")
     grid = np.linspace(start, end, points)
     formula = cfg["formula"]
     digest = _sha256_config(cfg)
@@ -518,8 +454,7 @@ def cmd_simulate(cfg: dict) -> int:
         del cfg["dt"]  # sde configs carry no dt key; moments keeps its null, and so its output bytes
     import numpy as np
 
-    _model()
-    _moments()
+    _bind(".model", ".dynamics.moments")
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
         schedule = KernelSchedule.non_markov(params, _nm_params(cfg))
@@ -560,7 +495,7 @@ def cmd_simulate(cfg: dict) -> int:
         if cfg["n_paths"] < 1000:
             raise ValueError("--n-paths must be at least 1000")
         init = SecondMomentInit(sx2_0=x2, sp2_0=p2, spx_0=cfg["xp"])
-        _montecarlo()
+        _bind(".dynamics.montecarlo")
         ens = simulate_sde_markov(params, init, int(cfg["n_paths"]), t_end / (len(times) - 1), t_end, seed)
         columns = {"t": ens.times}
         for (j, k) in MOMENT_KEYS[1:]:  # all but m00 = 1
@@ -570,7 +505,7 @@ def cmd_simulate(cfg: dict) -> int:
         for flag in ("nx", "np"):
             if cfg[flag] < 16:
                 raise ValueError(f"--{flag} must be at least 16")
-        _phasespace()
+        _bind(".dynamics.phasespace")
         grid = PhaseSpaceGrid.gaussian(
             x2,
             p2,
@@ -603,7 +538,7 @@ def cmd_analyze(cfg: dict) -> int:
             raise ValueError(f"--{flag.replace('_', '-')} must be positive")
     in_path = Path(cfg["input"])
     digest = _sha256_file(in_path)
-    _market()
+    _bind(".market")
     series = load_prices(in_path)
     policy = cfg["policy"]
     taus = [t for t in taus if t % series.base_minutes == 0]
@@ -684,6 +619,8 @@ def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.n
                 raise DataError(f"{path}: row {i}: {c} is not finite ({cell.strip()!r})")
             if c in ("lag", "count") and not (value.is_integer() and abs(value) < 2.0**63):
                 raise DataError(f"{path}: row {i}: {c} is not a 64-bit integer ({cell.strip()!r})")
+            if c == "count" and value < 1:
+                raise DataError(f"{path}: row {i}: count is below 1 ({cell.strip()!r})")
             data[c].append(value)
     return {c: np.asarray(v) for c, v in data.items()}
 
@@ -696,8 +633,7 @@ def cmd_fit(cfg: dict) -> int:
     digest = _sha256_file(in_path)
     import numpy as np
 
-    _market()
-    _calibrate()
+    _bind(".market", ".calibrate")
 
     if cfg["kind"] == "acf":
         data = _read_estimator_csv(in_path, ("lag", "acf"))
@@ -713,7 +649,7 @@ def cmd_fit(cfg: dict) -> int:
         est = AcfEstimate(
             lags=lags,
             values=data["acf"],
-            counts=np.maximum(counts, 1),
+            counts=counts,
             stderr=stderr,
             base_minutes=base,
             tau_minutes=base,
@@ -768,8 +704,7 @@ def cmd_synth(cfg: dict) -> int:
         raise ValueError("--dt must be positive")
     import numpy as np
 
-    _model()
-    _market()
+    _bind(".model", ".market")
     if SYNTH_START_MINUTE + (n - 1) * dt > STAMP_MINUTES[1]:
         raise ValueError(
             "--n and --dt put the last bar after 9999-12-31T23:59: "
@@ -815,10 +750,9 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in cfg.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{flags[args.command][dest]} must be finite")
-        import numpy as np
-
         # a non-finite result is reported once, by the check that refuses it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "(overflow|invalid value|divide by zero) encountered", RuntimeWarning)
             return args.func(cfg)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -51,7 +51,6 @@ class EnsembleMoments:
     mean: Mapping[tuple[int, int], np.ndarray]
     stderr: Mapping[tuple[int, int], np.ndarray]
     n_paths: int
-    seed: int
     interval: float
 
 
@@ -137,7 +136,7 @@ def simulate_sde_markov(
     mean = {key: mu[:, i] for i, key in enumerate(MOMENT_KEYS)}
     stderr = {key: se[:, i] for i, key in enumerate(MOMENT_KEYS)}
     times.setflags(write=False)
-    return EnsembleMoments(times=times, mean=mean, stderr=stderr, n_paths=n_paths, seed=seed, interval=t_end / n)
+    return EnsembleMoments(times=times, mean=mean, stderr=stderr, n_paths=n_paths, interval=t_end / n)
 
 
 def _accumulate(row: np.ndarray, z: np.ndarray) -> None:

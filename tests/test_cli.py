@@ -3,6 +3,8 @@ merging, seeding, and reproducibility."""
 
 import ast
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -1075,6 +1077,20 @@ class TestFitCommand:
         assert f"data error: {path}: row 2: {column} is not a 64-bit integer" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["acf.csv"]
 
+    @pytest.mark.parametrize("count", ["-7", "0"])
+    def test_count_below_one_is_data_error(self, tmp_path, capsys, count):
+        # np.maximum(counts, 1) made them 1, and the count-weighted fit converged
+        path, _ = self.make_acf_csv(tmp_path)
+        lines = path.read_text().splitlines()
+        lines = ["lag,acf,count"] + [f"{line},100" for line in lines[1:]]
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{count}"
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",0"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["fit", "--kind", "acf", "--weights", "count-weighted", "--input", path,
+                    "--out", tmp_path / "o.json"]) == 2
+        assert f"data error: {path}: row 3: count is below 1 ({count!r})" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["acf.csv"]
+
 
 class TestConfigFile:
     def test_config_file_supplies_values_and_flags_override(self, tmp_path):
@@ -1236,7 +1252,8 @@ class TestImports:
     # records which of the watched modules sys.modules holds: the scipy
     # submodules no command may load, or numpy and the package's layers, which
     # a command loads only when it calls them. A step is a `qbm` argument list,
-    # or the name of a module to import: the probe's control, which must be seen.
+    # the name of a module to import (the probe's control, which must be seen),
+    # or {"read": "module.name"}, a read of a name the module does not have.
     SCIPY_ON_DEMAND = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.ndimage")
     LAYERS = ("numpy", "qbmarket.model", "qbmarket.market", "qbmarket.calibrate", "qbmarket.dynamics.moments",
               "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace")
@@ -1261,6 +1278,11 @@ for step in json.loads(sys.argv[1]):
         importlib.import_module(step)
         note("import " + step)
         continue
+    if isinstance(step, dict):  # {"read": "module.name"}: a name the module must not have
+        module, _, name = step["read"].rpartition(".")
+        assert not hasattr(importlib.import_module(module), name)
+        note("read " + step["read"])
+        continue
     try:
         code = main(step)
     except SystemExit as exc:  # --help
@@ -1280,7 +1302,8 @@ print(json.dumps(loaded))
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         ran = ["import qbmarket", "--version"]
-        ran += ["import " + s if isinstance(s, str) else " ".join(s[:3]) + f" -> exit {code}" for s in steps]
+        ran += ["import " + s if isinstance(s, str) else "read " + s["read"] if isinstance(s, dict)
+                else " ".join(s[:3]) + f" -> exit {code}" for s in steps]
         assert list(loaded) == ran, proc.stderr
         return loaded
 
@@ -1335,10 +1358,20 @@ print(json.dumps(loaded))
         (["--help"], 0),
         ([], 1),
         (["eval", "--formula", "nope"], 1),
-    ], ids=["help", "no-command", "usage-error"])
+        (["simulate", "--mode", "moments", "--x2", "1", "--t-end", "0", "--out-prefix", "m"], 1),
+        (["eval", "--formula", "classical", "--start", "2", "--end", "1", "--out", "e.csv"], 1),
+        (["analyze", "--input", "p.csv", "--bins", "0", "--out-prefix", "run"], 1),
+    ], ids=["help", "no-command", "usage-error", "simulate-t-end", "eval-range", "analyze-bins"])
     def test_startup_loads_no_numpy_and_no_layer(self, tmp_path, argv, code):
-        # the probe's own `import qbmarket` and `--version` steps are checked too
+        # the probe's own `import qbmarket` and `--version` steps are checked too;
+        # the last three are usage errors the command finds, not argparse
         loaded = self.probe(tmp_path, [argv], self.LAYERS, code)
+        assert loaded == {step: [] for step in loaded}
+
+    def test_unknown_name_loads_nothing(self, tmp_path):
+        # cli's __getattr__ bound every layer in turn before it raised
+        steps = [{"read": f"{module}.no_such_name"} for module in ("qbmarket.cli", "qbmarket", "qbmarket.dynamics")]
+        loaded = self.probe(tmp_path, steps, self.LAYERS)
         assert loaded == {step: [] for step in loaded}
 
     SIM = ["--x2", "1", "--p2", "1", "--t-end", "0.01", "--points", "3"]
@@ -1401,6 +1434,28 @@ print(json.dumps(loaded))
                     continue
                 found += [f"{path.relative_to(package)}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
         assert found == []
+
+    def test_lazy_tables_name_real_modules_and_objects(self):
+        # the layers are imported by name, so the scipy walk above sees their own
+        # imports but not which modules the tables name: check those here
+        package = Path(cli.__file__).parent
+        calls = {}  # each import_module call, and whether it is inside _lazy
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            in_lazy = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_lazy"
+                       for n in ast.walk(f)}
+            calls.update({f"{path.relative_to(package)}:{node.lineno}": id(node) in in_lazy for node in ast.walk(tree)
+                          if "import_module" in (getattr(node, "attr", None), getattr(node, "id", None))})
+        assert list(calls.values()) == [True], calls
+        for module in (importlib.import_module(m) for m in ("qbmarket", "qbmarket.dynamics", "qbmarket.cli")):
+            for home in module._HOMES:
+                assert home.startswith("."), (module.__name__, home)
+                relative = importlib.util.resolve_name(home, module.__package__).split(".")[1:]
+                assert package.joinpath(*relative).with_suffix(".py").is_file(), (module.__name__, home)
+        cli._bind(*cli._HOMES)
+        moved = [(home, name) for home, names in cli._HOMES.items() for name in names
+                 if vars(cli)[name] is not getattr(importlib.import_module(home, "qbmarket"), name)]
+        assert moved == []
 
 
 class TestHelp:
