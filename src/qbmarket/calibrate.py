@@ -109,6 +109,14 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median(x) of finite x, bit for bit: the mean of the middle one or
+    two values of one np.partition. np.median imports numpy.ma for its NaN
+    check, which no other step of a command loads."""
+    middle = sorted({(len(x) - 1) // 2, len(x) // 2})
+    return float(np.partition(x, middle)[middle[0] : middle[-1] + 1].mean())
+
+
 def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> tuple[NonMarkovParams, bool]:
     """Deterministic starting point; second element reports whether the
     periodogram peak was unambiguous."""
@@ -138,7 +146,7 @@ def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> t
         if len(power) > 3:
             interior = power[1:]
             k_star = 1 + int(np.argmax(interior))
-            med = float(np.median(interior))
+            med = _median(interior)
             if med > 0 and power[k_star] > 4.0 * med:
                 clear_peak = True
                 freq = 2.0 * math.pi * k_star / (len(values) * step)

@@ -549,7 +549,10 @@ def cmd_analyze(cfg: dict) -> int:
     return_tau = int(cfg["return_tau"]) if cfg.get("return_tau") is not None else series.base_minutes
     returns = log_returns(series, return_tau, policy=policy, remove_drift=True)
     hist = return_histogram(returns, bins=cfg.get("bins"))
-    acf = empirical_acf(returns, int(cfg["max_lag"]))
+    try:
+        acf = empirical_acf(returns, int(cfg["max_lag"]))
+    except ValueError as exc:  # the sign was checked above: a lag longer than the data span
+        raise DataError(str(exc)) from exc
     kurt = empirical_kurtosis(series, taus, policy=policy)
 
     tables = {

@@ -245,6 +245,8 @@ def _read_lines(source: TextIO) -> tuple[np.ndarray, np.ndarray, list[bool]]:
 # The stamp forms read by column, and the comma after the stamp. The first
 # data row fixes which one a file has; every row must then match it.
 _STAMP = re.compile(rb"\d{4}-\d\d-\d\d[T ]\d\d:\d\d(:\d\d)?(Z|[+-]\d\d:\d\d)?,")
+# characters of text _read_plain reads at a time, before it completes the last line
+_READ_BLOCK = 1 << 20
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int64)
 
 
@@ -302,44 +304,74 @@ def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     `YYYY-MM-DD{T| }HH:MM`, then an optional `:00`, then an optional `Z` or
     `+HH:MM`/`-HH:MM` offset.
 
-    The stamps are read from the bytes: one gather of the stamp columns,
-    range checks (month, day within the month, hour, minute, offset) and the
-    days-from-civil formula. Close and session come from one np.loadtxt.
+    The rows after the header are read in blocks of whole lines, about
+    _READ_BLOCK characters each, so the text is never held whole: besides
+    the result (17 bytes a row), one block and its parsed columns are in
+    memory at a time. A small file is one block. In each block the stamps
+    are read from the bytes (one gather of the stamp columns, range checks
+    of month, day within the month, hour, minute and offset, and the
+    days-from-civil formula) and close and session from one np.loadtxt.
+    Session changes and the order of the stamps are checked across blocks.
 
     Returns what the per-line parser returns for such a file, or None where
     that parser is needed: other stamp forms, nonzero seconds, a date or time
     out of range, non-ASCII text, carriage returns, and comments, quotes,
     blank rows or whitespace after the header (bar the space separating date
-    and time), a value np.loadtxt cannot read, and any row that fails
-    validation, so the error names the same line either way.
+    and time), a value np.loadtxt cannot read, a row with a field too many or
+    too few, and any row that fails validation, so the error names the same
+    line either way.
     """
-    text = source.read()
-    if "\r" in text or not text.isascii():
-        return None
-    start = skip = 0
     while True:
-        end = text.find("\n", start)
-        if end < 0:
+        line = source.readline()
+        if not line.endswith("\n") or "\r" in line or not line.isascii() or "\x7f" in line:
             return None
-        skip += 1
-        if not text[start:end].lstrip().startswith("#"):
+        if not line.lstrip().startswith("#"):
             break
-        start = end + 1
-    header = text[start:end]
+    header = line[:-1]
     if header not in ("timestamp,close", "timestamp,close,session"):
         return None
-    if text.find('"', end) >= 0 or text.find("#", end) >= 0 or "\x7f" in text:
+    n_fields = header.count(",") + 1
+    layout = label = None  # label: the session label of the previous block's last row
+    times, closes, changes = [], [], []
+    while text := source.read(_READ_BLOCK):
+        if not text.endswith("\n"):
+            text += source.readline()
+        if "\r" in text or not text.isascii() or any(c in text for c in '"#\x7f'):
+            return None
+        data = text.encode("ascii")
+        del text
+        if layout is None:
+            # the first row decides most files without a pass over the rest
+            first = _STAMP.match(data)
+            if first is None:
+                return None
+            layout = np.frombuffer(re.sub(rb"\d", b"0", first[0]), dtype=np.uint8)
+        block = _read_block(data, layout, n_fields)
+        if block is None:
+            return None
+        block_times, block_closes, labels = block
+        times.append(block_times)
+        closes.append(block_closes)
+        if label is not None:
+            changes.append(labels[:1] != label)
+        changes.append(labels[1:] != labels[:-1])
+        label = labels[-1]
+    if not times:
         return None
-    data = text.encode("ascii")
-    del text
-    # the first row decides most files without a pass over the rest
-    first = _STAMP.match(data, end + 1)
-    if first is None:
+    times = np.concatenate(times)
+    if not np.all(np.diff(times) > 0):
         return None
-    layout = np.frombuffer(re.sub(rb"\d", b"0", first[0]), dtype=np.uint8)
+    return times, np.concatenate(closes), np.concatenate(changes)
+
+
+def _read_block(data: bytes, layout: np.ndarray, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Times, closes and session labels (empty without the session field) of
+    whole rows of _read_plain whose stamps have the form of layout, the first
+    stamp and its comma with digits as 0; None if a row breaks a rule of
+    _read_plain."""
     # the column of the offset's sign, before `HH:MM,`
-    sign = len(layout) - 7 if first[2] not in (None, b"Z") else None
-    buf = np.frombuffer(data, dtype=np.uint8)[end + 1 :]
+    sign = len(layout) - 7 if layout[-7] in b"+-" else None
+    buf = np.frombuffer(data, dtype=np.uint8)
     if data.endswith(b"\n"):
         buf = buf[:-1]
     ends = np.flatnonzero(buf == ord("\n"))
@@ -351,6 +383,11 @@ def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     # date-time separator of the space layout (checked below to sit at 10)
     spaces = len(starts) if layout[10] == ord(" ") else 0
     if np.count_nonzero(buf <= ord(" ")) != len(ends) + spaces:
+        return None
+    # np.loadtxt skips fields past usecols, so each row's count is checked
+    # here: the stamp holds no comma but its last, and a row short of a field
+    # fails np.loadtxt
+    if np.count_nonzero(buf == ord(",")) != len(starts) * (n_fields - 1):
         return None
 
     stamps = sliding_window_view(buf, len(layout))[starts]
@@ -379,7 +416,7 @@ def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
     if not np.all((day >= 1) & (day <= month_days) & (hour <= 23) & (minute <= 59)):
         return None
     # nonzero seconds are left to the per-line parser's resolution error
-    if first[1] is not None and np.any(digits[:, 17:19]):
+    if layout[16] == ord(":") and np.any(digits[:, 17:19]):
         return None
     times = _days_from_civil(year, month, day) * 1440 + hour * 60 + minute
     if sign is not None:
@@ -389,24 +426,18 @@ def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | N
         times -= np.where(stamps[:, sign] == ord("-"), -1, 1) * (offset[0] * 60 + offset[1])
     del stamps, digits
 
-    has_session = header.endswith("session")
-    fields = [("stamp", f"S{len(layout) - 1}"), ("close", "f8")]
-    if has_session:
-        fields.append(("session", f"S{width.max()}"))
+    # a label is narrower than its row less the stamp
+    fields = [("close", "f8"), ("session", f"S{width.max() - len(layout)}")][: n_fields - 1]
     try:
         rows = np.loadtxt(
-            io.BytesIO(data), delimiter=",", dtype=fields, comments=None, skiprows=skip, ndmin=1
+            io.BytesIO(data), delimiter=",", dtype=fields, comments=None, usecols=range(1, n_fields), ndmin=1
         )
     except ValueError:
         return None
     close = np.ascontiguousarray(rows["close"])
-    if not (np.all(close > 0) and np.all(np.isfinite(close)) and np.all(np.diff(times) > 0)):
+    if not (np.all(close > 0) and np.all(np.isfinite(close))):
         return None
-    if has_session:
-        new_session = rows["session"][1:] != rows["session"][:-1]
-    else:
-        new_session = np.zeros(len(times) - 1, dtype=bool)
-    return times, close, new_session
+    return times, close, rows["session"] if n_fields == 3 else np.zeros(len(close), dtype="S1")
 
 
 def load_prices(source: str | Path | TextIO) -> PriceSeries:
@@ -417,7 +448,10 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     Rows sharing a session label form one session; without the column the
     whole series is one session. A seekable source whose stamps all share one
     form `YYYY-MM-DD{T| }HH:MM[:00][Z|+HH:MM|-HH:MM]` is read by column; any
-    other, and any file with an error, goes line by line.
+    other, and any file with an error, goes line by line. The column reader
+    takes the text in blocks of about 1 MiB, so besides the series (24 bytes
+    a row) it holds one block at a time, not the file; the line reader holds
+    every line.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -658,6 +692,23 @@ class HistogramResult:
             object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
 
 
+def _quantiles(x: np.ndarray, fractions: Sequence[float]) -> list[float]:
+    """np.quantile(x, fractions) of finite x by its default linear method, bit
+    for bit: one np.partition, then numpy's interpolation, which steps back
+    from the upper neighbour at a weight of 1/2 or more. np.quantile and
+    np.unique import numpy.ma, which no other step of a command loads."""
+    n = len(x)
+    at = [(n - 1) * q for q in fractions]
+    below = [math.floor(v) for v in at]
+    above = [min(i + 1, n - 1) for i in below]
+    part = np.partition(x, sorted({*below, *above}))
+    out = []
+    for v, i, j in zip(at, below, above):
+        a, b, t = float(part[i]), float(part[j]), v - i
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def return_histogram(returns: ReturnSeries, bins: int | None = None) -> HistogramResult:
     """Density histogram of the return samples plus the Gaussian with the same
     mean and variance evaluated at bin centers.
@@ -677,7 +728,7 @@ def return_histogram(returns: ReturnSeries, bins: int | None = None) -> Histogra
         raise DegenerateDataError("degenerate variance: all return samples identical")
     lo, hi = mean - 6.0 * std, mean + 6.0 * std
     if bins is None:
-        q75, q25 = np.percentile(x, [75, 25])
+        q75, q25 = _quantiles(x, (0.75, 0.25))
         width = 2.0 * (q75 - q25) / n ** (1.0 / 3.0)
         if width <= 0:
             width = 3.5 * std / n ** (1.0 / 3.0)

@@ -863,6 +863,15 @@ class TestSynthAndAnalyze:
         assert "--max-lag must be nonnegative" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
 
+    def test_max_lag_beyond_the_data_is_data_error(self, tmp_path, capsys):
+        # the data decide it, as they decide whether a --taus horizon has increments
+        prices = tmp_path / "prices.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 200, "--seed", 1, "--out", prices]) == 0
+        assert run(["analyze", "--input", prices, "--taus", "1:3:1", "--max-lag", 480,
+                    "--out-prefix", tmp_path / "run"]) == 2
+        assert capsys.readouterr().err == "data error: max_lag must be below the sample span (198 min)\n"
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize("flag, value, named", [
         ("--max-lag", -5, "--max-lag must be nonnegative"),
         ("--bins", 0, "--bins must be positive"),
@@ -1353,6 +1362,20 @@ print(json.dumps(loaded))
         ]
         watched = (*self.SCIPY_ON_DEMAND, "scipy.linalg")
         self.assert_only_control_loads_scipy(self.probe(tmp_path, steps, watched))
+
+    def test_statistics_and_acf_fit_load_no_numpy_ma(self, tmp_path):
+        # np.percentile and np.median import numpy.ma; analyze's quartiles and
+        # the fit's periodogram median come from np.partition instead
+        steps = [
+            ["synth", "--kind", "colored", "--n", "4000", "--xi", "5e-4", "--eta", "5e-3", "--omega", "0.02",
+             "--seed", "1", "--out", "c.csv"],
+            ["analyze", "--input", "c.csv", "--taus", "5:100:5", "--max-lag", "120", "--out-prefix", "run"],
+            ["fit", "--kind", "acf", "--input", "run.acf.csv", "--out", "a.json"],
+            "numpy.ma",
+        ]
+        loaded = self.probe(tmp_path, steps, ["numpy.ma"])
+        assert loaded.pop("import numpy.ma") == ["numpy.ma"]
+        assert loaded == {step: [] for step in loaded}
 
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0),

@@ -3,6 +3,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,16 +114,18 @@ def assert_same_series(a: PriceSeries, b: PriceSeries) -> None:
     assert a.base_minutes == b.base_minutes
 
 
-def plain_csv(n_sessions: int = 3, seed: int = 0) -> str:
+def plain_csv(n_sessions: int = 3, seed: int = 0, labelled: bool = True) -> str:
     """Session-labelled minute bars with missing bars and overnight gaps, in
-    the `YYYY-MM-DDTHH:MM` form `qbm synth` writes."""
+    the `YYYY-MM-DDTHH:MM` form `qbm synth` writes; without labels, the same
+    bars as one session."""
     rng = np.random.default_rng(seed)
-    rows = ["# qbmarket test; input sha256=0", "timestamp,close,session"]
+    rows = ["# qbmarket test; input sha256=0", "timestamp,close" + ",session" * labelled]
     for day in range(n_sessions):
         keep = np.flatnonzero(rng.random(390) > 0.05)
         prices = 100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(len(keep))))
         stamps = np.datetime64("2021-01-04T09:30") + np.timedelta64(day, "D") + keep.astype("m8[m]")
-        rows += [f"{t},{p!r},d{day}" for t, p in zip(np.datetime_as_string(stamps, unit="m"), prices.tolist())]
+        label = f",d{day}" * labelled
+        rows += [f"{t},{p!r}{label}" for t, p in zip(np.datetime_as_string(stamps, unit="m"), prices.tolist())]
     return "\n".join(rows) + "\n"
 
 
@@ -158,11 +161,14 @@ class TestLoadPricesPaths:
             # fromisoformat reads these offsets as +13:00 and +12:01
             ("{stamp}+12:60,100,d0", "offset field of 60 or more"),
             ("{stamp}:00+12:00:60,100,d0", "offset field of 60 or more"),
+            # np.loadtxt reads only the columns it is asked for
+            ("{stamp},100,d0,x", "expected 3 fields"),
+            ("{stamp},100,x", "expected 2 fields"),
         ],
     )
     def test_bad_row_named_as_by_line_parser(self, row, message):
         # the first data row, so that no order check can catch the row instead
-        lines = plain_csv().splitlines()
+        lines = plain_csv(labelled=message != "expected 2 fields").splitlines()
         lines[2] = row.format(stamp=lines[2].split(",")[0])
         text = "\n".join(lines) + "\n"
         errors = []
@@ -282,16 +288,121 @@ class TestStampForms:
     @example(text=_file("2021-01-04 09:30:00", "2021-01-04 09:31:30"))
     @settings(max_examples=300, deadline=None)
     def test_column_and_line_readers_agree(self, text):
-        outcomes = []
+        assert_readers_agree(text)
+
+
+def assert_readers_agree(text: str) -> None:
+    outcomes = []
+    for source in (io.StringIO(text), _Unseekable(text)):
+        try:
+            outcomes.append(load_prices(source))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
+        assert outcomes[0] == outcomes[1]
+    else:
+        assert_same_series(*outcomes)
+
+
+@pytest.fixture(scope="class")
+def small_blocks():
+    """The column reader's blocks shrunk to one to three rows, so that every
+    file spans many and its rows fall at every place in a block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_READ_BLOCK", 64)
+        yield
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadPricesPathsInSmallBlocks(TestLoadPricesPaths):
+    """Every reader-agreement case, with rows and errors on block edges."""
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestStampFormsInSmallBlocks(TestStampForms):
+    """Every stamp form and edge value, with rows and errors on block edges."""
+
+    # hypothesis refuses one test function run on instances of two classes
+    @given(text=stamped_files())
+    @settings(max_examples=300, deadline=None)
+    def test_column_and_line_readers_agree(self, text):
+        assert_readers_agree(text)
+
+
+class TestBlockEdges:
+    def test_session_change_at_a_block_edge(self, monkeypatch):
+        text = plain_csv()
+        first_session = [line for line in text.splitlines() if line.endswith(",d0")]
+        # the first block ends with the last row of d0
+        monkeypatch.setattr(market, "_READ_BLOCK", sum(len(line) + 1 for line in first_session))
+        column_read, line_read = load_both(text)
+        assert_same_series(column_read, line_read)
+        assert column_read.session_idx.tolist().index(1) == len(first_session)
+
+    def test_comments_longer_than_a_block(self, monkeypatch):
+        monkeypatch.setattr(market, "_READ_BLOCK", 16)
+        text = "# " + "x" * 100 + "\n#\n" + plain_csv()
+        assert market._read_plain(io.StringIO(text)) is not None
+        column_read, line_read = load_both(text)
+        assert_same_series(column_read, line_read)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.replace(",", ",-", 1), "non-positive price"),
+        (lambda row: row + ",x", "expected 3 fields"),
+    ], ids=["negative-price", "extra-field"])
+    def test_bad_row_in_the_last_block_only(self, monkeypatch, edit, message):
+        monkeypatch.setattr(market, "_READ_BLOCK", 100)
+        lines = plain_csv().splitlines()
+        lines[-1] = edit(lines[-1])
+        text = "\n".join(lines) + "\n"
+        assert market._read_plain(io.StringIO(text)) is None
+        errors = []
         for source in (io.StringIO(text), _Unseekable(text)):
-            try:
-                outcomes.append(load_prices(source))
-            except DataError as exc:
-                outcomes.append(str(exc))
-        if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
-            assert outcomes[0] == outcomes[1]
+            with pytest.raises(DataError, match=f"line {len(lines)}: .*{message}") as info:
+                load_prices(source)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_no_final_newline(self, monkeypatch):
+        # one-row blocks: the last is its row without a newline
+        monkeypatch.setattr(market, "_READ_BLOCK", 1)
+        text = plain_csv().rstrip("\n")
+        assert market._read_plain(io.StringIO(text)) is not None
+        column_read, line_read = load_both(text)
+        assert_same_series(column_read, line_read)
+        assert column_read.close[-1] == float(text.rsplit(",", 2)[1])
+
+
+class TestReaderMemory:
+    @pytest.mark.parametrize("labelled", [True, False], ids=["sessions", "synth-form"])
+    def test_peak_is_a_fraction_of_the_file(self, tmp_path, labelled):
+        # 2e5 bars: 390-minute sessions at -05:00 labelled by date, as
+        # perfbench's market_sessions input, or the form `qbm synth` writes.
+        # The whole text and its bytes alone would be twice the file; the
+        # reader holds one block of it and the columns it has read.
+        n = 200_000
+        rng = np.random.default_rng(5)
+        minute = np.arange(n)
+        times = SYNTH_START_MINUTE + (minute // 390) * 1440 + minute % 390
+        close = (100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(n)))).tolist()
+        stamps = market.minute_stamps(times).tolist()
+        if labelled:
+            rows = (f"{t}:00-05:00,{c:.12g},{t[:10]}\n" for t, c in zip(stamps, close))
         else:
-            assert_same_series(*outcomes)
+            rows = (f"{t},{c!r}\n" for t, c in zip(stamps, close))
+        path = tmp_path / "prices.csv"
+        path.write_text("timestamp,close" + ",session" * labelled + "\n" + "".join(rows))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            series = load_prices(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == n
+        assert series.session_idx[-1] == ((n - 1) // 390 if labelled else 0)
+        assert peak < 2.0 * path.stat().st_size
 
 
 def reference_pairs(times, session_idx, lag: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
@@ -620,6 +731,27 @@ class TestDriftVolScaling:
         series = synth_gbm(mu=0.0, sigma=0.01, n=500, dt_minutes=5, seed=1)
         with pytest.raises(ValueError, match="positive multiple of the base resolution"):
             drift_vol_scaling(series, [5, 7, 10])
+
+
+class TestOrderStatistics:
+    # n - 1 = 0, 1, 2 and 3 mod 4 put the quartiles at weights 0, 1/4, 1/2 and
+    # 3/4 between neighbours, on either side of the interpolation's switch at 1/2
+    @pytest.mark.parametrize("n", [100, 101, 102, 103, 10_000, 100_001])
+    def test_equal_numpy_bit_for_bit(self, n):
+        from qbmarket.calibrate import _median
+
+        rng = np.random.default_rng(n)
+        # sorted neighbours lie close, where both interpolation forms mostly
+        # agree; pairs of values that straddle the upper quartile tell them apart
+        upper = np.arange(n) > (n - 1) * 3 // 4
+        straddles = [rng.permutation(np.where(upper, b, a)) for a, b in np.sort(rng.standard_normal((8, 2)))]
+        for x in (rng.standard_normal(n), 1e-3 * rng.standard_t(3, n), rng.exponential(size=n) ** 4,
+                  np.round(rng.standard_normal(n), 1), *straddles):
+            kept = x.copy()
+            quartiles = np.array(market._quantiles(x, (0.75, 0.25)))
+            assert quartiles.tobytes() == np.percentile(x, [75, 25]).tobytes()
+            assert np.float64(_median(x)).tobytes() == np.median(x).tobytes()
+            np.testing.assert_array_equal(x, kept)
 
 
 class TestReturnHistogram:
