@@ -102,11 +102,9 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
-    idx = []
-    for i in range(1, len(values) - 1):
-        if values[i] > values[i - 1] and values[i] > values[i + 1]:
-            idx.append(i)
-    return np.asarray(idx, dtype=int)
+    """Indices of the values above both neighbours."""
+    middle = values[1:-1]
+    return np.flatnonzero((middle > values[:-2]) & (middle > values[2:])) + 1
 
 
 def _median(x: np.ndarray) -> float:

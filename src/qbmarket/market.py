@@ -13,10 +13,13 @@ for sensitivity checks.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -190,36 +193,28 @@ def _parse_minute(text: str, line_no: int) -> int:
     return int(minutes)
 
 
-def _read_lines(source: TextIO) -> tuple[np.ndarray, np.ndarray, list[bool]]:
-    """Per-line parser: times, prices and, per row after the first, whether
-    its session label differs from the previous row's. Errors name the line."""
-    # leading '#' lines are tool header comments (version, input digest)
-    numbered = [
-        (line_no, line)
-        for line_no, line in enumerate(iter(source.readline, ""), start=1)
-        if not line.lstrip().startswith("#")
-    ]
-    if not numbered:
-        raise DataError("empty file")
-    header_no, header_line = numbered[0]
-    header = [h.strip().lower() for h in next(csv.reader([header_line]))]
-    valid_header = header in (["timestamp", "close"], ["timestamp", "close", "session"])
-    if not valid_header:
-        raise DataError(
-            f"line {header_no}: expected header 'timestamp,close[,session]', got {','.join(header)!r}"
-        )
-    has_session = len(header) == 3
-    n_cols = len(header)
+# a line and its end (`\r\n`, `\r` or `\n`: readline's split of a file opened with newline="")
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
-    times: list[int] = []
-    closes: list[float] = []
+
+def _read_lines(text: str, line_no: int, n_fields: int, last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-line parser of the rows in text, whose first line is line line_no
+    of the file and which follow a row at minute last (-inf before the first
+    row): times, prices and session labels ("" without the session field).
+    Errors name the line."""
+    times = array("q")
+    closes = array("d")
     labels: list[str] = []
-    for line_no, raw in numbered[1:]:
+    for line_no, match in enumerate(_LINE.finditer(text), start=line_no):
+        raw = match[0]
+        # '#' lines are tool header comments (version, input digest)
+        if raw.lstrip().startswith("#"):
+            continue
         row = next(csv.reader([raw])) if raw.strip() else []
         if not row or all(not cell.strip() for cell in row):
             raise DataError(f"line {line_no}: blank row")
-        if len(row) != n_cols:
-            raise DataError(f"line {line_no}: expected {n_cols} fields, got {len(row)}")
+        if len(row) != n_fields:
+            raise DataError(f"line {line_no}: expected {n_fields} fields, got {len(row)}")
         minute = _parse_minute(row[0], line_no)
         try:
             price = float(row[1])
@@ -227,25 +222,22 @@ def _read_lines(source: TextIO) -> tuple[np.ndarray, np.ndarray, list[bool]]:
             raise DataError(f"line {line_no}: cannot parse price {row[1]!r}") from exc
         if not math.isfinite(price) or price <= 0:
             raise DataError(f"line {line_no}: non-positive price {row[1]!r}")
-        if times:
-            if minute == times[-1]:
-                raise DataError(f"line {line_no}: duplicate timestamp {row[0]!r}")
-            if minute < times[-1]:
-                raise DataError(f"line {line_no}: timestamps out of order at {row[0]!r}")
+        if minute == last:
+            raise DataError(f"line {line_no}: duplicate timestamp {row[0]!r}")
+        if minute < last:
+            raise DataError(f"line {line_no}: timestamps out of order at {row[0]!r}")
+        last = minute
         times.append(minute)
         closes.append(price)
-        labels.append(row[2].strip() if has_session and len(row) > 2 else "")
-
-    if not times:
-        raise DataError("empty file: no data rows")
-    new_session = [a != b for a, b in zip(labels, labels[1:])]
-    return np.asarray(times, dtype=np.int64), np.asarray(closes), new_session
+        # interned, so that the rows of a session share one string
+        labels.append(sys.intern(row[2].strip()) if n_fields == 3 else "")
+    return np.asarray(times), np.asarray(closes), np.array(labels, dtype=object)
 
 
 # The stamp forms read by column, and the comma after the stamp. The first
-# data row fixes which one a file has; every row must then match it.
+# row of a block fixes which one the block has; its other rows must match it.
 _STAMP = re.compile(rb"\d{4}-\d\d-\d\d[T ]\d\d:\d\d(:\d\d)?(Z|[+-]\d\d:\d\d)?,")
-# characters of text _read_plain reads at a time, before it completes the last line
+# text characters (bytes in _utf8_error) read at a time; load_prices then completes the last line
 _READ_BLOCK = 1 << 20
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int64)
 
@@ -299,76 +291,30 @@ def minute_stamps(times: np.ndarray) -> np.ndarray:
     return text.view("U16").ravel()
 
 
-def _read_plain(source: TextIO) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Read the rest of source by column, if every stamp has one form
-    `YYYY-MM-DD{T| }HH:MM`, then an optional `:00`, then an optional `Z` or
-    `+HH:MM`/`-HH:MM` offset.
+def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Times, closes and session labels (bytes, empty without the session
+    field) of the whole rows in text, read by column, if every stamp has the
+    form of the first: `YYYY-MM-DD{T| }HH:MM`, then an optional `:00`, then
+    an optional `Z` or `+HH:MM`/`-HH:MM` offset. The stamps are read from the
+    bytes (one gather of the stamp columns, range checks of month, day within
+    the month, hour, minute and offset, and the days-from-civil formula),
+    close and session from one np.loadtxt.
 
-    The rows after the header are read in blocks of whole lines, about
-    _READ_BLOCK characters each, so the text is never held whole: besides
-    the result (17 bytes a row), one block and its parsed columns are in
-    memory at a time. A small file is one block. In each block the stamps
-    are read from the bytes (one gather of the stamp columns, range checks
-    of month, day within the month, hour, minute and offset, and the
-    days-from-civil formula) and close and session from one np.loadtxt.
-    Session changes and the order of the stamps are checked across blocks.
-
-    Returns what the per-line parser returns for such a file, or None where
-    that parser is needed: other stamp forms, nonzero seconds, a date or time
-    out of range, non-ASCII text, carriage returns, and comments, quotes,
-    blank rows or whitespace after the header (bar the space separating date
+    Returns None where _read_lines is needed: other stamp forms, nonzero
+    seconds, a date or time out of range, non-ASCII text, carriage returns,
+    comments, quotes, blank rows or whitespace (bar the space separating date
     and time), a value np.loadtxt cannot read, a row with a field too many or
-    too few, and any row that fails validation, so the error names the same
-    line either way.
+    too few, times that do not increase, and any row that fails validation,
+    so the error names the same line either way.
     """
-    while True:
-        line = source.readline()
-        if not line.endswith("\n") or "\r" in line or not line.isascii() or "\x7f" in line:
-            return None
-        if not line.lstrip().startswith("#"):
-            break
-    header = line[:-1]
-    if header not in ("timestamp,close", "timestamp,close,session"):
+    if "\r" in text or not text.isascii() or any(c in text for c in '"#\x7f'):
         return None
-    n_fields = header.count(",") + 1
-    layout = label = None  # label: the session label of the previous block's last row
-    times, closes, changes = [], [], []
-    while text := source.read(_READ_BLOCK):
-        if not text.endswith("\n"):
-            text += source.readline()
-        if "\r" in text or not text.isascii() or any(c in text for c in '"#\x7f'):
-            return None
-        data = text.encode("ascii")
-        del text
-        if layout is None:
-            # the first row decides most files without a pass over the rest
-            first = _STAMP.match(data)
-            if first is None:
-                return None
-            layout = np.frombuffer(re.sub(rb"\d", b"0", first[0]), dtype=np.uint8)
-        block = _read_block(data, layout, n_fields)
-        if block is None:
-            return None
-        block_times, block_closes, labels = block
-        times.append(block_times)
-        closes.append(block_closes)
-        if label is not None:
-            changes.append(labels[:1] != label)
-        changes.append(labels[1:] != labels[:-1])
-        label = labels[-1]
-    if not times:
+    data = text.encode("ascii")
+    first = _STAMP.match(data)
+    if first is None:
         return None
-    times = np.concatenate(times)
-    if not np.all(np.diff(times) > 0):
-        return None
-    return times, np.concatenate(closes), np.concatenate(changes)
-
-
-def _read_block(data: bytes, layout: np.ndarray, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Times, closes and session labels (empty without the session field) of
-    whole rows of _read_plain whose stamps have the form of layout, the first
-    stamp and its comma with digits as 0; None if a row breaks a rule of
-    _read_plain."""
+    # the stamp and its comma with digits as 0
+    layout = np.frombuffer(re.sub(rb"\d", b"0", first[0]), dtype=np.uint8)
     # the column of the offset's sign, before `HH:MM,`
     sign = len(layout) - 7 if layout[-7] in b"+-" else None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -424,6 +370,8 @@ def _read_block(data: bytes, layout: np.ndarray, n_fields: int) -> tuple[np.ndar
         if not np.all((offset[0] <= 23) & (offset[1] <= 59)):
             return None
         times -= np.where(stamps[:, sign] == ord("-"), -1, 1) * (offset[0] * 60 + offset[1])
+    if not np.all(np.diff(times) > 0):
+        return None
     del stamps, digits
 
     # a label is narrower than its row less the stamp
@@ -446,36 +394,89 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     Timestamps must be ISO-8601 at minute resolution, strictly increasing;
     prices must be positive. Malformed rows are hard errors naming the line.
     Rows sharing a session label form one session; without the column the
-    whole series is one session. A seekable source whose stamps all share one
-    form `YYYY-MM-DD{T| }HH:MM[:00][Z|+HH:MM|-HH:MM]` is read by column; any
-    other, and any file with an error, goes line by line. The column reader
-    takes the text in blocks of about 1 MiB, so besides the series (24 bytes
-    a row) it holds one block at a time, not the file; the line reader holds
-    every line.
+    whole series is one session.
+
+    After the header (leading `#` lines skipped, names matched without case
+    or padding) the rows are read in blocks of whole lines, about
+    _READ_BLOCK characters each, so the text is never held whole: besides
+    the series (24 bytes a row), one block and what it parses to are in
+    memory at a time. Each block is read by column (_read_block) where its
+    stamps allow; a block it refuses, or one whose first time is not after
+    the previous block's last, goes alone to the per-line parser
+    (_read_lines), whose rows as Python objects take under the block's size
+    again. Session changes and the order of rows are checked across blocks.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             try:
                 return load_prices(handle)
             except UnicodeDecodeError as exc:
-                raise DataError(f"{source}: not UTF-8 text ({exc})") from exc
+                raise DataError(f"{source}: not UTF-8 text ({_utf8_error(source, exc)})") from exc
 
-    columns = None
-    if source.seekable():
-        start = source.tell()
-        columns = _read_plain(source)
-        if columns is None:
-            source.seek(start)
-    times, close, new_session = columns if columns is not None else _read_lines(source)
+    for line_no, line in enumerate(iter(source.readline, ""), start=1):
+        if not line.lstrip().startswith("#"):
+            break
+    else:
+        raise DataError("empty file")
+    header = [h.strip().lower() for h in next(csv.reader([line]))]
+    if header not in (["timestamp", "close"], ["timestamp", "close", "session"]):
+        raise DataError(f"line {line_no}: expected header 'timestamp,close[,session]', got {','.join(header)!r}")
+    n_fields = len(header)
 
-    session_idx = np.concatenate([[0], np.cumsum(new_session, dtype=np.int64)])
+    times, closes, changes = [], [], []
+    label = None  # the session label of the last row read; a first row starts a session
+    while text := source.read(_READ_BLOCK):
+        if not text.endswith("\n"):
+            text += source.readline()
+        last = times[-1][-1] if times else -math.inf
+        block = _read_block(text, n_fields)
+        if block is None or block[0][0] <= last:
+            block = _read_lines(text, line_no + 1, n_fields, last)
+        # the lines of text, as _LINE splits them
+        line_no += text.count("\n") + text.count("\r") - text.count("\r\n")
+        block_times, block_closes, labels = block
+        if not len(block_times):
+            continue
+        times.append(block_times)
+        closes.append(block_closes)
+        # compared as Python strings: a column block's labels are ASCII bytes
+        first, end = (str(x, "ascii") if isinstance(x, bytes) else x for x in (labels[0], labels[-1]))
+        changes += [[first != label], labels[1:] != labels[:-1]]
+        label = end
+    if not times:
+        raise DataError("empty file: no data rows")
+
+    # each list of blocks freed as it is joined
+    times = np.concatenate(times)
+    closes = np.concatenate(closes)
+    session_idx = np.cumsum(np.concatenate(changes), dtype=np.int64) - 1
     within = np.diff(times)[np.diff(session_idx) == 0]
     return PriceSeries(
         times=times,
-        close=close,
+        close=closes,
         session_idx=session_idx,
         base_minutes=int(np.gcd.reduce(within)) or 1,
     )
+
+
+def _utf8_error(path: str | Path, exc: UnicodeDecodeError) -> str:
+    """The decoding error of the file at path, placed by its offset in the
+    file: exc counts from the start of the chunk the text reader decoded."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0
+    with open(path, "rb") as raw:
+        while True:
+            # the decoder is given the bytes it held back from the last chunk, then this one
+            start = read - len(decoder.getstate()[0])
+            chunk = raw.read(_READ_BLOCK)
+            read += len(chunk)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as bad:
+                byte, position = bad.object[bad.start], start + bad.start
+                return f"'utf-8' codec can't decode byte 0x{byte:02x} in position {position}: {bad.reason}"
+            if not chunk:
+                return str(exc)
 
 
 def _pair_indices(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qbmarket import ModelParams, NonMarkovParams, SecondMomentInit, minimal_uncertainty_momentum
+from qbmarket import ModelParams, NonMarkovParams, SecondMomentInit, market, minimal_uncertainty_momentum
 from qbmarket.dynamics import MomentState
 from qbmarket.dynamics.moments import MOMENT_KEYS, _generator_matrices
 
@@ -37,6 +37,22 @@ def variance_init(variance_params) -> SecondMomentInit:
 def kurtosis_params() -> ModelParams:
     """Parameter point of the kurtosis-decay comparison."""
     return ModelParams(M=20.0, gamma=1.0, kT=1.0, hbar=1.0)
+
+
+@pytest.fixture
+def read_blocks(monkeypatch) -> list[bool]:
+    """Per block that market._read_block is given during the test, in order,
+    whether it read the block by column (True) or refused it (False)."""
+    read: list[bool] = []
+    read_block = market._read_block
+
+    def spy(*args):
+        block = read_block(*args)
+        read.append(block is not None)
+        return block
+
+    monkeypatch.setattr(market, "_read_block", spy)
+    return read
 
 
 def linear_fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

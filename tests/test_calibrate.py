@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbmarket import (
     DegenerateDataError,
@@ -20,7 +22,7 @@ from qbmarket import (
     synth_gbm,
     drift_vol_scaling,
 )
-from qbmarket.calibrate import _auto_guess
+from qbmarket.calibrate import _auto_guess, _local_maxima
 from qbmarket.dynamics import KernelSchedule, MomentState, evolve_moments
 from qbmarket.market import AcfEstimate
 
@@ -44,6 +46,17 @@ def model_samples(nm: NonMarkovParams, include_white: float = 0.0) -> AcfEstimat
     values = values.copy()
     values[0] += include_white
     return synthetic_estimate(values, lags)
+
+
+# few distinct values, so that plateaus and equal neighbours are common
+@given(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, math.nan, math.inf]), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_local_maxima_are_the_values_above_both_neighbours(values):
+    v = np.array(values, dtype=float)
+    expected = [i for i in range(1, len(v) - 1) if v[i] > v[i - 1] and v[i] > v[i + 1]]
+    found = _local_maxima(v)
+    assert found.dtype == np.intp
+    assert found.tolist() == expected
 
 
 class TestFitAcf:

@@ -95,16 +95,33 @@ class TestLoadPrices:
         series = make_prices("# qbmarket 0.1.0; input sha256=deadbeef\n" + CSV_OK)
         assert len(series) == 3
 
+    @pytest.mark.parametrize("block", [None, 10_000], ids=["past-the-first-chunk", "character-across-blocks"])
+    def test_not_utf8_error_names_the_byte_of_the_file(self, tmp_path, monkeypatch, block):
+        # the text reader decodes 8 KiB at a time, and its error counts from
+        # the start of the one that failed
+        data = plain_csv().encode()
+        if block is not None:
+            monkeypatch.setattr(market, "_READ_BLOCK", block)
+            # a comment whose two-byte character spans the first block's edge
+            data = b"# " + b"x" * (block - 3) + "\u00e9\n".encode() + data
+        bad = 12_616 if block is None else block + 2000
+        path = tmp_path / "prices.csv"
+        path.write_bytes(data[:bad] + b"\xff" + data[bad + 1 :])
+        with pytest.raises(DataError, match=f"not UTF-8 text .* byte 0xff in position {bad}: invalid start byte"):
+            load_prices(path)
 
-class _Unseekable(io.StringIO):
-    def seekable(self):
-        return False
+
+def load_by_line(text: str) -> PriceSeries:
+    """load_prices with every block sent to the per-line parser."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "_read_block", lambda text, n_fields: None)
+        return load_prices(io.StringIO(text))
 
 
 def load_both(text: str):
-    """load_prices on a seekable source (read by column where the stamps
-    allow) and on an unseekable one (always the per-line parser)."""
-    return load_prices(io.StringIO(text)), load_prices(_Unseekable(text))
+    """load_prices reading each block by column where its stamps allow, and
+    with every block read line by line."""
+    return make_prices(text), load_by_line(text)
 
 
 def assert_same_series(a: PriceSeries, b: PriceSeries) -> None:
@@ -132,7 +149,7 @@ def plain_csv(n_sessions: int = 3, seed: int = 0, labelled: bool = True) -> str:
 class TestLoadPricesPaths:
     def test_column_read_equals_line_read(self, monkeypatch):
         text = plain_csv()
-        line_read = load_prices(_Unseekable(text))
+        line_read = load_by_line(text)
         # the per-line timestamp parser is not reached on plain stamps
         monkeypatch.setattr(market, "_parse_minute", None)
         column_read = load_prices(io.StringIO(text))
@@ -172,9 +189,9 @@ class TestLoadPricesPaths:
         lines[2] = row.format(stamp=lines[2].split(",")[0])
         text = "\n".join(lines) + "\n"
         errors = []
-        for source in (io.StringIO(text), _Unseekable(text)):
+        for load in (make_prices, load_by_line):
             with pytest.raises(DataError, match=f"line 3: .*{message}") as info:
-                load_prices(source)
+                load(text)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
@@ -185,9 +202,9 @@ class TestLoadPricesPaths:
         lines[6] = f"{stamp},100,d0"
         lines[9] = lines[9].replace(",d0", "x,d0")  # a later bad row is not the one named
         errors = []
-        for source in (io.StringIO("\n".join(lines)), _Unseekable("\n".join(lines))):
+        for load in (make_prices, load_by_line):
             with pytest.raises(DataError, match=f"line 7: .*{which}") as info:
-                load_prices(source)
+                load("\n".join(lines))
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
@@ -270,9 +287,9 @@ class TestStampForms:
             return f"{match[1]}{sep}{match[2]}{seconds}{tz},{match[3]},{match[4]}"
 
         text = re.sub(r"^(\d{4}-\d\d-\d\d)T(\d\d:\d\d),([^,]*),(d\d)$", restamp, plain_csv(), flags=re.M)
-        line_read = load_prices(_Unseekable(text))
+        line_read = load_by_line(text)
 
-        def no_line_parser(source):
+        def no_line_parser(*args):
             raise AssertionError("read line by line")
 
         monkeypatch.setattr(market, "_read_lines", no_line_parser)
@@ -293,9 +310,9 @@ class TestStampForms:
 
 def assert_readers_agree(text: str) -> None:
     outcomes = []
-    for source in (io.StringIO(text), _Unseekable(text)):
+    for load in (make_prices, load_by_line):
         try:
-            outcomes.append(load_prices(source))
+            outcomes.append(load(text))
         except DataError as exc:
             outcomes.append(str(exc))
     if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
@@ -329,6 +346,19 @@ class TestStampFormsInSmallBlocks(TestStampForms):
         assert_readers_agree(text)
 
 
+class _Unseekable(io.StringIO):
+    """A text stream that cannot seek, as a pipe."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
 class TestBlockEdges:
     def test_session_change_at_a_block_edge(self, monkeypatch):
         text = plain_csv()
@@ -339,55 +369,94 @@ class TestBlockEdges:
         assert_same_series(column_read, line_read)
         assert column_read.session_idx.tolist().index(1) == len(first_session)
 
-    def test_comments_longer_than_a_block(self, monkeypatch):
+    def test_comments_longer_than_a_block(self, monkeypatch, read_blocks):
         monkeypatch.setattr(market, "_READ_BLOCK", 16)
         text = "# " + "x" * 100 + "\n#\n" + plain_csv()
-        assert market._read_plain(io.StringIO(text)) is not None
-        column_read, line_read = load_both(text)
-        assert_same_series(column_read, line_read)
+        column_read = make_prices(text)
+        assert read_blocks and all(read_blocks)
+        assert_same_series(column_read, load_by_line(text))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda row: row.replace(",", ",-", 1), "non-positive price"),
         (lambda row: row + ",x", "expected 3 fields"),
     ], ids=["negative-price", "extra-field"])
-    def test_bad_row_in_the_last_block_only(self, monkeypatch, edit, message):
+    def test_bad_row_in_the_last_block_only(self, monkeypatch, read_blocks, edit, message):
         monkeypatch.setattr(market, "_READ_BLOCK", 100)
         lines = plain_csv().splitlines()
         lines[-1] = edit(lines[-1])
         text = "\n".join(lines) + "\n"
-        assert market._read_plain(io.StringIO(text)) is None
         errors = []
-        for source in (io.StringIO(text), _Unseekable(text)):
+        for load in (make_prices, load_by_line):
             with pytest.raises(DataError, match=f"line {len(lines)}: .*{message}") as info:
-                load_prices(source)
+                load(text)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+        # the column read refused the last block only
+        assert len(read_blocks) > 1 and all(read_blocks[:-1]) and not read_blocks[-1]
 
-    def test_no_final_newline(self, monkeypatch):
+    def test_no_final_newline(self, monkeypatch, read_blocks):
         # one-row blocks: the last is its row without a newline
         monkeypatch.setattr(market, "_READ_BLOCK", 1)
         text = plain_csv().rstrip("\n")
-        assert market._read_plain(io.StringIO(text)) is not None
         column_read, line_read = load_both(text)
+        assert read_blocks and all(read_blocks)
         assert_same_series(column_read, line_read)
         assert column_read.close[-1] == float(text.rsplit(",", 2)[1])
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_numbers_across_blocks_of_other_line_ends(self, tmp_path, monkeypatch, end):
+        # a file opened with newline="" ends a line at each of them
+        monkeypatch.setattr(market, "_READ_BLOCK", 100)
+        lines = plain_csv().splitlines()
+        lines[-1] = lines[-1].replace(",", ",-", 1)
+        path = tmp_path / "prices.csv"
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        with pytest.raises(DataError, match=f"line {len(lines)}: .*non-positive price"):
+            load_prices(path)
+
+    def test_unseekable_source_read_by_column(self, read_blocks):
+        text = plain_csv()
+        piped = load_prices(_Unseekable(text))
+        assert read_blocks and all(read_blocks)
+        assert_same_series(piped, make_prices(text))
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(",d1\n", ",d1\n# a comment between rows\n", 1),
+        lambda text: re.sub(r"^(\S{16})(,.*,d1)$", r"\1-0500\2", text, flags=re.M),
+    ], ids=["comment", "offsets-without-colon"])
+    def test_only_the_blocks_that_need_it_read_line_by_line(self, monkeypatch, read_blocks, edit):
+        monkeypatch.setattr(market, "_READ_BLOCK", 2000)
+        text = edit(plain_csv())
+        column_read = make_prices(text)
+        # blocks of d0 and d2 by column, one or more around d1 line by line
+        assert read_blocks[0] and read_blocks[-1] and not all(read_blocks)
+        assert_same_series(column_read, load_by_line(text))
+
 
 class TestReaderMemory:
-    @pytest.mark.parametrize("labelled", [True, False], ids=["sessions", "synth-form"])
-    def test_peak_is_a_fraction_of_the_file(self, tmp_path, labelled):
+    @pytest.mark.parametrize("form", ["sessions", "synth-form", "line-by-line"])
+    def test_peak_is_a_fraction_of_the_file(self, tmp_path, monkeypatch, read_blocks, form):
         # 2e5 bars: 390-minute sessions at -05:00 labelled by date, as
         # perfbench's market_sessions input, or the form `qbm synth` writes.
         # The whole text and its bytes alone would be twice the file; the
-        # reader holds one block of it and the columns it has read.
+        # reader holds one block of it and the rows it has read. Offsets
+        # written -0500 send every block to the per-line parser, which
+        # tracemalloc slows about 8-fold, so that case reads a sixteenth of
+        # the rows in blocks a sixteenth the size: as many blocks as the
+        # others, at a sixteenth of the cost.
         n = 200_000
+        if form == "line-by-line":
+            n //= 16
+            monkeypatch.setattr(market, "_READ_BLOCK", market._READ_BLOCK // 16)
+        labelled = form != "synth-form"
+        offset = "-0500" if form == "line-by-line" else "-05:00"
         rng = np.random.default_rng(5)
         minute = np.arange(n)
         times = SYNTH_START_MINUTE + (minute // 390) * 1440 + minute % 390
         close = (100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(n)))).tolist()
         stamps = market.minute_stamps(times).tolist()
         if labelled:
-            rows = (f"{t}:00-05:00,{c:.12g},{t[:10]}\n" for t, c in zip(stamps, close))
+            rows = (f"{t}:00{offset},{c:.12g},{t[:10]}\n" for t, c in zip(stamps, close))
         else:
             rows = (f"{t},{c!r}\n" for t, c in zip(stamps, close))
         path = tmp_path / "prices.csv"
@@ -403,6 +472,7 @@ class TestReaderMemory:
         assert len(series) == n
         assert series.session_idx[-1] == ((n - 1) // 390 if labelled else 0)
         assert peak < 2.0 * path.stat().st_size
+        assert len(read_blocks) > 1 and set(read_blocks) == {form != "line-by-line"}
 
 
 def reference_pairs(times, session_idx, lag: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
