@@ -89,15 +89,16 @@ class DecayFit:
 
 
 def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Least-squares line through at least 3 points: slope, intercept, slope
-    standard error and the residual sum of squares."""
+    """Least-squares line through at least 2 points: slope, intercept, slope
+    standard error (inf through 2 points or one x) and the residual sum of
+    squares."""
     n = len(x)
     a = np.vstack([x, np.ones(n)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
     sse = float(resid @ resid)
     sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(sse / (n - 2) / sxx) if sxx > 0 else float("inf")
+    stderr = math.sqrt(sse / (n - 2) / sxx) if sxx > 0 and n > 2 else float("inf")
     return float(coef[0]), float(coef[1]), stderr, sse
 
 
@@ -126,7 +127,7 @@ def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> t
     maxima = _local_maxima(values)
     maxima = maxima[values[maxima] > 0]
     if len(maxima) >= 2:
-        slope, _ = np.polyfit(lags[maxima], np.log(values[maxima]), 1)
+        slope, *_ = _ols_line(lags[maxima], np.log(values[maxima]))
         eta0 = float(np.clip(-slope, 1e-6, ETA_MAX_PER_MIN))
     else:
         eta0 = float(np.clip(2.0 / (lags[-1] - lags[0]), 1e-6, ETA_MAX_PER_MIN))

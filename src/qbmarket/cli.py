@@ -465,6 +465,10 @@ def cmd_simulate(cfg: dict) -> int:
     x2 = cfg["x2"]
     p2 = cfg["p2"] if cfg.get("p2") is not None else minimal_uncertainty_momentum(params, x2)
     m11 = cfg["xp"] / 2.0
+    # every mode starts from a Gaussian of covariance [[x2, m11], [m11, p2]]
+    if not (x2 > 0 and m11 * m11 < x2 * p2):
+        raise ValueError("--x2, --p2 and --xp give initial second moments that are not positive definite "
+                         "(need --x2 > 0 and (--xp/2)^2 < --x2 * --p2)")
     t_end = cfg["t_end"]
     times = np.linspace(0.0, t_end, int(cfg["points"]))
     prefix = Path(cfg["out_prefix"])
@@ -673,17 +677,9 @@ def cmd_fit(cfg: dict) -> int:
     else:
         data = _read_estimator_csv(in_path, ("tau", "kurtosis"))
         fit = fit_kurtosis_decay(data["tau"], data["kurtosis"])
-        report = {
-            "kind": "kurtosis",
-            "amplitude": fit.amplitude,
-            "rate": fit.rate,
-            "residual": fit.residual,
-            "converged": fit.converged,
-            "n_used": fit.n_used,
-            "n_excluded": fit.n_excluded,
-            "diagnostic": fit.diagnostic,
-            "input_sha256": digest,
-        }
+        import dataclasses
+
+        report = {"kind": "kurtosis", **dataclasses.asdict(fit), "input_sha256": digest}
 
     out = Path(cfg["out"])
     _publish("fit", cfg, digest, {out: [_json_text(out.name, report)]}, out)

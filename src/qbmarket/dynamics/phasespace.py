@@ -295,8 +295,7 @@ def _scale(
         tap = np.abs(cells + base.astype(np.intp) - 1 + k)
         tap = np.where(tap < n, tap, 2 * n - 2 - tap)
         deposit[tap[inside], cells[inside]] += weights[k, inside]  # one entry per column: no collision
-    diagonal, off_diagonal = prefilter
-    matrix = off_diagonal.T @ deposit + diagonal[:, None] * deposit
+    matrix = _spline_coefficients((prefilter[0], prefilter[1].T), deposit, 0, np.empty((n, n)))
     matrix *= ((depart >= 0) & (depart <= n - 1))[:, None]
     if axis == 0:
         return lambda w: matrix @ w

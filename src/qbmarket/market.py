@@ -13,7 +13,6 @@ for sensitivity checks.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
@@ -59,10 +58,13 @@ PAIRING_POLICIES = ("intraday-only", "contiguous")
 _AR_BLOCK = 65536
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.asarray(arr)
-    arr.setflags(write=False)
-    return arr
+def _freeze(result: object, **dtypes: type) -> None:
+    """Set each named field of a frozen dataclass to a read-only array of the
+    given dtype."""
+    for name, dtype in dtypes.items():
+        arr = np.asarray(getattr(result, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(result, name, arr)
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,7 @@ class PriceSeries:
     base_minutes: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", _frozen(np.asarray(self.times, dtype=np.int64)))
-        object.__setattr__(self, "close", _frozen(np.asarray(self.close, dtype=float)))
-        object.__setattr__(self, "session_idx", _frozen(np.asarray(self.session_idx, dtype=np.int64)))
+        _freeze(self, times=np.int64, close=float, session_idx=np.int64)
         if len(self.times) == 0:
             raise DataError("empty price series")
         if np.any(self.close <= 0):
@@ -135,9 +135,7 @@ class ReturnSeries:
     policy: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=float)))
-        object.__setattr__(self, "times", _frozen(np.asarray(self.times, dtype=np.int64)))
-        object.__setattr__(self, "session_idx", _frozen(np.asarray(self.session_idx, dtype=np.int64)))
+        _freeze(self, values=float, times=np.int64, session_idx=np.int64)
         if self.policy not in PAIRING_POLICIES:
             raise ValueError(f"unknown pairing policy {self.policy!r}")
 
@@ -163,10 +161,7 @@ class AcfEstimate:
     omitted_lags: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lags", _frozen(np.asarray(self.lags, dtype=np.int64)))
-        object.__setattr__(self, "values", _frozen(np.asarray(self.values, dtype=float)))
-        object.__setattr__(self, "counts", _frozen(np.asarray(self.counts, dtype=np.int64)))
-        object.__setattr__(self, "stderr", _frozen(np.asarray(self.stderr, dtype=float)))
+        _freeze(self, lags=np.int64, values=float, counts=np.int64, stderr=float)
         if np.any(self.counts <= 0):
             raise ValueError("reported lags must have positive pair counts")
 
@@ -237,7 +232,7 @@ def _read_lines(text: str, line_no: int, n_fields: int, last: float) -> tuple[np
 # The stamp forms read by column, and the comma after the stamp. The first
 # row of a block fixes which one the block has; its other rows must match it.
 _STAMP = re.compile(rb"\d{4}-\d\d-\d\d[T ]\d\d:\d\d(:\d\d)?(Z|[+-]\d\d:\d\d)?,")
-# text characters (bytes in _utf8_error) read at a time; load_prices then completes the last line
+# text characters read at a time; load_prices then completes the last line
 _READ_BLOCK = 1 << 20
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int64)
 
@@ -396,6 +391,8 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     Rows sharing a session label form one session; without the column the
     whole series is one session.
 
+    Comment and header lines are split as rows are (at `\r\n`, `\r` or
+    `\n`), also from a text stream whose readline splits only at `\n`.
     After the header (leading `#` lines skipped, names matched without case
     or padding) the rows are read in blocks of whole lines, about
     _READ_BLOCK characters each, so the text is never held whole: besides
@@ -411,21 +408,30 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
             try:
                 return load_prices(handle)
             except UnicodeDecodeError as exc:
-                raise DataError(f"{source}: not UTF-8 text ({_utf8_error(source, exc)})") from exc
+                # exc.object is the text layer's last decode: the bytes it held
+                # back from the chunk before, then the chunk, which ends at tell()
+                offset = handle.buffer.tell() - len(exc.object) + exc.start
+                byte = exc.object[exc.start]
+                raise DataError(f"{source}: not UTF-8 text ('utf-8' codec can't decode byte 0x{byte:02x} "
+                                f"in position {offset}: {exc.reason})") from exc
 
-    for line_no, line in enumerate(iter(source.readline, ""), start=1):
-        if not line.lstrip().startswith("#"):
+    # readline's text split by _LINE, since a stream's readline may split only at `\n`
+    lines = ((match, chunk) for chunk in iter(source.readline, "") for match in _LINE.finditer(chunk))
+    for line_no, (match, chunk) in enumerate(lines, start=1):
+        if not match[0].lstrip().startswith("#"):
             break
     else:
         raise DataError("empty file")
-    header = [h.strip().lower() for h in next(csv.reader([line]))]
+    header = [h.strip().lower() for h in next(csv.reader([match[0]]))]
     if header not in (["timestamp", "close"], ["timestamp", "close", "session"]):
         raise DataError(f"line {line_no}: expected header 'timestamp,close[,session]', got {','.join(header)!r}")
     n_fields = len(header)
+    pending = chunk[match.end():]  # what readline returned past the header: the start of the first block
 
     times, closes, changes = [], [], []
     label = None  # the session label of the last row read; a first row starts a session
-    while text := source.read(_READ_BLOCK):
+    while text := pending + source.read(_READ_BLOCK):
+        pending = ""
         if not text.endswith("\n"):
             text += source.readline()
         last = times[-1][-1] if times else -math.inf
@@ -457,26 +463,6 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
         session_idx=session_idx,
         base_minutes=int(np.gcd.reduce(within)) or 1,
     )
-
-
-def _utf8_error(path: str | Path, exc: UnicodeDecodeError) -> str:
-    """The decoding error of the file at path, placed by its offset in the
-    file: exc counts from the start of the chunk the text reader decoded."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    read = 0
-    with open(path, "rb") as raw:
-        while True:
-            # the decoder is given the bytes it held back from the last chunk, then this one
-            start = read - len(decoder.getstate()[0])
-            chunk = raw.read(_READ_BLOCK)
-            read += len(chunk)
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as bad:
-                byte, position = bad.object[bad.start], start + bad.start
-                return f"'utf-8' codec can't decode byte 0x{byte:02x} in position {position}: {bad.reason}"
-            if not chunk:
-                return str(exc)
 
 
 def _pair_indices(
@@ -568,17 +554,16 @@ def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:
         )
 
 
-def _tau_returns(increments: np.ndarray, tau_minutes: int, policy: str, remove_drift: bool) -> np.ndarray:
-    values = increments / float(tau_minutes)
-    if len(values) == 0:
-        if policy == "intraday-only":
-            raise DataError(
-                f"no admissible pairs at tau = {tau_minutes} min: horizon exceeds every session"
-            )
-        raise DataError(f"no admissible pairs at tau = {tau_minutes} min")
-    if remove_drift:
-        values -= values.mean()
-    return values
+def _increments(series: PriceSeries, taus: list[int], policy: str) -> Iterator[tuple[int, np.ndarray]]:
+    """(tau, ln S(t+tau) - ln S(t) over the admissible pairs) for each horizon
+    in turn, every horizon checked before the first is paired."""
+    for tau in taus:
+        _check_tau(series, tau, policy)
+    place, masks = _pair_indices(series.times, series.session_idx, taus, policy)
+    lp = place(series.log_price())
+    for tau, (k, mask) in zip(taus, masks):
+        start, end = _at_pairs(lp, k, mask)
+        yield tau, end - start
 
 
 def log_returns(
@@ -593,9 +578,15 @@ def log_returns(
     place, masks = _pair_indices(series.times, series.session_idx, [tau_minutes], policy)
     [(k, mask)] = masks
     start, end = _at_pairs(place(series.log_price()), k, mask)
+    values = (end - start) / float(tau_minutes)
+    if len(values) == 0:
+        exceeds = ": horizon exceeds every session" if policy == "intraday-only" else ""
+        raise DataError(f"no admissible pairs at tau = {tau_minutes} min{exceeds}")
+    if remove_drift:
+        values -= values.mean()
     return ReturnSeries(
         tau_minutes=int(tau_minutes),
-        values=_tau_returns(end - start, tau_minutes, policy, remove_drift),
+        values=values,
         drift_removed=remove_drift,
         times=_at_pairs(place(series.times), k, mask)[0],
         session_idx=_at_pairs(place(series.session_idx), k, mask)[0],
@@ -622,8 +613,7 @@ class ScalingResult:
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("taus", "mean_increment", "sigma", "mu", "counts"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
+        _freeze(self, taus=np.int64, mean_increment=float, sigma=float, mu=float, counts=np.int64)
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
@@ -648,14 +638,8 @@ def drift_vol_scaling(
     taus = [int(t) for t in taus]
     if len(taus) < 3:
         raise InsufficientDataError("drift/vol scaling needs at least 3 horizons")
-    for tau in taus:
-        _check_tau(series, tau, policy)
-    place, masks = _pair_indices(series.times, series.session_idx, taus, policy)
-    lp = place(series.log_price())
     means, sigmas, counts = [], [], []
-    for tau, (k, mask) in zip(taus, masks):
-        start, end = _at_pairs(lp, k, mask)
-        inc = end - start
+    for tau, inc in _increments(series, taus, policy):
         if len(inc) < 2:
             raise InsufficientDataError(f"fewer than 2 increments at tau = {tau} min")
         mean, sigma = _mean_std(inc)
@@ -689,8 +673,7 @@ class HistogramResult:
     gaussian_ref: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("centers", "density", "counts", "gaussian_ref"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
+        _freeze(self, centers=float, density=float, counts=np.int64, gaussian_ref=float)
 
 
 def _quantiles(x: np.ndarray, fractions: Sequence[float]) -> list[float]:
@@ -801,8 +784,7 @@ class KurtosisResult:
     omitted: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("taus", "kappa", "counts"):
-            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name))))
+        _freeze(self, taus=np.int64, kappa=float, counts=np.int64)
 
 
 MIN_KURTOSIS_SAMPLES = 1000
@@ -813,24 +795,15 @@ def empirical_kurtosis(
 ) -> KurtosisResult:
     """Excess kurtosis of drift-removed returns at each horizon. Horizons with
     fewer than 1000 samples are omitted with a diagnostic entry."""
-    taus = [int(t) for t in taus]
-    for tau in taus:
-        _check_tau(series, tau, policy)
-    place, masks = _pair_indices(series.times, series.session_idx, taus, policy)
-    lp = place(series.log_price())
     kept_taus, kappas, counts = [], [], []
     omitted: list[tuple[int, int]] = []
-    for tau, (k, mask) in zip(taus, masks):
-        start, end = _at_pairs(lp, k, mask)
-        try:
-            v = _tau_returns(end - start, tau, policy, remove_drift=True)
-        except DataError:
-            omitted.append((tau, 0))
-            continue
+    for tau, v in _increments(series, [int(t) for t in taus], policy):
         n = len(v)
         if n < MIN_KURTOSIS_SAMPLES:
             omitted.append((tau, n))
             continue
+        v /= tau
+        v -= v.mean()
         # (v^2)^2 in place: v**4 calls libm pow once per sample
         v *= v
         m2 = float(np.add.reduce(v)) / n

@@ -22,7 +22,7 @@ from qbmarket import (
     synth_gbm,
     drift_vol_scaling,
 )
-from qbmarket.calibrate import _auto_guess, _local_maxima
+from qbmarket.calibrate import ETA_MAX_PER_MIN, _auto_guess, _local_maxima, _ols_line
 from qbmarket.dynamics import KernelSchedule, MomentState, evolve_moments
 from qbmarket.market import AcfEstimate
 
@@ -57,6 +57,25 @@ def test_local_maxima_are_the_values_above_both_neighbours(values):
     found = _local_maxima(v)
     assert found.dtype == np.intp
     assert found.tolist() == expected
+
+
+def test_line_through_two_points_has_an_infinite_slope_stderr():
+    # sse / (n - 2) used to raise ZeroDivisionError
+    slope, _, stderr, _ = _ols_line(np.array([1.0, 3.0]), np.array([2.0, 8.0]))
+    assert slope == pytest.approx(3.0, rel=1e-15)
+    assert stderr == math.inf
+
+
+@pytest.mark.parametrize("rate", [0.05, -0.05, 3.0], ids=["decaying", "growing", "steep"])
+def test_auto_guess_decay_is_the_slope_through_two_maxima(rate):
+    lags = np.arange(1.0, 21.0)
+    values = np.full(20, -1e-3)
+    # the only two values above both neighbours, both positive
+    values[4] = 2e-3
+    values[12] = 2e-3 * math.exp(-rate * (lags[12] - lags[4]))
+    start, _ = _auto_guess(lags, values, math.pi)
+    slope = (math.log(values[12]) - math.log(values[4])) / (lags[12] - lags[4])
+    assert start.eta == pytest.approx(min(max(-slope, 1e-6), ETA_MAX_PER_MIN), rel=1e-12)
 
 
 class TestFitAcf:

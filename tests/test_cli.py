@@ -363,6 +363,19 @@ class TestSimulate:
         assert "not positive definite" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mode, flags", [("moments", []), ("sde", ["--n-paths", 1000, "--seed", 1]),
+                                             ("pde", ["--nx", 16, "--np", 16])], ids=["moments", "sde", "pde"])
+    def test_singular_initial_covariance_is_one_usage_error(self, tmp_path, capsys, mode, flags):
+        # (xp/2)^2 = x2 p2: moments mode used to exit 0 from this singular
+        # Gaussian, and sde and pde each refused it in their own words
+        assert run(["simulate", "--mode", mode, "--x2", 1, "--p2", 1, "--xp", 2, "--t-end", 0.1, *flags,
+                    "--out-prefix", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --x2, --p2 and --xp give initial second moments that are not positive definite "
+            "(need --x2 > 0 and (--xp/2)^2 < --x2 * --p2)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_pde_matches_moments_mode(self, tmp_path):
         common = ["--M", 1, "--gamma", 0.25, "--kT", 1, "--hbar", 1,
                   "--x2", 1.0, "--p2", 1.0, "--t-end", 0.5, "--points", 3]

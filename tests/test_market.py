@@ -95,20 +95,50 @@ class TestLoadPrices:
         series = make_prices("# qbmarket 0.1.0; input sha256=deadbeef\n" + CSV_OK)
         assert len(series) == 3
 
-    @pytest.mark.parametrize("block", [None, 10_000], ids=["past-the-first-chunk", "character-across-blocks"])
-    def test_not_utf8_error_names_the_byte_of_the_file(self, tmp_path, monkeypatch, block):
+    @pytest.mark.parametrize("case", ["past-the-first-chunk", "character-across-blocks",
+                                      "in-a-readline-completion", "after-a-character-across-chunks"])
+    def test_not_utf8_error_names_the_byte_of_the_file(self, tmp_path, monkeypatch, case):
         # the text reader decodes 8 KiB at a time, and its error counts from
         # the start of the one that failed
         data = plain_csv().encode()
-        if block is not None:
-            monkeypatch.setattr(market, "_READ_BLOCK", block)
+        if case == "past-the-first-chunk":
+            bad = 12_616
+        elif case == "character-across-blocks":
+            monkeypatch.setattr(market, "_READ_BLOCK", 10_000)
             # a comment whose two-byte character spans the first block's edge
-            data = b"# " + b"x" * (block - 3) + "\u00e9\n".encode() + data
-        bad = 12_616 if block is None else block + 2000
+            data = b"# " + b"x" * (10_000 - 3) + "\u00e9\n".encode() + data
+            bad = 12_000
+        elif case == "in-a-readline-completion":
+            monkeypatch.setattr(market, "_READ_BLOCK", 10_000)
+            # a comment from before the first block's end to past the 8 KiB
+            # chunk the block's read ends in, so that readline decodes the bad byte
+            rows = data.index(b"\n", data.index(b"\n") + 1) + 1  # past the comment and the header
+            start = data.index(b"\n", rows + 9_000) + 1
+            data = data[:start] + b"#" + b"x" * 20_000 + b"\n" + data[start:]
+            bad = start + 15_000
+        else:
+            # a comment whose three-byte character spans the first 8 KiB
+            # chunk's edge (two bytes before it, one after), then the bad byte
+            start = data.rfind(b"\n", 0, 8_000) + 1
+            data = data[:start] + b"#" + b"x" * (8_189 - start) + "\u20ac".encode() + b"?\n" + data[start:]
+            bad = 8_193
         path = tmp_path / "prices.csv"
         path.write_bytes(data[:bad] + b"\xff" + data[bad + 1 :])
         with pytest.raises(DataError, match=f"not UTF-8 text .* byte 0xff in position {bad}: invalid start byte"):
             load_prices(path)
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["default-block", "one-character-block"])
+    def test_text_stream_of_lone_cr_lines_reads_as_its_file(self, tmp_path, monkeypatch, block):
+        # a default StringIO's readline splits only at \n, so its leading
+        # comment swallowed the header and the load failed with "empty file"
+        text = plain_csv().replace("\n", "\r")
+        path = tmp_path / "prices.csv"
+        path.write_bytes(text.encode())
+        if block is not None:
+            monkeypatch.setattr(market, "_READ_BLOCK", block)
+        from_file = load_prices(path)
+        assert from_file.session_idx[-1] == 2
+        assert_same_series(load_prices(io.StringIO(text)), from_file)
 
 
 def load_by_line(text: str) -> PriceSeries:
