@@ -121,18 +121,21 @@ def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Itera
     """The text of one CSV file, checked now and formatted as it is consumed,
     one string per block of rows.
 
-    Numeric columns are written with 17 significant digits, string columns as
-    they are. A non-finite number outside the ``stderr`` column raises a
-    NumericalError before anything is produced.
+    Numeric columns are written with 17 significant digits. A
+    ``datetime64[m]`` column is written as `YYYY-MM-DDTHH:MM` stamps, each
+    block's stamps made as the block is formatted, so the column's text is
+    never held whole. A non-finite number outside the ``stderr`` column raises
+    a NumericalError before anything is produced.
     """
     import numpy as np
 
     arrays, fields = [], []
     for key, col in columns.items():
-        if col.dtype.kind == "U":
+        if col.dtype == "datetime64[m]":
+            _bind(".market")
             fields.append("%s")
         else:
-            col = col.astype(float)
+            col = col.astype(float, copy=False)
             if key != _NAN_COLUMN and not np.isfinite(col).all():
                 raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
             fields.append("%.17g")
@@ -140,10 +143,15 @@ def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Itera
     header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
     row = ",".join(fields) + "\n"
 
+    def cells(col: np.ndarray) -> list:
+        if col.dtype.kind == "M":
+            return minute_stamps(col.view(np.int64)).tolist()
+        return col.tolist()
+
     def blocks() -> Iterator[str]:
         for start in range(0, len(arrays[0]), _CSV_BLOCK):
-            cells = [col[start:start + _CSV_BLOCK].tolist() for col in arrays]
-            yield (row * len(cells[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
+            block = [cells(col[start:start + _CSV_BLOCK]) for col in arrays]
+            yield (row * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block)))
 
     return itertools.chain([header], blocks())
 
@@ -701,8 +709,6 @@ def cmd_synth(cfg: dict) -> int:
         raise ValueError("--n must be at least 2")
     if dt <= 0:
         raise ValueError("--dt must be positive")
-    import numpy as np
-
     _bind(".model", ".market")
     if SYNTH_START_MINUTE + (n - 1) * dt > STAMP_MINUTES[1]:
         raise ValueError(
@@ -724,13 +730,13 @@ def cmd_synth(cfg: dict) -> int:
         if n < need:
             need = need if math.isinf(need) else math.ceil(need)  # inf where --eta * --dt is subnormal
             raise ValueError(f"--n must cover ten decay times, 10 / (--eta * --dt): need --n >= {need}")
-        returns = synth_colored(nm, n=n, dt_minutes=dt, base_noise=cfg["base_noise"], seed=seed)
         # integrate tau-normalized returns into a price path so the output is
         # a prices CSV the analyze command can consume directly
-        log_price = math.log(cfg["s0"]) + np.concatenate([[0.0], np.cumsum(returns.values * dt)])
-        series = PriceSeries.synthetic(log_price, dt)
+        steps = synth_colored(nm, n=n, dt_minutes=dt, base_noise=cfg["base_noise"], seed=seed).values * dt
+        series = PriceSeries.synthetic(cfg["s0"], steps, dt)
+        del steps
 
-    columns = {"timestamp": minute_stamps(series.times), "close": series.close}
+    columns = {"timestamp": series.times.view("datetime64[m]"), "close": series.close}
     _publish("synth", cfg, digest, {out: _csv_chunks(out.name, digest, columns)}, out)
     print(f"wrote {out}")
     return 0

@@ -160,13 +160,13 @@ class PhaseSpaceGrid:
     ) -> "PhaseSpaceGrid":
         """Centered moment-matched Gaussian density. Default half-widths are
         8 standard deviations, wide enough for the boundary precondition."""
+        det = sx2 * sp2 - m11**2
+        if not (sx2 > 0 and det > 0):  # then sp2 > 0 too
+            raise ValueError("second-moment matrix must be positive definite")
         if x_half_width is None:
             x_half_width = 8.0 * math.sqrt(sx2)
         if p_half_width is None:
             p_half_width = 8.0 * math.sqrt(sp2)
-        det = sx2 * sp2 - m11**2
-        if not det > 0:
-            raise ValueError("second-moment matrix must be positive definite")
         xs = -x_half_width + (np.arange(n_x) + 0.5) * (2.0 * x_half_width / n_x)
         ps = -p_half_width + (np.arange(n_p) + 0.5) * (2.0 * p_half_width / n_p)
         xx, pp = np.meshgrid(xs, ps, indexing="ij")

@@ -55,7 +55,7 @@ SYNTH_START_MINUTE = int((datetime(2000, 1, 3, 9, 30, tzinfo=timezone.utc) - _EP
 PAIRING_POLICIES = ("intraday-only", "contiguous")
 
 # samples of _complex_ar1's input converted to Python numbers at a time
-_AR_BLOCK = 65536
+_AR_BLOCK = 4096
 
 
 def _freeze(result: object, **dtypes: type) -> None:
@@ -88,7 +88,7 @@ class PriceSeries:
             raise DataError("empty price series")
         if np.any(self.close <= 0):
             raise DataError("prices must be positive")
-        if np.any(np.diff(self.times) <= 0):
+        if np.any(self.times[1:] <= self.times[:-1]):
             raise DataError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
@@ -98,17 +98,26 @@ class PriceSeries:
         return np.log(self.close)
 
     @classmethod
-    def synthetic(cls, log_price: np.ndarray, dt_minutes: int) -> "PriceSeries":
-        """One-session series of bars dt_minutes apart from SYNTH_START_MINUTE.
-        A price that exp takes out of the positive finite range is a numerical
-        failure of the generator, not bad data."""
+    def synthetic(cls, s0: float, increments: np.ndarray, dt_minutes: int) -> "PriceSeries":
+        """One-session series of bars dt_minutes apart from SYNTH_START_MINUTE:
+        price s0 at the first bar, then each log increment in turn. A price
+        that exp takes out of the positive finite range is a numerical failure
+        of the generator, not bad data."""
+        # each column is built in place: a temporary here would set synth's peak memory
+        log_price = np.empty(len(increments) + 1)
+        log_price[0] = 0.0
+        np.cumsum(increments, out=log_price[1:])
+        log_price += math.log(s0)
         close = np.exp(log_price)
         bad = np.flatnonzero(~((close > 0) & (close < math.inf)))
         if bad.size:
             i = bad[0]
             raise NumericalError(f"synthetic price of bar {i} is {close[i]:g}, outside the positive finite range "
                                  f"(log price {log_price[i]:.6g})")
-        times = SYNTH_START_MINUTE + np.arange(len(log_price), dtype=np.int64) * dt_minutes
+        del log_price
+        times = np.arange(len(close), dtype=np.int64)
+        times *= dt_minutes
+        times += SYNTH_START_MINUTE
         return cls(
             times=times,
             close=close,
@@ -750,10 +759,13 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
     all_lags = range(0, max_lag + 1, base)
     place, masks = _pair_indices(t, returns.session_idx, all_lags, returns.policy)
     r = place(r)
-    buf = np.empty(len(t))
+    buf = np.empty(len(r))
     for lag, (k, mask) in zip(all_lags, masks):
-        anchors, partners = _at_pairs(r, k, mask)
-        products = np.multiply(anchors, partners, out=buf[: len(anchors)])
+        # products at every slot pair k apart, then the admissible ones
+        m = max(len(r) - k, 0)
+        products = np.multiply(r[:m], r[k:], out=buf[:m])
+        if mask is not None:
+            products = products[mask]
         if len(products) == 0:
             omitted.append(lag)
             continue
@@ -843,14 +855,15 @@ def synth_gbm(
         raise ValueError("dt_minutes must be positive")
     rng = np.random.default_rng(seed)
     dt = float(dt_minutes)
-    increments = (mu - sigma**2 / 2.0) * dt + sigma * math.sqrt(dt) * rng.standard_normal(n - 1)
-    log_price = math.log(s0) + np.concatenate([[0.0], np.cumsum(increments)])
-    return PriceSeries.synthetic(log_price, dt_minutes)
+    increments = rng.standard_normal(n - 1)
+    increments *= sigma * math.sqrt(dt)
+    increments += (mu - sigma**2 / 2.0) * dt
+    return PriceSeries.synthetic(s0, increments, dt_minutes)
 
 
 def _complex_ar1(v: np.ndarray, a: complex, z: complex) -> np.ndarray:
     """First-order recursive filter y[k] = v[k] + a y[k-1], started from
-    a y[-1] = z.
+    a y[-1] = z, written over v (a complex array), which is returned.
 
     Runs the transposed direct form (y = v + z, then z = a y) in Python
     complex arithmetic: the same operations in the same order as
@@ -858,15 +871,14 @@ def _complex_ar1(v: np.ndarray, a: complex, z: complex) -> np.ndarray:
     v is converted to Python numbers one block at a time, so the series is
     never held whole as a list.
     """
-    out = np.empty(len(v), dtype=complex)
     for start in range(0, len(v), _AR_BLOCK):
         block = []
         for x in v[start:start + _AR_BLOCK].tolist():
             y = x + z
             z = a * y
             block.append(y)
-        out[start:start + len(block)] = block
-    return out
+        v[start:start + len(block)] = block
+    return v
 
 
 def synth_colored(
@@ -896,7 +908,7 @@ def synth_colored(
     rng = np.random.default_rng(seed)
     dt = float(dt_minutes)
 
-    white = base_noise * rng.standard_normal(n)
+    values = base_noise * rng.standard_normal(n)  # the white part
 
     if nm.xi > 0:
         # complex AR(1): chi_{k+1} = a chi_k + w_k with |a| = exp(-eta dt / 2),
@@ -904,17 +916,22 @@ def synth_colored(
         amp2 = math.sqrt(2.0) * nm.xi
         a = complex(math.cos(nm.omega * dt), math.sin(nm.omega * dt)) * math.exp(-nm.eta * dt / 2.0)
         noise_var = amp2 * (1.0 - abs(a) ** 2)
-        w = math.sqrt(noise_var / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        chi0 = math.sqrt(amp2 / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
+        # w and then chi in one array, each step in place
         chi = np.empty(n, dtype=complex)
+        chi.real = rng.standard_normal(n)
+        chi.imag = rng.standard_normal(n)
+        chi *= math.sqrt(noise_var / 2.0)
+        chi0 = math.sqrt(amp2 / 2.0) * complex(rng.standard_normal(), rng.standard_normal())
         chi[0] = chi0
-        chi[1:] = _complex_ar1(w[1:], a, a * chi0)
-        y = chi.real
-        colored = y * y - amp2 / 2.0
+        _complex_ar1(chi[1:], a, a * chi0)
+        colored = chi.real
+        colored *= colored
+        colored -= amp2 / 2.0
+        values += colored
+        del chi, colored
     else:
-        colored = np.zeros(n)
+        values += 0.0  # as adding zeros did: a -0.0 becomes 0.0
 
-    values = white + colored
     times = SYNTH_START_MINUTE + np.arange(n, dtype=np.int64) * dt_minutes
     return ReturnSeries(
         tau_minutes=int(dt_minutes),

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -593,6 +594,13 @@ class TestWriters:
         with pytest.raises(NumericalError, match="r.json: .*non-finite"):
             cli._json_text("r.json", {"amplitude": math.nan})
 
+    def test_csv_writer_writes_minutes_as_stamps_block_by_block(self):
+        times = market.SYNTH_START_MINUTE + 7 * np.arange(cli._CSV_BLOCK + 1)
+        text = "".join(cli._csv_chunks("p.csv", "0", {"timestamp": times.view("datetime64[m]"), "close": times}))
+        rows = [line.split(",") for line in text.splitlines()[2:]]
+        assert [stamp for stamp, _ in rows] == market.minute_stamps(times).tolist()
+        assert [float(close) for _, close in rows] == times.tolist()
+
     def test_csv_writer_refuses_non_finite_outside_stderr(self):
         lags = np.arange(3)
         with pytest.raises(NumericalError, match="'acf'"):
@@ -739,12 +747,41 @@ class TestSynthAndAnalyze:
         (42, "ef43d8c67586a0671c4e30b080f11426c1e99440a38f874f74564f9f64f26ba6"),
     ])
     def test_colored_bytes_are_pinned(self, tmp_path, seed, digest):
-        # 70000 bars: the AR(1) filter runs one full block of 65536 samples and
-        # one partial block; the digests are those of scipy's lfilter
+        # 70000 bars: the AR(1) filter runs full blocks of market._AR_BLOCK
+        # samples and a partial one; the digests are those of scipy's lfilter
+        assert 69_999 % market._AR_BLOCK and 69_999 > market._AR_BLOCK
         out = tmp_path / "c.csv"
         assert run(["synth", "--kind", "colored", "--n", 70000, "--xi", 5e-4, "--eta", 5e-3, "--omega", 0.02,
                     "--seed", seed, "--out", out]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_gbm_bytes_are_pinned(self, tmp_path):
+        # taken from a writer that formed the whole stamp column at once
+        out = tmp_path / "g.csv"
+        assert run(["synth", "--kind", "gbm", "--n", 70000, "--mu", 1e-5, "--sigma", 0.01, "--seed", 3,
+                    "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "10c61fe1d8d158b40746aa5e1e59eb431a76f6642e03a31632f91606fe269cf3"
+        )
+
+    @pytest.mark.parametrize("kind", ["gbm", "colored"])
+    def test_synth_memory_is_a_few_columns(self, tmp_path, kind):
+        # a few generated columns of 8 bytes a bar and one text block: about
+        # 33 bytes a bar; the whole stamp column as text alone would be 64
+        n = 200_000
+        args = ["synth", "--kind", kind, "--seed", 4, "--out", tmp_path / "p.csv"]
+        if kind == "colored":
+            args += ["--xi", 5e-4, "--eta", 5e-3, "--omega", 0.02]
+        assert run(args + ["--n", 2000]) == 0  # the layers imported before tracing
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert run(args + ["--n", n]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n
 
     def test_unstable_colored_filter_is_usage_error(self, tmp_path):
         code = run(["synth", "--kind", "colored", "--n", 10000, "--xi", 1e-4, "--eta", 0.9,

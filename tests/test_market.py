@@ -983,7 +983,7 @@ def pow_kurtosis(increments: np.ndarray, tau: int) -> float:
 
 def colored_prices(n: int) -> PriceSeries:
     returns = synth_colored(NonMarkovParams(xi=5.48e-4, eta=5.56e-3, omega=0.02617), n=n, seed=31)
-    return PriceSeries.synthetic(math.log(100.0) + np.concatenate([[0.0], np.cumsum(returns.values)]), 1)
+    return PriceSeries.synthetic(100.0, returns.values, 1)
 
 
 def shifted_increments(series: PriceSeries, tau: int, policy: str) -> np.ndarray:
@@ -1050,6 +1050,17 @@ class TestEmpiricalKurtosis:
         res = empirical_kurtosis(series, [1, 600])
         assert res.taus.tolist() == [1]
         assert res.omitted[0][0] == 600
+
+
+def test_price_series_takes_stamps_whose_difference_overflows():
+    # 2**62 - (-2**62) wraps to a negative int64, which a check by np.diff took for a decrease
+    def series(times):
+        return PriceSeries(times=np.array(times), close=np.ones(len(times)), session_idx=np.zeros(len(times)),
+                           base_minutes=1)
+
+    assert len(series([-2**62, 2**62])) == 2
+    with pytest.raises(DataError, match="strictly increasing"):
+        series([2**62, -2**62])
 
 
 class TestSynthGbm:
@@ -1129,16 +1140,16 @@ class TestSynthColored:
         b = synth_colored(nm_9904, n=20_000, dt_minutes=5, base_noise=1e-3, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
 
-    # block edges of the recurrence: w[1:] of n = 65537 fills one block exactly,
-    # n = 65538 leaves one sample for a second block
-    @pytest.mark.parametrize("n", [65_537, 65_538, 200_000])
+    # block edges of the recurrence: w[1:] of the first n fills sixteen blocks
+    # exactly, the second leaves one sample for a seventeenth
+    @pytest.mark.parametrize("n", [16 * market._AR_BLOCK + 1, 16 * market._AR_BLOCK + 2, 200_000])
     @pytest.mark.parametrize("seed", [1, 7, 23, 101, 4096])
     def test_equals_lfilter_reference(self, nm_9904, n, seed):
         got = synth_colored(nm_9904, n=n, dt_minutes=5, base_noise=1e-3, seed=seed)
         want = reference_colored(nm_9904, n=n, dt_minutes=5, base_noise=1e-3, seed=seed)
         assert np.array_equal(got.values.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("length", [0, 1, 65_536, 65_537])
+    @pytest.mark.parametrize("length", [0, 1, 16 * market._AR_BLOCK, 16 * market._AR_BLOCK + 1])
     @pytest.mark.parametrize("seed", [2, 3, 5, 8, 13])
     def test_recurrence_equals_lfilter(self, length, seed):
         from scipy.signal import lfilter
@@ -1149,6 +1160,20 @@ class TestSynthColored:
         z = complex(*rng.standard_normal(2))
         want = lfilter([1.0], [1.0, -a], v, zi=np.array([z]))[0]
         assert np.array_equal(market._complex_ar1(v, a, z).view(np.float64), want.view(np.float64))
+
+    def test_recurrence_writes_over_its_input(self):
+        # a view past the first sample, as synth_colored passes chi[1:], over
+        # one full block and one sample
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(21)
+        a, z = complex(0.6, -0.3), complex(0.2, 0.9)
+        v = rng.standard_normal(market._AR_BLOCK + 2) + 1j * rng.standard_normal(market._AR_BLOCK + 2)
+        head, tail = v[0], v[1:]
+        want = lfilter([1.0], [1.0, -a], tail, zi=np.array([z]))[0]
+        assert market._complex_ar1(tail, a, z) is tail
+        assert np.array_equal(tail.view(np.float64), want.view(np.float64))
+        assert v[0] == head
 
 
 def reference_colored(nm, n, dt_minutes, base_noise, seed):

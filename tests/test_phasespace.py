@@ -49,6 +49,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="finite"):
             PhaseSpaceGrid(-1, 1, 16, -1, 1, 16, w)
 
+    @pytest.mark.parametrize("sx2, sp2", [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0)], ids=["both", "x", "p"])
+    def test_negative_variance_is_not_positive_definite(self, sx2, sp2):
+        # the default half-widths take square roots of the variances
+        with pytest.raises(ValueError, match="second-moment matrix must be positive definite"):
+            PhaseSpaceGrid.gaussian(sx2, sp2, n_x=16, n_p=16)
+
     def test_gaussian_grid_moments(self):
         grid = PhaseSpaceGrid.gaussian(0.8, 1.7, 0.0, n_x=128, n_p=128)
         m = grid_moments(grid)
