@@ -28,7 +28,6 @@ The environment variable QBM_SEED is the fallback seed source; flags win.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -83,6 +82,8 @@ class _Parser(argparse.ArgumentParser):
 def _sha256_file(path: Path) -> str:
     """Digest of an input file. This is the first read of every --input, so a
     missing or unreadable one is a data error here."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which --version and --help do not need
+
     h = hashlib.sha256()
     try:
         with open(path, "rb") as handle:
@@ -100,6 +101,8 @@ _PATH_KEYS = ("config", "input", "out", "out_prefix")
 
 def _sha256_config(config: dict) -> str:
     # identifies the run parameters; i/o locations do not affect the data
+    import hashlib
+
     payload = {k: v for k, v in config.items() if k not in _PATH_KEYS}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -557,15 +560,18 @@ def cmd_analyze(cfg: dict) -> int:
     if len(taus) < 3:
         raise DataError("fewer than 3 usable horizons at this base resolution")
 
+    # the series' stages, then the returns': none holds both (kurtosis raises only what scaling would)
     scaling = drift_vol_scaling(series, taus, policy=policy)
+    kurt = empirical_kurtosis(series, taus, policy=policy)
     return_tau = int(cfg["return_tau"]) if cfg.get("return_tau") is not None else series.base_minutes
     returns = log_returns(series, return_tau, policy=policy, remove_drift=True)
+    del series
     hist = return_histogram(returns, bins=cfg.get("bins"))
     try:
         acf = empirical_acf(returns, int(cfg["max_lag"]))
     except ValueError as exc:  # the sign was checked above: a lag longer than the data span
         raise DataError(str(exc)) from exc
-    kurt = empirical_kurtosis(series, taus, policy=policy)
+    del returns
 
     tables = {
         "scaling": {

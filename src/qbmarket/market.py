@@ -242,7 +242,7 @@ def _read_lines(text: str, line_no: int, n_fields: int, last: float) -> tuple[np
 # row of a block fixes which one the block has; its other rows must match it.
 _STAMP = re.compile(rb"\d{4}-\d\d-\d\d[T ]\d\d:\d\d(:\d\d)?(Z|[+-]\d\d:\d\d)?,")
 # text characters read at a time; load_prices then completes the last line
-_READ_BLOCK = 1 << 20
+_READ_BLOCK = 1 << 18
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int64)
 
 
@@ -406,7 +406,11 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     or padding) the rows are read in blocks of whole lines, about
     _READ_BLOCK characters each, so the text is never held whole: besides
     the series (24 bytes a row), one block and what it parses to are in
-    memory at a time. Each block is read by column (_read_block) where its
+    memory at a time. That fixed cost is about 1.3 MiB: a text read alone
+    peaks at four to five times the block (the bytes read, the decoded text,
+    their join and the readline completing the last line). Joining the
+    blocks at the end briefly holds each column twice, about 20 bytes a row
+    above the series. Each block is read by column (_read_block) where its
     stamps allow; a block it refuses, or one whose first time is not after
     the previous block's last, goes alone to the per-line parser
     (_read_lines), whose rows as Python objects take under the block's size
@@ -492,34 +496,50 @@ def _pair_indices(
     narrow integer type. The pairs at lag k slots are then the slots s whose
     codes at s and s + k are equal.
 
+    A run is a stretch of rows that no such gap or unspanned boundary
+    breaks; no pair leaves its run, so a lag longer than the longest run's
+    slot span has no pair.
+
     Returns (place, masks). place(x) lays a per-row array on the slots, 0 at
     empty slots (x itself when the rows fill every slot). masks yields (k,
     mask) for each lag in turn: the lag's anchors and partners in a placed x
     are _at_pairs(x, k, mask), anchors ascending. mask is None where no slot
     is empty and no pair can span a session, so the pairs are row shifts,
-    and at a lag off the slot step, whose k leaves no pair; otherwise it is
-    a view of one buffer that the next lag overwrites.
+    and at a lag off the slot step or past the longest run, whose k leaves
+    no pair; otherwise it is a view of one buffer that the next lag
+    overwrites.
     """
     lags = [int(lag) for lag in lags]
     if any(lag < 0 for lag in lags):
         raise ValueError("lags must be nonnegative")
     n = len(times)
-    steps = np.diff(times)
+    # the steps between rows, then their slot counts, then the slots, in one buffer
+    slot = np.zeros(n, dtype=np.int64)
+    steps = np.subtract(times[1:], times[:-1], out=slot[1:])
     if np.any(steps <= 0):
         raise ValueError("times must be strictly increasing")
     unit = int(np.gcd.reduce(steps)) or 1
     max_slots = max(lags, default=0) // unit
-    steps = np.minimum(steps // unit, max_slots + 1)
+    steps //= unit
+    breaks = steps > max_slots
+    np.minimum(steps, max_slots + 1, out=steps)
     check_session = policy == "intraday-only" and bool(np.any(session_idx[1:] != session_idx[:-1]))
     if check_session:
-        label = session_idx - session_idx.min()
+        low = session_idx.min()
+        label = np.empty(n, dtype=np.min_scalar_type(session_idx.max() - low))
+        np.subtract(session_idx, low, out=label, casting="unsafe")
         unspanned = np.maximum.accumulate(label[:-1]) < np.minimum.accumulate(label[:0:-1])[::-1]
         steps[unspanned] = 1
-    slot = np.concatenate([[0], np.cumsum(steps)])
+        breaks |= unspanned
+    np.cumsum(steps, out=steps)
     n_slots = int(slot[-1]) + 1
 
     if n_slots == n and not check_session:
         return (lambda x: x), ((lag // unit if lag % unit == 0 else n, None) for lag in lags)
+
+    # each run's last row, then the largest span of slots within a run
+    last = np.append(np.flatnonzero(breaks), n - 1)
+    longest = int(np.max(slot[last] - slot[np.concatenate([[0], last[:-1] + 1])]))
 
     def place(x: np.ndarray) -> np.ndarray:
         out = np.zeros(n_slots, dtype=x.dtype)
@@ -535,7 +555,7 @@ def _pair_indices(
         buf = np.empty(n_slots, dtype=bool)
         for lag in lags:
             k = lag // unit
-            if lag % unit:
+            if lag % unit or k > longest:
                 yield n_slots, None
             elif k == 0:
                 yield 0, np.greater_equal(code, 0, out=buf)
@@ -545,13 +565,24 @@ def _pair_indices(
     return place, masks()
 
 
+def _anchors(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
+    """Anchor values, in a placed array x, of the pairs at one lag of
+    _pair_indices."""
+    anchors = x[: max(len(x) - k, 0)]
+    return anchors if mask is None else anchors[mask]
+
+
 def _at_pairs(x: np.ndarray, k: int, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Anchor and partner values, in a placed array x, of the pairs at one
-    lag of _pair_indices."""
-    anchors, partners = x[: max(len(x) - k, 0)], x[k:]
-    if mask is None:
-        return anchors, partners
-    return anchors[mask], partners[mask]
+    lag of _pair_indices: views of x where mask is None, copies otherwise."""
+    return _anchors(x, k, mask), x[k:] if mask is None else x[k:][mask]
+
+
+def _differences(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
+    """Partner less anchor values, in a placed array x, of the pairs at one
+    lag of _pair_indices, in a new array: the masked partners' copy."""
+    start, end = _at_pairs(x, k, mask)
+    return np.subtract(end, start, out=None if mask is None else end)
 
 
 def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:
@@ -571,8 +602,7 @@ def _increments(series: PriceSeries, taus: list[int], policy: str) -> Iterator[t
     place, masks = _pair_indices(series.times, series.session_idx, taus, policy)
     lp = place(series.log_price())
     for tau, (k, mask) in zip(taus, masks):
-        start, end = _at_pairs(lp, k, mask)
-        yield tau, end - start
+        yield tau, _differences(lp, k, mask)
 
 
 def log_returns(
@@ -586,8 +616,8 @@ def log_returns(
     _check_tau(series, tau_minutes, policy)
     place, masks = _pair_indices(series.times, series.session_idx, [tau_minutes], policy)
     [(k, mask)] = masks
-    start, end = _at_pairs(place(series.log_price()), k, mask)
-    values = (end - start) / float(tau_minutes)
+    values = _differences(place(series.log_price()), k, mask)
+    values /= float(tau_minutes)
     if len(values) == 0:
         exceeds = ": horizon exceeds every session" if policy == "intraday-only" else ""
         raise DataError(f"no admissible pairs at tau = {tau_minutes} min{exceeds}")
@@ -597,8 +627,8 @@ def log_returns(
         tau_minutes=int(tau_minutes),
         values=values,
         drift_removed=remove_drift,
-        times=_at_pairs(place(series.times), k, mask)[0],
-        session_idx=_at_pairs(place(series.session_idx), k, mask)[0],
+        times=_anchors(place(series.times), k, mask),
+        session_idx=_anchors(place(series.session_idx), k, mask),
         base_minutes=series.base_minutes,
         policy=policy,
     )

@@ -783,6 +783,32 @@ class TestSynthAndAnalyze:
             tracemalloc.stop()
         assert peak < 64 * n
 
+    def test_analyze_memory_is_the_series_and_one_stage(self, tmp_path):
+        # about 1e5 bars in 390-minute sessions at -05:00 labelled by date, 2%
+        # of them missing, as perfbench's market_sessions input. The series
+        # and the returns are 24 bytes a bar each, and analyze holds one of
+        # them with one stage's pairs at a time: about 67 bytes a bar, where
+        # holding both beside the kurtosis pairs, with 1 MiB read blocks, took 106
+        rng = np.random.default_rng(8)
+        minute = np.flatnonzero(rng.random(256 * 390) >= 0.02)
+        times = market.SYNTH_START_MINUTE + (minute // 390) * 1440 + minute % 390
+        close = (100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(len(times))))).tolist()
+        rows = [f"{t}:00-05:00,{c:.12g},{t[:10]}\n" for t, c in zip(market.minute_stamps(times).tolist(), close)]
+        for name, n in (("small.csv", 2000), ("sessions.csv", len(rows))):
+            (tmp_path / name).write_text("timestamp,close,session\n" + "".join(rows[:n]))
+        args = ["analyze", "--policy", "intraday-only", "--taus", "5:100:5", "--max-lag", 480,
+                "--out-prefix", tmp_path / "stats", "--input"]
+        assert run(args + [tmp_path / "small.csv"]) == 0  # the layers imported before tracing
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert run(args + [tmp_path / "sessions.csv"]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * len(times)
+
     def test_unstable_colored_filter_is_usage_error(self, tmp_path):
         code = run(["synth", "--kind", "colored", "--n", 10000, "--xi", 1e-4, "--eta", 0.9,
                     "--omega", 0.0, "--seed", 1, "--out", tmp_path / "x.csv"])
@@ -1436,8 +1462,9 @@ print(json.dumps(loaded))
     ], ids=["help", "no-command", "usage-error", "simulate-t-end", "eval-range", "analyze-bins"])
     def test_startup_loads_no_numpy_and_no_layer(self, tmp_path, argv, code):
         # the probe's own `import qbmarket` and `--version` steps are checked too;
-        # the last three are usage errors the command finds, not argparse
-        loaded = self.probe(tmp_path, [argv], self.LAYERS, code)
+        # the last three are usage errors the command finds, not argparse;
+        # none of them hashes, so none loads OpenSSL (`_hashlib`)
+        loaded = self.probe(tmp_path, [argv], (*self.LAYERS, "_hashlib"), code)
         assert loaded == {step: [] for step in loaded}
 
     def test_unknown_name_loads_nothing(self, tmp_path):

@@ -726,6 +726,32 @@ class TestStatisticsOnReferencePairs:
             assert acf.values[lag] == float(products.mean())
 
 
+@pytest.mark.parametrize("policy", PAIRING_POLICIES)
+class TestLagsPastEveryRun:
+    """No pair leaves a session when every gap between sessions is longer than
+    the largest lag, so a lag past the longest session needs no mask."""
+
+    def test_acf_omits_them_and_keeps_the_reference_values(self, policy):
+        returns = log_returns(gapped_series(), 1, policy=policy)
+        t, s, r = returns.times, returns.session_idx, returns.values
+        longest = max(int(np.ptp(t[s == i])) for i in np.unique(s))
+        max_lag = 500  # past every 390-minute session, below every overnight gap
+        assert longest < max_lag < int(np.diff(t).max())
+        place, masks = market._pair_indices(t, s, range(max_lag + 1), policy)
+        n_slots = len(place(r))
+        past = [(k, mask) for lag, (k, mask) in enumerate(masks) if lag > longest]
+        assert past == [(n_slots, None)] * (max_lag - longest)
+        acf = empirical_acf(returns, max_lag)
+        assert acf.omitted_lags[-len(past):] == tuple(range(longest + 1, max_lag + 1))
+        assert acf.lags[-1] <= longest
+        for lag, value, count, stderr in zip(acf.lags, acf.values, acf.counts, acf.stderr):
+            a, p = reference_pairs(t, s, int(lag), policy)
+            products = r[a] * r[p]
+            assert value == float(products.mean()) and count == len(products)
+            if count > 1:
+                assert stderr == float(products.std(ddof=1) / math.sqrt(len(products)))
+
+
 class TestLogReturns:
     def test_constant_price_gives_zero_returns(self):
         text = "timestamp,close\n" + "\n".join(
