@@ -124,3 +124,60 @@ def minimal_uncertainty(params: ModelParams, sx2_0: float) -> SecondMomentInit:
 def moment_state(init: SecondMomentInit) -> MomentState:
     """Gaussian moments matching a SecondMomentInit (spx_0 is <XP+PX>)."""
     return MomentState.gaussian(init.sx2_0, init.sp2_0, init.spx_0 / 2.0)
+
+
+def reference_pairs(times, session_idx, lag: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every (anchor, partner) whose times are lag apart, by direct search."""
+    row_at = {int(t): i for i, t in enumerate(times)}
+    pairs = [
+        (i, row_at[int(t) + lag])
+        for i, t in enumerate(times)
+        if int(t) + lag in row_at and (policy == "contiguous" or session_idx[i] == session_idx[row_at[int(t) + lag]])
+    ]
+    return np.array([a for a, _ in pairs], dtype=np.int64), np.array([b for _, b in pairs], dtype=np.int64)
+
+
+def reference_acf(times, session_idx, r, max_lag: int, policy: str, base: int = 1) -> market.AcfEstimate:
+    """empirical_acf by its formula, one lag at a time: the mean, the count
+    and the standard error of the products r[a] r[p] over the directly
+    searched pairs at each lag 0, base, ... up to max_lag (r as given, no
+    drift removed)."""
+    lags, values, counts, stderr, omitted = [], [], [], [], []
+    for lag in range(0, max_lag + 1, base):
+        a, p = reference_pairs(times, session_idx, lag, policy)
+        products = r[a] * r[p]
+        if len(products) == 0:
+            omitted.append(lag)
+            continue
+        lags.append(lag)
+        values.append(float(products.mean()))
+        counts.append(len(products))
+        stderr.append(float(products.std(ddof=1) / math.sqrt(len(products))) if len(products) > 1 else math.nan)
+    return market.AcfEstimate(
+        lags=lags, values=values, counts=counts, stderr=stderr, base_minutes=base, tau_minutes=base,
+        omitted_lags=tuple(omitted),
+    )
+
+
+# empirical_acf's stated tolerance against reference_acf, where the sums of
+# every lag carry rounding of the whole series' scale: values within ACF_TOL
+# of max |value|, and each lag's sample variance of the products
+# (count * stderr**2) within ACF_TOL of the largest mean square product of
+# any lag. So the stderr is within ACF_TOL relative where a lag's products
+# vary as much as the series' do, and where they nearly cancel in
+# S2 - n R**2 it is rounding of that size, never nan
+ACF_TOL = 1e-12
+
+
+def assert_acf_matches(acf, ref) -> None:
+    """Lags, counts and omitted lags exact, nan stderr exactly where the
+    reference has it, values and stderr within the stated tolerance."""
+    np.testing.assert_array_equal(acf.lags, ref.lags)
+    np.testing.assert_array_equal(acf.counts, ref.counts)
+    assert acf.omitted_lags == ref.omitted_lags
+    np.testing.assert_allclose(acf.values, ref.values, rtol=0, atol=ACF_TOL * np.max(np.abs(ref.values)))
+    np.testing.assert_array_equal(np.isnan(acf.stderr), np.isnan(ref.stderr))
+    n = ref.counts[ref.counts > 1]
+    variance, ref_variance = (n * se[ref.counts > 1] ** 2 for se in (acf.stderr, ref.stderr))
+    mean_square = ref_variance * (n - 1) / n + ref.values[ref.counts > 1] ** 2
+    assert np.all(np.abs(variance - ref_variance) <= ACF_TOL * np.max(mean_square, initial=0.0))

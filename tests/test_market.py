@@ -29,7 +29,7 @@ from qbmarket import (
 from qbmarket import market
 from qbmarket.market import PAIRING_POLICIES, PriceSeries, ReturnSeries, SYNTH_START_MINUTE
 
-from conftest import linear_fit_r2, significant_tail_bins
+from conftest import ACF_TOL, assert_acf_matches, linear_fit_r2, reference_acf, reference_pairs, significant_tail_bins
 
 
 def make_prices(text: str):
@@ -505,17 +505,6 @@ class TestReaderMemory:
         assert len(read_blocks) > 1 and set(read_blocks) == {form != "line-by-line"}
 
 
-def reference_pairs(times, session_idx, lag: int, policy: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every (anchor, partner) whose times are lag apart, by direct search."""
-    row_at = {int(t): i for i, t in enumerate(times)}
-    pairs = [
-        (i, row_at[int(t) + lag])
-        for i, t in enumerate(times)
-        if int(t) + lag in row_at and (policy == "contiguous" or session_idx[i] == session_idx[row_at[int(t) + lag]])
-    ]
-    return np.array([a for a, _ in pairs], dtype=np.int64), np.array([b for _, b in pairs], dtype=np.int64)
-
-
 @st.composite
 def gapped_times(draw):
     n = draw(st.integers(1, 40))
@@ -582,7 +571,7 @@ def gapped_cases(draw):
 @pytest.mark.parametrize("policy", PAIRING_POLICIES)
 class TestStatisticsOnGappedLayouts:
     """On random gapped layouts, each estimator equals its formula applied to
-    directly searched pairs, bit for bit."""
+    directly searched pairs: bit for bit, the ACF within its stated tolerance."""
 
     @settings(deadline=None)
     @given(case=gapped_cases())
@@ -593,24 +582,9 @@ class TestStatisticsOnGappedLayouts:
             session_idx=series.session_idx, base_minutes=series.base_minutes, policy=policy,
         )
         max_lag = min(int(series.times[-1] - series.times[0]) - 1, 240)
-        acf = empirical_acf(returns, max_lag)
-        r = values - values.mean()
-        lags, means, counts, stderr, omitted = [], [], [], [], []
-        for lag in range(0, max_lag + 1, series.base_minutes):
-            a, p = reference_pairs(series.times, series.session_idx, lag, policy)
-            products = r[a] * r[p]
-            if len(products) == 0:
-                omitted.append(lag)
-                continue
-            lags.append(lag)
-            means.append(float(products.mean()))
-            counts.append(len(products))
-            stderr.append(float(products.std(ddof=1) / math.sqrt(len(products))) if len(products) > 1 else math.nan)
-        np.testing.assert_array_equal(acf.lags, lags)
-        assert np.array_equal(acf.values, means)
-        assert np.array_equal(acf.counts, counts)
-        assert np.array_equal(acf.stderr, stderr, equal_nan=True)
-        assert acf.omitted_lags == tuple(omitted)
+        ref = reference_acf(series.times, series.session_idx, values - values.mean(), max_lag, policy,
+                            series.base_minutes)
+        assert_acf_matches(empirical_acf(returns, max_lag), ref)
 
     @settings(deadline=None)
     @given(case=gapped_cases())
@@ -666,28 +640,13 @@ def reference_increments(series: PriceSeries, tau: int, policy: str) -> np.ndarr
 
 @pytest.mark.parametrize("policy", PAIRING_POLICIES)
 class TestStatisticsOnReferencePairs:
-    """Each estimator gives exactly what its formula gives on directly searched pairs."""
+    """Each estimator gives exactly what its formula gives on directly searched
+    pairs; the ACF within its stated tolerance."""
 
     def test_empirical_acf(self, policy):
         returns = log_returns(gapped_series(), 1, policy=policy)
-        acf = empirical_acf(returns, 120)
-        lags, values, counts, stderr, omitted = [], [], [], [], []
-        r = returns.values
-        for lag in range(0, 121):
-            a, p = reference_pairs(returns.times, returns.session_idx, lag, policy)
-            products = r[a] * r[p]
-            if len(products) == 0:
-                omitted.append(lag)
-                continue
-            lags.append(lag)
-            values.append(float(products.mean()))
-            counts.append(len(products))
-            stderr.append(float(products.std(ddof=1) / math.sqrt(len(products))) if len(products) > 1 else math.nan)
-        np.testing.assert_array_equal(acf.lags, lags)
-        assert np.array_equal(acf.values, values)
-        assert np.array_equal(acf.counts, counts)
-        assert np.array_equal(acf.stderr, stderr, equal_nan=True)
-        assert acf.omitted_lags == tuple(omitted)
+        ref = reference_acf(returns.times, returns.session_idx, returns.values, 120, policy)
+        assert_acf_matches(empirical_acf(returns, 120), ref)
 
     def test_drift_vol_scaling(self, policy):
         series = gapped_series()
@@ -721,9 +680,10 @@ class TestStatisticsOnReferencePairs:
         acf = empirical_acf(log_returns(series, 1, policy=policy), 60)
         np.testing.assert_array_equal(acf.counts, 2999 - acf.lags)
         returns = log_returns(series, 1, policy=policy).values
+        tol = ACF_TOL * np.max(np.abs(acf.values))
         for lag in (0, 7, 60):
             products = returns[: len(returns) - lag] * returns[lag:]
-            assert acf.values[lag] == float(products.mean())
+            assert abs(acf.values[lag] - float(products.mean())) <= tol
 
 
 @pytest.mark.parametrize("policy", PAIRING_POLICIES)
@@ -744,12 +704,7 @@ class TestLagsPastEveryRun:
         acf = empirical_acf(returns, max_lag)
         assert acf.omitted_lags[-len(past):] == tuple(range(longest + 1, max_lag + 1))
         assert acf.lags[-1] <= longest
-        for lag, value, count, stderr in zip(acf.lags, acf.values, acf.counts, acf.stderr):
-            a, p = reference_pairs(t, s, int(lag), policy)
-            products = r[a] * r[p]
-            assert value == float(products.mean()) and count == len(products)
-            if count > 1:
-                assert stderr == float(products.std(ddof=1) / math.sqrt(len(products)))
+        assert_acf_matches(acf, reference_acf(t, s, r, max_lag, policy))
 
 
 class TestLogReturns:
@@ -998,6 +953,75 @@ class TestEmpiricalAcf:
         rs = _returns_from(np.linspace(-1, 1, 100))
         with pytest.raises(ValueError):
             empirical_acf(rs, 100)
+
+    def test_unordered_times_rejected(self):
+        rs = _returns_from(np.linspace(-1, 1, 100))
+        times = rs.times.copy()
+        times[[40, 41]] = times[[41, 40]]
+        shuffled = ReturnSeries(
+            tau_minutes=1, values=rs.values, drift_removed=False, times=times, session_idx=rs.session_idx,
+            base_minutes=1, policy="contiguous",
+        )
+        with pytest.raises(ValueError, match="strictly increasing"):
+            empirical_acf(shuffled, 10)
+
+    @pytest.mark.parametrize("policy", PAIRING_POLICIES)
+    def test_equal_products_keep_a_finite_stderr(self, policy):
+        # 40 sessions of 100 bars 300 minutes apart with returns alternating
+        # +-2**-10, so at each lag every product is one power of two and the
+        # reference stderr is exactly 0 (S2 - n R**2 is pure rounding), then
+        # a session of two bars 120 minutes apart: lag 120's one pair
+        times = np.concatenate([300 * (np.arange(4000) // 100) + np.arange(4000) % 100, [12_000, 12_120]])
+        session_idx = np.concatenate([np.arange(4000) // 100, [40, 40]])
+        values = 2.0**-10 * np.concatenate([(-1.0) ** np.arange(4000), [1.0, 1.0]])
+        returns = ReturnSeries(
+            tau_minutes=1, values=values, drift_removed=True, times=times.astype(np.int64),
+            session_idx=session_idx, base_minutes=1, policy=policy,
+        )
+        acf = empirical_acf(returns, 150)
+        ref = reference_acf(returns.times, session_idx, values, 150, policy)
+        assert np.all(ref.stderr[ref.counts > 1] == 0.0)
+        assert_acf_matches(acf, ref)
+        many = acf.counts > 1
+        assert np.all(np.isfinite(acf.stderr[many])) and np.all(acf.stderr[many] >= 0.0)
+        assert list(acf.counts[acf.lags == 120]) == [1] and np.isnan(acf.stderr[acf.lags == 120][0])
+
+
+def acf_memory_case(case: str) -> ReturnSeries:
+    """The returns of 256 sessions of 390 minute bars with 2% missing, or a
+    dense series of 1e5 returns, built in memory."""
+    rng = np.random.default_rng(17)
+    if case == "dense":
+        return _returns_from(rng.standard_normal(100_000))
+    keep = rng.random((256, 390)) >= 0.02
+    keep[:, [0, -1]] = True
+    day, minute = np.nonzero(keep)
+    series = PriceSeries(
+        times=SYNTH_START_MINUTE + 1440 * day + minute,
+        close=100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(len(day)))),
+        session_idx=day,
+        base_minutes=1,
+    )
+    return log_returns(series, 1, policy="intraday-only")
+
+
+class TestAcfMemory:
+    # traced peaks of the per-lag loop that the FFT sums replaced, on the same
+    # inputs; the FFT sums in one window of the whole series peak at 33 MB
+    # and 17 MB on them
+    @pytest.mark.parametrize("case, loop_peak", [("sessions", 3.44e6), ("dense", 1.71e6)], ids=["sessions", "dense"])
+    def test_peak_at_most_the_lag_loop(self, case, loop_peak):
+        returns = acf_memory_case(case)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            acf = empirical_acf(returns, 480)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(acf.lags) > 300
+        assert peak <= loop_peak
 
 
 def pow_kurtosis(increments: np.ndarray, tau: int) -> float:
