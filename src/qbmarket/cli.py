@@ -58,8 +58,8 @@ _HOMES = {
     ),
     ".market": (
         "STAMP_MINUTES", "SYNTH_START_MINUTE", "AcfEstimate", "PriceSeries", "drift_vol_scaling", "empirical_acf",
-        "empirical_kurtosis", "load_prices", "log_returns", "minute_stamps", "return_histogram", "synth_colored",
-        "synth_gbm",
+        "empirical_kurtosis", "load_prices", "log_returns", "return_histogram", "stamp_bytes",
+        "synth_colored", "synth_gbm",
     ),
     ".calibrate": ("fit_acf", "fit_kurtosis_decay"),
     ".dynamics.moments": ("MOMENT_KEYS", "HarmonicPotential", "KernelSchedule", "MomentState", "evolve_moments"),
@@ -125,36 +125,44 @@ def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Itera
     one string per block of rows.
 
     Numeric columns are written with 17 significant digits. A
-    ``datetime64[m]`` column is written as `YYYY-MM-DDTHH:MM` stamps, each
-    block's stamps made as the block is formatted, so the column's text is
-    never held whole. A non-finite number outside the ``stderr`` column raises
-    a NumericalError before anything is produced.
+    ``datetime64[m]`` column is written as `YYYY-MM-DDTHH:MM` stamps. Each
+    block is one `%` of its numbers into a template of ASCII bytes: its
+    stamps (stamp_bytes), a `%.17g` for each number, the commas and the
+    newlines. So the stamps are never Python strings, and a column's text is
+    never held whole. A non-finite number outside the ``stderr`` column
+    raises a NumericalError before anything is produced.
     """
     import numpy as np
 
-    arrays, fields = [], []
+    stamps, numbers, fields = [], [], []
     for key, col in columns.items():
         if col.dtype == "datetime64[m]":
             _bind(".market")
-            fields.append("%s")
+            # the column of the stamp's first byte in a row, and its minutes
+            stamps.append((sum(len(field) + 1 for field in fields), col.view(np.int64)))
+            fields.append("YYYY-MM-DDTHH:MM")
         else:
             col = col.astype(float, copy=False)
             if key != _NAN_COLUMN and not np.isfinite(col).all():
                 raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
+            numbers.append(col)
             fields.append("%.17g")
-        arrays.append(col)
     header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
-    row = ",".join(fields) + "\n"
-
-    def cells(col: np.ndarray) -> list:
-        if col.dtype.kind == "M":
-            return minute_stamps(col.view(np.int64)).tolist()
-        return col.tolist()
+    row = np.frombuffer((",".join(fields) + "\n").encode("ascii"), dtype=np.uint8)
+    n_rows = len(next(iter(columns.values())))
 
     def blocks() -> Iterator[str]:
-        for start in range(0, len(arrays[0]), _CSV_BLOCK):
-            block = [cells(col[start:start + _CSV_BLOCK]) for col in arrays]
-            yield (row * len(block[0])) % tuple(itertools.chain.from_iterable(zip(*block)))
+        rows = min(n_rows, _CSV_BLOCK)  # a short table's buffers are its size: they can set a run's peak
+        template = np.tile(row, (rows, 1))
+        values = np.empty((rows, len(numbers)))
+        for start in range(0, n_rows, _CSV_BLOCK):
+            block = slice(start, min(start + _CSV_BLOCK, n_rows))
+            n = block.stop - start
+            for column, times in stamps:
+                template[:n, column : column + 16] = stamp_bytes(times[block])
+            for j, col in enumerate(numbers):
+                values[:n, j] = col[block]
+            yield template[:n].tobytes().decode("ascii") % tuple(values[:n].ravel().tolist())
 
     return itertools.chain([header], blocks())
 
@@ -624,6 +632,9 @@ def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.n
         rows.append(raw.split(","))
     if header is None or not rows:
         raise DataError(f"{path}: no data rows")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise DataError(f"{path}: repeated column(s) {repeated}; header is {header}")
     missing = [c for c in expected if c not in header]
     if missing:
         raise DataError(f"{path}: missing column(s) {missing}; header is {header}")

@@ -39,6 +39,7 @@ __all__ = [
     "KurtosisResult",
     "load_prices",
     "minute_stamps",
+    "stamp_bytes",
     "log_returns",
     "drift_vol_scaling",
     "return_histogram",
@@ -269,8 +270,8 @@ def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return yoe + era * 400 + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
 
 
-# code points of "00" to "99", one row each
-_TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)]).view(np.uint32).reshape(100, 2)
+# ASCII bytes of "00" to "99", one row each
+_TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)], dtype="S2").view(np.uint8).reshape(100, 2)
 # the first and last minutes that a four-digit-year stamp can name
 STAMP_MINUTES = tuple(
     int((datetime(*date, tzinfo=timezone.utc) - _EPOCH).total_seconds() // 60)
@@ -278,21 +279,43 @@ STAMP_MINUTES = tuple(
 )
 
 
-def minute_stamps(times: np.ndarray) -> np.ndarray:
-    """`YYYY-MM-DDTHH:MM` text of minutes since the epoch, as
-    np.datetime_as_string(times.astype("datetime64[m]"), unit="m") writes
-    it, built from two-digit code points in integer arithmetic. Years
-    outside 1-9999 are refused: their stamps would not have this form."""
+def _digit_pairs(template: bytes, fields: Sequence[np.ndarray], columns: Sequence[int]) -> np.ndarray:
+    """Rows of the ASCII template with each field's two digits (0 to 99) at
+    its column."""
+    text = np.tile(np.frombuffer(template, dtype=np.uint8), (len(fields[0]), 1))
+    for value, column in zip(fields, columns):
+        text[:, column : column + 2] = _TWO_DIGITS[value]
+    return text
+
+
+# `HH:MM` of each minute of the day
+_CLOCK = _digit_pairs(b"00:00", np.divmod(np.arange(1440), 60), (0, 3)).view("S5").ravel()
+
+
+def stamp_bytes(times: np.ndarray) -> np.ndarray:
+    """`YYYY-MM-DDTHH:MM` stamps of minutes since the epoch as ASCII bytes,
+    one row of 16 uint8 per minute: each day's date once, from the two-digit
+    table in integer arithmetic, and the time of day from a table of the
+    day's minutes. Years outside 1-9999 are refused: their stamps would not
+    have this form."""
     times = np.asarray(times, dtype=np.int64)
     if len(times) and not (STAMP_MINUTES[0] <= times.min() and times.max() <= STAMP_MINUTES[1]):
         raise ValueError("minute stamps need years 1 to 9999")
     days, minutes = np.divmod(times, 1440)
+    days, day_of = np.unique(days, return_inverse=True)
     year, month, day = _civil_from_days(days.astype(np.int32))  # under 3e6 days
-    fields = (*np.divmod(year, 100), month, day, *np.divmod(minutes, 60))
-    text = np.tile(np.array(["0000-00-00T00:00"]).view(np.uint32), (len(times), 1))
-    for value, column in zip(fields, (0, 2, 5, 8, 11, 14)):
-        text[:, column : column + 2] = _TWO_DIGITS[value]
-    return text.view("U16").ravel()
+    dates = _digit_pairs(b"0000-00-00", (*np.divmod(year, 100), month, day), (0, 2, 5, 8)).view("S10").ravel()
+    text = np.empty((len(times), 16), dtype=np.uint8)
+    text[:, :10] = dates[day_of].view(np.uint8).reshape(-1, 10)
+    text[:, 10] = ord("T")
+    text[:, 11:] = _CLOCK[minutes].view(np.uint8).reshape(-1, 5)
+    return text
+
+
+def minute_stamps(times: np.ndarray) -> np.ndarray:
+    """The stamp_bytes of times as `U16` text, as
+    np.datetime_as_string(times.astype("datetime64[m]"), unit="m") writes it."""
+    return stamp_bytes(times).view("S16").ravel().astype("U16")
 
 
 def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -451,8 +474,11 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
         block = _read_block(text, n_fields)
         if block is None or block[0][0] <= last:
             block = _read_lines(text, line_no + 1, n_fields, last)
-        # the lines of text, as _LINE splits them
-        line_no += text.count("\n") + text.count("\r") - text.count("\r\n")
+            # the lines of text, as _LINE splits them
+            line_no += text.count("\n") + text.count("\r") - text.count("\r\n")
+        else:
+            # a block read by column has a row on each line and no `\r`
+            line_no += len(block[0])
         block_times, block_closes, labels = block
         if not len(block_times):
             continue

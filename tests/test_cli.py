@@ -16,8 +16,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbmarket import ModelParams, NonMarkovParams, acf_model, cli, delta_coefficient, lambda_coefficient, market
+from qbmarket import (
+    ModelParams, NonMarkovParams, __version__, acf_model, cli, delta_coefficient, lambda_coefficient, market,
+)
 from qbmarket.cli import main
 from qbmarket.errors import NumericalError
 
@@ -604,6 +608,53 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
 
+# edge values of a float column: signed zeros, subnormals and the ends of the finite range
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3]
+# edge values of an int64 column, some past float's 53-bit mantissa
+EDGE_INTS = [0, 1, 2**53 + 1, 2**62 + 3, 2**63 - 1]
+
+
+@st.composite
+def csv_tables(draw):
+    """Tables of one row fewer, as many or one more than a writer block:
+    stamp, float, int64 and `stderr` (NaN allowed) columns, in any order and
+    number, with edge values at drawn rows."""
+    n = draw(st.sampled_from([cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1]))
+    names = draw(st.lists(st.sampled_from(["timestamp", "acf", "lag", "count", "stderr"]), min_size=1, max_size=5,
+                          unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = st.integers(0, n - 1)
+    columns = {}
+    for name in names:
+        if name == "timestamp":
+            lo, hi = market.STAMP_MINUTES
+            if draw(st.booleans()):
+                col = market.SYNTH_START_MINUTE + np.cumsum(rng.integers(1, 500, n))
+            else:
+                col = rng.integers(lo, hi + 1, n)
+            col[draw(rows)], col[draw(rows)] = lo, hi
+            col = col.view("datetime64[m]")
+        elif name in ("lag", "count"):
+            col = rng.integers(1, 2**63 - 1, n, endpoint=True) >> rng.integers(0, 63, n)
+            for i, value in draw(st.lists(st.tuples(rows, st.sampled_from(EDGE_INTS)), max_size=5)):
+                col[i] = value
+        else:
+            col = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 308, n)
+            edges = EDGE_FLOATS + [math.nan] * (name == "stderr")
+            for i, value in draw(st.lists(st.tuples(rows, st.sampled_from(edges)), max_size=8)):
+                col[i] = value
+        columns[name] = col
+    return columns
+
+
+def reference_csv(digest, columns):
+    """A CSV's text written cell by cell: NumPy's minute stamps and `%.17g`."""
+    cells = [np.datetime_as_string(col, unit="m").tolist() if col.dtype.kind == "M"
+             else ["%.17g" % v for v in col.tolist()] for col in columns.values()]
+    lines = [f"# qbmarket {__version__}; input sha256={digest}", ",".join(columns), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
+
+
 class TestWriters:
     def test_json_writer_refuses_non_finite(self):
         with pytest.raises(NumericalError, match="r.json: .*non-finite"):
@@ -615,6 +666,11 @@ class TestWriters:
         rows = [line.split(",") for line in text.splitlines()[2:]]
         assert [stamp for stamp, _ in rows] == market.minute_stamps(times).tolist()
         assert [float(close) for _, close in rows] == times.tolist()
+
+    @given(columns=csv_tables())
+    @settings(max_examples=40, deadline=None)
+    def test_csv_writer_bytes_equal_a_cell_by_cell_reference(self, columns):
+        assert "".join(cli._csv_chunks("t.csv", "ab12", columns)) == reference_csv("ab12", columns)
 
     def test_csv_writer_refuses_non_finite_outside_stderr(self):
         lags = np.arange(3)
@@ -1149,6 +1205,21 @@ class TestFitCommand:
         path.write_text(text)
         assert run(["fit", "--kind", "acf", "--input", path, "--out", tmp_path / "o.json"]) == 2
         assert f"data error: {path}: {named}" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
+
+    @pytest.mark.parametrize("kind, text, repeated", [
+        ("acf", "lag,acf,acf\n0,1,1\n5,0.5,0.5\n10,0.25,0.25\n", "['acf']"),
+        ("kurtosis", "tau,kurtosis,tau\n5,1,5\n10,0.5,10\n15,0.25,15\n", "['tau']"),
+    ], ids=["acf", "kurtosis"])
+    def test_repeated_column_is_data_error(self, tmp_path, capsys, kind, text, repeated):
+        # each row's cells went twice into one column: fit_acf died with an
+        # IndexError traceback, and the kurtosis fit's length check made it a usage error
+        path = tmp_path / "est.csv"
+        path.write_text(text)
+        assert run(["fit", "--kind", kind, "--input", path, "--out", tmp_path / "o.json"]) == 2
+        captured = capsys.readouterr()
+        assert f"data error: {path}: repeated column(s) {repeated}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
 
     @pytest.mark.parametrize("kind, text", [

@@ -444,6 +444,23 @@ class TestBlockEdges:
         with pytest.raises(DataError, match=f"line {len(lines)}: .*non-positive price"):
             load_prices(path)
 
+    @pytest.mark.parametrize("crlf", [0, 1, 2])
+    def test_line_numbers_after_column_blocks_and_a_crlf_block(self, tmp_path, monkeypatch, read_blocks, crlf):
+        # three blocks of four rows, the one at index crlf ended by `\r\n`,
+        # then a bad row in the fourth: a block read by column counts its rows
+        # as lines, the `\r\n` block its line ends
+        times = SYNTH_START_MINUTE + np.arange(16)
+        rows = [f"{stamp},100.5" for stamp in market.minute_stamps(times).tolist()]
+        rows[13] = rows[13].replace(",", ",-")
+        ends = ["\r\n" if i // 4 == crlf else "\n" for i in range(16)]
+        path = tmp_path / "prices.csv"
+        path.write_bytes(("timestamp,close\n" + "".join(row + end for row, end in zip(rows, ends))).encode())
+        # each read ends inside a block's last row, and readline completes it
+        monkeypatch.setattr(market, "_READ_BLOCK", 4 * len(rows[0]) + 3)
+        with pytest.raises(DataError, match="^line 15: .*non-positive price"):
+            load_prices(path)
+        assert read_blocks == [i != crlf for i in range(3)] + [False]
+
     def test_unseekable_source_read_by_column(self, read_blocks):
         text = plain_csv()
         piped = load_prices(_Unseekable(text))
