@@ -120,49 +120,71 @@ _NAN_COLUMN = "stderr"
 _CSV_BLOCK = 4096
 
 
+def _percent(text: str, numbers: np.ndarray) -> str:
+    """text % the numbers, as Python floats; text itself where there are none."""
+    return text % tuple(numbers.tolist()) if len(numbers) else text
+
+
 def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Iterable[str]:
     """The text of one CSV file, checked now and formatted as it is consumed,
     one string per block of rows.
 
     Numeric columns are written with 17 significant digits. A
     ``datetime64[m]`` column is written as `YYYY-MM-DDTHH:MM` stamps. Each
-    block is one `%` of its numbers into a template of ASCII bytes: its
-    stamps (stamp_bytes), a `%.17g` for each number, the commas and the
-    newlines. So the stamps are never Python strings, and a column's text is
-    never held whole. A non-finite number outside the ``stderr`` column
-    raises a NumericalError before anything is produced.
+    block is a template of ASCII bytes: its stamps (stamp_bytes), a field per
+    number, the commas and the newlines. In a full block of _CSV_BLOCK rows,
+    g17 writes each number with 1 <= |x| < 1e15 into its field as the bytes
+    `%.17g` makes of it. Every other number's field is a `%.17g`; the block's
+    NUL padding is dropped, and one `%` of those numbers formats it. So the
+    stamps are never Python strings, and a column's text is never held whole.
+    A non-finite number outside the ``stderr`` column raises a NumericalError
+    before anything is produced.
     """
     import numpy as np
 
-    stamps, numbers, fields = [], [], []
-    for key, col in columns.items():
+    stamps, numbers = {}, {}  # each column's values by its place in the row
+    for place, (key, col) in enumerate(columns.items()):
         if col.dtype == "datetime64[m]":
             _bind(".market")
-            # the column of the stamp's first byte in a row, and its minutes
-            stamps.append((sum(len(field) + 1 for field in fields), col.view(np.int64)))
-            fields.append("YYYY-MM-DDTHH:MM")
+            stamps[place] = col.view(np.int64)
         else:
             col = col.astype(float, copy=False)
             if key != _NAN_COLUMN and not np.isfinite(col).all():
                 raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
-            numbers.append(col)
-            fields.append("%.17g")
+            numbers[place] = col
     header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
-    row = np.frombuffer((",".join(fields) + "\n").encode("ascii"), dtype=np.uint8)
     n_rows = len(next(iter(columns.values())))
 
     def blocks() -> Iterator[str]:
         rows = min(n_rows, _CSV_BLOCK)  # a short table's buffers are its size: they can set a run's peak
+        width = 5
+        if rows == _CSV_BLOCK:  # room in each number's field for g17's bytes
+            from ._g17 import WIDTH as width, g17
+        placeholder = np.frombuffer(b"%.17g".ljust(width, b"\0"), dtype=np.uint8)
+        fields = [b"YYYY-MM-DDTHH:MM" if place in stamps else placeholder.tobytes() for place in range(len(columns))]
+        starts = list(itertools.accumulate((len(field) + 1 for field in fields), initial=0))
+        row = np.frombuffer(b",".join(fields) + b"\n", dtype=np.uint8)
         template = np.tile(row, (rows, 1))
         values = np.empty((rows, len(numbers)))
         for start in range(0, n_rows, _CSV_BLOCK):
             block = slice(start, min(start + _CSV_BLOCK, n_rows))
             n = block.stop - start
-            for column, times in stamps:
-                template[:n, column : column + 16] = stamp_bytes(times[block])
-            for j, col in enumerate(numbers):
+            if n < _CSV_BLOCK:  # a `%.17g` in every number's field again, after g17 filled them
+                template[:n] = row
+            for place, times in stamps.items():
+                template[:n, starts[place] : starts[place] + 16] = stamp_bytes(times[block])
+            for j, col in enumerate(numbers.values()):
                 values[:n, j] = col[block]
-            yield template[:n].tobytes().decode("ascii") % tuple(values[:n].ravel().tolist())
+            left = values[:n].ravel()
+            if n == _CSV_BLOCK:
+                cells, done = g17(left)
+                cells[~done] = placeholder
+                for j, place in enumerate(numbers):
+                    template[:, starts[place] : starts[place] + width] = cells[j :: len(numbers)]
+                left = left[~done]
+                del cells, done  # freed before the block's text is made
+            chars = template[:n].ravel()
+            yield _percent(chars[chars != 0].tobytes().decode("ascii"), left)
 
     return itertools.chain([header], blocks())
 

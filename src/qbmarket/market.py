@@ -607,9 +607,10 @@ def _at_pairs(x: np.ndarray, k: int, mask: np.ndarray | None) -> tuple[np.ndarra
 
 def _differences(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
     """Partner less anchor values, in a placed array x, of the pairs at one
-    lag of _pair_indices, in a new array: the masked partners' copy."""
-    start, end = _at_pairs(x, k, mask)
-    return np.subtract(end, start, out=None if mask is None else end)
+    lag of _pair_indices, in a new array: one subtraction over the slots,
+    then one gather of the pairs where there is a mask."""
+    differences = x[k:] - _anchors(x, k, None)
+    return differences if mask is None else differences[mask]
 
 
 def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:

@@ -608,20 +608,28 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
 
-# edge values of a float column: signed zeros, subnormals and the ends of the finite range
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3]
+# edge values of a float column: signed zeros, subnormals and the ends of the
+# finite range, then those of the writer's kernel: 1 <= |x| < 1e15, a tie
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3,
+    1.0, -1.0, math.nextafter(1.0, 0.0), 1e15, -1e15, math.nextafter(1e15, 0.0), 1e14, math.nextafter(1e14, 0.0),
+    1 + 2**-17,
+]
 # edge values of an int64 column, some past float's 53-bit mantissa
 EDGE_INTS = [0, 1, 2**53 + 1, 2**62 + 3, 2**63 - 1]
 
 
 @st.composite
 def csv_tables(draw):
-    """Tables of one row fewer, as many or one more than a writer block:
-    stamp, float, int64 and `stderr` (NaN allowed) columns, in any order and
-    number, with edge values at drawn rows."""
-    n = draw(st.sampled_from([cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1]))
-    names = draw(st.lists(st.sampled_from(["timestamp", "acf", "lag", "count", "stderr"]), min_size=1, max_size=5,
-                          unique=True))
+    """Tables of one row fewer, as many or one more than a writer block, or
+    of two full blocks and part of a third: stamp, float, int64 and `stderr`
+    (NaN allowed) columns, in any order and number, with edge values at
+    drawn rows. A float column's magnitudes span the whole float range, the
+    writer kernel's range 1 to 1e15, or a price's random walk."""
+    block = cli._CSV_BLOCK
+    n = draw(st.sampled_from([block - 1, block, block + 1, 2 * block + draw(st.integers(1, block - 1))]))
+    names = draw(st.lists(st.sampled_from(["timestamp", "acf", "lag", "count", "stderr", "close"]), min_size=1,
+                          max_size=6, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = st.integers(0, n - 1)
     columns = {}
@@ -639,7 +647,13 @@ def csv_tables(draw):
             for i, value in draw(st.lists(st.tuples(rows, st.sampled_from(EDGE_INTS)), max_size=5)):
                 col[i] = value
         else:
-            col = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 308, n)
+            spread = draw(st.sampled_from(["float", "kernel", "walk"]))
+            if spread == "float":
+                col = rng.standard_normal(n) * 10.0 ** rng.integers(-330, 308, n)
+            elif spread == "kernel":
+                col = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(0.0, 15.0, n)
+            else:
+                col = 10.0 ** rng.uniform(0.0, 4.0) * np.exp(np.cumsum(1e-3 * rng.standard_normal(n)))
             edges = EDGE_FLOATS + [math.nan] * (name == "stderr")
             for i, value in draw(st.lists(st.tuples(rows, st.sampled_from(edges)), max_size=8)):
                 col[i] = value
@@ -671,6 +685,23 @@ class TestWriters:
     @settings(max_examples=40, deadline=None)
     def test_csv_writer_bytes_equal_a_cell_by_cell_reference(self, columns):
         assert "".join(cli._csv_chunks("t.csv", "ab12", columns)) == reference_csv("ab12", columns)
+
+    def test_kernel_writes_every_close_of_the_benchmark_synth(self, tmp_path, monkeypatch):
+        # the market_colored benchmark's synth: 1e5 bars at the paper's S&P
+        # triple; every close of its full blocks is in the kernel's range
+        from qbmarket import _g17
+
+        written, real = [], _g17.g17
+
+        def g17(values):
+            cells, done = real(values)
+            written.append((len(values), int(done.sum())))
+            return cells, done
+
+        monkeypatch.setattr(_g17, "g17", g17)
+        assert run(["synth", "--kind", "colored", "--n", 100_000, "--xi", 5.48e-4, "--eta", 5.56e-3, "--omega", 0.02617,
+                    "--seed", 7, "--out", tmp_path / "prices.csv"]) == 0
+        assert written == [(cli._CSV_BLOCK, cli._CSV_BLOCK)] * (100_000 // cli._CSV_BLOCK)
 
     def test_csv_writer_refuses_non_finite_outside_stderr(self):
         lags = np.arange(3)
@@ -1427,7 +1458,7 @@ class TestImports:
     # or {"read": "module.name"}, a read of a name the module does not have.
     SCIPY_ON_DEMAND = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.ndimage")
     LAYERS = ("numpy", "qbmarket.model", "qbmarket.market", "qbmarket.calibrate", "qbmarket.dynamics.moments",
-              "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace")
+              "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace", "qbmarket._g17")
     SCRIPT = """
 import importlib, json, sys
 
@@ -1570,10 +1601,12 @@ print(json.dumps(loaded))
         (["simulate", "--mode", "pde", *SIM, "--nx", "16", "--np", "16", "--out-prefix", "p"],
          ["model", "dynamics.moments", "dynamics.phasespace"]),
         (["synth", "--kind", "gbm", "--n", "600", "--seed", "1", "--out", "g.csv"], ["model", "market"]),
+        # a table with a full block is the only one the CSV writer's kernel writes
+        (["synth", "--n", "4096", "--kind", "gbm", "--seed", "1", "--out", "b.csv"], ["model", "market", "_g17"]),
         (["analyze", "--input", "prices.csv", "--taus", "1:3:1", "--max-lag", "5", "--out-prefix", "run"],
          ["model", "market"]),
         (["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"], ["model", "market", "calibrate"]),
-    ], ids=["eval", "moments", "sde", "pde", "synth", "analyze", "fit"])
+    ], ids=["eval", "moments", "sde", "pde", "synth", "synth-full-block", "analyze", "fit"])
     def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):
         assert run(["synth", "--kind", "gbm", "--n", 600, "--seed", 1, "--out", tmp_path / "prices.csv"]) == 0
         (tmp_path / "k.csv").write_text("tau,kurtosis\n" + "".join(f"{t},{197 * math.exp(-0.01 * t)!r}\n"
