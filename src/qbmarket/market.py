@@ -318,14 +318,53 @@ def minute_stamps(times: np.ndarray) -> np.ndarray:
     return stamp_bytes(times).view("S16").ravel().astype("U16")
 
 
+def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The width bytes of the contiguous uint8 array buf from each start, a
+    row each: one gather of void items, which numpy copies whole where it
+    copies a window view's rows byte by byte."""
+    items = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))
+    return items[starts].view(np.uint8).reshape(len(starts), width)
+
+
+def _fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, right: bool) -> np.ndarray:
+    """Each field buf[lo:hi] in a row of a uint8 array as wide as the widest
+    (at least 1), right-aligned or else left-aligned, NUL bytes beside it:
+    windows of buf, and a copy alone of each field whose window would leave
+    buf."""
+    size = hi - lo
+    width = max(int(size.max()), 1)
+    start = hi - width if right else lo
+    inside = np.minimum(np.maximum(start, 0), len(buf) - width)
+    cells = _windows(buf, inside, width)
+    # the width bytes from k on of width zeros then width ones keep the last k columns
+    edge = np.zeros(2 * width, dtype=np.uint8)
+    edge[width:] = 1
+    cells *= _windows(edge, size, width) if right else _windows(1 - edge, width - size, width)
+    for row in np.flatnonzero(inside != start):
+        cells[row] = 0
+        place = slice(width - size[row], None) if right else slice(size[row])
+        cells[row, place] = buf[lo[row] : hi[row]]
+    return cells
+
+
 def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Times, closes and session labels (bytes, empty without the session
     field) of the whole rows in text, read by column, if every stamp has the
     form of the first: `YYYY-MM-DD{T| }HH:MM`, then an optional `:00`, then
-    an optional `Z` or `+HH:MM`/`-HH:MM` offset. The stamps are read from the
-    bytes (one gather of the stamp columns, range checks of month, day within
-    the month, hour, minute and offset, and the days-from-civil formula),
-    close and session from one np.loadtxt.
+    an optional `Z` or `+HH:MM`/`-HH:MM` offset. Each row's commas are
+    checked: the stamp's, and in a session file one more inside the row.
+    Stamps, closes and labels are then gathered from the bytes as fields.
+    The stamps are checked (month, day within the month, hour, minute and
+    offset) and converted by the days-from-civil formula. The closes are
+    converted to the doubles `float` reads by _g17.parse, whose domain is
+    plain decimals (digits and at most one '.') of 1 to READ_WIDTH
+    characters, with a nonzero digit, at most SPAN columns from the first
+    nonzero digit to the end ('.' included) and at most MAX_FRACTION digits
+    after the '.': every close `%.17g` writes of 1 <= x < 1e15, as `qbm
+    synth` does, and `%.12g` and repr in fixed notation. A block with any
+    other close (a sign, an exponent, `_`, a second '.', an empty field,
+    zero, or too many digits) is read by np.loadtxt as a whole, closes and
+    labels, as every block once was.
 
     Returns None where _read_lines is needed: other stamp forms, nonzero
     seconds, a date or time out of range, non-ASCII text, carriage returns,
@@ -349,21 +388,27 @@ def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.nd
         buf = buf[:-1]
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.concatenate([[0], ends + 1])
-    width = np.append(ends, len(buf)) - starts
-    if np.any(width <= len(layout)):
+    row_ends = np.append(ends, len(buf))
+    if np.any(row_ends - starts <= len(layout)):
         return None
     # the newline is the only control or blank byte a row may hold, bar the
     # date-time separator of the space layout (checked below to sit at 10)
     spaces = len(starts) if layout[10] == ord(" ") else 0
     if np.count_nonzero(buf <= ord(" ")) != len(ends) + spaces:
         return None
-    # np.loadtxt skips fields past usecols, so each row's count is checked
-    # here: the stamp holds no comma but its last, and a row short of a field
-    # fails np.loadtxt
-    if np.count_nonzero(buf == ord(",")) != len(starts) * (n_fields - 1):
+    # each row's fields: the stamp holds no comma but its last (checked
+    # below), and a session row's second comma lies within the row
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) != len(starts) * (n_fields - 1):
         return None
+    close_ends = row_ends
+    if n_fields == 3:
+        close_ends = commas[1::2]
+        if not (np.all(commas[::2] == starts + len(layout) - 1) and np.all(close_ends < row_ends)):
+            return None
+    del commas
 
-    stamps = sliding_window_view(buf, len(layout))[starts]
+    stamps = _windows(buf, starts, len(layout))
     digits = stamps - np.uint8(ord("0"))  # non-digits wrap above 9
     is_digit = layout == ord("0")
     literal = ~is_digit
@@ -401,18 +446,30 @@ def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.nd
         return None
     del stamps, digits
 
-    # a label is narrower than its row less the stamp
-    fields = [("close", "f8"), ("session", f"S{width.max() - len(layout)}")][: n_fields - 1]
-    try:
-        rows = np.loadtxt(
-            io.BytesIO(data), delimiter=",", dtype=fields, comments=None, usecols=range(1, n_fields), ndmin=1
-        )
-    except ValueError:
-        return None
-    close = np.ascontiguousarray(rows["close"])
+    from ._g17 import READ_WIDTH, parse
+
+    close_starts = starts + len(layout)
+    close, labels = None, np.zeros(len(starts), dtype="S1")
+    if np.all(close_ends > close_starts) and np.all(close_ends - close_starts <= READ_WIDTH):
+        close = parse(_fields(buf, close_starts, close_ends, right=True))
+    if close is None:
+        # a label is narrower than its row less the stamp
+        fields = [("close", "f8"), ("session", f"S{np.max(row_ends - starts) - len(layout)}")][: n_fields - 1]
+        try:
+            rows = np.loadtxt(
+                io.BytesIO(data), delimiter=",", dtype=fields, comments=None, usecols=range(1, n_fields), ndmin=1
+            )
+        except ValueError:
+            return None
+        close = np.ascontiguousarray(rows["close"])
+        if n_fields == 3:
+            labels = rows["session"]
+    elif n_fields == 3:
+        labels = _fields(buf, close_ends + 1, row_ends, right=False)
+        labels = labels.view(f"S{labels.shape[1]}").ravel()
     if not (np.all(close > 0) and np.all(np.isfinite(close))):
         return None
-    return times, close, rows["session"] if n_fields == 3 else np.zeros(len(close), dtype="S1")
+    return times, close, labels
 
 
 def load_prices(source: str | Path | TextIO) -> PriceSeries:
@@ -434,10 +491,12 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     their join and the readline completing the last line). Joining the
     blocks at the end briefly holds a column twice, about 10 bytes a row
     above the series. Each block is read by column (_read_block) where its
-    stamps allow; a block it refuses, or one whose first time is not after
-    the previous block's last, goes alone to the per-line parser
-    (_read_lines), whose rows as Python objects take under the block's size
-    again. Session changes and the order of rows are checked across blocks.
+    stamps allow, its closes by an exact integer kernel (_g17.parse) where
+    they are plain decimals and by np.loadtxt otherwise; a block it refuses,
+    or one whose first time is not after the previous block's last, goes
+    alone to the per-line parser (_read_lines), whose rows as Python objects
+    take under the block's size again. Session changes and the order of rows
+    are checked across blocks.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -529,11 +588,12 @@ def _pair_indices(
 
     Returns (place, masks). place(x) lays a per-row array on the slots, 0 at
     empty slots (x itself when the rows fill every slot). masks yields (k,
-    mask) for each lag in turn: the lag's anchors and partners in a placed x
-    are _at_pairs(x, k, mask), anchors ascending. mask is None where no slot
-    is empty and no pair can span a session, so the pairs are row shifts,
-    and at a lag off the slot step or past the longest run, whose k leaves
-    no pair; otherwise it is a view of one buffer that the next lag
+    mask) for each lag in turn: the lag's anchors in a placed x are
+    _anchors(x, k, mask), ascending, and its partners x[k:], or x[k:][mask]
+    where there is a mask, as _differences pairs them. mask is None where no
+    slot is empty and no pair can span a session, so the pairs are row
+    shifts, and at a lag off the slot step or past the longest run, whose k
+    leaves no pair; otherwise it is a view of one buffer that the next lag
     overwrites.
     """
     lags = [int(lag) for lag in lags]
@@ -597,12 +657,6 @@ def _anchors(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
     _pair_indices."""
     anchors = x[: max(len(x) - k, 0)]
     return anchors if mask is None else anchors[mask]
-
-
-def _at_pairs(x: np.ndarray, k: int, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Anchor and partner values, in a placed array x, of the pairs at one
-    lag of _pair_indices: views of x where mask is None, copies otherwise."""
-    return _anchors(x, k, mask), x[k:] if mask is None else x[k:][mask]
 
 
 def _differences(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:

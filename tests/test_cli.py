@@ -1603,8 +1603,9 @@ print(json.dumps(loaded))
         (["synth", "--kind", "gbm", "--n", "600", "--seed", "1", "--out", "g.csv"], ["model", "market"]),
         # a table with a full block is the only one the CSV writer's kernel writes
         (["synth", "--n", "4096", "--kind", "gbm", "--seed", "1", "--out", "b.csv"], ["model", "market", "_g17"]),
+        # the price reader's kernel reads each block's closes
         (["analyze", "--input", "prices.csv", "--taus", "1:3:1", "--max-lag", "5", "--out-prefix", "run"],
-         ["model", "market"]),
+         ["model", "market", "_g17"]),
         (["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"], ["model", "market", "calibrate"]),
     ], ids=["eval", "moments", "sde", "pde", "synth", "synth-full-block", "analyze", "fit"])
     def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):

@@ -26,7 +26,8 @@ from qbmarket import (
     synth_colored,
     synth_gbm,
 )
-from qbmarket import market
+from qbmarket import _g17, market
+from qbmarket.cli import main
 from qbmarket.market import PAIRING_POLICIES, PriceSeries, ReturnSeries, SYNTH_START_MINUTE
 
 from conftest import ACF_TOL, assert_acf_matches, linear_fit_r2, reference_acf, reference_pairs, significant_tail_bins
@@ -275,6 +276,15 @@ _EDGES = {
     "session": [" a", "b "],
 }
 _ZONES = ["+00:00", "-00:00", "+08:00", "-05:00", "+05:30", "+23:59", "-23:59"]
+# valid closes: the column reader's kernel reads plain decimals of up to 18
+# significant columns; the rest of a block with any other goes to np.loadtxt
+_CLOSES = st.one_of(
+    st.sampled_from(["100", "101.25", "1e2", "5.", ".5", "0005.000", "+5", "9007199254740993", "18014398509481983",
+                     "123456789012345678", "1234567890123456789", "0." + "0" * 21 + "1", "1" + "0" * 30]),
+    st.floats(1, 1e15, exclude_max=True).map("%.17g".__mod__),
+    st.floats(1e-4, 1e12).map("%.12g".__mod__),
+    st.floats(1e-300, 1e300).map(repr),
+)
 
 
 @st.composite
@@ -291,7 +301,7 @@ def stamped_files(draw):
             "year": f"{t.year:04d}", "month": f"{t.month:02d}", "day": f"{t.day:02d}", "sep": sep,
             "hour": f"{t.hour:02d}", "minute": f"{t.minute:02d}", "seconds": seconds,
             "zone": draw(st.sampled_from(_ZONES)) if zone == "offset" else zone,
-            "close": draw(st.sampled_from(["100", "101.25", "1e2"])), "session": draw(st.sampled_from("ab")),
+            "close": draw(_CLOSES), "session": draw(st.sampled_from("ab")),
         }
         for t in stamps
     ]
@@ -480,6 +490,60 @@ class TestBlockEdges:
         assert_same_series(column_read, load_by_line(text))
 
 
+def write_bars(path, n: int, labelled: bool = True, offset: str = "-05:00") -> None:
+    """n bars of 390-minute sessions: labelled by date with `:00` seconds,
+    the offset and `%.12g` closes, as perfbench's market_sessions input; or
+    else in the form `qbm synth` writes, closes as repr."""
+    rng = np.random.default_rng(5)
+    minute = np.arange(n)
+    times = SYNTH_START_MINUTE + (minute // 390) * 1440 + minute % 390
+    close = (100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(n)))).tolist()
+    stamps = market.minute_stamps(times).tolist()
+    if labelled:
+        rows = (f"{t}:00{offset},{c:.12g},{t[:10]}\n" for t, c in zip(stamps, close))
+    else:
+        rows = (f"{t},{c!r}\n" for t, c in zip(stamps, close))
+    path.write_text("timestamp,close" + ",session" * labelled + "\n" + "".join(rows))
+
+
+class TestCloseKernel:
+    def test_loadtxt_fallback_reads_the_same_series(self, monkeypatch, read_blocks):
+        text = plain_csv()
+        kernel_read = make_prices(text)
+        loadtxt, calls = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        # the kernel refuses every block, and np.loadtxt reads them all by column
+        monkeypatch.setattr(_g17, "parse", lambda cells: None)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        read_blocks.clear()
+        fallback_read = make_prices(text)
+        assert len(calls) == len(read_blocks) and all(read_blocks)
+        assert_same_series(fallback_read, kernel_read)
+
+    @pytest.mark.parametrize("form", ["synth-colored", "sessions"])
+    def test_no_block_reaches_loadtxt(self, tmp_path, monkeypatch, read_blocks, form):
+        # 1e5 bars as `qbm synth --kind colored` writes them, or labelled at
+        # -05:00 as perfbench's market_sessions input: the kernel reads every close
+        path, n = tmp_path / "prices.csv", 100_000
+        if form == "sessions":
+            write_bars(path, n)
+        else:
+            assert main(["synth", "--kind", "colored", "--n", str(n), "--xi", "5.48e-4", "--eta", "5.56e-3",
+                         "--omega", "0.02617", "--seed", "3", "--out", str(path)]) == 0
+            n += 1  # the start price and n steps
+
+        def no_loadtxt(*args, **kwargs):
+            raise AssertionError("a block reached np.loadtxt")
+
+        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+        assert len(load_prices(path)) == n
+        assert len(read_blocks) > 1 and all(read_blocks)
+
+
 class TestReaderMemory:
     @pytest.mark.parametrize("form", ["sessions", "synth-form", "line-by-line"])
     def test_peak_is_a_fraction_of_the_file(self, tmp_path, monkeypatch, read_blocks, form):
@@ -496,18 +560,8 @@ class TestReaderMemory:
             n //= 16
             monkeypatch.setattr(market, "_READ_BLOCK", market._READ_BLOCK // 16)
         labelled = form != "synth-form"
-        offset = "-0500" if form == "line-by-line" else "-05:00"
-        rng = np.random.default_rng(5)
-        minute = np.arange(n)
-        times = SYNTH_START_MINUTE + (minute // 390) * 1440 + minute % 390
-        close = (100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(n)))).tolist()
-        stamps = market.minute_stamps(times).tolist()
-        if labelled:
-            rows = (f"{t}:00{offset},{c:.12g},{t[:10]}\n" for t, c in zip(stamps, close))
-        else:
-            rows = (f"{t},{c!r}\n" for t, c in zip(stamps, close))
         path = tmp_path / "prices.csv"
-        path.write_text("timestamp,close" + ",session" * labelled + "\n" + "".join(rows))
+        write_bars(path, n, labelled, "-0500" if form == "line-by-line" else "-05:00")
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -552,7 +606,8 @@ class TestPairMatcher:
         rows = place(np.arange(1, len(times) + 1))
         matched = 0
         for lag, (k, mask) in zip(lags, masks):
-            anchors, partners = market._at_pairs(rows, k, mask)
+            anchors = market._anchors(rows, k, mask)
+            partners = rows[k:] if mask is None else rows[k:][mask]
             ref_a, ref_p = reference_pairs(times, session_idx, lag, policy)
             np.testing.assert_array_equal(anchors, ref_a + 1)
             np.testing.assert_array_equal(partners, ref_p + 1)
