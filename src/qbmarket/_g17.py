@@ -1,32 +1,20 @@
-"""Decimal text and float64 arrays, converted exactly, whole arrays at once.
+"""The bytes `'%.17g' % x` writes, for a whole float64 array at once.
 
-g17 gives the bytes `'%.17g' % x` writes. For 1 <= |x| < 1e15, `%.17g` is
-fixed notation: the 17 significant digits of x, correctly rounded (half to
-even, as CPython's `dtoa` does: Gay, "Correctly Rounded Binary-Decimal and
-Decimal-Binary Conversions", 1990), with a '.' after the X + 1 integer
-digits, X = floor(log10 |x|), and the fraction's trailing zeros (and a bare
-'.') dropped. In that range x = m 2^e with e < 0, and the digits are
-round(m 5^(16-X) / 2^s) for a shift s of 1 to 36: a product of at most 91
-bits, formed here in uint64 halves. No rounding carries the digits to 10^17
-there, since the double below 10^(X+1) is more than ten units of the 17th
-digit away from it.
+For 1 <= |x| < 1e15, `%.17g` is fixed notation: the 17 significant digits
+of x, correctly rounded (half to even, as CPython's `dtoa` does: Gay,
+"Correctly Rounded Binary-Decimal and Decimal-Binary Conversions", 1990),
+with a '.' after the X + 1 integer digits, X = floor(log10 |x|), and the
+fraction's trailing zeros (and a bare '.') dropped. In that range x = m 2^e
+with e < 0, and the digits are round(m 5^(16-X) / 2^s) for a shift s of 1 to
+36: a product of at most 91 bits, formed here in uint64 halves. No rounding
+carries the digits to 10^17 there, since the double below 10^(X+1) is more
+than ten units of the 17th digit away from it.
 
-parse gives the doubles `float` reads from plain decimal fields: the digits
-D as an integer below 10^18 and f digits after the point make D / 10^f,
-which one division rounds correctly where D <= 2^53 (Clinger, "How to Read
-Floating Point Numbers Accurately", PLDI 1990). Elsewhere that quotient is
-within 2 ulp, and an exact integer residual against it steps it to the
-correctly rounded double, as the wide product of Lemire, "Number Parsing
-at a Gigabyte per Second" (2021), corrects his estimate.
-
-The CSV writer imports this module only to write a full block, and the
-price reader only to read a block by column, so `qbm --version` and the
-commands that neither write a full block nor read prices never load it.
+The CSV writer imports this module only to write a full block, so
+`qbm --version` and the commands that write short tables never load it.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -34,24 +22,16 @@ import numpy as np
 # the '.', and the fraction left-aligned in 16 digits; NUL where `%` writes nothing
 WIDTH = 34
 
-# fraction digits parse reads: 10^f and 5^f are exact doubles
-MAX_FRACTION = 22
-# the widest field parse reads, and the columns from a field's first nonzero
-# digit to its end that it reads, so that their digits make an int64
-READ_WIDTH, SPAN = 24, 18
-
-# from Python integers: a numpy power would page in code a reader has no other use for
-_EXP10 = np.array([10**k for k in range(MAX_FRACTION + 1)], dtype=np.float64)  # exact
-_POW5 = np.array([5**k for k in range(MAX_FRACTION + 1)], dtype=np.uint64)
-_POW10 = np.array([10**k for k in range(SPAN + 1)])
+# from Python integers: a numpy power pages in numpy code that `synth` has no other use for
+_EXP10 = np.array([10**k for k in range(16)], dtype=np.float64)  # exact
+_POW5 = np.array([5**k for k in range(17)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(17)])
 _LOW = np.uint64(2**32 - 1)
 
 
-@functools.cache
 def _quads() -> np.ndarray:
     """`'%04d' % v` for v in 0-9999 as uint32 of 4 ASCII bytes; then the same
-    with the leading zeros, and with the trailing zeros, as NUL bytes. Made
-    at the first write, not at import: a reader has no use for it."""
+    with the leading zeros, and with the trailing zeros, as NUL bytes."""
     digits = (np.arange(10000)[:, None] // _POW10[3::-1] % 10).astype(np.uint8)
     text = digits + ord("0")
     after_leading = np.logical_or.accumulate(digits != 0, axis=1)
@@ -59,6 +39,7 @@ def _quads() -> np.ndarray:
     return np.concatenate([text, text * after_leading, text * before_trailing]).view(np.uint32).ravel()
 
 
+_QUADS = _quads()
 _LEADING, _TRAILING = 10000, 20000  # where the two stripped tables start
 
 
@@ -128,7 +109,7 @@ def _put_digits(out: np.ndarray, v: np.ndarray, leading: bool) -> None:
         zeros[0] &= zeros[1]
         np.add(groups[:-1], _TRAILING, out=groups[:-1], where=zeros)
         groups[-1] += _TRAILING
-    out.view(np.uint32).T[...] = _quads().take(groups)
+    out.view(np.uint32).T[...] = _QUADS.take(groups)
 
 
 def g17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,86 +126,3 @@ def g17(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cells[:, 17] = (fraction > 0) * ord(".")
     _put_digits(cells[:, 18:], fraction, leading=False)
     return cells, done
-
-
-def parse(cells: np.ndarray) -> np.ndarray | None:
-    """The float64 that `float` reads from each row of the uint8 array cells,
-    which is overwritten: a decimal field right-aligned in its row, NUL bytes
-    before it. None unless every field is digits with at most one '.', holds
-    a nonzero digit, spans at most SPAN columns from its first nonzero digit
-    to its end (the '.' included) and has at most MAX_FRACTION digits after
-    the '.'; a sign, an exponent, `_` or a blank are refused with the field.
-
-    The columns are summed by Horner's rule with the '.' read as 0, giving
-    D' = I 10^(f+1) + F for integer part I and f fraction digits F, and
-    D = D' - 9 I 10^f. Then y = D / 10^f in float64 is correctly rounded
-    where D <= 2^53. Elsewhere y = m 2^e is within 2 ulp of D / 10^f, and
-    the residual 2^(1-e) 5^f (D / 10^f - y) = D 2^(1-e-f) - 2 m 5^f is an
-    integer (both sides scaled by 2^(e+f-1) where e + f > 1) of magnitude at
-    most 4 5^f, exact in wrapping int64 arithmetic. y steps by one ulp while
-    the residual passes the half-ulp bound 5^f (5^f / 2 below y where m =
-    2^52, at a binade edge), and an exact tie leaves m even.
-    """
-    n, width = cells.shape
-    digits = cells
-    digits -= np.uint8(ord("0"))  # wraps above 9 for other bytes
-    point = digits == np.uint8(ord(".") - ord("0") + 256)
-    pointed, column = np.divmod(np.flatnonzero(point), width)
-    digits[point] = 0
-    del point
-    digits[digits == np.uint8(256 - ord("0"))] = 0  # NUL
-    # digits only, one point a row, and at most SPAN columns from a field's first nonzero digit
-    if (digits.max() > 9 or np.any(pointed[1:] == pointed[:-1]) or np.any(column < width - 1 - MAX_FRACTION)
-            or np.any(digits[:, : max(width - SPAN, 0)])):
-        return None
-    value = np.zeros(n, dtype=np.int64)
-    for j in range(width):
-        value *= 10
-        value += digits[:, j]
-    if not np.all(value):
-        return None
-    # 10^(f+1), the point's place in D', is _POW10[place]; without a point,
-    # or where f >= SPAN, 10^SPAN > D' leaves no integer part
-    place = np.full(n, SPAN)
-    place[pointed] = np.minimum(width - column, SPAN)
-    fraction = np.zeros(n, dtype=np.int64)
-    fraction[pointed] = width - 1 - column
-    del pointed, column
-    whole = value // _POW10[place]
-    whole *= 9 * _POW10[place - 1]
-    value -= whole
-    del place, whole
-    y = value.astype(np.float64)
-    y /= _EXP10[fraction]
-
-    rows = np.flatnonzero(value > 2**53)
-    while len(rows):
-        m = y.view(np.int64)[rows]
-        left = 1076 - fraction[rows]
-        left -= m >> 52  # 1 - e - f
-        right = np.maximum(-left, 0)
-        np.maximum(left, 0, out=left)
-        m -= (m >> 52) - 1 << 52  # the mantissa with its leading bit
-        p5 = _POW5.view(np.int64)[fraction[rows]]
-        residual = value[rows]
-        residual <<= left
-        del left
-        left = m << 1  # now 2 m 5^f, scaled as D is
-        left *= p5
-        left <<= right
-        residual -= left
-        bound = np.left_shift(p5, right, out=p5)
-        del left, right
-        odd = m % 2 == 1
-        edge = m == 2**52
-        del m
-        step = (residual > bound) | (residual == bound) & odd  # up
-        np.subtract(0, residual, out=residual)
-        residual[edge] *= 2  # the half ulp below y is half as wide
-        down = (residual > bound) | (residual == bound) & odd
-        del residual, bound, odd, edge
-        step = np.subtract(step, down, dtype=np.int64)
-        moved = step != 0
-        rows = rows[moved]
-        y.view(np.int64)[rows] += step[moved]
-    return y

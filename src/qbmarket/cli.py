@@ -87,7 +87,10 @@ def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
     try:
         with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
+            # chunks under glibc's initial 128 KiB mmap threshold: freeing a
+            # mapped chunk raises the threshold to its size, and at 1 MiB every
+            # later array of analyze would go to the heap, whose freed holes stay resident
+            for chunk in iter(lambda: handle.read(1 << 16), b""):
                 h.update(chunk)
     except FileNotFoundError as exc:
         raise DataError(f"input file not found: {path}") from exc

@@ -14,7 +14,6 @@ for sensitivity checks.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 import sys
@@ -356,22 +355,21 @@ def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.nd
     Stamps, closes and labels are then gathered from the bytes as fields.
     The stamps are checked (month, day within the month, hour, minute and
     offset) and converted by the days-from-civil formula. The closes are
-    converted to the doubles `float` reads by _g17.parse, whose domain is
-    plain decimals (digits and at most one '.') of 1 to READ_WIDTH
+    converted to the doubles `float` reads by _decimals.parse, whose domain
+    is plain decimals (digits and at most one '.') of 1 to READ_WIDTH
     characters, with a nonzero digit, at most SPAN columns from the first
     nonzero digit to the end ('.' included) and at most MAX_FRACTION digits
     after the '.': every close `%.17g` writes of 1 <= x < 1e15, as `qbm
-    synth` does, and `%.12g` and repr in fixed notation. A block with any
-    other close (a sign, an exponent, `_`, a second '.', an empty field,
-    zero, or too many digits) is read by np.loadtxt as a whole, closes and
-    labels, as every block once was.
+    synth` does, and `%.12g` and repr in fixed notation.
 
     Returns None where _read_lines is needed: other stamp forms, nonzero
     seconds, a date or time out of range, non-ASCII text, carriage returns,
     comments, quotes, blank rows or whitespace (bar the space separating date
-    and time), a value np.loadtxt cannot read, a row with a field too many or
-    too few, times that do not increase, and any row that fails validation,
-    so the error names the same line either way.
+    and time), a close outside the kernel's domain (a sign, an exponent, `_`,
+    a second '.', an empty field, zero, or too many digits), a row with a
+    field too many or too few, times that do not increase, labels whose
+    widest times the rows exceeds twice the block, and any row that fails
+    validation, so the error names the same line either way.
     """
     if "\r" in text or not text.isascii() or any(c in text for c in '"#\x7f'):
         return None
@@ -446,29 +444,23 @@ def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.nd
         return None
     del stamps, digits
 
-    from ._g17 import READ_WIDTH, parse
+    from ._decimals import READ_WIDTH, parse
 
     close_starts = starts + len(layout)
-    close, labels = None, np.zeros(len(starts), dtype="S1")
-    if np.all(close_ends > close_starts) and np.all(close_ends - close_starts <= READ_WIDTH):
-        close = parse(_fields(buf, close_starts, close_ends, right=True))
+    if not (np.all(close_ends > close_starts) and np.all(close_ends - close_starts <= READ_WIDTH)):
+        return None
+    # parse reads only positive finite closes: a nonzero digit, at most SPAN columns
+    close = parse(_fields(buf, close_starts, close_ends, right=True))
     if close is None:
-        # a label is narrower than its row less the stamp
-        fields = [("close", "f8"), ("session", f"S{np.max(row_ends - starts) - len(layout)}")][: n_fields - 1]
-        try:
-            rows = np.loadtxt(
-                io.BytesIO(data), delimiter=",", dtype=fields, comments=None, usecols=range(1, n_fields), ndmin=1
-            )
-        except ValueError:
+        return None
+    labels = np.zeros(len(starts), dtype="S1")
+    if n_fields == 3:
+        # every label is held as wide as the widest (and the gather's mask
+        # again): one long label among short ones is left to _read_lines
+        if len(starts) * (int(np.max(row_ends - close_ends)) - 1) > 2 * len(buf):
             return None
-        close = np.ascontiguousarray(rows["close"])
-        if n_fields == 3:
-            labels = rows["session"]
-    elif n_fields == 3:
         labels = _fields(buf, close_ends + 1, row_ends, right=False)
         labels = labels.view(f"S{labels.shape[1]}").ravel()
-    if not (np.all(close > 0) and np.all(np.isfinite(close))):
-        return None
     return times, close, labels
 
 
@@ -491,12 +483,12 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     their join and the readline completing the last line). Joining the
     blocks at the end briefly holds a column twice, about 10 bytes a row
     above the series. Each block is read by column (_read_block) where its
-    stamps allow, its closes by an exact integer kernel (_g17.parse) where
-    they are plain decimals and by np.loadtxt otherwise; a block it refuses,
-    or one whose first time is not after the previous block's last, goes
-    alone to the per-line parser (_read_lines), whose rows as Python objects
-    take under the block's size again. Session changes and the order of rows
-    are checked across blocks.
+    stamps and closes allow, its closes by an exact integer kernel
+    (_decimals.parse); a block it refuses (one close that is not a plain
+    decimal is enough), or one whose first time is not after the previous
+    block's last, goes alone to the per-line parser (_read_lines), whose
+    rows as Python objects take under the block's size again. Session
+    changes and the order of rows are checked across blocks.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
@@ -554,13 +546,15 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     times = np.concatenate(times)
     closes = np.concatenate(closes)
     changes = np.concatenate(changes)
+    # before steps is freed, which raises glibc's mmap threshold to a
+    # column's size and would put this column in the heap
+    session_idx = np.cumsum(changes, dtype=np.int64)
+    session_idx -= 1
     # the base step: the gcd of the steps within sessions (gcd(0, x) = x)
     steps = np.diff(times)
     steps[changes[1:]] = 0
     base_minutes = int(np.gcd.reduce(steps)) or 1
     del steps
-    session_idx = np.cumsum(changes, dtype=np.int64)
-    session_idx -= 1
     return PriceSeries(times=times, close=closes, session_idx=session_idx, base_minutes=base_minutes)
 
 

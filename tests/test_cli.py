@@ -1458,7 +1458,8 @@ class TestImports:
     # or {"read": "module.name"}, a read of a name the module does not have.
     SCIPY_ON_DEMAND = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.ndimage")
     LAYERS = ("numpy", "qbmarket.model", "qbmarket.market", "qbmarket.calibrate", "qbmarket.dynamics.moments",
-              "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace", "qbmarket._g17")
+              "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace", "qbmarket._g17",
+              "qbmarket._decimals")
     SCRIPT = """
 import importlib, json, sys
 
@@ -1605,7 +1606,7 @@ print(json.dumps(loaded))
         (["synth", "--n", "4096", "--kind", "gbm", "--seed", "1", "--out", "b.csv"], ["model", "market", "_g17"]),
         # the price reader's kernel reads each block's closes
         (["analyze", "--input", "prices.csv", "--taus", "1:3:1", "--max-lag", "5", "--out-prefix", "run"],
-         ["model", "market", "_g17"]),
+         ["model", "market", "_decimals"]),
         (["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"], ["model", "market", "calibrate"]),
     ], ids=["eval", "moments", "sde", "pde", "synth", "synth-full-block", "analyze", "fit"])
     def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):

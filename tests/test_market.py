@@ -26,7 +26,7 @@ from qbmarket import (
     synth_colored,
     synth_gbm,
 )
-from qbmarket import _g17, market
+from qbmarket import market
 from qbmarket.cli import main
 from qbmarket.market import PAIRING_POLICIES, PriceSeries, ReturnSeries, SYNTH_START_MINUTE
 
@@ -209,7 +209,7 @@ class TestLoadPricesPaths:
             # fromisoformat reads these offsets as +13:00 and +12:01
             ("{stamp}+12:60,100,d0", "offset field of 60 or more"),
             ("{stamp}:00+12:00:60,100,d0", "offset field of 60 or more"),
-            # np.loadtxt reads only the columns it is asked for
+            # a field too many or too few
             ("{stamp},100,d0,x", "expected 3 fields"),
             ("{stamp},100,x", "expected 2 fields"),
         ],
@@ -277,7 +277,7 @@ _EDGES = {
 }
 _ZONES = ["+00:00", "-00:00", "+08:00", "-05:00", "+05:30", "+23:59", "-23:59"]
 # valid closes: the column reader's kernel reads plain decimals of up to 18
-# significant columns; the rest of a block with any other goes to np.loadtxt
+# significant columns; a block with any other goes to the per-line parser
 _CLOSES = st.one_of(
     st.sampled_from(["100", "101.25", "1e2", "5.", ".5", "0005.000", "+5", "9007199254740993", "18014398509481983",
                      "123456789012345678", "1234567890123456789", "0." + "0" * 21 + "1", "1" + "0" * 30]),
@@ -507,25 +507,23 @@ def write_bars(path, n: int, labelled: bool = True, offset: str = "-05:00") -> N
 
 
 class TestCloseKernel:
-    def test_loadtxt_fallback_reads_the_same_series(self, monkeypatch, read_blocks):
-        text = plain_csv()
-        kernel_read = make_prices(text)
-        loadtxt, calls = np.loadtxt, []
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return loadtxt(*args, **kwargs)
-
-        # the kernel refuses every block, and np.loadtxt reads them all by column
-        monkeypatch.setattr(_g17, "parse", lambda cells: None)
-        monkeypatch.setattr(np, "loadtxt", spy)
-        read_blocks.clear()
-        fallback_read = make_prices(text)
-        assert len(calls) == len(read_blocks) and all(read_blocks)
-        assert_same_series(fallback_read, kernel_read)
+    @pytest.mark.parametrize("close", ["1e2", "+100", "100_0", "-0.5", "1" + "0" * 19])
+    def test_a_close_outside_the_kernel_sends_its_block_line_by_line(self, monkeypatch, read_blocks, close):
+        monkeypatch.setattr(market, "_READ_BLOCK", 2000)
+        lines = plain_csv().splitlines(keepends=True)
+        lines[200] = re.sub(r",[^,]*,", f",{close},", lines[200])
+        text = "".join(lines)
+        try:
+            line_read = load_by_line(text)
+        except DataError as exc:
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                make_prices(text)
+        else:
+            assert_same_series(make_prices(text), line_read)
+        assert read_blocks[0] and not all(read_blocks)
 
     @pytest.mark.parametrize("form", ["synth-colored", "sessions"])
-    def test_no_block_reaches_loadtxt(self, tmp_path, monkeypatch, read_blocks, form):
+    def test_every_block_read_by_the_kernel(self, tmp_path, read_blocks, form):
         # 1e5 bars as `qbm synth --kind colored` writes them, or labelled at
         # -05:00 as perfbench's market_sessions input: the kernel reads every close
         path, n = tmp_path / "prices.csv", 100_000
@@ -535,11 +533,6 @@ class TestCloseKernel:
             assert main(["synth", "--kind", "colored", "--n", str(n), "--xi", "5.48e-4", "--eta", "5.56e-3",
                          "--omega", "0.02617", "--seed", "3", "--out", str(path)]) == 0
             n += 1  # the start price and n steps
-
-        def no_loadtxt(*args, **kwargs):
-            raise AssertionError("a block reached np.loadtxt")
-
-        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
         assert len(load_prices(path)) == n
         assert len(read_blocks) > 1 and all(read_blocks)
 
@@ -574,6 +567,29 @@ class TestReaderMemory:
         assert series.session_idx[-1] == ((n - 1) // 390 if labelled else 0)
         assert peak < 2.0 * path.stat().st_size
         assert len(read_blocks) > 1 and set(read_blocks) == {form != "line-by-line"}
+
+    def test_one_long_label_is_not_held_for_every_row(self, tmp_path, monkeypatch, read_blocks):
+        # every label of a block read by column is as wide as the widest, so
+        # a 20 kB label in a block of a few hundred rows would cost megabytes;
+        # its block goes to the per-line parser instead. Blocks a sixteenth
+        # the size, as in the line-by-line case above.
+        monkeypatch.setattr(market, "_READ_BLOCK", market._READ_BLOCK // 16)
+        path = tmp_path / "prices.csv"
+        write_bars(path, 12_500)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5000] = lines[5000].rstrip("\n") + "x" * 20_000 + "\n"  # a label of 20 kB
+        path.write_text("".join(lines))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            series = load_prices(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 12_500
+        assert peak < 2.0 * path.stat().st_size
+        assert read_blocks.count(False) == 1
 
 
 @st.composite
