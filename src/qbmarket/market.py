@@ -37,7 +37,6 @@ __all__ = [
     "HistogramResult",
     "KurtosisResult",
     "load_prices",
-    "minute_stamps",
     "stamp_bytes",
     "log_returns",
     "drift_vol_scaling",
@@ -311,12 +310,6 @@ def stamp_bytes(times: np.ndarray) -> np.ndarray:
     return text
 
 
-def minute_stamps(times: np.ndarray) -> np.ndarray:
-    """The stamp_bytes of times as `U16` text, as
-    np.datetime_as_string(times.astype("datetime64[m]"), unit="m") writes it."""
-    return stamp_bytes(times).view("S16").ravel().astype("U16")
-
-
 def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The width bytes of the contiguous uint8 array buf from each start, a
     row each: one gather of void items, which numpy copies whole where it
@@ -558,107 +551,98 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
     return PriceSeries(times=times, close=closes, session_idx=session_idx, base_minutes=base_minutes)
 
 
-def _pair_indices(
-    times: np.ndarray, session_idx: np.ndarray, lags: Sequence[int], policy: str
-) -> tuple[Callable[[np.ndarray], np.ndarray], Iterator[tuple[int, np.ndarray | None]]]:
-    """The pairs of rows whose times are lag minutes apart, as one boolean
-    mask per lag over slot-aligned arrays; under "intraday-only" both rows of
-    a pair lie in one session. Times must be strictly increasing.
+def _slots(
+    times: np.ndarray, labels: np.ndarray | None, max_lag: int
+) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """(unit, pos, order): the slot layout on which every statistic pairs
+    rows at lags up to max_lag minutes. Times must be strictly increasing.
 
-    The rows are placed once on slots of the gcd time step, with every gap
-    longer than the largest lag shrunk to that lag + 1 slots (no pair at a
-    requested lag spans one). Under "intraday-only", a gap that no session
-    label spans (every label before it is below every label after it) shrinks
-    to one slot, since no pair crosses it. A held slot carries a code, its
-    session label when sessions are checked and 0 otherwise; an empty slot s
-    carries the negative code -1 - s mod (m + 1), where m is the largest lag
-    in slots, so no slot 1 to m slots away shares it and the codes fit a
-    narrow integer type. The pairs at lag k slots are then the slots s whose
-    codes at s and s + k are equal.
+    The rows are laid on slots of the unit, the gcd time step, grouped by
+    label in time order, with every gap longer than the largest lag
+    K = max_lag // unit shrunk to K + 1 slots and K + 1 slots between
+    labels, so no pair at a lag up to K units crosses either: two rows lie
+    k <= K units apart and share a label (any two rows where labels is None)
+    exactly when their slots are k apart. pos[i] is the slot of row
+    order[i] where labels interleave, else of row i (order is None).
+    """
+    n = len(times)
+    pos = np.zeros(n, dtype=np.int64)
+    steps = np.subtract(times[1:], times[:-1], out=pos[1:])
+    if np.any(steps <= 0):
+        raise ValueError("times must be strictly increasing")
+    unit = int(np.gcd.reduce(steps)) or 1
+    k_max = max_lag // unit
+    order = None
+    if labels is not None and np.any(labels[1:] < labels[:-1]):  # labels interleave: each label's rows together
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]
+        np.subtract(times[order[1:]], times[order[:-1]], out=steps)
+    steps //= unit
+    np.minimum(steps, k_max + 1, out=steps)
+    if labels is not None:
+        steps[labels[1:] != labels[:-1]] = k_max + 1
+    np.cumsum(pos, out=pos)
+    return unit, pos, order
 
-    A run is a stretch of rows that no such gap or unspanned boundary
-    breaks; no pair leaves its run, so a lag longer than the longest run's
-    slot span has no pair.
 
-    Returns (place, masks). place(x) lays a per-row array on the slots, 0 at
-    empty slots (x itself when the rows fill every slot). masks yields (k,
-    mask) for each lag in turn: the lag's anchors in a placed x are
-    _anchors(x, k, mask), ascending, and its partners x[k:], or x[k:][mask]
-    where there is a mask, as _differences pairs them. mask is None where no
-    slot is empty and no pair can span a session, so the pairs are row
-    shifts, and at a lag off the slot step or past the longest run, whose k
-    leaves no pair; otherwise it is a view of one buffer that the next lag
-    overwrites.
+def _pairs(
+    times: np.ndarray, labels: np.ndarray | None, lags: Sequence[int]
+) -> tuple[Callable[[np.ndarray], np.ndarray], Iterator[tuple[int, np.ndarray | None, np.ndarray | None]]]:
+    """The pairs of rows whose times are lag minutes apart and that share a
+    label (every such pair where labels is None), on the slots of _slots.
+    Times must be strictly increasing.
+
+    Returns (place, pairs). place(x) lays a per-row array on the slots, 0 at
+    empty ones (x itself where the rows fill every slot in time order).
+    pairs yields (k, mask, perm) for each lag in turn: in a placed x, the
+    lag's anchors are _anchors(x, k, mask, perm), in anchor time order. The
+    pairs are the held slots s with s + k held: mask selects them (None where
+    the rows fill every slot in time order), a view of one buffer that the
+    next lag overwrites. perm, where labels interleave, is the argsort of the
+    anchor rows, which puts the pairs from the slots' label order back in
+    time order. A lag off the unit or past the last slot has k = the slot
+    count, which leaves no pair.
     """
     lags = [int(lag) for lag in lags]
     if any(lag < 0 for lag in lags):
         raise ValueError("lags must be nonnegative")
-    n = len(times)
-    # the steps between rows, then their slot counts, then the slots, in one buffer
-    slot = np.zeros(n, dtype=np.int64)
-    steps = np.subtract(times[1:], times[:-1], out=slot[1:])
-    if np.any(steps <= 0):
-        raise ValueError("times must be strictly increasing")
-    unit = int(np.gcd.reduce(steps)) or 1
-    max_slots = max(lags, default=0) // unit
-    steps //= unit
-    breaks = steps > max_slots
-    np.minimum(steps, max_slots + 1, out=steps)
-    check_session = policy == "intraday-only" and bool(np.any(session_idx[1:] != session_idx[:-1]))
-    if check_session:
-        low = session_idx.min()
-        label = np.empty(n, dtype=np.min_scalar_type(session_idx.max() - low))
-        np.subtract(session_idx, low, out=label, casting="unsafe")
-        unspanned = np.maximum.accumulate(label[:-1]) < np.minimum.accumulate(label[:0:-1])[::-1]
-        steps[unspanned] = 1
-        breaks |= unspanned
-    np.cumsum(steps, out=steps)
-    n_slots = int(slot[-1]) + 1
-
-    if n_slots == n and not check_session:
-        return (lambda x: x), ((lag // unit if lag % unit == 0 else n, None) for lag in lags)
-
-    # each run's last row, then the largest span of slots within a run
-    last = np.append(np.flatnonzero(breaks), n - 1)
-    longest = int(np.max(slot[last] - slot[np.concatenate([[0], last[:-1] + 1])]))
+    unit, pos, order = _slots(times, labels, max(lags, default=0))
+    n_slots = int(pos[-1]) + 1
+    ks = [min(lag // unit, n_slots) if lag % unit == 0 else n_slots for lag in lags]
+    if n_slots == len(times) and order is None:
+        return (lambda x: x), ((k, None, None) for k in ks)
 
     def place(x: np.ndarray) -> np.ndarray:
         out = np.zeros(n_slots, dtype=x.dtype)
-        out[slot] = x
+        out[pos] = x if order is None else x[order]
         return out
 
-    top = max(max_slots, int(label.max()) if check_session else 0)
-    cycle = np.arange(-1, -2 - max_slots, -1, dtype=np.min_scalar_type(-1 - top))
-    code = np.tile(cycle, -(-n_slots // len(cycle)))[:n_slots]
-    code[slot] = label if check_session else 0
-
-    def masks() -> Iterator[tuple[int, np.ndarray | None]]:
+    def pairs() -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+        held = np.zeros(n_slots, dtype=bool)
+        held[pos] = True
+        rows = None if order is None else place(np.arange(len(times)))
         buf = np.empty(n_slots, dtype=bool)
-        for lag in lags:
-            k = lag // unit
-            if lag % unit or k > longest:
-                yield n_slots, None
-            elif k == 0:
-                yield 0, np.greater_equal(code, 0, out=buf)
-            else:
-                yield k, np.equal(code[:-k], code[k:], out=buf[:-k])
+        for k in ks:
+            mask = np.logical_and(held[k:], held[: n_slots - k], out=buf[: n_slots - k])
+            yield k, mask, None if rows is None else np.argsort(rows[: n_slots - k][mask])
 
-    return place, masks()
+    return place, pairs()
 
 
-def _anchors(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
+def _anchors(x: np.ndarray, k: int, mask: np.ndarray | None, perm: np.ndarray | None) -> np.ndarray:
     """Anchor values, in a placed array x, of the pairs at one lag of
-    _pair_indices."""
-    anchors = x[: max(len(x) - k, 0)]
-    return anchors if mask is None else anchors[mask]
+    _pairs."""
+    anchors = x[: len(x) - k]
+    if mask is not None:
+        anchors = anchors[mask]
+    return anchors if perm is None else anchors[perm]
 
 
-def _differences(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
+def _differences(x: np.ndarray, k: int, mask: np.ndarray | None, perm: np.ndarray | None) -> np.ndarray:
     """Partner less anchor values, in a placed array x, of the pairs at one
-    lag of _pair_indices, in a new array: one subtraction over the slots,
-    then one gather of the pairs where there is a mask."""
-    differences = x[k:] - _anchors(x, k, None)
-    return differences if mask is None else differences[mask]
+    lag of _pairs, in a new array: one subtraction over the slots, then one
+    gather of the pairs where there is a mask."""
+    return _anchors(x[k:] - x[: len(x) - k], 0, mask, perm)
 
 
 def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:
@@ -675,10 +659,11 @@ def _increments(series: PriceSeries, taus: list[int], policy: str) -> Iterator[t
     in turn, every horizon checked before the first is paired."""
     for tau in taus:
         _check_tau(series, tau, policy)
-    place, masks = _pair_indices(series.times, series.session_idx, taus, policy)
+    labels = series.session_idx if policy == "intraday-only" else None
+    place, pairs = _pairs(series.times, labels, taus)
     lp = place(series.log_price())
-    for tau, (k, mask) in zip(taus, masks):
-        yield tau, _differences(lp, k, mask)
+    for tau, pair in zip(taus, pairs):
+        yield tau, _differences(lp, *pair)
 
 
 def log_returns(
@@ -690,9 +675,10 @@ def log_returns(
     """Tau-normalized log returns [ln S(t+tau) - ln S(t)] / tau, one sample
     per admissible bar pair. Drift removal subtracts the sample mean."""
     _check_tau(series, tau_minutes, policy)
-    place, masks = _pair_indices(series.times, series.session_idx, [tau_minutes], policy)
-    [(k, mask)] = masks
-    values = _differences(place(series.log_price()), k, mask)
+    labels = series.session_idx if policy == "intraday-only" else None
+    place, pairs = _pairs(series.times, labels, [tau_minutes])
+    [pair] = pairs
+    values = _differences(place(series.log_price()), *pair)
     values /= float(tau_minutes)
     if len(values) == 0:
         exceeds = ": horizon exceeds every session" if policy == "intraday-only" else ""
@@ -703,8 +689,8 @@ def log_returns(
         tau_minutes=int(tau_minutes),
         values=values,
         drift_removed=remove_drift,
-        times=_anchors(place(series.times), k, mask),
-        session_idx=_anchors(place(series.session_idx), k, mask),
+        times=_anchors(place(series.times), *pair),
+        session_idx=_anchors(place(series.session_idx), *pair),
         base_minutes=series.base_minutes,
         policy=policy,
     )
@@ -869,36 +855,18 @@ def _lag_sums(
     of x x', of x² x'² and of 1, where x = r - shift; pairs share a label
     unless labels is None. Times must be strictly increasing.
 
-    The rows are laid on slots of the unit, grouped by label in time order,
-    with every gap longer than the largest lag K shrunk to K + 1 slots and
-    K + 1 slots between labels, so no pair at a lag up to K crosses either.
-    The sums are correlations of the slot signals x, x² and h (1 on held
-    slots, 0 on empty ones): each window of B anchor slots and the K slots
-    after them is zero-padded to an FFT length N >= B + K, correlated by
-    real FFTs and summed over a bounded batch of windows, so the working set
-    is the slot of each row and one batch. The counts are the h-correlation
-    rounded per batch, exact while a batch's rounding error stays below 1/2.
+    The rows are laid on the slots of _slots, where the pairs at a lag of k
+    units up to K = max_lag // unit are the held slots k apart. The sums are
+    correlations of the slot signals x, x² and h (1 on held slots, 0 on
+    empty ones): each window of B anchor slots and the K slots after them is
+    zero-padded to an FFT length N >= B + K, correlated by real FFTs and
+    summed over a bounded batch of windows, so the working set is the slot
+    of each row and one batch. The counts are the h-correlation rounded per
+    batch, exact while a batch's rounding error stays below 1/2.
     """
-    n = len(times)
-    pos = np.zeros(n, dtype=np.int64)
-    steps = np.subtract(times[1:], times[:-1], out=pos[1:])
-    if np.any(steps <= 0):
-        raise ValueError("times must be strictly increasing")
-    unit = int(np.gcd.reduce(steps)) or 1
-    k_max = max_lag // unit
-    order = None
-    if labels is not None and np.any(labels[1:] < labels[:-1]):  # labels interleave: each label's rows together
-        order = np.argsort(labels, kind="stable")
-        labels = labels[order]
-        np.subtract(times[order[1:]], times[order[:-1]], out=steps)
-    steps //= unit
-    np.minimum(steps, k_max + 1, out=steps)
-    if labels is not None:
-        steps[labels[1:] != labels[:-1]] = k_max + 1
-    np.cumsum(pos, out=pos)
+    unit, pos, order = _slots(times, labels, max_lag)
     n_slots = int(pos[-1]) + 1
-
-    k_max = min(k_max, n_slots - 1)  # no pair reaches past the last slot
+    k_max = min(max_lag // unit, n_slots - 1)  # no pair reaches past the last slot
     size = 1 << (max(_ACF_WINDOW, 4 * (k_max + 1)) - 1).bit_length()
     size = min(size, 1 << (n_slots + k_max - 1).bit_length())
     width = size - k_max  # anchor slots of a window
@@ -930,8 +898,9 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
     pairing, products never span a session boundary. Lags without admissible
     pairs are omitted and listed in ``omitted_lags``.
 
-    Every lag's sums come at once from blocked real-FFT correlations
-    (_lag_sums): with n pairs, S1 the sum of their products and S2 that of
+    Every lag's sums come at once from blocked real-FFT correlations on the
+    slot layout that the scaling, kurtosis and return pairs use too (_slots,
+    _lag_sums): with n pairs, S1 the sum of their products and S2 that of
     the squared products, R = S1/n and stderr = sqrt(max(S2 - n R², 0) /
     (n - 1)) / sqrt(n), nan for one pair. The sums carry rounding of the
     whole series' scale, not of each lag's: against the mean and sample

@@ -678,7 +678,8 @@ class TestWriters:
         times = market.SYNTH_START_MINUTE + 7 * np.arange(cli._CSV_BLOCK + 1)
         text = "".join(cli._csv_chunks("p.csv", "0", {"timestamp": times.view("datetime64[m]"), "close": times}))
         rows = [line.split(",") for line in text.splitlines()[2:]]
-        assert [stamp for stamp, _ in rows] == market.minute_stamps(times).tolist()
+        stamps = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
+        assert [stamp for stamp, _ in rows] == stamps.tolist()
         assert [float(close) for _, close in rows] == times.tolist()
 
     @given(columns=csv_tables())
@@ -895,7 +896,8 @@ class TestSynthAndAnalyze:
         minute = np.flatnonzero(rng.random(256 * 390) >= 0.02)
         times = market.SYNTH_START_MINUTE + (minute // 390) * 1440 + minute % 390
         close = (100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(len(times))))).tolist()
-        rows = [f"{t}:00-05:00,{c:.12g},{t[:10]}\n" for t, c in zip(market.minute_stamps(times).tolist(), close)]
+        stamps = np.datetime_as_string(times.astype("datetime64[m]"), unit="m").tolist()
+        rows = [f"{t}:00-05:00,{c:.12g},{t[:10]}\n" for t, c in zip(stamps, close)]
         for name, n in (("small.csv", 2000), ("sessions.csv", len(rows))):
             (tmp_path / name).write_text("timestamp,close,session\n" + "".join(rows[:n]))
         args = ["analyze", "--policy", "intraday-only", "--taus", "5:100:5", "--max-lag", 480,

@@ -460,7 +460,8 @@ class TestBlockEdges:
         # then a bad row in the fourth: a block read by column counts its rows
         # as lines, the `\r\n` block its line ends
         times = SYNTH_START_MINUTE + np.arange(16)
-        rows = [f"{stamp},100.5" for stamp in market.minute_stamps(times).tolist()]
+        stamps = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
+        rows = [f"{stamp},100.5" for stamp in stamps.tolist()]
         rows[13] = rows[13].replace(",", ",-")
         ends = ["\r\n" if i // 4 == crlf else "\n" for i in range(16)]
         path = tmp_path / "prices.csv"
@@ -498,7 +499,7 @@ def write_bars(path, n: int, labelled: bool = True, offset: str = "-05:00") -> N
     minute = np.arange(n)
     times = SYNTH_START_MINUTE + (minute // 390) * 1440 + minute % 390
     close = (100.0 * np.exp(np.cumsum(1e-3 * rng.standard_normal(n)))).tolist()
-    stamps = market.minute_stamps(times).tolist()
+    stamps = np.datetime_as_string(times.astype("datetime64[m]"), unit="m").tolist()
     if labelled:
         rows = (f"{t}:00{offset},{c:.12g},{t[:10]}\n" for t, c in zip(stamps, close))
     else:
@@ -617,13 +618,13 @@ class TestPairMatcher:
     @given(case=gapped_times(), policy=st.sampled_from(PAIRING_POLICIES))
     def test_matches_direct_search(self, case, policy):
         times, session_idx, lags = case
-        place, masks = market._pair_indices(times, session_idx, lags, policy)
+        place, pairs = market._pairs(times, session_idx if policy == "intraday-only" else None, lags)
         # rows count from 1, so an empty slot (0) never passes for row 0
         rows = place(np.arange(1, len(times) + 1))
         matched = 0
-        for lag, (k, mask) in zip(lags, masks):
-            anchors = market._anchors(rows, k, mask)
-            partners = rows[k:] if mask is None else rows[k:][mask]
+        for lag, (k, mask, perm) in zip(lags, pairs):
+            anchors = market._anchors(rows, k, mask, perm)
+            partners = market._anchors(rows[k:], 0, mask, perm)  # k slots on, selected as the anchors are
             ref_a, ref_p = reference_pairs(times, session_idx, lag, policy)
             np.testing.assert_array_equal(anchors, ref_a + 1)
             np.testing.assert_array_equal(partners, ref_p + 1)
@@ -633,7 +634,7 @@ class TestPairMatcher:
     def test_negative_lag_rejected(self):
         times = np.arange(10, dtype=np.int64)
         with pytest.raises(ValueError, match="nonnegative"):
-            market._pair_indices(times, np.zeros(10, dtype=np.int64), [3, -1], "contiguous")
+            market._pairs(times, None, [3, -1])
 
 
 @st.composite
@@ -673,6 +674,24 @@ class TestStatisticsOnGappedLayouts:
         ref = reference_acf(series.times, series.session_idx, values - values.mean(), max_lag, policy,
                             series.base_minutes)
         assert_acf_matches(empirical_acf(returns, max_lag), ref)
+
+    @settings(deadline=None)
+    @given(case=gapped_cases(), remove_drift=st.booleans())
+    def test_log_returns(self, case, policy, remove_drift):
+        series, _, taus = case
+        for tau in taus:
+            a, p = reference_pairs(series.times, series.session_idx, tau, policy)
+            if len(a) == 0:
+                with pytest.raises(DataError, match="no admissible pairs"):
+                    log_returns(series, tau, policy=policy, remove_drift=remove_drift)
+                continue
+            values = reference_increments(series, tau, policy) / float(tau)
+            if remove_drift:
+                values -= values.mean()
+            rs = log_returns(series, tau, policy=policy, remove_drift=remove_drift)
+            assert np.array_equal(rs.values, values)
+            assert np.array_equal(rs.times, series.times[a])
+            assert np.array_equal(rs.session_idx, series.session_idx[a])
 
     @settings(deadline=None)
     @given(case=gapped_cases())
@@ -777,7 +796,7 @@ class TestStatisticsOnReferencePairs:
 @pytest.mark.parametrize("policy", PAIRING_POLICIES)
 class TestLagsPastEveryRun:
     """No pair leaves a session when every gap between sessions is longer than
-    the largest lag, so a lag past the longest session needs no mask."""
+    the largest lag, so a lag past the longest session has no pair."""
 
     def test_acf_omits_them_and_keeps_the_reference_values(self, policy):
         returns = log_returns(gapped_series(), 1, policy=policy)
@@ -785,12 +804,8 @@ class TestLagsPastEveryRun:
         longest = max(int(np.ptp(t[s == i])) for i in np.unique(s))
         max_lag = 500  # past every 390-minute session, below every overnight gap
         assert longest < max_lag < int(np.diff(t).max())
-        place, masks = market._pair_indices(t, s, range(max_lag + 1), policy)
-        n_slots = len(place(r))
-        past = [(k, mask) for lag, (k, mask) in enumerate(masks) if lag > longest]
-        assert past == [(n_slots, None)] * (max_lag - longest)
         acf = empirical_acf(returns, max_lag)
-        assert acf.omitted_lags[-len(past):] == tuple(range(longest + 1, max_lag + 1))
+        assert acf.omitted_lags[longest - max_lag:] == tuple(range(longest + 1, max_lag + 1))
         assert acf.lags[-1] <= longest
         assert_acf_matches(acf, reference_acf(t, s, r, max_lag, policy))
 
@@ -1236,18 +1251,18 @@ class TestMinuteStamps:
         start = int(np.datetime64(date, "m").astype(np.int64))
         times = start + np.arange(2 * 1440, dtype=np.int64)
         expected = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
-        np.testing.assert_array_equal(market.minute_stamps(times), expected)
+        np.testing.assert_array_equal(market.stamp_bytes(times).view("S16").ravel(), expected.astype("S16"))
 
     def test_random_minutes_equal_datetime_as_string(self):
         lo, hi = market.STAMP_MINUTES
         times = np.random.default_rng(3).integers(lo, hi + 1, 100_000)
         expected = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
-        np.testing.assert_array_equal(market.minute_stamps(times), expected)
+        np.testing.assert_array_equal(market.stamp_bytes(times).view("S16").ravel(), expected.astype("S16"))
 
     @pytest.mark.parametrize("stamp", ["0000-12-31T23:59", "+10000-01-01T00:00"])
     def test_years_outside_four_digits_refused(self, stamp):
         with pytest.raises(ValueError, match="years 1 to 9999"):
-            market.minute_stamps(np.array([np.datetime64(stamp, "m").astype(np.int64)]))
+            market.stamp_bytes(np.array([np.datetime64(stamp, "m").astype(np.int64)]))
 
 
 class TestSynthColored:
