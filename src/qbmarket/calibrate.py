@@ -250,7 +250,8 @@ def fit_acf(
 
     weights "uniform" fits raw residuals; "count-weighted" scales each
     residual by sqrt(count / mean count). Non-convergence is reported in the
-    result, never silently replaced by a fallback. Ties between frequency
+    result, never silently replaced by a fallback, and the diagnostic names an
+    eta or omega that the fit left on its bound. Ties between frequency
     candidates are broken toward the smallest frequency.
     """
     if weights not in ("uniform", "count-weighted"):
@@ -309,6 +310,13 @@ def fit_acf(
     if converged and best.cost > sse_start * (1.0 + 1e-9) + slack:
         converged = False
         diagnostic = "did not converge: residual above the starting guess"
+    # a parameter the descent left on a bound was set by the bound, not the data
+    on_bound = [
+        f"{name} = {value:.6g} is on its {'lower' if value <= low else 'upper'} bound"
+        for name, value, low, high in zip(("eta", "omega"), (eta, omega), _LOWER, upper)
+        if value <= low or value >= high
+    ]
+    diagnostic = "; ".join(([diagnostic] if diagnostic else []) + on_bound) or None
 
     stderr = None
     dof = len(lags) - 3

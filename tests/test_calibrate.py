@@ -84,6 +84,7 @@ class TestFitAcf:
         nm = FIT_TRIPLES[period]
         fit = fit_acf(model_samples(nm, include_white=1e-6))
         assert fit.converged
+        assert fit.diagnostic is None
         assert fit.nm.xi == pytest.approx(nm.xi, rel=1e-6)
         assert fit.nm.eta == pytest.approx(nm.eta, rel=1e-6)
         assert fit.nm.omega == pytest.approx(nm.omega, rel=1e-6)
@@ -99,6 +100,18 @@ class TestFitAcf:
         assert abs(fit.nm.xi - nm_9904.xi) / nm_9904.xi < 0.05
         assert abs(fit.nm.eta - nm_9904.eta) / nm_9904.eta < 0.05
         assert abs(fit.nm.omega - nm_9904.omega) / nm_9904.omega < 0.05
+
+    @pytest.mark.parametrize("values, named", [
+        # an undamped oscillation: the best decay rate, 0, is below eta's bound
+        (lambda lags: 0.5e-6 * (np.cos(0.06 * lags) + 1.0), "eta = 1e-12 is on its lower bound"),
+        # memory at the first positive lag alone decays faster than eta's bound allows
+        (lambda lags: 1e-6 * (lags == 5), f"eta = {ETA_MAX_PER_MIN:.6g} is on its upper bound"),
+    ], ids=["undamped", "one-lag"])
+    def test_parameter_on_a_bound_is_named(self, values, named):
+        lags = np.arange(0, 481, 5, dtype=np.int64)
+        fit = fit_acf(synthetic_estimate(values(lags.astype(float)), lags))
+        assert fit.converged
+        assert fit.diagnostic == named
 
     def test_flat_zero_acf_is_degenerate(self):
         lags = np.arange(0, 201, 5, dtype=np.int64)

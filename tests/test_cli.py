@@ -1152,6 +1152,17 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert abs(report["eta"] - nm.eta) / nm.eta < 0.05
 
+    def test_white_noise_decay_on_its_bound_is_named(self, tmp_path):
+        # white-noise returns: the fit's decay rate is set by its lower bound, a
+        # memory that never decays, and the report said nothing of it
+        prices, run_prefix, out = tmp_path / "g.csv", tmp_path / "run", tmp_path / "fit.json"
+        assert run(["synth", "--kind", "gbm", "--n", 100_000, "--sigma", 0.001, "--seed", 2, "--out", prices]) == 0
+        assert run(["analyze", "--input", prices, "--max-lag", 480, "--out-prefix", run_prefix]) == 0
+        assert run(["fit", "--kind", "acf", "--input", f"{run_prefix}.acf.csv", "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert (report["eta"], report["converged"]) == (1e-12, True)
+        assert report["diagnostic"] == "eta = 1e-12 is on its lower bound"
+
     def test_flat_zero_input_unconverged_exit_zero(self, tmp_path):
         path = tmp_path / "flat.csv"
         lines = ["lag,acf"] + [f"{l},0.0" for l in range(0, 300, 5)]
@@ -1451,6 +1462,46 @@ class TestConfigParsing:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+class TestConfigDigest:
+    # a config's digest, reproduced the way it was first defined
+    @staticmethod
+    def reference(config):
+        payload = {k: v for k, v in config.items() if k not in ("config", "input", "out", "out_prefix")}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+    VALUES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+    @given(st.dictionaries(
+        st.sampled_from(["config", "input", "out", "out_prefix", "seed", "x2", "Ω", "label"]) | st.text(),
+        st.recursive(VALUES, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner,
+                                                                                         max_size=3)),
+        max_size=8,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_digest_is_hashlibs(self, config):
+        assert cli._sha256_config(config) == self.reference(config)
+
+    def test_digest_without_the_builtin_hash_is_hashlibs(self, monkeypatch):
+        config = {"mode": "pde", "x2": 1.0, "nx": 32, "seed": None, "label": "ü", "out_prefix": "p"}
+        digest = cli._sha256_config(config)
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        assert cli._sha256_config(config) == digest == self.reference(config)
+
+    # both headers carry the config digest
+    @pytest.mark.parametrize("argv, digest", [
+        (["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--nx", 32, "--np", 32, "--t-end", 0.05, "--points", 3,
+          "--out-prefix", "p"], "a036e61390aa47719e888b93d312dac04f548430b2d54abeee2ad791be5d3c13"),
+        (["eval", "--formula", "variance", "--M", 10, "--gamma", 1e3, "--kT", 0.1, "--hbar", 0.01, "--sx2-0", 1e-7,
+          "--start", 0, "--end", 1, "--points", 5, "--out", "p.csv"],
+         "9de866a605abd5fcfe0ee4b4950c143ba405d68243cba5dcd2c1aa0e1db7cf38"),
+    ], ids=["pde", "eval"])
+    def test_csv_bytes_are_pinned(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 0
+        assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == digest
+
+
 class TestImports:
     # The steps run in order in one fresh interpreter; after each, the script
     # records which of the watched modules sys.modules holds: the scipy
@@ -1618,6 +1669,21 @@ print(json.dumps(loaded))
         loaded = self.probe(tmp_path, [argv], self.LAYERS)
         assert loaded.pop(" ".join(argv[:3]) + " -> exit 0") == ["numpy", *(f"qbmarket.{m}" for m in layers)]
         assert loaded == {"import qbmarket": [], "--version": []}
+
+    def test_config_digests_load_no_openssl(self, tmp_path):
+        # eval and simulate digest only their config, which CPython's own
+        # SHA-256 does; analyze digests its input with OpenSSL's (`_hashlib`),
+        # so the probe is seen to work
+        assert run(["synth", "--kind", "gbm", "--n", 600, "--seed", 1, "--out", tmp_path / "prices.csv"]) == 0
+        steps = [
+            ["eval", "--formula", "classical", "--start", "0", "--end", "1", "--out", "e.csv"],
+            ["simulate", "--mode", "moments", *self.SIM, "--out-prefix", "m"],
+            ["simulate", "--mode", "pde", *self.SIM, "--nx", "32", "--np", "32", "--out-prefix", "p"],
+            ["analyze", "--input", "prices.csv", "--taus", "1:3:1", "--max-lag", "5", "--out-prefix", "run"],
+        ]
+        loaded = self.probe(tmp_path, steps, ["_hashlib"])
+        assert loaded.pop("analyze --input prices.csv -> exit 0") == ["_hashlib"]
+        assert loaded == {step: [] for step in loaded}
 
     def test_startup_loads_no_thread_pool(self, tmp_path):
         # the sde ensemble ran its blocks on a thread pool; its blocks now run one after another
