@@ -58,10 +58,11 @@ _HOMES = {
     ".dynamics.moments": ("HarmonicPotential", "KernelSchedule", "MomentState", "MomentTrajectory", "evolve_moments"),
     ".dynamics.montecarlo": ("EnsembleMoments", "simulate_sde_markov"),
     ".dynamics.phasespace": ("PhaseSpaceGrid", "WignerEvolution", "evolve_wigner_pde", "grid_moments"),
+    ".csvio": ("load_prices",),
     ".market": (
         "AcfEstimate", "HistogramResult", "KurtosisResult", "PriceSeries", "ReturnSeries", "ScalingResult",
-        "drift_vol_scaling", "empirical_acf", "empirical_kurtosis", "load_prices", "log_returns",
-        "return_histogram", "synth_colored", "synth_gbm",
+        "drift_vol_scaling", "empirical_acf", "empirical_kurtosis", "log_returns", "return_histogram",
+        "synth_colored", "synth_gbm",
     ),
     ".model": (
         "BathSpectrum", "ModelParams", "NonMarkovParams", "SecondMomentInit", "acf_model", "classical_variance",

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateDataError, InsufficientDataError
-from .market import AcfEstimate
 from .model import NonMarkovParams, acf_model
+
+if TYPE_CHECKING:
+    from .market import AcfEstimate
 
 __all__ = [
     "AcfFit",

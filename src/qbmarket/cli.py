@@ -36,13 +36,10 @@ import re
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable
 
 from . import __version__, _lazy
 from .errors import DataError, NumericalError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["main"]
 
@@ -57,10 +54,10 @@ _HOMES = {
         "variance_closed_form", "variance_short_time",
     ),
     ".market": (
-        "STAMP_MINUTES", "SYNTH_START_MINUTE", "AcfEstimate", "PriceSeries", "drift_vol_scaling", "empirical_acf",
-        "empirical_kurtosis", "load_prices", "log_returns", "return_histogram", "stamp_bytes",
-        "synth_colored", "synth_gbm",
+        "SYNTH_START_MINUTE", "AcfEstimate", "PriceSeries", "drift_vol_scaling", "empirical_acf",
+        "empirical_kurtosis", "log_returns", "return_histogram", "synth_colored", "synth_gbm",
     ),
+    ".csvio": ("STAMP_MINUTES", "csv_chunks", "load_prices", "read_estimates"),
     ".calibrate": ("fit_acf", "fit_kurtosis_decay"),
     ".dynamics.moments": ("MOMENT_KEYS", "HarmonicPotential", "KernelSchedule", "MomentState", "evolve_moments"),
     ".dynamics.montecarlo": ("simulate_sde_markov",),
@@ -131,81 +128,6 @@ def _json_text(name: str, payload: dict) -> str:
         raise NumericalError(f"{name}: refusing to write a non-finite number") from exc
 
 
-# the one column allowed to hold NaN: the ACF standard error at a lag with a single pair
-_NAN_COLUMN = "stderr"
-# rows formatted into one string of a CSV file's text
-_CSV_BLOCK = 4096
-
-
-def _percent(text: str, numbers: np.ndarray) -> str:
-    """text % the numbers, as Python floats; text itself where there are none."""
-    return text % tuple(numbers.tolist()) if len(numbers) else text
-
-
-def _csv_chunks(name: str, digest: str, columns: dict[str, np.ndarray]) -> Iterable[str]:
-    """The text of one CSV file, checked now and formatted as it is consumed,
-    one string per block of rows.
-
-    Numeric columns are written with 17 significant digits. A
-    ``datetime64[m]`` column is written as `YYYY-MM-DDTHH:MM` stamps. Each
-    block is a template of ASCII bytes: its stamps (stamp_bytes), a field per
-    number, the commas and the newlines. In a full block of _CSV_BLOCK rows,
-    g17 writes each number with 1 <= |x| < 1e15 into its field as the bytes
-    `%.17g` makes of it. Every other number's field is a `%.17g`; the block's
-    NUL padding is dropped, and one `%` of those numbers formats it. So the
-    stamps are never Python strings, and a column's text is never held whole.
-    A non-finite number outside the ``stderr`` column raises a NumericalError
-    before anything is produced.
-    """
-    import numpy as np
-
-    stamps, numbers = {}, {}  # each column's values by its place in the row
-    for place, (key, col) in enumerate(columns.items()):
-        if col.dtype == "datetime64[m]":
-            _bind(".market")
-            stamps[place] = col.view(np.int64)
-        else:
-            col = col.astype(float, copy=False)
-            if key != _NAN_COLUMN and not np.isfinite(col).all():
-                raise NumericalError(f"{name}: refusing to write non-finite values in column {key!r}")
-            numbers[place] = col
-    header = f"# qbmarket {__version__}; input sha256={digest}\n" + ",".join(columns) + "\n"
-    n_rows = len(next(iter(columns.values())))
-
-    def blocks() -> Iterator[str]:
-        rows = min(n_rows, _CSV_BLOCK)  # a short table's buffers are its size: they can set a run's peak
-        width = 5
-        if rows == _CSV_BLOCK:  # room in each number's field for g17's bytes
-            from ._g17 import WIDTH as width, g17
-        placeholder = np.frombuffer(b"%.17g".ljust(width, b"\0"), dtype=np.uint8)
-        fields = [b"YYYY-MM-DDTHH:MM" if place in stamps else placeholder.tobytes() for place in range(len(columns))]
-        starts = list(itertools.accumulate((len(field) + 1 for field in fields), initial=0))
-        row = np.frombuffer(b",".join(fields) + b"\n", dtype=np.uint8)
-        template = np.tile(row, (rows, 1))
-        values = np.empty((rows, len(numbers)))
-        for start in range(0, n_rows, _CSV_BLOCK):
-            block = slice(start, min(start + _CSV_BLOCK, n_rows))
-            n = block.stop - start
-            if n < _CSV_BLOCK:  # a `%.17g` in every number's field again, after g17 filled them
-                template[:n] = row
-            for place, times in stamps.items():
-                template[:n, starts[place] : starts[place] + 16] = stamp_bytes(times[block])
-            for j, col in enumerate(numbers.values()):
-                values[:n, j] = col[block]
-            left = values[:n].ravel()
-            if n == _CSV_BLOCK:
-                cells, done = g17(left)
-                cells[~done] = placeholder
-                for j, place in enumerate(numbers):
-                    template[:, starts[place] : starts[place] + width] = cells[j :: len(numbers)]
-                left = left[~done]
-                del cells, done  # freed before the block's text is made
-            chars = template[:n].ravel()
-            yield _percent(chars[chars != 0].tobytes().decode("ascii"), left)
-
-    return itertools.chain([header], blocks())
-
-
 def _publish(command: str, cfg: dict, digest: str | None, files: dict[Path, Iterable[str]], prefix: Path) -> None:
     """Write a run's data files and its manifest, `<prefix>.manifest.json`:
     all of them or none.
@@ -253,7 +175,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     seen: dict[str, int] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -454,7 +376,7 @@ def cmd_eval(cfg: dict) -> int:
         raise ValueError("--points must be at least 2")
     import numpy as np
 
-    _bind(".model")
+    _bind(".model", ".csvio")
     grid = np.linspace(start, end, points)
     formula = cfg["formula"]
     digest = _sha256_config(cfg)
@@ -489,7 +411,7 @@ def cmd_eval(cfg: dict) -> int:
         columns = {"t": grid, formula: np.asarray(fn(params, nm, grid))}
 
     out = Path(cfg["out"])
-    _publish("eval", cfg, digest, {out: _csv_chunks(out.name, digest, columns)}, out)
+    _publish("eval", cfg, digest, {out: csv_chunks(out.name, digest, columns)}, out)
     print(f"wrote {out}")
     return 0
 
@@ -512,7 +434,7 @@ def cmd_simulate(cfg: dict) -> int:
         del cfg["dt"]  # sde configs carry no dt key; moments keeps its null, and so its output bytes
     import numpy as np
 
-    _bind(".model", ".dynamics.moments")
+    _bind(".model", ".csvio", ".dynamics.moments")
     params = _model_params(cfg)
     if cfg["kernel"] == "non-markov":
         schedule = KernelSchedule.non_markov(params, _nm_params(cfg))
@@ -585,7 +507,7 @@ def cmd_simulate(cfg: dict) -> int:
         columns["eps_neg"] = evo.negative_fractions
 
     out_csv = Path(f"{prefix}.csv")
-    _publish("simulate", cfg, digest, {out_csv: _csv_chunks(out_csv.name, digest, columns)}, prefix)
+    _publish("simulate", cfg, digest, {out_csv: csv_chunks(out_csv.name, digest, columns)}, prefix)
     print(f"wrote {out_csv}")
     return 0
 
@@ -600,7 +522,7 @@ def cmd_analyze(cfg: dict) -> int:
             raise ValueError(f"--{flag.replace('_', '-')} must be positive")
     in_path = Path(cfg["input"])
     digest = _sha256_file(in_path)
-    _bind(".market")
+    _bind(".market", ".csvio")
     series = load_prices(in_path)
     policy = cfg["policy"]
     taus = [t for t in taus if t % series.base_minutes == 0]
@@ -647,53 +569,10 @@ def cmd_analyze(cfg: dict) -> int:
     files = {}
     for name, columns in tables.items():
         path = Path(f"{prefix}.{name}.csv")
-        files[path] = _csv_chunks(path.name, digest, columns)
+        files[path] = csv_chunks(path.name, digest, columns)
     _publish("analyze", cfg, digest, files, prefix)
     print(f"wrote {len(files)} statistics files with prefix {prefix}")
     return 0
-
-
-def _read_estimator_csv(path: Path, expected: tuple[str, ...]) -> dict[str, np.ndarray]:
-    import numpy as np
-
-    rows = []
-    header: list[str] | None = None
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        if header is None:
-            header = [h.strip().lower() for h in raw.split(",")]
-            continue
-        rows.append(raw.split(","))
-    if header is None or not rows:
-        raise DataError(f"{path}: no data rows")
-    repeated = sorted({c for c in header if header.count(c) > 1})
-    if repeated:
-        raise DataError(f"{path}: repeated column(s) {repeated}; header is {header}")
-    missing = [c for c in expected if c not in header]
-    if missing:
-        raise DataError(f"{path}: missing column(s) {missing}; header is {header}")
-    data: dict[str, list[float]] = {c: [] for c in header}
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
-        for c, cell in zip(header, row):
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise DataError(f"{path}: row {i}: cannot parse {cell!r}") from exc
-            if c != _NAN_COLUMN and not math.isfinite(value):
-                raise DataError(f"{path}: row {i}: {c} is not finite ({cell.strip()!r})")
-            if c in ("lag", "count") and not (value.is_integer() and abs(value) < 2.0**63):
-                raise DataError(f"{path}: row {i}: {c} is not a 64-bit integer ({cell.strip()!r})")
-            if c == "count" and value < 1:
-                raise DataError(f"{path}: row {i}: count is below 1 ({cell.strip()!r})")
-            data[c].append(value)
-    return {c: np.asarray(v) for c, v in data.items()}
 
 
 def cmd_fit(cfg: dict) -> int:
@@ -702,29 +581,18 @@ def cmd_fit(cfg: dict) -> int:
         raise ValueError("--base-minutes must be positive")
     in_path = Path(cfg["input"])
     digest = _sha256_file(in_path)
-    import numpy as np
-
-    _bind(".market", ".calibrate")
+    _bind(".csvio", ".calibrate")
 
     if cfg["kind"] == "acf":
-        data = _read_estimator_csv(in_path, ("lag", "acf"))
+        import numpy as np
+
+        _bind(".market")  # AcfEstimate: the kurtosis fit reads no market type
+        data = read_estimates(in_path, ("lag", "acf"))
         lags = data["lag"].astype(np.int64)
-        bad = np.flatnonzero((lags < 0) | (np.diff(lags, prepend=-1) <= 0))
-        if len(bad):
-            i = bad[0]
-            fault = "is negative" if lags[i] < 0 else f"does not exceed the lag {lags[i - 1]} before it"
-            raise DataError(f"{in_path}: row {i + 1}: lag {lags[i]} {fault}; lags must be nonnegative and strictly increasing")
-        counts = data.get("count", np.ones(len(lags))).astype(np.int64)
-        stderr = data.get("stderr", np.full(len(lags), np.nan))
         base = int(cfg["base_minutes"]) if cfg.get("base_minutes") is not None else int(np.min(np.diff(lags[lags > 0]))) if np.sum(lags > 0) > 1 else 1
-        est = AcfEstimate(
-            lags=lags,
-            values=data["acf"],
-            counts=counts,
-            stderr=stderr,
-            base_minutes=base,
-            tau_minutes=base,
-        )
+        # AcfEstimate holds counts as int64
+        est = AcfEstimate(lags=lags, values=data["acf"], counts=data.get("count", np.ones(len(lags))),
+                          stderr=data.get("stderr", np.full(len(lags), np.nan)), base_minutes=base, tau_minutes=base)
         fit = fit_acf(est, weights=cfg["weights"])
         report = {
             "kind": "acf",
@@ -739,7 +607,7 @@ def cmd_fit(cfg: dict) -> int:
             "input_sha256": digest,
         }
     else:
-        data = _read_estimator_csv(in_path, ("tau", "kurtosis"))
+        data = read_estimates(in_path, ("tau", "kurtosis"))
         fit = fit_kurtosis_decay(data["tau"], data["kurtosis"])
         import dataclasses
 
@@ -765,7 +633,7 @@ def cmd_synth(cfg: dict) -> int:
         raise ValueError("--n must be at least 2")
     if dt <= 0:
         raise ValueError("--dt must be positive")
-    _bind(".model", ".market")
+    _bind(".model", ".market", ".csvio")
     if SYNTH_START_MINUTE + (n - 1) * dt > STAMP_MINUTES[1]:
         raise ValueError(
             "--n and --dt put the last bar after 9999-12-31T23:59: "
@@ -793,7 +661,7 @@ def cmd_synth(cfg: dict) -> int:
         del steps
 
     columns = {"timestamp": series.times.view("datetime64[m]"), "close": series.close}
-    _publish("synth", cfg, digest, {out: _csv_chunks(out.name, digest, columns)}, out)
+    _publish("synth", cfg, digest, {out: csv_chunks(out.name, digest, columns)}, out)
     print(f"wrote {out}")
     return 0
 

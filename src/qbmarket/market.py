@@ -1,9 +1,10 @@
-"""Minute-bar ingestion, return statistics, and synthetic series.
+"""Minute-bar series, return statistics, and synthetic series.
 
-Ingests `timestamp,close[,session]` CSV, computes log-return samples at a
-horizon, drift/volatility scaling, density histograms, lag autocorrelations
-and horizon kurtosis, and generates seeded synthetic series for testing the
-pipeline end to end. All estimators are pure functions over immutable series.
+Holds the validated price series (csvio.load_prices reads one from CSV),
+computes log-return samples at a horizon, drift/volatility scaling, density
+histograms, lag autocorrelations and horizon kurtosis, and generates seeded
+synthetic series for testing the pipeline end to end. All estimators are pure
+functions over immutable series.
 
 Session handling: returns are paired intraday-only by default (pairs spanning
 a session boundary are dropped) because session-spanning returns mix
@@ -13,15 +14,10 @@ for sensitivity checks.
 
 from __future__ import annotations
 
-import csv
 import math
-import re
-import sys
-from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,26 +26,13 @@ from .errors import DataError, DegenerateDataError, InsufficientDataError, Numer
 from .model import NonMarkovParams
 
 __all__ = [
-    "PriceSeries",
-    "ReturnSeries",
-    "AcfEstimate",
-    "ScalingResult",
-    "HistogramResult",
-    "KurtosisResult",
-    "load_prices",
-    "stamp_bytes",
-    "log_returns",
-    "drift_vol_scaling",
-    "return_histogram",
-    "empirical_acf",
-    "empirical_kurtosis",
-    "synth_gbm",
+    "PriceSeries", "ReturnSeries", "AcfEstimate", "ScalingResult", "HistogramResult", "KurtosisResult",
+    "log_returns", "drift_vol_scaling", "return_histogram", "empirical_acf", "empirical_kurtosis", "synth_gbm",
     "synth_colored",
 ]
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 # Synthetic series start on an arbitrary fixed Monday morning.
-SYNTH_START_MINUTE = int((datetime(2000, 1, 3, 9, 30, tzinfo=timezone.utc) - _EPOCH).total_seconds() // 60)
+SYNTH_START_MINUTE = int(datetime(2000, 1, 3, 9, 30, tzinfo=timezone.utc).timestamp()) // 60
 
 PAIRING_POLICIES = ("intraday-only", "contiguous")
 
@@ -172,383 +155,6 @@ class AcfEstimate:
         _freeze(self, lags=np.int64, values=float, counts=np.int64, stderr=float)
         if np.any(self.counts <= 0):
             raise ValueError("reported lags must have positive pair counts")
-
-
-# the minute and second fields of a UTC offset; fromisoformat carries a value
-# of 60 or more into the next field (+12:60 reads as +13:00)
-_OFFSET_FIELDS = re.compile(r"[+-]\d\d:?(\d\d)(?::?(\d\d)(?:\.\d+)?)?$")
-
-
-def _parse_minute(text: str, line_no: int) -> int:
-    try:
-        stamp = datetime.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise DataError(f"line {line_no}: cannot parse timestamp {text!r}") from exc
-    offset = _OFFSET_FIELDS.search(text.strip())
-    if offset and max(int(field or 0) for field in offset.groups()) >= 60:
-        raise DataError(f"line {line_no}: timestamp {text!r} has an offset field of 60 or more")
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    seconds = (stamp - _EPOCH).total_seconds()
-    minutes = seconds / 60.0
-    if minutes != int(minutes):
-        raise DataError(f"line {line_no}: timestamp {text!r} is not at minute resolution")
-    return int(minutes)
-
-
-# a line and its end (`\r\n`, `\r` or `\n`: readline's split of a file opened with newline="")
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
-
-
-def _read_lines(text: str, line_no: int, n_fields: int, last: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-line parser of the rows in text, whose first line is line line_no
-    of the file and which follow a row at minute last (-inf before the first
-    row): times, prices and session labels ("" without the session field).
-    Errors name the line."""
-    times = array("q")
-    closes = array("d")
-    labels: list[str] = []
-    for line_no, match in enumerate(_LINE.finditer(text), start=line_no):
-        raw = match[0]
-        # '#' lines are tool header comments (version, input digest)
-        if raw.lstrip().startswith("#"):
-            continue
-        row = next(csv.reader([raw])) if raw.strip() else []
-        if not row or all(not cell.strip() for cell in row):
-            raise DataError(f"line {line_no}: blank row")
-        if len(row) != n_fields:
-            raise DataError(f"line {line_no}: expected {n_fields} fields, got {len(row)}")
-        minute = _parse_minute(row[0], line_no)
-        try:
-            price = float(row[1])
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: cannot parse price {row[1]!r}") from exc
-        if not math.isfinite(price) or price <= 0:
-            raise DataError(f"line {line_no}: non-positive price {row[1]!r}")
-        if minute == last:
-            raise DataError(f"line {line_no}: duplicate timestamp {row[0]!r}")
-        if minute < last:
-            raise DataError(f"line {line_no}: timestamps out of order at {row[0]!r}")
-        last = minute
-        times.append(minute)
-        closes.append(price)
-        # interned, so that the rows of a session share one string
-        labels.append(sys.intern(row[2].strip()) if n_fields == 3 else "")
-    return np.asarray(times), np.asarray(closes), np.array(labels, dtype=object)
-
-
-# The stamp forms read by column, and the comma after the stamp. The first
-# row of a block fixes which one the block has; its other rows must match it.
-_STAMP = re.compile(rb"\d{4}-\d\d-\d\d[T ]\d\d:\d\d(:\d\d)?(Z|[+-]\d\d:\d\d)?,")
-# text characters read at a time; load_prices then completes the last line
-_READ_BLOCK = 1 << 18
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int64)
-
-
-def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
-    """Days from 1970-01-01 to each proleptic Gregorian date (H. Hinnant,
-    "chrono-Compatible Low-Level Date Algorithms"), in int64."""
-    year = year - (month <= 2)
-    era = year // 400
-    yoe = year - era * 400
-    doy = (153 * (month + np.where(month > 2, -3, 9)) + 2) // 5 + day - 1
-    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-
-
-def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Year, month and day of each count of days from 1970-01-01: the inverse
-    of _days_from_civil (same source), in int64."""
-    z = days + 719468
-    era = z // 146097
-    doe = z - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    month = mp + np.where(mp < 10, 3, -9)
-    return yoe + era * 400 + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
-
-
-# ASCII bytes of "00" to "99", one row each
-_TWO_DIGITS = np.array([f"{i:02d}" for i in range(100)], dtype="S2").view(np.uint8).reshape(100, 2)
-# the first and last minutes that a four-digit-year stamp can name
-STAMP_MINUTES = tuple(
-    int((datetime(*date, tzinfo=timezone.utc) - _EPOCH).total_seconds() // 60)
-    for date in ((1, 1, 1), (9999, 12, 31, 23, 59))
-)
-
-
-def _digit_pairs(template: bytes, fields: Sequence[np.ndarray], columns: Sequence[int]) -> np.ndarray:
-    """Rows of the ASCII template with each field's two digits (0 to 99) at
-    its column."""
-    text = np.tile(np.frombuffer(template, dtype=np.uint8), (len(fields[0]), 1))
-    for value, column in zip(fields, columns):
-        text[:, column : column + 2] = _TWO_DIGITS[value]
-    return text
-
-
-# `HH:MM` of each minute of the day
-_CLOCK = _digit_pairs(b"00:00", np.divmod(np.arange(1440), 60), (0, 3)).view("S5").ravel()
-
-
-def stamp_bytes(times: np.ndarray) -> np.ndarray:
-    """`YYYY-MM-DDTHH:MM` stamps of minutes since the epoch as ASCII bytes,
-    one row of 16 uint8 per minute: each day's date once, from the two-digit
-    table in integer arithmetic, and the time of day from a table of the
-    day's minutes. Years outside 1-9999 are refused: their stamps would not
-    have this form."""
-    times = np.asarray(times, dtype=np.int64)
-    if len(times) and not (STAMP_MINUTES[0] <= times.min() and times.max() <= STAMP_MINUTES[1]):
-        raise ValueError("minute stamps need years 1 to 9999")
-    days, minutes = np.divmod(times, 1440)
-    days, day_of = np.unique(days, return_inverse=True)
-    year, month, day = _civil_from_days(days.astype(np.int32))  # under 3e6 days
-    dates = _digit_pairs(b"0000-00-00", (*np.divmod(year, 100), month, day), (0, 2, 5, 8)).view("S10").ravel()
-    text = np.empty((len(times), 16), dtype=np.uint8)
-    text[:, :10] = dates[day_of].view(np.uint8).reshape(-1, 10)
-    text[:, 10] = ord("T")
-    text[:, 11:] = _CLOCK[minutes].view(np.uint8).reshape(-1, 5)
-    return text
-
-
-def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """The width bytes of the contiguous uint8 array buf from each start, a
-    row each: one gather of void items, which numpy copies whole where it
-    copies a window view's rows byte by byte."""
-    items = np.ndarray((len(buf) - width + 1,), f"V{width}", buf, strides=(1,))
-    return items[starts].view(np.uint8).reshape(len(starts), width)
-
-
-def _fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray, right: bool) -> np.ndarray:
-    """Each field buf[lo:hi] in a row of a uint8 array as wide as the widest
-    (at least 1), right-aligned or else left-aligned, NUL bytes beside it:
-    windows of buf, and a copy alone of each field whose window would leave
-    buf."""
-    size = hi - lo
-    width = max(int(size.max()), 1)
-    start = hi - width if right else lo
-    inside = np.minimum(np.maximum(start, 0), len(buf) - width)
-    cells = _windows(buf, inside, width)
-    # the width bytes from k on of width zeros then width ones keep the last k columns
-    edge = np.zeros(2 * width, dtype=np.uint8)
-    edge[width:] = 1
-    cells *= _windows(edge, size, width) if right else _windows(1 - edge, width - size, width)
-    for row in np.flatnonzero(inside != start):
-        cells[row] = 0
-        place = slice(width - size[row], None) if right else slice(size[row])
-        cells[row, place] = buf[lo[row] : hi[row]]
-    return cells
-
-
-def _read_block(text: str, n_fields: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Times, closes and session labels (bytes, empty without the session
-    field) of the whole rows in text, read by column, if every stamp has the
-    form of the first: `YYYY-MM-DD{T| }HH:MM`, then an optional `:00`, then
-    an optional `Z` or `+HH:MM`/`-HH:MM` offset. Each row's commas are
-    checked: the stamp's, and in a session file one more inside the row.
-    Stamps, closes and labels are then gathered from the bytes as fields.
-    The stamps are checked (month, day within the month, hour, minute and
-    offset) and converted by the days-from-civil formula. The closes are
-    converted to the doubles `float` reads by _decimals.parse, whose domain
-    is plain decimals (digits and at most one '.') of 1 to READ_WIDTH
-    characters, with a nonzero digit, at most SPAN columns from the first
-    nonzero digit to the end ('.' included) and at most MAX_FRACTION digits
-    after the '.': every close `%.17g` writes of 1 <= x < 1e15, as `qbm
-    synth` does, and `%.12g` and repr in fixed notation.
-
-    Returns None where _read_lines is needed: other stamp forms, nonzero
-    seconds, a date or time out of range, non-ASCII text, carriage returns,
-    comments, quotes, blank rows or whitespace (bar the space separating date
-    and time), a close outside the kernel's domain (a sign, an exponent, `_`,
-    a second '.', an empty field, zero, or too many digits), a row with a
-    field too many or too few, times that do not increase, labels whose
-    widest times the rows exceeds twice the block, and any row that fails
-    validation, so the error names the same line either way.
-    """
-    if "\r" in text or not text.isascii() or any(c in text for c in '"#\x7f'):
-        return None
-    data = text.encode("ascii")
-    first = _STAMP.match(data)
-    if first is None:
-        return None
-    # the stamp and its comma with digits as 0
-    layout = np.frombuffer(re.sub(rb"\d", b"0", first[0]), dtype=np.uint8)
-    # the column of the offset's sign, before `HH:MM,`
-    sign = len(layout) - 7 if layout[-7] in b"+-" else None
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if data.endswith(b"\n"):
-        buf = buf[:-1]
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate([[0], ends + 1])
-    row_ends = np.append(ends, len(buf))
-    if np.any(row_ends - starts <= len(layout)):
-        return None
-    # the newline is the only control or blank byte a row may hold, bar the
-    # date-time separator of the space layout (checked below to sit at 10)
-    spaces = len(starts) if layout[10] == ord(" ") else 0
-    if np.count_nonzero(buf <= ord(" ")) != len(ends) + spaces:
-        return None
-    # each row's fields: the stamp holds no comma but its last (checked
-    # below), and a session row's second comma lies within the row
-    commas = np.flatnonzero(buf == ord(","))
-    if len(commas) != len(starts) * (n_fields - 1):
-        return None
-    close_ends = row_ends
-    if n_fields == 3:
-        close_ends = commas[1::2]
-        if not (np.all(commas[::2] == starts + len(layout) - 1) and np.all(close_ends < row_ends)):
-            return None
-    del commas
-
-    stamps = _windows(buf, starts, len(layout))
-    digits = stamps - np.uint8(ord("0"))  # non-digits wrap above 9
-    is_digit = layout == ord("0")
-    literal = ~is_digit
-    if sign is not None:
-        literal[sign] = False
-        if not np.all((stamps[:, sign] == ord("+")) | (stamps[:, sign] == ord("-"))):
-            return None
-    if not (np.all(digits[:, is_digit] <= 9) and np.all(stamps[:, literal] == layout[literal])):
-        return None
-
-    def number(column: int, n_digits: int) -> np.ndarray:
-        value = np.zeros(len(starts), dtype=np.int64)
-        for c in range(column, column + n_digits):
-            value = value * 10 + digits[:, c]
-        return value
-
-    year, month, day = number(0, 4), number(5, 2), number(8, 2)
-    hour, minute = number(11, 2), number(14, 2)
-    if not (np.all(year >= 1) and np.all((month >= 1) & (month <= 12))):
-        return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[month - 1] + ((month == 2) & leap)
-    if not np.all((day >= 1) & (day <= month_days) & (hour <= 23) & (minute <= 59)):
-        return None
-    # nonzero seconds are left to the per-line parser's resolution error
-    if layout[16] == ord(":") and np.any(digits[:, 17:19]):
-        return None
-    times = _days_from_civil(year, month, day) * 1440 + hour * 60 + minute
-    if sign is not None:
-        offset = number(sign + 1, 2), number(sign + 4, 2)
-        if not np.all((offset[0] <= 23) & (offset[1] <= 59)):
-            return None
-        times -= np.where(stamps[:, sign] == ord("-"), -1, 1) * (offset[0] * 60 + offset[1])
-    if not np.all(np.diff(times) > 0):
-        return None
-    del stamps, digits
-
-    from ._decimals import READ_WIDTH, parse
-
-    close_starts = starts + len(layout)
-    if not (np.all(close_ends > close_starts) and np.all(close_ends - close_starts <= READ_WIDTH)):
-        return None
-    # parse reads only positive finite closes: a nonzero digit, at most SPAN columns
-    close = parse(_fields(buf, close_starts, close_ends, right=True))
-    if close is None:
-        return None
-    labels = np.zeros(len(starts), dtype="S1")
-    if n_fields == 3:
-        # every label is held as wide as the widest (and the gather's mask
-        # again): one long label among short ones is left to _read_lines
-        if len(starts) * (int(np.max(row_ends - close_ends)) - 1) > 2 * len(buf):
-            return None
-        labels = _fields(buf, close_ends + 1, row_ends, right=False)
-        labels = labels.view(f"S{labels.shape[1]}").ravel()
-    return times, close, labels
-
-
-def load_prices(source: str | Path | TextIO) -> PriceSeries:
-    """Read and validate a `timestamp,close[,session]` CSV.
-
-    Timestamps must be ISO-8601 at minute resolution, strictly increasing;
-    prices must be positive. Malformed rows are hard errors naming the line.
-    Rows sharing a session label form one session; without the column the
-    whole series is one session.
-
-    Comment and header lines are split as rows are (at `\r\n`, `\r` or
-    `\n`), also from a text stream whose readline splits only at `\n`.
-    After the header (leading `#` lines skipped, names matched without case
-    or padding) the rows are read in blocks of whole lines, about
-    _READ_BLOCK characters each, so the text is never held whole: besides
-    the series (24 bytes a row), one block and what it parses to are in
-    memory at a time. That fixed cost is about 1.3 MiB: a text read alone
-    peaks at four to five times the block (the bytes read, the decoded text,
-    their join and the readline completing the last line). Joining the
-    blocks at the end briefly holds a column twice, about 10 bytes a row
-    above the series. Each block is read by column (_read_block) where its
-    stamps and closes allow, its closes by an exact integer kernel
-    (_decimals.parse); a block it refuses (one close that is not a plain
-    decimal is enough), or one whose first time is not after the previous
-    block's last, goes alone to the per-line parser (_read_lines), whose
-    rows as Python objects take under the block's size again. Session
-    changes and the order of rows are checked across blocks.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            try:
-                return load_prices(handle)
-            except UnicodeDecodeError as exc:
-                # exc.object is the text layer's last decode: the bytes it held
-                # back from the chunk before, then the chunk, which ends at tell()
-                offset = handle.buffer.tell() - len(exc.object) + exc.start
-                byte = exc.object[exc.start]
-                raise DataError(f"{source}: not UTF-8 text ('utf-8' codec can't decode byte 0x{byte:02x} "
-                                f"in position {offset}: {exc.reason})") from exc
-
-    # readline's text split by _LINE, since a stream's readline may split only at `\n`
-    lines = ((match, chunk) for chunk in iter(source.readline, "") for match in _LINE.finditer(chunk))
-    for line_no, (match, chunk) in enumerate(lines, start=1):
-        if not match[0].lstrip().startswith("#"):
-            break
-    else:
-        raise DataError("empty file")
-    header = [h.strip().lower() for h in next(csv.reader([match[0]]))]
-    if header not in (["timestamp", "close"], ["timestamp", "close", "session"]):
-        raise DataError(f"line {line_no}: expected header 'timestamp,close[,session]', got {','.join(header)!r}")
-    n_fields = len(header)
-    pending = chunk[match.end():]  # what readline returned past the header: the start of the first block
-
-    times, closes, changes = [], [], []
-    label = None  # the session label of the last row read; a first row starts a session
-    while text := pending + source.read(_READ_BLOCK):
-        pending = ""
-        if not text.endswith("\n"):
-            text += source.readline()
-        last = times[-1][-1] if times else -math.inf
-        block = _read_block(text, n_fields)
-        if block is None or block[0][0] <= last:
-            block = _read_lines(text, line_no + 1, n_fields, last)
-            # the lines of text, as _LINE splits them
-            line_no += text.count("\n") + text.count("\r") - text.count("\r\n")
-        else:
-            # a block read by column has a row on each line and no `\r`
-            line_no += len(block[0])
-        block_times, block_closes, labels = block
-        if not len(block_times):
-            continue
-        times.append(block_times)
-        closes.append(block_closes)
-        # compared as Python strings: a column block's labels are ASCII bytes
-        first, end = (str(x, "ascii") if isinstance(x, bytes) else x for x in (labels[0], labels[-1]))
-        changes += [[first != label], labels[1:] != labels[:-1]]
-        label = end
-    if not times:
-        raise DataError("empty file: no data rows")
-
-    # each list of blocks freed as it is joined
-    times = np.concatenate(times)
-    closes = np.concatenate(closes)
-    changes = np.concatenate(changes)
-    # before steps is freed, which raises glibc's mmap threshold to a
-    # column's size and would put this column in the heap
-    session_idx = np.cumsum(changes, dtype=np.int64)
-    session_idx -= 1
-    # the base step: the gcd of the steps within sessions (gcd(0, x) = x)
-    steps = np.diff(times)
-    steps[changes[1:]] = 0
-    base_minutes = int(np.gcd.reduce(steps)) or 1
-    del steps
-    return PriceSeries(times=times, close=closes, session_idx=session_idx, base_minutes=base_minutes)
 
 
 def _slots(

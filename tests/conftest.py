@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qbmarket import ModelParams, NonMarkovParams, SecondMomentInit, market, minimal_uncertainty_momentum
+from qbmarket import ModelParams, NonMarkovParams, SecondMomentInit, _decimals, market, minimal_uncertainty_momentum
 from qbmarket.dynamics import MomentState
 from qbmarket.dynamics.moments import MOMENT_KEYS, _generator_matrices
 
@@ -41,17 +41,17 @@ def kurtosis_params() -> ModelParams:
 
 @pytest.fixture
 def read_blocks(monkeypatch) -> list[bool]:
-    """Per block that market._read_block is given during the test, in order,
+    """Per block that _decimals.read_block is given during the test, in order,
     whether it read the block by column (True) or refused it (False)."""
     read: list[bool] = []
-    read_block = market._read_block
+    read_block = _decimals.read_block
 
     def spy(*args):
         block = read_block(*args)
         read.append(block is not None)
         return block
 
-    monkeypatch.setattr(market, "_read_block", spy)
+    monkeypatch.setattr(_decimals, "read_block", spy)
     return read
 
 

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbmarket import (
-    ModelParams, NonMarkovParams, __version__, acf_model, cli, delta_coefficient, lambda_coefficient, market,
+    ModelParams, NonMarkovParams, __version__, acf_model, cli, csvio, delta_coefficient, lambda_coefficient, market,
 )
 from qbmarket.cli import main
 from qbmarket.errors import NumericalError
@@ -37,7 +38,7 @@ def assert_acf_table_matches(path, prices, max_lag):
     against reference_acf on its 1-minute intraday returns, within the
     stated tolerance."""
     header, rows = read_csv(path)
-    returns = market.log_returns(market.load_prices(prices), 1, policy="intraday-only")
+    returns = market.log_returns(csvio.load_prices(prices), 1, policy="intraday-only")
     ref = reference_acf(returns.times, returns.session_idx, returns.values, max_lag, "intraday-only")
     column = {name: rows[:, header.index(name)] for name in header}
     table = SimpleNamespace(lags=column["lag"], values=column["acf"], counts=column["count"],
@@ -626,7 +627,7 @@ def csv_tables(draw):
     (NaN allowed) columns, in any order and number, with edge values at
     drawn rows. A float column's magnitudes span the whole float range, the
     writer kernel's range 1 to 1e15, or a price's random walk."""
-    block = cli._CSV_BLOCK
+    block = csvio._CSV_BLOCK
     n = draw(st.sampled_from([block - 1, block, block + 1, 2 * block + draw(st.integers(1, block - 1))]))
     names = draw(st.lists(st.sampled_from(["timestamp", "acf", "lag", "count", "stderr", "close"]), min_size=1,
                           max_size=6, unique=True))
@@ -635,7 +636,7 @@ def csv_tables(draw):
     columns = {}
     for name in names:
         if name == "timestamp":
-            lo, hi = market.STAMP_MINUTES
+            lo, hi = csvio.STAMP_MINUTES
             if draw(st.booleans()):
                 col = market.SYNTH_START_MINUTE + np.cumsum(rng.integers(1, 500, n))
             else:
@@ -675,8 +676,8 @@ class TestWriters:
             cli._json_text("r.json", {"amplitude": math.nan})
 
     def test_csv_writer_writes_minutes_as_stamps_block_by_block(self):
-        times = market.SYNTH_START_MINUTE + 7 * np.arange(cli._CSV_BLOCK + 1)
-        text = "".join(cli._csv_chunks("p.csv", "0", {"timestamp": times.view("datetime64[m]"), "close": times}))
+        times = market.SYNTH_START_MINUTE + 7 * np.arange(csvio._CSV_BLOCK + 1)
+        text = "".join(csvio.csv_chunks("p.csv", "0", {"timestamp": times.view("datetime64[m]"), "close": times}))
         rows = [line.split(",") for line in text.splitlines()[2:]]
         stamps = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
         assert [stamp for stamp, _ in rows] == stamps.tolist()
@@ -685,7 +686,7 @@ class TestWriters:
     @given(columns=csv_tables())
     @settings(max_examples=40, deadline=None)
     def test_csv_writer_bytes_equal_a_cell_by_cell_reference(self, columns):
-        assert "".join(cli._csv_chunks("t.csv", "ab12", columns)) == reference_csv("ab12", columns)
+        assert "".join(csvio.csv_chunks("t.csv", "ab12", columns)) == reference_csv("ab12", columns)
 
     def test_kernel_writes_every_close_of_the_benchmark_synth(self, tmp_path, monkeypatch):
         # the market_colored benchmark's synth: 1e5 bars at the paper's S&P
@@ -702,14 +703,14 @@ class TestWriters:
         monkeypatch.setattr(_g17, "g17", g17)
         assert run(["synth", "--kind", "colored", "--n", 100_000, "--xi", 5.48e-4, "--eta", 5.56e-3, "--omega", 0.02617,
                     "--seed", 7, "--out", tmp_path / "prices.csv"]) == 0
-        assert written == [(cli._CSV_BLOCK, cli._CSV_BLOCK)] * (100_000 // cli._CSV_BLOCK)
+        assert written == [(csvio._CSV_BLOCK, csvio._CSV_BLOCK)] * (100_000 // csvio._CSV_BLOCK)
 
     def test_csv_writer_refuses_non_finite_outside_stderr(self):
         lags = np.arange(3)
         with pytest.raises(NumericalError, match="'acf'"):
-            cli._csv_chunks("a.csv", "0", {"lag": lags, "acf": np.array([1.0, math.inf, 0.5])})
+            csvio.csv_chunks("a.csv", "0", {"lag": lags, "acf": np.array([1.0, math.inf, 0.5])})
         # a lag with a single pair has no standard error
-        text = "".join(cli._csv_chunks("a.csv", "0", {"lag": lags, "stderr": np.array([0.1, 0.2, math.nan])}))
+        text = "".join(csvio.csv_chunks("a.csv", "0", {"lag": lags, "stderr": np.array([0.1, 0.2, math.nan])}))
         assert text.splitlines()[-1] == "2,nan"
 
     def test_analyze_writes_no_table_when_one_is_not_finite(self, tmp_path, monkeypatch):
@@ -800,7 +801,7 @@ class TestSynthAndAnalyze:
         assert f"need (--n - 1) * --dt <= {limit}" in capsys.readouterr().err
         assert run(flags + ["--dt", limit]) == 0
         assert prices.read_text().splitlines()[-1].startswith("9999-12-31T23:59,")
-        series = market.load_prices(prices)
+        series = csvio.load_prices(prices)
         assert series.times[-1] - series.times[0] == limit
 
     @pytest.mark.parametrize("eta, need", [(5e-3, "2000"), (1e-320, "inf")], ids=["short", "eta-subnormal"])
@@ -1174,7 +1175,7 @@ class TestFitCommand:
         assert "degenerate" in report["diagnostic"]
 
     def test_fit_kurtosis(self, tmp_path):
-        taus = np.linspace(5, 400, 40)
+        taus = np.arange(10, 401, 10)  # whole minutes: a fractional tau is a data error
         kappa = 197.0 * np.exp(-0.01 * taus)
         path = tmp_path / "k.csv"
         path.write_text("tau,kurtosis\n" + "\n".join(f"{t},{k:.17g}" for t, k in zip(taus, kappa)) + "\n")
@@ -1243,7 +1244,16 @@ class TestFitCommand:
         ("# qbmarket\nlag,acf\n", "no data rows"),
         ("lag,value\n0,1\n5,0.5\n", "missing column(s) ['acf']"),
         ("lag,acf,count\n0,1,10\n5,0.5\n", "row 2 has 2 fields, expected 3"),
-    ], ids=["no-rows", "missing-column", "short-row"])
+        ("lag,acf,count\r0,1,10\r5,0.5\r", "row 2 has 2 fields, expected 3"),
+        ("lag,acf,count\r\n0,1,10\r\n5,0.5\r\n", "row 2 has 2 fields, expected 3"),
+        ("lag,acf,count\n0,1,10\n# a comment\n5,0.5\n", "row 2 has 2 fields, expected 3"),
+        ("lag,acf,count\n0,1,10\n\n  \n5,0.5\n", "row 2 has 2 fields, expected 3"),
+        ("lag,acf\n# qbmarket\n", "no data rows"),
+        ("", "no data rows"),
+        ("# qbmarket\n", "no data rows"),
+        ("\n  \nlag,acf,count\n0,1,10\n5,0.5\n", "row 2 has 2 fields, expected 3"),
+    ], ids=["no-rows", "missing-column", "short-row", "cr", "crlf", "comment-after-header", "blank-lines",
+            "only-a-comment-after-header", "empty", "only-a-comment", "blank-lines-before-header"])
     def test_malformed_estimator_table_is_data_error(self, tmp_path, capsys, text, named):
         path = tmp_path / "est.csv"
         path.write_text(text)
@@ -1269,12 +1279,16 @@ class TestFitCommand:
     @pytest.mark.parametrize("kind, text", [
         ("acf", b"lag,acf\n0,1\n5,0.\xff5\n10,0.25\n"),
         ("kurtosis", b"tau,kurtosis\n5,1\n10,0.\xff5\n15,0.25\n"),
-    ], ids=["acf", "kurtosis"])
+        ("kurtosis", b"tau,kurtosis\n5,1\n10,0.5\n15,0.25\n20\xff,0.125\n"),
+        ("kurtosis", b"tau,kurtosis\r5,1\r10,0.\xff5\r15,0.25\r"),
+    ], ids=["acf", "kurtosis", "kurtosis-byte-34", "kurtosis-cr"])
     def test_non_utf8_estimator_csv_is_data_error(self, tmp_path, capsys, kind, text):
         path = tmp_path / "est.csv"
         path.write_bytes(text)
         assert run(["fit", "--kind", kind, "--input", path, "--out", tmp_path / "o.json"]) == 2
-        assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
+        position = text.index(b"\xff")
+        assert f"data error: {path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position {position}: " \
+               "invalid start byte)" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["est.csv"]
 
     @pytest.mark.parametrize("header, row", [("lag,acf", "5.5,0.5"), ("lag,acf,count", "5,0.5,99.5"),
@@ -1291,6 +1305,26 @@ class TestFitCommand:
         column = header.split(",")[-1] if header.endswith("count") else "lag"
         assert f"data error: {path}: row 2: {column} is not a 64-bit integer" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["acf.csv"]
+
+    TAU_RULE = "; taus must be positive and strictly increasing"
+
+    @pytest.mark.parametrize("taus, row, named", [
+        ("5,5,-10,0,20,30", 2, "tau 5 does not exceed the tau 5 before it" + TAU_RULE),
+        ("5,10,-10,20,30", 3, "tau -10 is negative" + TAU_RULE),
+        ("0,5,10,20,30", 1, "tau 0 is zero" + TAU_RULE),
+        ("5,10,10.5,20,30", 3, "tau is not a 64-bit integer ('10.5')"),
+        ("5.5,10,15,20,30", 1, "tau is not a 64-bit integer ('5.5')"),
+    ], ids=["repeated", "negative", "zero", "fractional", "fractional-first"])
+    def test_malformed_taus_are_data_errors(self, tmp_path, capsys, taus, row, named):
+        # each was fitted and exited 0; a horizon is a whole number of minutes,
+        # and the lag check of the acf table now holds for taus too
+        path = tmp_path / "k.csv"
+        path.write_text("tau,kurtosis\n" + "".join(f"{t},{197 * math.exp(-0.01 * float(t))!r}\n"
+                                                   for t in taus.split(",")))
+        assert run(["fit", "--kind", "kurtosis", "--input", path, "--out", tmp_path / "o.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {path}: row {row}: {named}" in err, err
+        assert [p.name for p in tmp_path.iterdir()] == ["k.csv"]
 
     @pytest.mark.parametrize("count", ["-7", "0"])
     def test_count_below_one_is_data_error(self, tmp_path, capsys, count):
@@ -1510,9 +1544,9 @@ class TestImports:
     # the name of a module to import (the probe's control, which must be seen),
     # or {"read": "module.name"}, a read of a name the module does not have.
     SCIPY_ON_DEMAND = ("scipy.signal", "scipy.optimize", "scipy.integrate", "scipy.ndimage")
-    LAYERS = ("numpy", "qbmarket.model", "qbmarket.market", "qbmarket.calibrate", "qbmarket.dynamics.moments",
-              "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace", "qbmarket._g17",
-              "qbmarket._decimals")
+    LAYERS = ("numpy", "qbmarket.model", "qbmarket.market", "qbmarket.csvio", "qbmarket.calibrate",
+              "qbmarket.dynamics.moments", "qbmarket.dynamics.montecarlo", "qbmarket.dynamics.phasespace",
+              "qbmarket._g17", "qbmarket._decimals")
     SCRIPT = """
 import importlib, json, sys
 
@@ -1647,25 +1681,32 @@ print(json.dumps(loaded))
 
     SIM = ["--x2", "1", "--p2", "1", "--t-end", "0.01", "--points", "3"]
 
+    # every command writes through csvio; only analyze reads prices, by the
+    # column kernel in _decimals, and only the acf fit needs a market type
     @pytest.mark.parametrize("argv, layers", [
-        (["eval", "--formula", "classical", "--start", "0", "--end", "1", "--out", "e.csv"], ["model"]),
-        (["simulate", "--mode", "moments", *SIM, "--out-prefix", "m"], ["model", "dynamics.moments"]),
+        (["eval", "--formula", "classical", "--start", "0", "--end", "1", "--out", "e.csv"], ["model", "csvio"]),
+        (["simulate", "--mode", "moments", *SIM, "--out-prefix", "m"], ["model", "csvio", "dynamics.moments"]),
         (["simulate", "--mode", "sde", *SIM, "--n-paths", "1000", "--seed", "1", "--out-prefix", "s"],
-         ["model", "dynamics.moments", "dynamics.montecarlo"]),
+         ["model", "csvio", "dynamics.moments", "dynamics.montecarlo"]),
         (["simulate", "--mode", "pde", *SIM, "--nx", "16", "--np", "16", "--out-prefix", "p"],
-         ["model", "dynamics.moments", "dynamics.phasespace"]),
-        (["synth", "--kind", "gbm", "--n", "600", "--seed", "1", "--out", "g.csv"], ["model", "market"]),
+         ["model", "csvio", "dynamics.moments", "dynamics.phasespace"]),
+        (["synth", "--kind", "gbm", "--n", "600", "--seed", "1", "--out", "g.csv"], ["model", "market", "csvio"]),
         # a table with a full block is the only one the CSV writer's kernel writes
-        (["synth", "--n", "4096", "--kind", "gbm", "--seed", "1", "--out", "b.csv"], ["model", "market", "_g17"]),
+        (["synth", "--n", "4096", "--kind", "gbm", "--seed", "1", "--out", "b.csv"],
+         ["model", "market", "csvio", "_g17"]),
         # the price reader's kernel reads each block's closes
         (["analyze", "--input", "prices.csv", "--taus", "1:3:1", "--max-lag", "5", "--out-prefix", "run"],
-         ["model", "market", "_decimals"]),
-        (["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"], ["model", "market", "calibrate"]),
-    ], ids=["eval", "moments", "sde", "pde", "synth", "synth-full-block", "analyze", "fit"])
+         ["model", "market", "csvio", "_decimals"]),
+        (["fit", "--kind", "kurtosis", "--input", "k.csv", "--out", "k.json"], ["model", "csvio", "calibrate"]),
+        (["fit", "--kind", "acf", "--input", "a.csv", "--out", "a.json"], ["model", "market", "csvio", "calibrate"]),
+    ], ids=["eval", "moments", "sde", "pde", "synth", "synth-full-block", "analyze", "fit", "fit-acf"])
     def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):
         assert run(["synth", "--kind", "gbm", "--n", 600, "--seed", 1, "--out", tmp_path / "prices.csv"]) == 0
         (tmp_path / "k.csv").write_text("tau,kurtosis\n" + "".join(f"{t},{197 * math.exp(-0.01 * t)!r}\n"
                                                                     for t in range(5, 205, 5)))
+        lags = np.arange(0, 481, 5)
+        acf = acf_model(NonMarkovParams(xi=5.48e-4, eta=5.56e-3, omega=0.026), lags.astype(float))
+        (tmp_path / "a.csv").write_text("lag,acf\n" + "".join(f"{l},{v!r}\n" for l, v in zip(lags, acf.tolist())))
         loaded = self.probe(tmp_path, [argv], self.LAYERS)
         assert loaded.pop(" ".join(argv[:3]) + " -> exit 0") == ["numpy", *(f"qbmarket.{m}" for m in layers)]
         assert loaded == {"import qbmarket": [], "--version": []}
@@ -1741,10 +1782,21 @@ print(json.dumps(loaded))
                 assert home.startswith("."), (module.__name__, home)
                 relative = importlib.util.resolve_name(home, module.__package__).split(".")[1:]
                 assert package.joinpath(*relative).with_suffix(".py").is_file(), (module.__name__, home)
-        cli._bind(*cli._HOMES)
-        moved = [(home, name) for home, names in cli._HOMES.items() for name in names
-                 if vars(cli)[name] is not getattr(importlib.import_module(home, "qbmarket"), name)]
-        assert moved == []
+
+    @pytest.mark.parametrize("module", ["qbmarket", "qbmarket.dynamics", "qbmarket.cli"])
+    def test_each_name_has_one_home(self, module):
+        # a name left in a table under the module it moved out of (load_prices
+        # under .market, say) failed only when a command read it
+        module = importlib.import_module(module)
+        names = [name for names in module._HOMES.values() for name in names]
+        assert sorted({name for name in names if names.count(name) > 1}) == []
+        for home, names in module._HOMES.items():
+            home = importlib.import_module(home, module.__package__)
+            for name in names:
+                value = getattr(module, name)
+                assert value is getattr(home, name), (home.__name__, name)
+                if isinstance(value, (type, types.FunctionType)):
+                    assert value.__module__ == home.__name__, (home.__name__, name)
 
 
 class TestHelp:

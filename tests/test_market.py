@@ -26,7 +26,7 @@ from qbmarket import (
     synth_colored,
     synth_gbm,
 )
-from qbmarket import market
+from qbmarket import _decimals, csvio, market
 from qbmarket.cli import main
 from qbmarket.market import PAIRING_POLICIES, PriceSeries, ReturnSeries, SYNTH_START_MINUTE
 
@@ -96,6 +96,12 @@ class TestLoadPrices:
         series = make_prices("# qbmarket 0.1.0; input sha256=deadbeef\n" + CSV_OK)
         assert len(series) == 3
 
+    def test_blank_lines_before_the_header_skipped(self):
+        # the header rule that fit's estimator reader shares: it skipped them
+        assert len(make_prices("\n \n# qbmarket\n" + CSV_OK)) == 3
+        with pytest.raises(DataError, match="line 3: cannot parse timestamp"):
+            make_prices("\ntimestamp,close\nyesterday,100.0\n")
+
     @pytest.mark.parametrize("case", ["past-the-first-chunk", "character-across-blocks",
                                       "in-a-readline-completion", "after-a-character-across-chunks"])
     def test_not_utf8_error_names_the_byte_of_the_file(self, tmp_path, monkeypatch, case):
@@ -105,12 +111,12 @@ class TestLoadPrices:
         if case == "past-the-first-chunk":
             bad = 12_616
         elif case == "character-across-blocks":
-            monkeypatch.setattr(market, "_READ_BLOCK", 10_000)
+            monkeypatch.setattr(csvio, "_READ_BLOCK", 10_000)
             # a comment whose two-byte character spans the first block's edge
             data = b"# " + b"x" * (10_000 - 3) + "\u00e9\n".encode() + data
             bad = 12_000
         elif case == "in-a-readline-completion":
-            monkeypatch.setattr(market, "_READ_BLOCK", 10_000)
+            monkeypatch.setattr(csvio, "_READ_BLOCK", 10_000)
             # a comment from before the first block's end to past the 8 KiB
             # chunk the block's read ends in, so that readline decodes the bad byte
             rows = data.index(b"\n", data.index(b"\n") + 1) + 1  # past the comment and the header
@@ -136,7 +142,7 @@ class TestLoadPrices:
         path = tmp_path / "prices.csv"
         path.write_bytes(text.encode())
         if block is not None:
-            monkeypatch.setattr(market, "_READ_BLOCK", block)
+            monkeypatch.setattr(csvio, "_READ_BLOCK", block)
         from_file = load_prices(path)
         assert from_file.session_idx[-1] == 2
         assert_same_series(load_prices(io.StringIO(text)), from_file)
@@ -145,7 +151,7 @@ class TestLoadPrices:
 def load_by_line(text: str) -> PriceSeries:
     """load_prices with every block sent to the per-line parser."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(market, "_read_block", lambda text, n_fields: None)
+        patch.setattr(_decimals, "read_block", lambda text, n_fields: None)
         return load_prices(io.StringIO(text))
 
 
@@ -182,7 +188,7 @@ class TestLoadPricesPaths:
         text = plain_csv()
         line_read = load_by_line(text)
         # the per-line timestamp parser is not reached on plain stamps
-        monkeypatch.setattr(market, "_parse_minute", None)
+        monkeypatch.setattr(csvio, "_parse_minute", None)
         column_read = load_prices(io.StringIO(text))
         assert_same_series(column_read, line_read)
         assert column_read.session_idx[-1] == 2
@@ -332,7 +338,7 @@ class TestStampForms:
         def no_line_parser(*args):
             raise AssertionError("read line by line")
 
-        monkeypatch.setattr(market, "_read_lines", no_line_parser)
+        monkeypatch.setattr(csvio, "_read_lines", no_line_parser)
         assert_same_series(load_prices(io.StringIO(text)), line_read)
 
     @given(text=stamped_files())
@@ -366,7 +372,7 @@ def small_blocks():
     """The column reader's blocks shrunk to one to three rows, so that every
     file spans many and its rows fall at every place in a block."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(market, "_READ_BLOCK", 64)
+        patch.setattr(csvio, "_READ_BLOCK", 64)
         yield
 
 
@@ -404,13 +410,13 @@ class TestBlockEdges:
         text = plain_csv()
         first_session = [line for line in text.splitlines() if line.endswith(",d0")]
         # the first block ends with the last row of d0
-        monkeypatch.setattr(market, "_READ_BLOCK", sum(len(line) + 1 for line in first_session))
+        monkeypatch.setattr(csvio, "_READ_BLOCK", sum(len(line) + 1 for line in first_session))
         column_read, line_read = load_both(text)
         assert_same_series(column_read, line_read)
         assert column_read.session_idx.tolist().index(1) == len(first_session)
 
     def test_comments_longer_than_a_block(self, monkeypatch, read_blocks):
-        monkeypatch.setattr(market, "_READ_BLOCK", 16)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", 16)
         text = "# " + "x" * 100 + "\n#\n" + plain_csv()
         column_read = make_prices(text)
         assert read_blocks and all(read_blocks)
@@ -421,7 +427,7 @@ class TestBlockEdges:
         (lambda row: row + ",x", "expected 3 fields"),
     ], ids=["negative-price", "extra-field"])
     def test_bad_row_in_the_last_block_only(self, monkeypatch, read_blocks, edit, message):
-        monkeypatch.setattr(market, "_READ_BLOCK", 100)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", 100)
         lines = plain_csv().splitlines()
         lines[-1] = edit(lines[-1])
         text = "\n".join(lines) + "\n"
@@ -436,7 +442,7 @@ class TestBlockEdges:
 
     def test_no_final_newline(self, monkeypatch, read_blocks):
         # one-row blocks: the last is its row without a newline
-        monkeypatch.setattr(market, "_READ_BLOCK", 1)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", 1)
         text = plain_csv().rstrip("\n")
         column_read, line_read = load_both(text)
         assert read_blocks and all(read_blocks)
@@ -446,7 +452,7 @@ class TestBlockEdges:
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
     def test_line_numbers_across_blocks_of_other_line_ends(self, tmp_path, monkeypatch, end):
         # a file opened with newline="" ends a line at each of them
-        monkeypatch.setattr(market, "_READ_BLOCK", 100)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", 100)
         lines = plain_csv().splitlines()
         lines[-1] = lines[-1].replace(",", ",-", 1)
         path = tmp_path / "prices.csv"
@@ -467,7 +473,7 @@ class TestBlockEdges:
         path = tmp_path / "prices.csv"
         path.write_bytes(("timestamp,close\n" + "".join(row + end for row, end in zip(rows, ends))).encode())
         # each read ends inside a block's last row, and readline completes it
-        monkeypatch.setattr(market, "_READ_BLOCK", 4 * len(rows[0]) + 3)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", 4 * len(rows[0]) + 3)
         with pytest.raises(DataError, match="^line 15: .*non-positive price"):
             load_prices(path)
         assert read_blocks == [i != crlf for i in range(3)] + [False]
@@ -483,7 +489,7 @@ class TestBlockEdges:
         lambda text: re.sub(r"^(\S{16})(,.*,d1)$", r"\1-0500\2", text, flags=re.M),
     ], ids=["comment", "offsets-without-colon"])
     def test_only_the_blocks_that_need_it_read_line_by_line(self, monkeypatch, read_blocks, edit):
-        monkeypatch.setattr(market, "_READ_BLOCK", 2000)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", 2000)
         text = edit(plain_csv())
         column_read = make_prices(text)
         # blocks of d0 and d2 by column, one or more around d1 line by line
@@ -510,7 +516,7 @@ def write_bars(path, n: int, labelled: bool = True, offset: str = "-05:00") -> N
 class TestCloseKernel:
     @pytest.mark.parametrize("close", ["1e2", "+100", "100_0", "-0.5", "1" + "0" * 19])
     def test_a_close_outside_the_kernel_sends_its_block_line_by_line(self, monkeypatch, read_blocks, close):
-        monkeypatch.setattr(market, "_READ_BLOCK", 2000)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", 2000)
         lines = plain_csv().splitlines(keepends=True)
         lines[200] = re.sub(r",[^,]*,", f",{close},", lines[200])
         text = "".join(lines)
@@ -552,7 +558,7 @@ class TestReaderMemory:
         n = 200_000
         if form == "line-by-line":
             n //= 16
-            monkeypatch.setattr(market, "_READ_BLOCK", market._READ_BLOCK // 16)
+            monkeypatch.setattr(csvio, "_READ_BLOCK", csvio._READ_BLOCK // 16)
         labelled = form != "synth-form"
         path = tmp_path / "prices.csv"
         write_bars(path, n, labelled, "-0500" if form == "line-by-line" else "-05:00")
@@ -574,7 +580,7 @@ class TestReaderMemory:
         # a 20 kB label in a block of a few hundred rows would cost megabytes;
         # its block goes to the per-line parser instead. Blocks a sixteenth
         # the size, as in the line-by-line case above.
-        monkeypatch.setattr(market, "_READ_BLOCK", market._READ_BLOCK // 16)
+        monkeypatch.setattr(csvio, "_READ_BLOCK", csvio._READ_BLOCK // 16)
         path = tmp_path / "prices.csv"
         write_bars(path, 12_500)
         lines = path.read_text().splitlines(keepends=True)
@@ -1251,18 +1257,18 @@ class TestMinuteStamps:
         start = int(np.datetime64(date, "m").astype(np.int64))
         times = start + np.arange(2 * 1440, dtype=np.int64)
         expected = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
-        np.testing.assert_array_equal(market.stamp_bytes(times).view("S16").ravel(), expected.astype("S16"))
+        np.testing.assert_array_equal(csvio.stamp_bytes(times).view("S16").ravel(), expected.astype("S16"))
 
     def test_random_minutes_equal_datetime_as_string(self):
-        lo, hi = market.STAMP_MINUTES
+        lo, hi = csvio.STAMP_MINUTES
         times = np.random.default_rng(3).integers(lo, hi + 1, 100_000)
         expected = np.datetime_as_string(times.astype("datetime64[m]"), unit="m")
-        np.testing.assert_array_equal(market.stamp_bytes(times).view("S16").ravel(), expected.astype("S16"))
+        np.testing.assert_array_equal(csvio.stamp_bytes(times).view("S16").ravel(), expected.astype("S16"))
 
     @pytest.mark.parametrize("stamp", ["0000-12-31T23:59", "+10000-01-01T00:00"])
     def test_years_outside_four_digits_refused(self, stamp):
         with pytest.raises(ValueError, match="years 1 to 9999"):
-            market.stamp_bytes(np.array([np.datetime64(stamp, "m").astype(np.int64)]))
+            csvio.stamp_bytes(np.array([np.datetime64(stamp, "m").astype(np.int64)]))
 
 
 class TestSynthColored:

@@ -20,9 +20,10 @@ QBMARKET = {
     "qbmarket.dynamics.phasespace": ("PhaseSpaceGrid", "WignerEvolution", "evolve_wigner_pde", "grid_moments"),
     "qbmarket.errors": ("DataError", "DegenerateDataError", "InsufficientDataError", "IntegrationError",
                         "NumericalError", "QbmError", "StabilityError"),
+    "qbmarket.csvio": ("load_prices",),
     "qbmarket.market": ("AcfEstimate", "HistogramResult", "KurtosisResult", "PriceSeries", "ReturnSeries",
-                        "ScalingResult", "drift_vol_scaling", "empirical_acf", "empirical_kurtosis", "load_prices",
-                        "log_returns", "return_histogram", "synth_colored", "synth_gbm"),
+                        "ScalingResult", "drift_vol_scaling", "empirical_acf", "empirical_kurtosis", "log_returns",
+                        "return_histogram", "synth_colored", "synth_gbm"),
     "qbmarket.model": ("BathSpectrum", "ModelParams", "NonMarkovParams", "SecondMomentInit", "acf_model",
                        "classical_variance", "cross_diffusion", "delta_coefficient", "delta_limit",
                        "lambda_coefficient", "lambda_limit", "minimal_uncertainty_momentum", "normal_diffusion",
