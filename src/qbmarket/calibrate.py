@@ -9,7 +9,8 @@ multimodal in the frequency, so initialization does the heavy lifting: the
 decay rate seeds from the log-slope of the upper envelope and the frequency
 from the first local maximum refined by the periodogram peak, with a
 deterministic coarse frequency grid as fallback when the peak is ambiguous or
-the best amplitude at the start is zero. The starting amplitude, from the
+the best amplitude at the start is zero, and a second descent from the
+periodogram's next clear peak, if any. The starting amplitude, from the
 smallest positive lag, sets the cost the fit must not end above.
 
 Lag 0 is always excluded from the ACF fit: it carries the white-noise Dirac
@@ -118,9 +119,11 @@ def _median(x: np.ndarray) -> float:
     return float(np.partition(x, middle)[middle[0] : middle[-1] + 1].mean())
 
 
-def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> tuple[NonMarkovParams, bool]:
-    """Deterministic starting point; second element reports whether the
-    periodogram peak was unambiguous."""
+def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> tuple[NonMarkovParams, list[float]]:
+    """Deterministic starting point, and the frequencies of the periodogram's
+    clear peaks (above 4 times its median): the strongest, which the start
+    takes, and the strongest other local maximum. None where the peak is
+    ambiguous."""
     xi2 = float(values[0])
     if xi2 <= 0:
         xi2 = float(max(values.max(), 0.0))
@@ -138,7 +141,7 @@ def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> t
 
     # periodogram of the (approximately) uniform lag series; the oscillatory
     # part of the ACF sits at angular frequency 2*omega
-    clear_peak = False
+    peaks: list[float] = []
     step = float(np.min(np.diff(lags)))
     uniform = np.allclose(np.diff(lags), step)
     if uniform and len(values) >= 16:
@@ -149,11 +152,12 @@ def _auto_guess(lags: np.ndarray, values: np.ndarray, omega_nyquist: float) -> t
             k_star = 1 + int(np.argmax(interior))
             med = _median(interior)
             if med > 0 and power[k_star] > 4.0 * med:
-                clear_peak = True
-                freq = 2.0 * math.pi * k_star / (len(values) * step)
-                omega0 = freq / 2.0
+                others = [k for k in _local_maxima(power) if k != k_star and power[k] > 4.0 * med]
+                bins = [k_star] + sorted(others, key=lambda k: -power[k])[:1]
+                peaks = [math.pi * k / (len(values) * step) for k in bins]
+                omega0 = peaks[0]
     omega0 = float(np.clip(omega0, 0.0, omega_nyquist * (1.0 - 1e-9)))
-    return NonMarkovParams(xi=xi0, eta=eta0, omega=omega0), clear_peak
+    return NonMarkovParams(xi=xi0, eta=eta0, omega=omega0), peaks
 
 
 class _Descent(NamedTuple):
@@ -253,8 +257,9 @@ def fit_acf(
     weights "uniform" fits raw residuals; "count-weighted" scales each
     residual by sqrt(count / mean count). Non-convergence is reported in the
     result, never silently replaced by a fallback, and the diagnostic names an
-    eta or omega that the fit left on its bound. Ties between frequency
-    candidates are broken toward the smallest frequency.
+    eta or omega that the fit left on its bound. Ties between the coarse
+    grid's frequency candidates are broken toward the smallest frequency; a
+    descent from the periodogram's second peak wins only at a lower cost.
     """
     if weights not in ("uniform", "count-weighted"):
         raise ValueError(f"unknown weights {weights!r}")
@@ -281,9 +286,9 @@ def fit_acf(
     omega_nyquist = math.pi / acf.base_minutes
 
     if isinstance(guess, NonMarkovParams):
-        start, clear_peak = guess, True
+        start, peaks = guess, [guess.omega]
     else:
-        start, clear_peak = _auto_guess(lags, values, omega_nyquist)
+        start, peaks = _auto_guess(lags, values, omega_nyquist)
 
     upper = np.array([ETA_MAX_PER_MIN, omega_nyquist * (1.0 - 1e-12)])
     inner = np.array([ETA_MAX_PER_MIN, omega_nyquist * (1.0 - 1e-9)])
@@ -294,13 +299,18 @@ def fit_acf(
     best = run(start.omega)
     # a start whose best amplitude is zero says nothing about the frequency,
     # so it is searched like an ambiguous periodogram peak
-    if not clear_peak or best.start_clamped:
+    if not peaks or best.start_clamped:
         for om in np.linspace(0.0, omega_nyquist, 15)[1:-1]:
             cand = run(float(om))
             if cand.cost < best.cost * (1.0 - 1e-12) or (
                 abs(cand.cost - best.cost) <= best.cost * 1e-12 and cand.theta[1] < best.theta[1]
             ):
                 best = cand
+    # of two near-equal peaks the weaker may be the oscillation, the other the decay's lowest bin
+    for om in peaks[1:]:
+        cand = run(om)
+        if cand.cost < best.cost * (1.0 - 1e-12):
+            best = cand
 
     eta, omega = (float(x) for x in best.theta)
     nm = NonMarkovParams(xi=math.sqrt(best.amplitude), eta=eta, omega=omega)

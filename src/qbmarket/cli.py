@@ -423,6 +423,8 @@ def cmd_simulate(cfg: dict) -> int:
     if not cfg["t_end"] > 0:
         raise ValueError("--t-end must be positive")
     mode = cfg["mode"]
+    if mode != "moments" and cfg.get("x4") is not None:
+        raise ValueError(f"--x4 is a moments flag: {mode} mode starts from the Gaussian, whose <X^4> is 3 <X^2>^2")
     if cfg.get("dt") is not None:
         if mode == "pde":
             raise ValueError("--dt is an sde flag: pde maps each output interval exactly, with no time step")
@@ -592,7 +594,7 @@ def cmd_fit(cfg: dict) -> int:
         base = int(cfg["base_minutes"]) if cfg.get("base_minutes") is not None else int(np.min(np.diff(lags[lags > 0]))) if np.sum(lags > 0) > 1 else 1
         # AcfEstimate holds counts as int64
         est = AcfEstimate(lags=lags, values=data["acf"], counts=data.get("count", np.ones(len(lags))),
-                          stderr=data.get("stderr", np.full(len(lags), np.nan)), base_minutes=base, tau_minutes=base)
+                          stderr=data.get("stderr", np.full(len(lags), np.nan)), base_minutes=base)
         fit = fit_acf(est, weights=cfg["weights"])
         report = {
             "kind": "acf",

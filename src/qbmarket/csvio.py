@@ -75,11 +75,13 @@ def _header(source: TextIO, empty: str) -> tuple[int, list[str], str]:
     """The line number and the names (stripped, lower case) of the first line
     of source that is neither blank nor a comment, and the text readline
     returned past it; a DataError of the message empty where there is none.
-    Lines are split by _LINE: a stream's readline may split only at `\\n`."""
+    Lines are split by _LINE: a stream's readline may split only at `\\n`.
+    A UTF-8 byte-order mark opening the first line is not part of it."""
     lines = ((match, chunk) for chunk in iter(source.readline, "") for match in _LINE.finditer(chunk))
     for line_no, (match, chunk) in enumerate(lines, start=1):
-        if match[0].strip() and not _comment(match[0]):
-            return line_no, [h.strip().lower() for h in next(csv.reader([match[0]]))], chunk[match.end():]
+        line = match[0].removeprefix("\ufeff") if line_no == 1 else match[0]
+        if line.strip() and not _comment(line):
+            return line_no, [h.strip().lower() for h in next(csv.reader([line]))], chunk[match.end():]
     raise DataError(empty)
 
 
@@ -140,8 +142,9 @@ def load_prices(source: str | Path | TextIO) -> PriceSeries:
 
     Timestamps must be ISO-8601 at minute resolution, strictly increasing;
     prices must be positive. Malformed rows are hard errors naming the line.
-    Rows sharing a session label form one session; without the column the
-    whole series is one session.
+    A session is a run of consecutive rows with one label: a label that
+    comes back after another starts a new session, so session_idx never
+    decreases. Without the column the whole series is one session.
 
     After the header the rows are read in blocks of whole lines, about
     _READ_BLOCK characters each, so the text is never held whole: besides

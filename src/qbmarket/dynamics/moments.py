@@ -146,34 +146,27 @@ class KernelSchedule:
     """Diffusion-coefficient schedule driving the moment and phase-space
     evolution: the pair D(t) = hbar^2 Delta(t), L(t) = hbar^2 Lambda(t).
 
-    kind "markov" holds the constant pair (2 M gamma kT, 0);
-    kind "non-markov" evaluates the time-dependent closed forms and needs nm.
-    A non-Markovian schedule with xi = 0 reproduces the Markovian one exactly.
+    Without nm (markov()) it holds the constant pair (2 M gamma kT, 0); with
+    nm (non_markov()) it evaluates the time-dependent closed forms. A
+    non-Markovian schedule with xi = 0 reproduces the Markovian one exactly.
     """
 
-    kind: str
     params: ModelParams
     nm: NonMarkovParams | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("markov", "non-markov"):
-            raise ValueError("kind must be 'markov' or 'non-markov'")
-        if self.kind == "non-markov" and self.nm is None:
-            raise ValueError("non-markov schedule requires nm parameters")
-
     @classmethod
     def markov(cls, params: ModelParams) -> "KernelSchedule":
-        return cls("markov", params)
+        return cls(params)
 
     @classmethod
     def non_markov(cls, params: ModelParams, nm: NonMarkovParams) -> "KernelSchedule":
-        return cls("non-markov", params, nm)
+        return cls(params, nm)
 
     def coefficients(self, t: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
         """(D(t), L(t)) at a time or an array of times (the Markovian pair is
         scalar). One that is not finite, say 2 M gamma kT overflowing, is
         refused by name: a propagator built from inf holds nothing but nan."""
-        if self.kind == "markov":
+        if self.nm is None:
             pair = (_markov_diffusion(self.params), 0.0)
         else:
             pair = (normal_diffusion(self.params, self.nm, t), cross_diffusion(self.params, self.nm, t))
@@ -191,7 +184,7 @@ class KernelSchedule:
         mu = eta - 2i omega, b = 2 omega and the model's prefactors P_D, P_L, so F is
         lower triangular: D' = P_D (e^{-eta t} + Re e^{-mu t}) and L' = P_L (t e^{-eta t}
         + Re[(mu/conj mu) t e^{-mu t} - (2ib/conj mu^2) e^{-mu t}])."""
-        if self.kind == "markov" or self.nm.xi == 0.0:
+        if self.nm is None or self.nm.xi == 0.0:
             return np.zeros((0, 0)), np.zeros(0)
         mu = complex(self.nm.eta, -2.0 * self.nm.omega)  # b = -Im mu
         ratio, lead = mu / mu.conjugate(), 2j * mu.imag / mu.conjugate() ** 2

@@ -55,7 +55,8 @@ class PriceSeries:
 
     times        : minutes since epoch, strictly increasing int64
     close        : positive prices
-    session_idx  : session index per row, counting from 0
+    session_idx  : session index per row, counting from 0; a session is a run
+                   of rows, so it never decreases
     base_minutes : bar resolution (gcd of within-session spacings)
     """
 
@@ -72,6 +73,8 @@ class PriceSeries:
             raise DataError("prices must be positive")
         if np.any(self.times[1:] <= self.times[:-1]):
             raise DataError("timestamps must be strictly increasing")
+        if np.any(self.session_idx[1:] < self.session_idx[:-1]):
+            raise DataError("session_idx must not decrease: a session is a run of rows")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -113,11 +116,11 @@ class ReturnSeries:
     """Log-return samples at a fixed horizon.
 
     values are tau-normalized returns [ln S(t+tau) - ln S(t)] / tau; times are
-    the anchor minute of each sample. When drift_removed is set the sample
-    mean has been subtracted.
+    the anchor minute of each sample, strictly increasing, and session_idx
+    its session, which never decreases (a session is a run of rows). When
+    drift_removed is set the sample mean has been subtracted.
     """
 
-    tau_minutes: int
     values: np.ndarray
     drift_removed: bool
     times: np.ndarray
@@ -129,6 +132,10 @@ class ReturnSeries:
         _freeze(self, values=float, times=np.int64, session_idx=np.int64)
         if self.policy not in PAIRING_POLICIES:
             raise ValueError(f"unknown pairing policy {self.policy!r}")
+        if np.any(self.times[1:] <= self.times[:-1]):
+            raise ValueError("times must be strictly increasing")
+        if np.any(self.session_idx[1:] < self.session_idx[:-1]):
+            raise ValueError("session_idx must not decrease: a session is a run of rows")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -148,7 +155,6 @@ class AcfEstimate:
     counts: np.ndarray
     stderr: np.ndarray
     base_minutes: int
-    tau_minutes: int
     omitted_lags: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -157,98 +163,79 @@ class AcfEstimate:
             raise ValueError("reported lags must have positive pair counts")
 
 
-def _slots(
-    times: np.ndarray, labels: np.ndarray | None, max_lag: int
-) -> tuple[int, np.ndarray, np.ndarray | None]:
-    """(unit, pos, order): the slot layout on which every statistic pairs
-    rows at lags up to max_lag minutes. Times must be strictly increasing.
+def _slots(times: np.ndarray, labels: np.ndarray | None, max_lag: int) -> tuple[int, np.ndarray]:
+    """(unit, pos): the slot layout on which every statistic pairs rows at
+    lags up to max_lag minutes. Times strictly increase and labels never
+    decrease, as the series types check: a session is a run of rows.
 
-    The rows are laid on slots of the unit, the gcd time step, grouped by
-    label in time order, with every gap longer than the largest lag
-    K = max_lag // unit shrunk to K + 1 slots and K + 1 slots between
-    labels, so no pair at a lag up to K units crosses either: two rows lie
-    k <= K units apart and share a label (any two rows where labels is None)
-    exactly when their slots are k apart. pos[i] is the slot of row
-    order[i] where labels interleave, else of row i (order is None).
+    Row i lies on slot pos[i] of the unit, the gcd time step, with every gap
+    longer than the largest lag K = max_lag // unit shrunk to K + 1 slots and
+    K + 1 slots between sessions, so no pair at a lag up to K units crosses
+    either: two rows lie k <= K units apart and share a label (any two rows
+    where labels is None) exactly when their slots are k apart.
     """
-    n = len(times)
-    pos = np.zeros(n, dtype=np.int64)
+    pos = np.zeros(len(times), dtype=np.int64)
     steps = np.subtract(times[1:], times[:-1], out=pos[1:])
-    if np.any(steps <= 0):
-        raise ValueError("times must be strictly increasing")
     unit = int(np.gcd.reduce(steps)) or 1
     k_max = max_lag // unit
-    order = None
-    if labels is not None and np.any(labels[1:] < labels[:-1]):  # labels interleave: each label's rows together
-        order = np.argsort(labels, kind="stable")
-        labels = labels[order]
-        np.subtract(times[order[1:]], times[order[:-1]], out=steps)
     steps //= unit
     np.minimum(steps, k_max + 1, out=steps)
     if labels is not None:
         steps[labels[1:] != labels[:-1]] = k_max + 1
     np.cumsum(pos, out=pos)
-    return unit, pos, order
+    return unit, pos
 
 
 def _pairs(
     times: np.ndarray, labels: np.ndarray | None, lags: Sequence[int]
-) -> tuple[Callable[[np.ndarray], np.ndarray], Iterator[tuple[int, np.ndarray | None, np.ndarray | None]]]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], Iterator[tuple[int, np.ndarray | None]]]:
     """The pairs of rows whose times are lag minutes apart and that share a
     label (every such pair where labels is None), on the slots of _slots.
-    Times must be strictly increasing.
 
     Returns (place, pairs). place(x) lays a per-row array on the slots, 0 at
-    empty ones (x itself where the rows fill every slot in time order).
-    pairs yields (k, mask, perm) for each lag in turn: in a placed x, the
-    lag's anchors are _anchors(x, k, mask, perm), in anchor time order. The
-    pairs are the held slots s with s + k held: mask selects them (None where
-    the rows fill every slot in time order), a view of one buffer that the
-    next lag overwrites. perm, where labels interleave, is the argsort of the
-    anchor rows, which puts the pairs from the slots' label order back in
-    time order. A lag off the unit or past the last slot has k = the slot
-    count, which leaves no pair.
+    empty ones (x itself where the rows fill every slot). pairs yields
+    (k, mask) for each lag in turn: in a placed x, the lag's anchors are
+    _anchors(x, k, mask), in time order. The pairs are the held slots s with
+    s + k held: mask selects them (None where the rows fill every slot), a
+    view of one buffer that the next lag overwrites. A lag off the unit or
+    past the last slot has k = the slot count, which leaves no pair.
     """
     lags = [int(lag) for lag in lags]
     if any(lag < 0 for lag in lags):
         raise ValueError("lags must be nonnegative")
-    unit, pos, order = _slots(times, labels, max(lags, default=0))
+    unit, pos = _slots(times, labels, max(lags, default=0))
     n_slots = int(pos[-1]) + 1
     ks = [min(lag // unit, n_slots) if lag % unit == 0 else n_slots for lag in lags]
-    if n_slots == len(times) and order is None:
-        return (lambda x: x), ((k, None, None) for k in ks)
+    if n_slots == len(times):
+        return (lambda x: x), ((k, None) for k in ks)
 
     def place(x: np.ndarray) -> np.ndarray:
         out = np.zeros(n_slots, dtype=x.dtype)
-        out[pos] = x if order is None else x[order]
+        out[pos] = x
         return out
 
-    def pairs() -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    def pairs() -> Iterator[tuple[int, np.ndarray]]:
         held = np.zeros(n_slots, dtype=bool)
         held[pos] = True
-        rows = None if order is None else place(np.arange(len(times)))
         buf = np.empty(n_slots, dtype=bool)
         for k in ks:
-            mask = np.logical_and(held[k:], held[: n_slots - k], out=buf[: n_slots - k])
-            yield k, mask, None if rows is None else np.argsort(rows[: n_slots - k][mask])
+            yield k, np.logical_and(held[k:], held[: n_slots - k], out=buf[: n_slots - k])
 
     return place, pairs()
 
 
-def _anchors(x: np.ndarray, k: int, mask: np.ndarray | None, perm: np.ndarray | None) -> np.ndarray:
+def _anchors(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
     """Anchor values, in a placed array x, of the pairs at one lag of
     _pairs."""
     anchors = x[: len(x) - k]
-    if mask is not None:
-        anchors = anchors[mask]
-    return anchors if perm is None else anchors[perm]
+    return anchors if mask is None else anchors[mask]
 
 
-def _differences(x: np.ndarray, k: int, mask: np.ndarray | None, perm: np.ndarray | None) -> np.ndarray:
+def _differences(x: np.ndarray, k: int, mask: np.ndarray | None) -> np.ndarray:
     """Partner less anchor values, in a placed array x, of the pairs at one
     lag of _pairs, in a new array: one subtraction over the slots, then one
     gather of the pairs where there is a mask."""
-    return _anchors(x[k:] - x[: len(x) - k], 0, mask, perm)
+    return _anchors(x[k:] - x[: len(x) - k], 0, mask)
 
 
 def _check_tau(series: PriceSeries, tau_minutes: int, policy: str) -> None:
@@ -292,7 +279,6 @@ def log_returns(
     if remove_drift:
         values -= values.mean()
     return ReturnSeries(
-        tau_minutes=int(tau_minutes),
         values=values,
         drift_removed=remove_drift,
         times=_anchors(place(series.times), *pair),
@@ -459,7 +445,8 @@ def _lag_sums(
     """(unit, S1, S2, counts): at each lag of k = 0, 1, ... units of the gcd
     time step, up to max_lag, the sums over the pairs of rows k units apart
     of x x', of x² x'² and of 1, where x = r - shift; pairs share a label
-    unless labels is None. Times must be strictly increasing.
+    unless labels is None. Times strictly increase and labels never
+    decrease (_slots).
 
     The rows are laid on the slots of _slots, where the pairs at a lag of k
     units up to K = max_lag // unit are the held slots k apart. The sums are
@@ -470,7 +457,7 @@ def _lag_sums(
     of each row and one batch. The counts are the h-correlation rounded per
     batch, exact while a batch's rounding error stays below 1/2.
     """
-    unit, pos, order = _slots(times, labels, max_lag)
+    unit, pos = _slots(times, labels, max_lag)
     n_slots = int(pos[-1]) + 1
     k_max = min(max_lag // unit, n_slots - 1)  # no pair reaches past the last slot
     size = 1 << (max(_ACF_WINDOW, 4 * (k_max + 1)) - 1).bit_length()
@@ -487,7 +474,7 @@ def _lag_sums(
         # the batch's slots as x, x², h; each window a view of them, zero-padded by rfft
         flat = np.zeros((3, m * width + k_max))
         slots = pos[lo:hi] - start
-        flat[0, slots] = (r[lo:hi] if order is None else r[order[lo:hi]]) - shift
+        flat[0, slots] = r[lo:hi] - shift
         np.multiply(flat[0], flat[0], out=flat[1])
         flat[2, slots] = 1.0
         lagged = _correlate_windows(flat, width, k_max, size)
@@ -546,7 +533,6 @@ def empirical_acf(returns: ReturnSeries, max_lag: int) -> AcfEstimate:
         counts=n,
         stderr=stderr,
         base_minutes=base,
-        tau_minutes=returns.tau_minutes,
         omitted_lags=tuple(all_lags[~held].tolist()),
     )
 
@@ -700,7 +686,6 @@ def synth_colored(
 
     times = SYNTH_START_MINUTE + np.arange(n, dtype=np.int64) * dt_minutes
     return ReturnSeries(
-        tau_minutes=int(dt_minutes),
         values=values,
         drift_removed=False,
         times=times,

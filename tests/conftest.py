@@ -154,7 +154,7 @@ def reference_acf(times, session_idx, r, max_lag: int, policy: str, base: int = 
         counts.append(len(products))
         stderr.append(float(products.std(ddof=1) / math.sqrt(len(products))) if len(products) > 1 else math.nan)
     return market.AcfEstimate(
-        lags=lags, values=values, counts=counts, stderr=stderr, base_minutes=base, tau_minutes=base,
+        lags=lags, values=values, counts=counts, stderr=stderr, base_minutes=base,
         omitted_lags=tuple(omitted),
     )
 

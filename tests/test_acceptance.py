@@ -202,7 +202,6 @@ def _estimate(values: np.ndarray, lags: np.ndarray) -> AcfEstimate:
         counts=np.full(len(lags), 1000, dtype=np.int64),
         stderr=np.full(len(lags), np.nan),
         base_minutes=5,
-        tau_minutes=5,
     )
 
 
@@ -314,7 +313,6 @@ def test_criterion_10_fat_tail_detection():
         def returns_from(values: np.ndarray) -> ReturnSeries:
             n = len(values)
             return ReturnSeries(
-                tau_minutes=1,
                 values=values,
                 drift_removed=False,
                 times=SYNTH_START_MINUTE + np.arange(n, dtype=np.int64),

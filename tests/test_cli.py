@@ -249,6 +249,22 @@ class TestSimulate:
         assert rows[0, kcol] == pytest.approx(197.0, rel=1e-12)
         assert np.all(np.diff(rows[:, kcol]) < 0)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("mode", ["sde", "pde"])
+    def test_x4_outside_moments_mode_is_a_usage_error(self, tmp_path, capsys, mode, source):
+        # both modes start from the Gaussian: the flag was ignored and the run exited 0 with m40 = 3
+        args = ["simulate", "--mode", mode, "--x2", 1, "--p2", 1, "--t-end", 0.01, "--points", 2,
+                "--n-paths", 1000, "--seed", 1, "--nx", 16, "--np", 16, "--out-prefix", tmp_path / "s"]
+        if source == "flag":
+            args += ["--x4", 9]
+        else:
+            (tmp_path / "run.cfg").write_text("x4 = 9\n")
+            args += ["--config", tmp_path / "run.cfg"]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (f"usage error: --x4 is a moments flag: {mode} mode starts from the "
+                                           "Gaussian, whose <X^4> is 3 <X^2>^2\n")
+        assert not list(tmp_path.glob("s*"))
+
     def test_sde_requires_seed(self, tmp_path, monkeypatch):
         monkeypatch.delenv("QBM_SEED", raising=False)
         code = run(["simulate", "--mode", "sde", "--x2", 0.5, "--t-end", 1,
@@ -1163,6 +1179,36 @@ class TestFitCommand:
         report = json.loads(out.read_text())
         assert (report["eta"], report["converged"]) == (1e-12, True)
         assert report["diagnostic"] == "eta = 1e-12 is on its lower bound"
+
+    def test_colored_fit_takes_the_weaker_of_two_near_equal_peaks(self, tmp_path):
+        # at this seed the periodogram's lowest bin (2216 x the median power)
+        # edges out the oscillation's (2195 x), and the fit descended from it
+        # alone to omega = 0, on its lower bound
+        prices, run_prefix, out = tmp_path / "c.csv", tmp_path / "run", tmp_path / "fit.json"
+        assert run(["synth", "--kind", "colored", "--n", 100_000, "--xi", 5.48e-4, "--eta", 5.56e-3,
+                    "--omega", 0.02617, "--seed", 6100, "--out", prices]) == 0
+        assert run(["analyze", "--input", prices, "--taus", "5:100:5", "--max-lag", 480,
+                    "--out-prefix", run_prefix]) == 0
+        assert run(["fit", "--kind", "acf", "--input", f"{run_prefix}.acf.csv", "--out", out]) == 0
+        report = json.loads(out.read_text())
+        assert report["converged"] and report["diagnostic"] is None
+        assert report["omega"] == pytest.approx(0.02617, rel=0.05)
+
+    @pytest.mark.parametrize("kind, text", [
+        ("acf", "lag,acf\n" + "".join(f"{lag},{math.exp(-0.01 * lag) * math.cos(0.05 * lag)!r}\n"
+                                      for lag in range(0, 300, 5))),
+        ("kurtosis", "tau,kurtosis\n" + "".join(f"{t},{197 * math.exp(-0.01 * t)!r}\n" for t in range(10, 410, 10))),
+    ], ids=["acf", "kurtosis"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, kind, text):
+        # "\ufefftau" was not "tau": "missing column(s) ['tau']", exit 2
+        reports = []
+        for name, data in (("plain", text.encode()), ("bom", "\ufeff".encode() + text.encode())):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(data)
+            assert run(["fit", "--kind", kind, "--input", path, "--out", tmp_path / f"{name}.json"]) == 0
+            report = json.loads((tmp_path / f"{name}.json").read_text())
+            reports.append({key: value for key, value in report.items() if key != "input_sha256"})
+        assert reports[0] == reports[1]
 
     def test_flat_zero_input_unconverged_exit_zero(self, tmp_path):
         path = tmp_path / "flat.csv"

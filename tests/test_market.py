@@ -134,6 +134,16 @@ class TestLoadPrices:
         with pytest.raises(DataError, match=f"not UTF-8 text .* byte 0xff in position {bad}: invalid start byte"):
             load_prices(path)
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # a file saved with a UTF-8 byte-order mark read "\ufefftimestamp" as its first name
+        path = tmp_path / "prices.csv"
+        path.write_bytes("\ufeff".encode() + CSV_OK.encode())
+        assert_same_series(load_prices(path), make_prices(CSV_OK))
+        # error offsets still count the mark's three bytes
+        path.write_bytes("\ufeff".encode() + CSV_OK.encode()[:20] + b"\xff" + CSV_OK.encode()[21:])
+        with pytest.raises(DataError, match="byte 0xff in position 23: invalid start byte"):
+            load_prices(path)
+
     @pytest.mark.parametrize("block", [None, 1], ids=["default-block", "one-character-block"])
     def test_text_stream_of_lone_cr_lines_reads_as_its_file(self, tmp_path, monkeypatch, block):
         # a default StringIO's readline splits only at \n, so its leading
@@ -608,13 +618,11 @@ def gapped_times(draw):
     else:
         gaps = draw(st.lists(st.sampled_from([1, 1, 2, 3, 7, 50, 400]), min_size=n - 1, max_size=n - 1))
     times = draw(st.integers(-10_000, 10_000)) + base * np.concatenate([[0], np.cumsum(gaps, dtype=np.int64)])
-    labels = draw(st.sampled_from(["one", "runs", "random"]))
-    if labels == "one":
+    # a session is a run of rows: labels that decrease are refused (TestSessionRule)
+    if draw(st.booleans()):
         session_idx = np.zeros(n, dtype=np.int64)
-    elif labels == "runs":
-        session_idx = np.cumsum(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=np.int64)
     else:
-        session_idx = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+        session_idx = np.cumsum(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=np.int64)
     span = int(times[-1] - times[0])
     lags = draw(st.lists(st.integers(0, span + base), min_size=1, max_size=10))
     return times.astype(np.int64), session_idx, lags
@@ -628,9 +636,9 @@ class TestPairMatcher:
         # rows count from 1, so an empty slot (0) never passes for row 0
         rows = place(np.arange(1, len(times) + 1))
         matched = 0
-        for lag, (k, mask, perm) in zip(lags, pairs):
-            anchors = market._anchors(rows, k, mask, perm)
-            partners = market._anchors(rows[k:], 0, mask, perm)  # k slots on, selected as the anchors are
+        for lag, (k, mask) in zip(lags, pairs):
+            anchors = market._anchors(rows, k, mask)
+            partners = market._anchors(rows[k:], 0, mask)  # k slots on, selected as the anchors are
             ref_a, ref_p = reference_pairs(times, session_idx, lag, policy)
             np.testing.assert_array_equal(anchors, ref_a + 1)
             np.testing.assert_array_equal(partners, ref_p + 1)
@@ -641,6 +649,43 @@ class TestPairMatcher:
         times = np.arange(10, dtype=np.int64)
         with pytest.raises(ValueError, match="nonnegative"):
             market._pairs(times, None, [3, -1])
+
+
+class TestSessionRule:
+    """A session is a run of rows: load_prices counts the runs of the label
+    column, and the series types refuse a session_idx that decreases."""
+
+    @settings(deadline=None)
+    @given(labels=st.lists(st.sampled_from(["a", "b", "cc"]), min_size=1, max_size=40),
+           block=st.sampled_from([64, csvio._READ_BLOCK]))
+    def test_session_idx_is_the_run_index_of_the_labels(self, labels, block):
+        # reappearing labels included, within a block and across blocks
+        stamps = np.datetime_as_string(np.datetime64("2021-01-04T09:30") + np.arange(len(labels)), unit="m")
+        text = "timestamp,close,session\n" + "".join(f"{t},100.5,{label}\n" for t, label in zip(stamps, labels))
+        runs = np.cumsum([False] + [a != b for a, b in zip(labels[1:], labels[:-1])])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(csvio, "_READ_BLOCK", block)
+            line_read = load_by_line(text)
+            patch.setattr(csvio, "_read_lines", None)  # every block read by column
+            column_read = make_prices(text)
+        for series in (column_read, line_read):
+            assert series.session_idx.tolist() == runs.tolist()
+
+    @given(session_idx=st.lists(st.integers(0, 2), min_size=1, max_size=40))
+    def test_a_decreasing_session_idx_is_refused(self, session_idx):
+        n = len(session_idx)
+        times = SYNTH_START_MINUTE + np.arange(n, dtype=np.int64)
+        builds = {
+            DataError: lambda: PriceSeries(times=times, close=np.ones(n), session_idx=session_idx, base_minutes=1),
+            ValueError: lambda: ReturnSeries(values=np.zeros(n), drift_removed=False, times=times,
+                                             session_idx=session_idx, base_minutes=1, policy="intraday-only"),
+        }
+        for error, build in builds.items():
+            if np.any(np.diff(session_idx) < 0):
+                with pytest.raises(error, match="session_idx must not decrease"):
+                    build()
+            else:
+                assert build().session_idx.tolist() == session_idx
 
 
 @st.composite
@@ -673,7 +718,7 @@ class TestStatisticsOnGappedLayouts:
     def test_empirical_acf(self, case, policy):
         series, values, _ = case
         returns = ReturnSeries(
-            tau_minutes=series.base_minutes, values=values, drift_removed=False, times=series.times,
+            values=values, drift_removed=False, times=series.times,
             session_idx=series.session_idx, base_minutes=series.base_minutes, policy=policy,
         )
         max_lag = min(int(series.times[-1] - series.times[0]) - 1, 240)
@@ -986,7 +1031,6 @@ def _returns_from(values: np.ndarray, dt: int = 1) -> ReturnSeries:
     n = len(values)
     times = SYNTH_START_MINUTE + np.arange(n, dtype=np.int64) * dt
     return ReturnSeries(
-        tau_minutes=dt,
         values=values,
         drift_removed=False,
         times=times,
@@ -1067,12 +1111,11 @@ class TestEmpiricalAcf:
         rs = _returns_from(np.linspace(-1, 1, 100))
         times = rs.times.copy()
         times[[40, 41]] = times[[41, 40]]
-        shuffled = ReturnSeries(
-            tau_minutes=1, values=rs.values, drift_removed=False, times=times, session_idx=rs.session_idx,
-            base_minutes=1, policy="contiguous",
-        )
         with pytest.raises(ValueError, match="strictly increasing"):
-            empirical_acf(shuffled, 10)
+            ReturnSeries(
+                values=rs.values, drift_removed=False, times=times, session_idx=rs.session_idx,
+                base_minutes=1, policy="contiguous",
+            )
 
     @pytest.mark.parametrize("policy", PAIRING_POLICIES)
     def test_equal_products_keep_a_finite_stderr(self, policy):
@@ -1084,7 +1127,7 @@ class TestEmpiricalAcf:
         session_idx = np.concatenate([np.arange(4000) // 100, [40, 40]])
         values = 2.0**-10 * np.concatenate([(-1.0) ** np.arange(4000), [1.0, 1.0]])
         returns = ReturnSeries(
-            tau_minutes=1, values=values, drift_removed=True, times=times.astype(np.int64),
+            values=values, drift_removed=True, times=times.astype(np.int64),
             session_idx=session_idx, base_minutes=1, policy=policy,
         )
         acf = empirical_acf(returns, 150)

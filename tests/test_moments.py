@@ -178,10 +178,6 @@ class TestKernelSchedule:
             sched = KernelSchedule.markov(dataclasses.replace(kurtosis_params, hbar=hbar))
             assert sched.coefficients(0.0) == sched.coefficients(5.0) == (40.0, 0.0)
 
-    def test_non_markov_requires_nm(self, kurtosis_params):
-        with pytest.raises(ValueError):
-            KernelSchedule("non-markov", kurtosis_params)
-
     def test_non_markov_tracks_closed_forms(self, kurtosis_params, nm_9904):
         from qbmarket import delta_coefficient, lambda_coefficient
 
@@ -210,7 +206,7 @@ class TestKernelSchedule:
     def test_non_finite_coefficient_is_named(self, kind, nm_9904):
         # 2 M gamma kT overflows
         params = ModelParams(M=10.0, gamma=1.0, kT=1e308, hbar=1.0)
-        sched = KernelSchedule(kind, params, nm_9904 if kind == "non-markov" else None)
+        sched = KernelSchedule.non_markov(params, nm_9904) if kind == "non-markov" else KernelSchedule.markov(params)
         with pytest.raises(NumericalError, match=r"diffusion coefficient D is inf at t = 0\.5"):
             sched.coefficients(0.5)
         with pytest.raises(NumericalError, match=r"diffusion coefficient D is inf at t = 0$"):
