@@ -61,7 +61,7 @@ _HOMES = {
     ".calibrate": ("fit_acf", "fit_kurtosis_decay"),
     ".dynamics.moments": ("MOMENT_KEYS", "HarmonicPotential", "KernelSchedule", "MomentState", "evolve_moments"),
     ".dynamics.montecarlo": ("simulate_sde_markov",),
-    ".dynamics.phasespace": ("PhaseSpaceGrid", "evolve_wigner_pde"),
+    ".dynamics.phasespace": ("BOUNDARY_INIT_FRACTION", "PhaseSpaceGrid", "evolve_wigner_pde"),
 }
 _bind, __getattr__ = _lazy(globals(), _HOMES)
 
@@ -268,100 +268,93 @@ def _add_opts(sub: argparse.ArgumentParser, opts: list[tuple]) -> dict[str, str]
     return {dest: flag for flag, dest, *_ in opts}
 
 
-def build_parser() -> tuple[_Parser, dict[str, dict[str, str]]]:
-    """The `qbm` parser and, per command, the map from dest to flag."""
+def build_parser(argv: list[str]) -> tuple[_Parser, dict[str, dict[str, str]]]:
+    """The `qbm` parser for ``argv`` and the invoked command's map from dest to flag.
+
+    Every command has its subparser, but only the invoked one gets its options:
+    the first token of ``argv`` that is not an option, since no top-level
+    option takes a value.
+    """
     parser = _Parser(prog="qbm", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"qbmarket {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    config = ("--config", "config", str, None, "flat key = value config file; flags override")
+    # each command's help, its function and its options after --config
+    commands = {
+        "eval": ("evaluate a closed-form curve to CSV", cmd_eval, [
+            ("--formula", "formula", ("variance", "variance-short", "classical", "delta", "lambda", "acf",
+                                      "spectral-density"), None, "curve to evaluate"),
+            *_MODEL_OPTS,
+            ("--sx2-0", "sx2_0", float, None, "initial coordinate variance"),
+            ("--sp2-0", "sp2_0", float, None, "initial momentum variance (default: minimal uncertainty)"),
+            ("--spx-0", "spx_0", float, 0.0, "initial symmetrized cross moment <XP+PX>"),
+            *_NM_OPTS,
+            ("--kind", "kind", ("ohmic", "ohmic-lorentz", "composite"), "ohmic", "spectral density kind"),
+            ("--cutoff", "cutoff", float, None, "spectral cutoff Omega_cut (rad/time unit)"),
+            ("--start", "start", float, None, "range start (time units; minutes for acf; rad/time for spectra)"),
+            ("--end", "end", float, None, "range end"),
+            ("--points", "points", int, 201, "number of evaluation points"),
+            ("--out", "out", str, None, "output CSV path"),
+        ]),
+        "simulate": ("run moment / SDE / phase-space evolution to CSV", cmd_simulate, [
+            ("--mode", "mode", ("moments", "sde", "pde"), None, "simulation mode"),
+            *_MODEL_OPTS,
+            ("--kernel", "kernel", ("markov", "non-markov"), "markov", "diffusion-coefficient schedule"),
+            *_NM_OPTS,
+            ("--x2", "x2", float, None, "initial <X^2> (default: none; required)"),
+            ("--p2", "p2", float, None, "initial <P^2> (default: minimal uncertainty hbar^2/(4 x2))"),
+            ("--xp", "xp", float, 0.0, "initial <XP+PX>"),
+            ("--x4", "x4", float, None, "initial <X^4> override (default: Gaussian value 3 <X^2>^2)"),
+            ("--t-end", "t_end", float, None, "end time (model time units)"),
+            ("--points", "points", int, 101, "number of output times"),
+            ("--n-paths", "n_paths", int, 100000, "SDE ensemble size"),
+            ("--dt", "dt", float, None,
+             "ignored: sde and moments are exact over each output interval (pde refuses it)"),
+            ("--seed", "seed", int, None, "RNG seed (mandatory for sde; QBM_SEED fallback)"),
+            ("--nx", "nx", int, 256, "grid cells along x"),
+            ("--np", "np", int, 256, "grid cells along p"),
+            ("--x-width", "x_width", float, None, "grid half-width in x (default 8 sqrt(<X^2>))"),
+            ("--p-width", "p_width", float, None, "grid half-width in p (default 8 sqrt(<P^2>))"),
+            ("--potential", "potential", ("none", "harmonic"), "none", "potential for moments and pde modes"),
+            ("--omega0", "omega0", float, None, "harmonic potential frequency (1/time unit)"),
+            ("--out-prefix", "out_prefix", str, None, "output prefix: writes <prefix>.csv and <prefix>.manifest.json"),
+        ]),
+        "analyze": ("run the empirical pipeline on a prices CSV", cmd_analyze, [
+            ("--input", "input", str, None, "prices CSV (timestamp,close[,session])"),
+            ("--taus", "taus", str, "5:100:5", "horizon range start:end:step in minutes"),
+            ("--max-lag", "max_lag", int, 480, "ACF maximum lag (minutes)"),
+            ("--return-tau", "return_tau", int, None, "horizon for histogram/ACF returns (default: base resolution)"),
+            ("--policy", "policy", ("intraday-only", "contiguous"), "intraday-only", "session pairing policy"),
+            ("--bins", "bins", int, None, "histogram bin count (default: Freedman-Diaconis)"),
+            ("--out-prefix", "out_prefix", str, None, "output prefix for the statistics CSVs and manifest"),
+        ]),
+        "fit": ("fit calibration models to estimator CSV output", cmd_fit, [
+            ("--kind", "kind", ("acf", "kurtosis"), None, "which fit to run"),
+            ("--input", "input", str, None, "estimator CSV (lag,acf[,count[,stderr]] or tau,kurtosis[,n])"),
+            ("--base-minutes", "base_minutes", int, None, "lag resolution in minutes (default: inferred)"),
+            ("--weights", "weights", ("uniform", "count-weighted"), "uniform", "ACF residual weighting"),
+            ("--out", "out", str, None, "output JSON report path"),
+        ]),
+        "synth": ("generate seeded synthetic market data", cmd_synth, [
+            ("--kind", "kind", ("gbm", "colored"), None, "generator"),
+            ("--n", "n", int, None, "number of bars / return samples"),
+            ("--dt", "dt", int, 1, "bar spacing in minutes"),
+            ("--seed", "seed", int, None, "RNG seed (mandatory; QBM_SEED fallback)"),
+            ("--mu", "mu", float, 0.0, "gbm price drift rate (1/minute)"),
+            ("--sigma", "sigma", float, 0.01, "gbm volatility (1/sqrt(minute))"),
+            ("--s0", "s0", float, 100.0, "gbm initial price"),
+            *_NM_OPTS,
+            ("--base-noise", "base_noise", float, 1e-3, "colored: white-noise level (log-price per minute)"),
+            ("--out", "out", str, None, "output prices CSV path"),
+        ]),
+    }
+    invoked = next((token for token in argv if not token.startswith("-")), None)
     flags: dict[str, dict[str, str]] = {}
-
-    common = [("--config", "config", str, None, "flat key = value config file; flags override")]
-
-    sub = subs.add_parser("eval", help="evaluate a closed-form curve to CSV")
-    opts = common + [
-        ("--formula", "formula", ("variance", "variance-short", "classical", "delta", "lambda", "acf",
-                                  "spectral-density"), None, "curve to evaluate"),
-        *_MODEL_OPTS,
-        ("--sx2-0", "sx2_0", float, None, "initial coordinate variance"),
-        ("--sp2-0", "sp2_0", float, None, "initial momentum variance (default: minimal uncertainty)"),
-        ("--spx-0", "spx_0", float, 0.0, "initial symmetrized cross moment <XP+PX>"),
-        *_NM_OPTS,
-        ("--kind", "kind", ("ohmic", "ohmic-lorentz", "composite"), "ohmic", "spectral density kind"),
-        ("--cutoff", "cutoff", float, None, "spectral cutoff Omega_cut (rad/time unit)"),
-        ("--start", "start", float, None, "range start (time units; minutes for acf; rad/time for spectra)"),
-        ("--end", "end", float, None, "range end"),
-        ("--points", "points", int, 201, "number of evaluation points"),
-        ("--out", "out", str, None, "output CSV path"),
-    ]
-    flags["eval"] = _add_opts(sub, opts)
-    sub.set_defaults(func=cmd_eval)
-
-    sub = subs.add_parser("simulate", help="run moment / SDE / phase-space evolution to CSV")
-    opts = common + [
-        ("--mode", "mode", ("moments", "sde", "pde"), None, "simulation mode"),
-        *_MODEL_OPTS,
-        ("--kernel", "kernel", ("markov", "non-markov"), "markov", "diffusion-coefficient schedule"),
-        *_NM_OPTS,
-        ("--x2", "x2", float, None, "initial <X^2> (default: none; required)"),
-        ("--p2", "p2", float, None, "initial <P^2> (default: minimal uncertainty hbar^2/(4 x2))"),
-        ("--xp", "xp", float, 0.0, "initial <XP+PX>"),
-        ("--x4", "x4", float, None, "initial <X^4> override (default: Gaussian value 3 <X^2>^2)"),
-        ("--t-end", "t_end", float, None, "end time (model time units)"),
-        ("--points", "points", int, 101, "number of output times"),
-        ("--n-paths", "n_paths", int, 100000, "SDE ensemble size"),
-        ("--dt", "dt", float, None, "ignored: sde and moments are exact over each output interval (pde refuses it)"),
-        ("--seed", "seed", int, None, "RNG seed (mandatory for sde; QBM_SEED fallback)"),
-        ("--nx", "nx", int, 256, "grid cells along x"),
-        ("--np", "np", int, 256, "grid cells along p"),
-        ("--x-width", "x_width", float, None, "grid half-width in x (default 8 sqrt(<X^2>))"),
-        ("--p-width", "p_width", float, None, "grid half-width in p (default 8 sqrt(<P^2>))"),
-        ("--potential", "potential", ("none", "harmonic"), "none", "potential for moments and pde modes"),
-        ("--omega0", "omega0", float, None, "harmonic potential frequency (1/time unit)"),
-        ("--out-prefix", "out_prefix", str, None, "output prefix: writes <prefix>.csv and <prefix>.manifest.json"),
-    ]
-    flags["simulate"] = _add_opts(sub, opts)
-    sub.set_defaults(func=cmd_simulate)
-
-    sub = subs.add_parser("analyze", help="run the empirical pipeline on a prices CSV")
-    opts = common + [
-        ("--input", "input", str, None, "prices CSV (timestamp,close[,session])"),
-        ("--taus", "taus", str, "5:100:5", "horizon range start:end:step in minutes"),
-        ("--max-lag", "max_lag", int, 480, "ACF maximum lag (minutes)"),
-        ("--return-tau", "return_tau", int, None, "horizon for histogram/ACF returns (default: base resolution)"),
-        ("--policy", "policy", ("intraday-only", "contiguous"), "intraday-only", "session pairing policy"),
-        ("--bins", "bins", int, None, "histogram bin count (default: Freedman-Diaconis)"),
-        ("--out-prefix", "out_prefix", str, None, "output prefix for the statistics CSVs and manifest"),
-    ]
-    flags["analyze"] = _add_opts(sub, opts)
-    sub.set_defaults(func=cmd_analyze)
-
-    sub = subs.add_parser("fit", help="fit calibration models to estimator CSV output")
-    opts = common + [
-        ("--kind", "kind", ("acf", "kurtosis"), None, "which fit to run"),
-        ("--input", "input", str, None, "estimator CSV (lag,acf[,count[,stderr]] or tau,kurtosis[,n])"),
-        ("--base-minutes", "base_minutes", int, None, "lag resolution in minutes (default: inferred)"),
-        ("--weights", "weights", ("uniform", "count-weighted"), "uniform", "ACF residual weighting"),
-        ("--out", "out", str, None, "output JSON report path"),
-    ]
-    flags["fit"] = _add_opts(sub, opts)
-    sub.set_defaults(func=cmd_fit)
-
-    sub = subs.add_parser("synth", help="generate seeded synthetic market data")
-    opts = common + [
-        ("--kind", "kind", ("gbm", "colored"), None, "generator"),
-        ("--n", "n", int, None, "number of bars / return samples"),
-        ("--dt", "dt", int, 1, "bar spacing in minutes"),
-        ("--seed", "seed", int, None, "RNG seed (mandatory; QBM_SEED fallback)"),
-        ("--mu", "mu", float, 0.0, "gbm price drift rate (1/minute)"),
-        ("--sigma", "sigma", float, 0.01, "gbm volatility (1/sqrt(minute))"),
-        ("--s0", "s0", float, 100.0, "gbm initial price"),
-        *_NM_OPTS,
-        ("--base-noise", "base_noise", float, 1e-3, "colored: white-noise level (log-price per minute)"),
-        ("--out", "out", str, None, "output prices CSV path"),
-    ]
-    flags["synth"] = _add_opts(sub, opts)
-    sub.set_defaults(func=cmd_synth)
-
+    for name, (help_text, func, opts) in commands.items():
+        sub = subs.add_parser(name, help=help_text)
+        if name == invoked:
+            flags[name] = _add_opts(sub, [config, *opts])
+            sub.set_defaults(func=func)
     return parser, flags
 
 
@@ -491,16 +484,22 @@ def cmd_simulate(cfg: dict) -> int:
         for flag in ("nx", "np"):
             if cfg[flag] < 16:
                 raise ValueError(f"--{flag} must be at least 16")
+        for flag in ("x_width", "p_width"):
+            if cfg.get(flag) is not None and not cfg[flag] > 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be positive")
         _bind(".dynamics.phasespace")
-        grid = PhaseSpaceGrid.gaussian(
-            x2,
-            p2,
-            m11,
-            x_half_width=cfg.get("x_width"),
-            p_half_width=cfg.get("p_width"),
-            n_x=int(cfg["nx"]),
-            n_p=int(cfg["np"]),
-        )
+        # the grid must hold the initial Gaussian: normalized on it, with next to no mass on its edge
+        misfit = ("the pde grid does not fit the initial Gaussian ({}): widen it with --x-width/--p-width "
+                  "or add cells with --nx/--np")
+        try:
+            grid = PhaseSpaceGrid.gaussian(x2, p2, m11, x_half_width=cfg.get("x_width"),
+                                           p_half_width=cfg.get("p_width"), n_x=int(cfg["nx"]), n_p=int(cfg["np"]))
+        except ValueError as exc:
+            raise ValueError(misfit.format(exc)) from exc
+        fraction = grid.boundary_fraction()
+        if fraction > BOUNDARY_INIT_FRACTION:
+            raise ValueError(misfit.format(f"boundary density fraction {fraction:.3g} exceeds "
+                                           f"{BOUNDARY_INIT_FRACTION:g}"))
         evo = evolve_wigner_pde(grid, schedule, times, potential=potential)
         columns = {"t": evo.times, "mass": evo.masses}
         for (j, k) in [(2, 0), (1, 1), (0, 2), (4, 0), (0, 4)]:
@@ -669,8 +668,8 @@ def cmd_synth(cfg: dict) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, flags = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser, flags = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:

@@ -169,7 +169,7 @@ class PhaseSpaceGrid:
             p_half_width = 8.0 * math.sqrt(sp2)
         xs = -x_half_width + (np.arange(n_x) + 0.5) * (2.0 * x_half_width / n_x)
         ps = -p_half_width + (np.arange(n_p) + 0.5) * (2.0 * p_half_width / n_p)
-        xx, pp = np.meshgrid(xs, ps, indexing="ij")
+        xx, pp = xs[:, None], ps[None, :]
         quad = (sp2 * xx**2 - 2.0 * m11 * xx * pp + sx2 * pp**2) / det
         w = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
         return cls(-x_half_width, x_half_width, n_x, -p_half_width, p_half_width, n_p, w)
@@ -247,21 +247,23 @@ def _spline_prefilter(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _spline_coefficients(
     prefilter: tuple[np.ndarray, np.ndarray], w: np.ndarray, axis: int, out: np.ndarray
 ) -> np.ndarray:
-    """P applied to every line of w along ``axis``, written to ``out``.
+    """P applied to every line of w along ``axis``, written to ``out``; w is
+    overwritten.
 
     The matrix product runs on P's off-diagonal part, and the diagonal term,
-    the largest (about sqrt(3) w), is added after it. Rounded once instead of
-    riding through the product's partial sums, it keeps the result within
-    1e-15 of its largest value from scipy's recursive filter; one product with
-    all of P reached 1.2e-15 on some 256-cell inputs.
+    the largest (about sqrt(3) w), is formed in w and added after it. Rounded
+    once instead of riding through the product's partial sums, it keeps the
+    result within 1e-15 of its largest value from scipy's recursive filter; one
+    product with all of P reached 1.2e-15 on some 256-cell inputs.
     """
     diagonal, off_diagonal = prefilter
     if axis == 0:
         np.matmul(off_diagonal, w, out=out)
-        out += diagonal[:, None] * w
+        w *= diagonal[:, None]
     else:
         np.matmul(w, off_diagonal.T, out=out)
-        out += diagonal * w
+        w *= diagonal
+    out += w
     return out
 
 
@@ -341,8 +343,10 @@ def _shear(
         for line, f, low, high in moves:
             shifted[3 + low + f : 3 + high + f, line] = source[low:high, line]
         coeffs = weights[0] * shifted[3 : n + 5]  # tap k of a cell whose arrival floor is j lands on j - 1 + k
+        products = np.empty_like(coeffs)
         for k in range(1, 4):
-            coeffs += weights[k] * shifted[3 - k : n + 5 - k]
+            coeffs += np.multiply(weights[k], shifted[3 - k : n + 5 - k], out=products)
+        del shifted, products
         coeffs[2] += coeffs[0]  # tap -1 is the mirror image of tap 1
         coeffs[n - 1] += coeffs[n + 1]  # and tap n of tap n - 2
         out = _spline_coefficients(transposed, lines(coeffs[1 : n + 1]), axis, np.empty(shape))
@@ -490,9 +494,15 @@ def evolve_wigner_pde(
                         f"above the growth bound {GROWTH_LIMIT:g}: the cross diffusion makes Sigma indefinite there; "
                         "use a coarser grid or shorter intervals"
                     )
-                for remap in remaps:
+                for remap in remaps:  # none writes to its input
                     w = remap(w)
-                w = np.fft.irfft2(np.fft.rfft2(w) * factor, s=shape)
+                # irfft2's own steps: ifft along x over the spectrum, then irfft along p over the remap's
+                # fresh output (numpy 2.0's out=), so no spare spectrum or density is allocated
+                spectrum = np.fft.rfft2(w)
+                spectrum *= factor
+                np.fft.ifft(spectrum, axis=0, out=spectrum)
+                w = np.fft.irfft(spectrum, shape[1], axis=1, out=w if w.flags.writeable else None)
+                del spectrum
         total = w.sum()  # any non-finite cell makes the sum non-finite
         if not math.isfinite(total):
             raise StabilityError(f"density blew up at t = {t_now:.6g}")
@@ -507,6 +517,7 @@ def evolve_wigner_pde(
                                   norm_tol=1e-3)
         except ValueError as exc:
             raise StabilityError(f"mass leak at t = {t_now:.6g}: {exc}") from exc
+        w = snap.w  # the snapshot's read-only copy: one copy of the density stays alive
         moments.append(grid_moments(snap))
         masses.append(snap.mass())
         negative.append(snap.negative_fraction())

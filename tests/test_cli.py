@@ -427,6 +427,44 @@ class TestSimulate:
         mass = prows[:, ph.index("mass")]
         assert np.max(np.abs(mass - 1.0)) < 1e-6
 
+    # a grid that does not hold the initial Gaussian exited 1 (not normalized: cut off at 4 standard deviations,
+    # or under-resolved at --xp 1.9 on 32^2) or 3 (normalized, but too much mass on its edge), naming no flag
+    @pytest.mark.parametrize("flags, detail", [
+        (["--nx", 64, "--np", 64, "--x-width", 4], "grid not normalized: cell sum * area = 0.99993735"),
+        (["--nx", 64, "--np", 64, "--x-width", 5], "boundary density fraction 6.85e-07 exceeds 1e-10"),
+        (["--nx", 32, "--np", 32, "--xp", 1.9], "grid not normalized: cell sum * area = 1.00074469"),
+    ], ids=["cut-off", "edge-mass", "under-resolved"])
+    def test_grid_that_misses_the_initial_gaussian_is_one_usage_error(self, tmp_path, capsys, flags, detail):
+        assert run(["simulate", "--mode", "pde", "--x2", 1, "--p2", 1, "--t-end", 0.5, "--points", 3, *flags,
+                    "--out-prefix", tmp_path / "p"]) == 1
+        assert capsys.readouterr().err == (
+            f"usage error: the pde grid does not fit the initial Gaussian ({detail}): "
+            "widen it with --x-width/--p-width or add cells with --nx/--np\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--x-width", "--p-width"])
+    def test_grid_width_must_be_positive(self, tmp_path, capsys, flag):
+        assert run(["simulate", "--mode", "pde", "--x2", 1, "--t-end", 0.5, "--nx", 16, "--np", 16, flag, 0,
+                    "--out-prefix", tmp_path / "p"]) == 1
+        assert capsys.readouterr().err == f"usage error: {flag} must be positive\n"
+
+    # pde.csv as the engine wrote it before it ran in place, on 64^2: the pde_relax flags, and a
+    # harmonic well under the non-Markov kernel (a scale and a shear per axis)
+    @pytest.mark.parametrize("flags, digest", [
+        (["--M", 1, "--gamma", 0.25, "--kT", 1, "--hbar", 1, "--x2", 1.0, "--p2", 0.9, "--t-end", 0.03,
+          "--points", 9, "--x-width", 14, "--p-width", 7],
+         "85ce0f2004c2da1ec54a9002de1cc9f8b66214e59681f7c593d3be2a493b9e98"),
+        (["--M", 1, "--gamma", 0.5, "--kT", 1, "--hbar", 1, "--kernel", "non-markov", "--xi", 0.3, "--eta", 0.5,
+          "--omega", 0.7, "--potential", "harmonic", "--omega0", 1.5, "--x2", 1, "--p2", 1, "--xp", 0.3,
+          "--t-end", 1, "--points", 5, "--x-width", 10, "--p-width", 10],
+         "9d777adb2e096665f738f286393faaed201f6869a25789a145f764038aa30979"),
+    ], ids=["pde_relax", "harmonic-non-markov"])
+    def test_pde_bytes_are_pinned(self, tmp_path, monkeypatch, flags, digest):
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--mode", "pde", *flags, "--nx", 64, "--np", 64, "--out-prefix", "p"]) == 0
+        assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == digest
+
     def test_unstable_pde_step_is_numerical_failure(self, tmp_path, capsys):
         # strong colored noise makes Sigma indefinite: on this 128^2 grid the
         # smoothing over the last eighth of [0, 1] would grow the highest grid
@@ -1477,7 +1515,7 @@ class TestConfigParsing:
         monkeypatch.chdir(tmp_path)
         _write_inputs(tmp_path)
         pairs = list(zip(FULL_RUNS[command][::2], FULL_RUNS[command][1::2]))
-        _, flags = cli.build_parser()
+        _, flags = cli.build_parser([command])
         assert [flag for flag, _ in pairs] == [f for f in flags[command].values() if f != "--config"]
         manifest = Path(f"{pairs[-1][1]}.manifest.json")
 
@@ -1846,6 +1884,23 @@ print(json.dumps(loaded))
 
 
 class TestHelp:
+    # each text as it was when every command's subparser got its options, at 100 columns
+    @pytest.mark.parametrize("command, digest", [
+        (None, "65d07054b5856f79f29bef0690ac3e6de2248d4f1b58b7f5c4b353c26ec9c35a"),
+        ("eval", "b134a5f407f91f1cff88d7acd43fb37d1d5def08b61e994aaf2c2a800f46732e"),
+        ("simulate", "2027574cd499e825f50148bc03f504f5f89d3eb5b7a5a856634fbf8abcac6608"),
+        ("analyze", "9ca67438d3e8d8c3c08146a81d893754f9002c280beaac103f0f3d7c7cbed519"),
+        ("fit", "dfa4f39e71f2f19ddd0aa738db585afaf518343813ef13d3a62fd4bb048849be"),
+        ("synth", "6d6cb9cd50789561a913a29edc839c272a5ca78afb41dacd398174d7082afd82"),
+    ], ids=["qbm", "eval", "simulate", "analyze", "fit", "synth"])
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command, digest):
+        # only the invoked command's subparser gets its options
+        monkeypatch.setenv("COLUMNS", "100")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_help_lists_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

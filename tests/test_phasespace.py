@@ -3,6 +3,7 @@ growth bound of the exact map, closed-form transport checks, and the
 cross-check against the moment ODE."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,15 @@ class TestGrid:
     def test_negative_fraction_diagnostic(self):
         grid = PhaseSpaceGrid.gaussian(1.0, 1.0, 0.0, n_x=64, n_p=64)
         assert grid.negative_fraction() == 0.0
+
+    @pytest.mark.parametrize("n_x, n_p, m11", [(256, 256, 0.0), (64, 48, 0.45), (33, 31, -0.2)])
+    def test_gaussian_is_the_density_formula_at_every_cell(self, n_x, n_p, m11):
+        # the builder broadcasts x down and p across, where it took both from meshgrid: same bytes
+        grid = PhaseSpaceGrid.gaussian(1.0, 0.8, m11, n_x=n_x, n_p=n_p)
+        xx, pp = np.meshgrid(grid.x, grid.p, indexing="ij")
+        det = 0.8 - m11**2
+        quad = (0.8 * xx**2 - 2.0 * m11 * xx * pp + 1.0 * pp**2) / det
+        assert np.array_equal(grid.w, np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det)))
 
 
 def colored_schedule() -> KernelSchedule:
@@ -170,6 +180,19 @@ class TestSplinePrefilter:
         stencil = (np.diag(np.full(n, 4.0)) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
         stencil[0, 1] = stencil[-1, -2] = 2.0 / 6.0
         assert np.max(np.abs(stencil @ (off_diagonal + np.diag(diagonal)) - np.eye(n))) <= 1e-15
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_coefficients_overwrite_their_input(self, axis):
+        # the diagonal term is formed in w itself: the remaps pass scratch arrays, never the density
+        n = 24
+        diagonal, off_diagonal = prefilter = _spline_prefilter(n)
+        w = np.random.default_rng(axis).standard_normal((n, n + 3) if axis == 0 else (n + 3, n))
+        original = w.copy()
+        got = _spline_coefficients(prefilter, w, axis, np.empty_like(w))
+        scale = diagonal[:, None] if axis == 0 else diagonal
+        assert np.array_equal(w, original * scale)
+        expected = off_diagonal @ original if axis == 0 else original @ off_diagonal.T
+        assert np.array_equal(got, expected + original * scale)
 
     @pytest.mark.parametrize("n", [16, 17, 40, 256])
     def test_matches_spline_filter1d(self, n):
@@ -389,3 +412,25 @@ class TestAgainstMomentOde:
         # and the PDE with the colored kernel still matches its own moment ODE
         assert evo_c.moment(1, 1)[-1] == pytest.approx(traj_c.moment(1, 1)[-1], abs=2e-3)
         assert evo_c.moment(0, 2)[-1] == pytest.approx(traj_c.moment(0, 2)[-1], rel=2e-3)
+
+
+class TestWorkingSet:
+    def test_evolve_holds_at_most_eight_grids(self):
+        # the pde_relax run on 256^2. Alive at the peak: P's off-diagonal part and the p scale's
+        # matrix (n x n each), the smoothing's symbols and factor, the density and a shear's
+        # shifted lines, coefficients and tap products. 7.5 grids; 9.5 while the prefilter
+        # allocated its diagonal term, the FFTs their spare arrays and each sample kept a second
+        # copy of the density
+        grid = PhaseSpaceGrid.gaussian(1.0, 0.9, 0.0, x_half_width=14.0, p_half_width=7.0, n_x=256, n_p=256)
+        schedule = KernelSchedule.markov(ModelParams(M=1.0, gamma=0.25, kT=1.0, hbar=1.0))
+        times = np.linspace(0.0, 0.03, 9)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            evo = evolve_wigner_pde(grid, schedule, times)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert evo.n_steps == 8
+        assert peak <= 8 * grid.w.nbytes, peak / grid.w.nbytes
